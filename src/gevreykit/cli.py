@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -172,6 +171,8 @@ def _cmd_fit(args, seed: int) -> None:
             n_s, v_s = line.split(",")
             rows.append((int(n_s), float(v_s)))
     rows.sort()
+    if [n for n, _ in rows] != list(range(len(rows))):
+        raise ValueError("growth data orders must be exactly 0..n_max, each once")
     entries = tuple(v for _, v in rows)
     data = DerivativeGrowthData(entries, source="measured-on-grid")
     grid = _parse_floats(args.sigma_grid)
@@ -235,26 +236,17 @@ def _cmd_wf_scan(args, seed: int) -> None:
     )
     verdicts = wf_scan(field, points, args.dirs, args.tau, args.sigma, params, threads)
     if args.csv:
-        # plot-ready decay profiles: point; direction; N; log_value
-        from .wavefront import Cone, directional_decay_profile, make_cutoff, scan_directions
-
+        # plot-ready decay profiles the scan measured: point; direction; N;
+        # log_value, one block per verdict without error
         with open(args.csv, "w") as fh:
             fh.write("point;direction;N;log_value\n")
-            dirs = scan_directions(field.dim, args.dirs)
-            half = math.pi / 4 if field.dim == 1 else math.pi / len(dirs)
-            for pt in points:
-                try:
-                    phi = make_cutoff(tuple(pt), rp, rs, field)
-                except ValueError:
+            for verdict in verdicts:
+                if verdict.error is not None:
                     continue
-                for d in dirs:
-                    prof = directional_decay_profile(
-                        field, phi, Cone(d, half, xi_min), args.nmax
-                    )
-                    p_s = ",".join(repr(c) for c in pt)
-                    d_s = ",".join(repr(c) for c in d)
-                    for N, v in enumerate(prof.entries):
-                        fh.write(f"{p_s};{d_s};{N};{v!r}\n")
+                p_s = ",".join(repr(c) for c in verdict.point)
+                d_s = ",".join(repr(c) for c in verdict.direction)
+                for N, v in enumerate(verdict.profile.entries):
+                    fh.write(f"{p_s};{d_s};{N};{v!r}\n")
     _report(
         "wf-scan",
         {

@@ -25,7 +25,7 @@ from .multiindex import (
     mi_order,
 )
 from .numerics import LogMagnitude, log_factorial
-from .sequences import DefiningSequence
+from .sequences import DefiningSequence, log_M
 
 # enforced order limits: decomposition counts explode beyond these
 _MAX_ORDER = {1: 8, 2: 8, 3: 6}
@@ -178,7 +178,7 @@ def superposition_bound_components(
         "amplitude": (n + 1) * math.log(inp.A),
         "scale": 2.0 * ns * math.log(c1),
         "splitting": ns * math.log(c_l),
-        "growth": tau * ns * math.log(n),
+        "growth": log_M(tau, sigma, n),
         "msum": (n - 1) * math.log(2.0),
     }
 

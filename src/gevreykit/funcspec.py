@@ -404,9 +404,10 @@ def _parse_number(tok: str) -> Number:
     return float(tok)
 
 
-def _split_two(body: str) -> tuple[str, str]:
+def _split_two(body: str) -> tuple[FunctionSpec, FunctionSpec]:
     # poly:/mvpoly: literals contain commas, so try each top-level comma
-    # until both sides parse
+    # until both sides parse; the parsed pair is returned, so no side is
+    # parsed twice
     depth = 0
     candidates = []
     for i, ch in enumerate(body):
@@ -417,13 +418,10 @@ def _split_two(body: str) -> tuple[str, str]:
         elif ch == "," and depth == 0:
             candidates.append(i)
     for i in candidates:
-        left, right = body[:i], body[i + 1 :]
         try:
-            parse_spec(left)
-            parse_spec(right)
+            return parse_spec(body[:i]), parse_spec(body[i + 1 :])
         except (ValueError, ZeroDivisionError):
             continue
-        return left, right
     raise ValueError(f"cannot split {body!r} into two specs")
 
 
@@ -457,6 +455,5 @@ def parse_spec(text: str) -> FunctionSpec:
         return MVPolySpec.from_dict(dim, terms)
     for name, cls in (("compose", ComposeSpec), ("sum", SumSpec), ("prod", ProdSpec)):
         if s.startswith(name + "(") and s.endswith(")"):
-            left, right = _split_two(s[len(name) + 1 : -1])
-            return cls(parse_spec(left), parse_spec(right))
+            return cls(*_split_two(s[len(name) + 1 : -1]))
     raise ValueError(f"unrecognized function spec: {text!r}")

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .numerics import BigNat
-
 MultiIndex = tuple[int, ...]
 
 
@@ -43,7 +41,7 @@ def mi_scale(m: int, a: MultiIndex) -> MultiIndex:
     return tuple(m * x for x in a)
 
 
-def mi_factorial(alpha: MultiIndex) -> BigNat:
+def mi_factorial(alpha: MultiIndex) -> int:
     """alpha! = prod alpha_i!"""
     out = 1
     for x in alpha:
@@ -51,7 +49,7 @@ def mi_factorial(alpha: MultiIndex) -> BigNat:
     return out
 
 
-def mi_binomial(alpha: MultiIndex, beta: MultiIndex) -> BigNat:
+def mi_binomial(alpha: MultiIndex, beta: MultiIndex) -> int:
     """binom(alpha, beta) = prod binom(alpha_i, beta_i); 0 unless beta <= alpha."""
     if not mi_leq(beta, alpha):
         return 0
@@ -157,7 +155,7 @@ def enumerate_decompositions(alpha: MultiIndex) -> Iterator[Decomposition]:
     yield from descend(alpha, 0, [])
 
 
-def composition_multinomial_sum(n: int) -> BigNat:
+def composition_multinomial_sum(n: int) -> int:
     """Sum of m!/(m_1! ... m_n!) over all (m_1..m_n) with sum k*m_k = n.
 
     Here m = m_1 + ... + m_n.  The value equals 2^(n-1) exactly; the sum
@@ -186,7 +184,7 @@ def composition_multinomial_sum(n: int) -> BigNat:
     return total
 
 
-def decomposition_census(alpha: MultiIndex) -> tuple[BigNat, BigNat, bool]:
+def decomposition_census(alpha: MultiIndex) -> tuple[int, int, bool]:
     """(count of decompositions, bound (1+|alpha|)^(d+2), count <= bound)."""
     if mi_order(alpha) < 1:
         raise ValueError("decomposition_census requires |alpha| >= 1")

@@ -12,13 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import total_ordering
-
-# Arbitrary-precision naturals / rationals; arithmetic is exact and
-# Fraction normalizes to lowest terms with positive denominator.
-BigNat = int
-BigRat = Fraction
 
 _NEG_INF = float("-inf")
 
@@ -123,7 +117,7 @@ def log_factorial(n: int) -> LogMagnitude:
     return LogMagnitude(cache[n])
 
 
-def multinomial(a: list[int] | tuple[int, ...]) -> BigNat:
+def multinomial(a: list[int] | tuple[int, ...]) -> int:
     """|a|! / (a_1! a_2! ... a_m!) as an exact integer."""
     if len(a) == 0:
         raise ValueError("multinomial requires a nonempty list")

@@ -43,6 +43,7 @@ from .multiindex import (
     mi_sub,
 )
 from .numerics import LogMagnitude
+from .sequences import log_envelope, log_M, normalized_excess
 from .wavefront import Cone, Cutoff
 
 # desk-scale budgets: beyond these the word count A*C^N is impractical
@@ -853,9 +854,7 @@ def _fit_seminorm_envelope(
     for n, v in values.items():
         if n == 0:
             continue
-        ns = float(n) ** sigma
-        growth = tau * ns * math.log(n) if n > 1 else 0.0
-        log_h = max(log_h, (v - log_a - growth) / ns)
+        log_h = max(log_h, normalized_excess(v - log_a, n, tau, sigma))
     return math.exp(log_a), math.exp(log_h)
 
 
@@ -930,9 +929,7 @@ def bound_audit(
             A, h = _fit_seminorm_envelope(logs, tau, sigma)
             coeff_fits[(op.j, a_prime)] = (A, h)
             for n, v in logs.items():
-                ns = float(n) ** sigma if n else 0.0
-                growth = tau * ns * math.log(n) if n > 1 else 0.0
-                if v > math.log(A) + ns * math.log(h) + growth + 1e-9:
+                if v > log_envelope(n, tau, sigma, math.log(A), math.log(h)) + 1e-9:
                     coeff_viol += 1
             # homogeneity at scaled xi
             xi0 = xi_list[0]
@@ -966,7 +963,7 @@ def bound_audit(
 
     # word-derivative envelopes (4.29)
     NM = sums.N + dist_order
-    growth_nm = tau * float(NM) ** sigma * math.log(NM) if NM > 1 else 0.0
+    growth_nm = log_M(tau, sigma, NM)
     word_logs: dict[tuple[int, ...], dict[int, float]] = {}
     for w in sums.e_words:
         S0 = sums.word_states[w]

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import LogMagnitude, log_factorial
+from .sequences import log_envelope, log_M, normalized_excess
 
 _NEG_INF = float("-inf")
 
@@ -54,11 +55,9 @@ def synthetic_growth(
     tau: float, sigma: float, h: float = 1.0, A: float = 1.0, n_max: int = 24
 ) -> DerivativeGrowthData:
     """Data lying exactly on the (tau, sigma, h, A) envelope."""
-    vals = []
-    for n in range(n_max + 1):
-        ns = float(n) ** sigma if n else 0.0
-        vals.append(math.log(A) + ns * math.log(h) + (tau * ns * math.log(n) if n > 1 else 0.0))
-    return DerivativeGrowthData(tuple(vals), source="synthetic")
+    la, lh = math.log(A), math.log(h)
+    vals = tuple(log_envelope(n, tau, sigma, la, lh) for n in range(n_max + 1))
+    return DerivativeGrowthData(vals, source="synthetic")
 
 
 def seminorm_log(
@@ -72,8 +71,7 @@ def seminorm_log(
         if v == _NEG_INF:
             continue
         ns = float(n) ** sigma if n else 0.0
-        growth = tau * ns * math.log(n) if n > 1 else 0.0
-        best = max(best, v - ns * math.log(h) - growth)
+        best = max(best, v - ns * math.log(h) - log_M(tau, sigma, n))
     return LogMagnitude(best)
 
 
@@ -123,8 +121,7 @@ def seminorm_equivalence_gap(
             s2.append(_NEG_INF)
             continue
         ns = float(n) ** sigma
-        growth = tau * ns * math.log(n) if n > 1 else 0.0
-        s1.append((v - growth) / ns)
+        s1.append(normalized_excess(v, n, tau, sigma))
         fl = math.floor(ns)
         s2.append((v - (tau / sigma) * log_factorial(fl).log_value) / ns)
     return _h_interval(s1), _h_interval(s2)
@@ -141,9 +138,9 @@ class RegularityFit:
     degenerate: bool = False
 
     def envelope(self, n: int) -> float:
-        ns = float(n) ** self.sigma_hat if n else 0.0
-        growth = self.tau_hat * ns * math.log(n) if n > 1 else 0.0
-        return math.log(self.A_hat) + ns * math.log(self.h_hat) + growth
+        return log_envelope(
+            n, self.tau_hat, self.sigma_hat, math.log(self.A_hat), math.log(self.h_hat)
+        )
 
 
 def fit_regularity(

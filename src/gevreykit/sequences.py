@@ -20,6 +20,28 @@ from dataclasses import dataclass, field
 from .numerics import LogMagnitude, log_factorial
 
 
+def log_M(tau: float, sigma: float, n: int) -> float:
+    """ln M_n = tau * n^sigma * ln n (0 for n = 0, 1), unchecked.
+
+    The one place the kit writes the growth term out; sigma <= 1 is
+    accepted because the wave-front scans and fits accept it.
+    """
+    if n <= 1:
+        return 0.0
+    return tau * (float(n) ** sigma) * math.log(n)
+
+
+def log_envelope(n: int, tau: float, sigma: float, log_a: float, log_h: float) -> float:
+    """ln(A h^{n^sigma} M_n) = log_a + n^sigma log_h + ln M_n."""
+    ns = float(n) ** sigma if n else 0.0
+    return log_a + ns * log_h + log_M(tau, sigma, n)
+
+
+def normalized_excess(v: float, n: int, tau: float, sigma: float) -> float:
+    """(v - ln M_n) / n^sigma: the ln h a log value v needs at order n >= 1."""
+    return (v - log_M(tau, sigma, n)) / float(n) ** sigma
+
+
 @dataclass(frozen=True)
 class DefiningSequence:
     """Parameters (tau, sigma) of M_p = p^{tau p^sigma}; M_0 = 1."""
@@ -37,14 +59,7 @@ class DefiningSequence:
         """ln M_p = tau * p^sigma * ln p (0 for p = 0, 1)."""
         if p < 0:
             raise ValueError("p must be a natural number")
-        if p <= 1:
-            return 0.0
-        return self.tau * (float(p) ** self.sigma) * math.log(p)
-
-
-def eval_log_M(seq: DefiningSequence, p: int) -> LogMagnitude:
-    """M_p as a LogMagnitude."""
-    return LogMagnitude(seq.log_M(p))
+        return log_M(self.tau, self.sigma, p)
 
 
 @dataclass
@@ -147,6 +162,7 @@ def audit_sequence(seq: DefiningSequence, p_max: int, q_max: int = 10) -> Sequen
 
     # (M.2)-bar: minimal C with M_{p+q} <= C^{p^s+q^s} M'_p M'_q, primed tau
     primed = DefiningSequence(tau * 2.0 ** (sigma - 1.0), sigma)
+    logM_primed = [primed.log_M(p) for p in range(p_max + 1)]
     best = float("-inf")
     best_pq = (1, 1)
     for p in range(0, p_max + 1):
@@ -154,7 +170,7 @@ def audit_sequence(seq: DefiningSequence, p_max: int, q_max: int = 10) -> Sequen
             if p == 0 and q == 0:
                 continue
             expo = float(p) ** sigma + float(q) ** sigma
-            val = (logM[p + q] - primed.log_M(p) - primed.log_M(q)) / expo
+            val = (logM[p + q] - logM_primed[p] - logM_primed[q]) / expo
             if val > best:
                 best = val
                 best_pq = (p, q)

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import log_factorial
+from .sequences import log_envelope, log_M, normalized_excess
 
 _NEG_INF = float("-inf")
 
@@ -95,7 +96,16 @@ def read_gridfield(path: str) -> GridField:
         if len(header) < 6 or header[0] != "GRIDFIELD" or header[1] != "1":
             raise ValueError(f"malformed GRIDFIELD header in {path}")
         d = int(header[2])
+        if len(header) != 5 + 2 * d:
+            raise ValueError(
+                f"malformed GRIDFIELD header in {path}: "
+                f"{len(header)} fields, d = {d} needs {5 + 2 * d}"
+            )
         sizes = tuple(int(t) for t in header[3].split(","))
+        if len(sizes) != d:
+            raise ValueError(
+                f"malformed GRIDFIELD header in {path}: d = {d} but {len(sizes)} sizes"
+            )
         origin = tuple(float(t) for t in header[4 : 4 + d])
         spacing = tuple(float(t) for t in header[4 + d : 4 + 2 * d])
         kind = header[4 + 2 * d]
@@ -390,6 +400,8 @@ class WavefrontVerdict:
     decay_order: float | None = None
     required_order: float | None = None
     error: str | None = None
+    # the profile the verdict was reached on (wf_scan sets it); not reported
+    profile: DecayProfile | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -421,9 +433,7 @@ def _fit_constants_sup(
         v = profile.entries[N]
         if v == _NEG_INF:
             continue
-        ns = float(N) ** sigma
-        growth = tau * ns * math.log(N) if N > 1 else 0.0
-        svals.append((v - growth) / ns)
+        svals.append(normalized_excess(v, N, tau, sigma))
     return max(svals) if svals else 0.0
 
 
@@ -438,10 +448,8 @@ def _fit_constants_ls(
         v = profile.entries[N]
         if v == _NEG_INF:
             continue
-        ns = float(N) ** sigma if N else 0.0
-        growth = tau * ns * math.log(N) if N > 1 else 0.0
-        ns_list.append(ns)
-        ys.append(v - growth)
+        ns_list.append(float(N) ** sigma if N else 0.0)
+        ys.append(v - log_M(tau, sigma, N))
     if len(ys) < 2:
         val = ys[0] if ys else 0.0
         return max(0.0, val), 0.0
@@ -457,7 +465,7 @@ def _family_order(tau: float, sigma: float, log_r: float, n_cap: int) -> int:
     e^{log_r}: the integer N minimizing tau N^sigma ln N - N log_r."""
     best_n, best_v = 0, 0.0
     for N in range(1, max(n_cap, 1) + 1):
-        v = tau * float(N) ** sigma * math.log(N) - N * log_r
+        v = log_M(tau, sigma, N) - N * log_r
         if v < best_v:
             best_n, best_v = N, v
     return best_n
@@ -534,9 +542,7 @@ def envelope_holds(
         v = profile.entries[N]
         if v == _NEG_INF:
             continue
-        ns = float(N) ** sigma if N else 0.0
-        growth = tau * ns * math.log(N) if N > 1 else 0.0
-        if v > la + ns * lh + growth + slack:
+        if v > log_envelope(N, tau, sigma, la, lh) + slack:
             return False
     return True
 
@@ -699,17 +705,6 @@ def enumeration_equivalence_detail(
     return direct.regular == accept31, direct.regular, accept31
 
 
-def enumeration_equivalence_audit(
-    profile: DecayProfile,
-    tau: float,
-    sigma: float,
-    params: WfTestParams = WfTestParams(),
-) -> bool:
-    """True when the two bound families accept/reject together."""
-    agree, _, _ = enumeration_equivalence_detail(profile, tau, sigma, params)
-    return agree
-
-
 # ---------------------------------------------------------------------------
 # scans
 
@@ -746,7 +741,7 @@ def wf_scan(
 
     Output order is point-major, direction-minor regardless of the
     worker count; per-point failures are recorded as error verdicts and
-    the scan continues.
+    the scan continues.  Every other verdict carries its profile.
     """
     dirs = scan_directions(u.dim, directions)
     if params.half_angle is not None:
@@ -756,46 +751,36 @@ def wf_scan(
     else:
         half = math.pi / len(dirs)
 
+    def failed(pt: tuple[float, ...], d: tuple[float, ...], exc: ValueError) -> WavefrontVerdict:
+        return WavefrontVerdict(
+            point=pt,
+            direction=d,
+            tau=tau,
+            sigma=sigma,
+            regular=False,
+            A_hat=None,
+            h_hat=None,
+            nyquist=0.5 / max(u.spacing),
+            n_usable=0,
+            error=str(exc),
+        )
+
     def run_point(pt: tuple[float, ...]) -> list[WavefrontVerdict]:
         out = []
         try:
             phi = make_cutoff(pt, params.r_plateau, params.r_support, u)
         except ValueError as exc:
-            return [
-                WavefrontVerdict(
-                    point=pt,
-                    direction=d,
-                    tau=tau,
-                    sigma=sigma,
-                    regular=False,
-                    A_hat=None,
-                    h_hat=None,
-                    nyquist=0.5 / max(u.spacing),
-                    n_usable=0,
-                    error=str(exc),
-                )
-                for d in dirs
-            ]
+            return [failed(pt, d, exc) for d in dirs]
         for d in dirs:
             cone = Cone(d, half, params.xi_min)
             try:
                 prof = directional_decay_profile(u, phi, cone, params.N_max)
-                out.append(wf_point_test(prof, tau, sigma, params.test, point=pt))
+                verdict = wf_point_test(prof, tau, sigma, params.test, point=pt)
             except ValueError as exc:
-                out.append(
-                    WavefrontVerdict(
-                        point=pt,
-                        direction=d,
-                        tau=tau,
-                        sigma=sigma,
-                        regular=False,
-                        A_hat=None,
-                        h_hat=None,
-                        nyquist=0.5 / max(u.spacing),
-                        n_usable=0,
-                        error=str(exc),
-                    )
-                )
+                out.append(failed(pt, d, exc))
+                continue
+            verdict.profile = prof
+            out.append(verdict)
         return out
 
     pts = [tuple(float(c) for c in p) if isinstance(p, (tuple, list)) else (float(p),) for p in points]

@@ -57,7 +57,7 @@ from gevreykit.wavefront import (
     ScanParams,
     catalog_field,
     directional_decay_profile,
-    enumeration_equivalence_audit,
+    enumeration_equivalence_detail,
     make_cutoff,
     wf_point_test,
     wf_scan,
@@ -267,7 +267,7 @@ def test_criterion_7_wavefront_scans():
         prof = directional_decay_profile(u, phi, cone, 40)
         v = wf_point_test(prof, tau, sigma)
         n_audits += 1
-        n_agree += int(enumeration_equivalence_audit(prof, tau, sigma))
+        n_agree += int(enumeration_equivalence_detail(prof, tau, sigma)[0])
         return v
 
     # bump: zero singular verdicts anywhere

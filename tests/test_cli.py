@@ -141,6 +141,54 @@ def test_wf_scan_command(tmp_path):
     validate_report(rep)
 
 
+def test_wf_scan_csv_rows_are_the_scan_profiles(tmp_path):
+    outdir = os.path.join(tmp_path, "fields")
+    main(["catalog", "--out", outdir])
+    scan = ["wf-scan", "--field", os.path.join(outdir, "delta.gf"), "--dirs", "2",
+            "--tau", "1", "--sigma", "2", "--rp", "0.15", "--rs", "0.35"]
+
+    # every profile fails (no bins beyond Nyquist): error verdicts, exit 0
+    csv = os.path.join(tmp_path, "none.csv")
+    code, rep = run(scan + ["--points", "0.0;0.6", "--ximin", "1000", "--csv", csv],
+                    tmp_path, "none.json")
+    assert code == 0
+    assert all(v["error"] for v in rep["result"]["verdicts"])
+    assert open(csv).read() == "point;direction;N;log_value\n"
+
+    # the cutoff at 0.9 leaves the grid: one data block per verdict without error
+    csv = os.path.join(tmp_path, "some.csv")
+    code, rep = run(scan + ["--points", "0.0;0.6;0.9", "--nmax", "20", "--csv", csv],
+                    tmp_path, "some.json")
+    assert code == 0
+    verdicts = rep["result"]["verdicts"]
+    clean = [v for v in verdicts if v["error"] is None]
+    assert len(verdicts) == 6 and len(clean) == 4
+    rows = open(csv).read().splitlines()[1:]
+    assert len(rows) == len(clean) * 21
+    assert rows[0].startswith("0.0;1.0;0;") and rows[-1].startswith("0.6;-1.0;20;")
+
+
+def test_malformed_gridfield_header_exits_1(tmp_path, capsys):
+    path = os.path.join(tmp_path, "short.gf")
+    with open(path, "w") as fh:
+        fh.write("GRIDFIELD 1 2 16,16 0 0 0.1\n")
+    code = main(["wf-scan", "--field", path, "--points", "0,0", "--tau", "1", "--sigma", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "malformed GRIDFIELD header" in err and len(err.splitlines()) == 1
+
+
+def test_fit_rejects_gaps_and_duplicates(tmp_path):
+    for name, orders in (("gaps", [0, 2, 5] + list(range(6, 20))),
+                         ("dups", [0, 1, 1] + list(range(2, 20)))):
+        csv = os.path.join(tmp_path, f"{name}.csv")
+        with open(csv, "w") as fh:
+            fh.write("n,log_sup_abs_derivative\n")
+            fh.writelines(f"{n},{float(n * n)}\n" for n in orders)
+        code, rep = run(["fit", "--data", csv], tmp_path, f"{name}.json")
+        assert code == 1 and rep is None, name
+
+
 def test_report_determinism_byte_identical(tmp_path):
     a = os.path.join(tmp_path, "a.json")
     b = os.path.join(tmp_path, "b.json")

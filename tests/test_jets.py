@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gevreykit import funcspec
 from gevreykit.funcspec import (
     ComposeSpec,
     CosSpec,
@@ -11,6 +12,7 @@ from gevreykit.funcspec import (
     PolySpec,
     RecipPowSpec,
     SinSpec,
+    SumSpec,
     parse_spec,
 )
 from gevreykit.jets import jet_compose, jet_mul, jet_of, jet_partial
@@ -146,3 +148,26 @@ def test_parse_spec_grammar():
         parse_spec("mystery")
     with pytest.raises(ValueError):
         parse_spec("compose(exp)")
+
+
+def test_parse_spec_parses_each_side_once(monkeypatch):
+    # sum(poly:1,2,X): the first top-level comma fails on its right side,
+    # the second one splits; each nesting level costs four parse_spec calls
+    # and no side is parsed again, so the count grows linearly in the depth
+    depth = 16
+    text = "poly:1,2"
+    expected = PolySpec((1, 2))
+    for _ in range(depth):
+        text = f"sum(poly:1,2,{text})"
+        expected = SumSpec(PolySpec((1, 2)), expected)
+    calls = 0
+    real = funcspec.parse_spec
+
+    def counting(t):
+        nonlocal calls
+        calls += 1
+        return real(t)
+
+    monkeypatch.setattr(funcspec, "parse_spec", counting)
+    assert funcspec.parse_spec(text) == expected
+    assert calls == 4 * depth + 1

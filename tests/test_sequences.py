@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gevreykit.numerics import LogMagnitude
 from gevreykit.sequences import (
@@ -8,17 +10,35 @@ from gevreykit.sequences import (
     almost_increasing_pair_bound,
     audit_sequence,
     enumerate_transform,
-    eval_log_M,
+    log_envelope,
+    log_M,
+    normalized_excess,
 )
 
 GRID = [(t, s) for t in (0.25, 0.5, 1.0, 2.0) for s in (1.25, 1.5, 2.0, 3.0)]
 
 
 def test_eval_examples():
-    assert math.isclose(eval_log_M(DefiningSequence(1, 2), 2).log_value, math.log(16))
-    assert eval_log_M(DefiningSequence(0.7, 1.6), 1).log_value == 0.0
-    assert eval_log_M(DefiningSequence(1, 2), 0).log_value == 0.0
-    assert math.isclose(eval_log_M(DefiningSequence(1, 2), 3).log_value, math.log(19683))
+    assert math.isclose(DefiningSequence(1, 2).log_M(2), math.log(16))
+    assert DefiningSequence(0.7, 1.6).log_M(1) == 0.0
+    assert DefiningSequence(1, 2).log_M(0) == 0.0
+    assert math.isclose(DefiningSequence(1, 2).log_M(3), math.log(19683))
+
+
+@given(
+    tau=st.floats(0.01, 4.0),
+    sigma=st.floats(1.0001, 4.0),
+    n=st.integers(0, 60),
+    log_h=st.floats(-20.0, 20.0),
+)
+def test_log_M_kernel(tau, sigma, n, log_h):
+    # the unchecked kernel is the sequence's ln M_n bit for bit, and the
+    # normalized excess of an envelope with A = 1 recovers its ln h
+    assert log_M(tau, sigma, n) == DefiningSequence(tau, sigma).log_M(n)
+    if n >= 1:
+        v = log_envelope(n, tau, sigma, 0.0, log_h)
+        excess = normalized_excess(v, n, tau, sigma)
+        assert math.isclose(excess, log_h, rel_tol=1e-9, abs_tol=1e-9 * (1.0 + abs(v)))
 
 
 def test_parameter_validation():
