@@ -157,6 +157,14 @@ def parse_operator(text: str, dim: int = 1) -> DiffOperator:
     return DiffOperator(order, 1, coeffs)
 
 
+def _xi_monomial(gamma: MultiIndex, xi: tuple) -> float:
+    """xi^gamma, one factor at a time."""
+    mono = 1.0
+    for e, v in zip(gamma, xi):
+        mono *= v**e
+    return mono
+
+
 def principal_symbol(P: DiffOperator, x: tuple | float, xi: tuple | float) -> complex:
     """P_m(x, xi) = sum_{|alpha| = m} a_alpha(x) xi^alpha."""
     if not isinstance(x, tuple):
@@ -165,10 +173,7 @@ def principal_symbol(P: DiffOperator, x: tuple | float, xi: tuple | float) -> co
         xi = (xi,)
     out = 0.0 + 0.0j
     for a, c in P.principal().items():
-        mono = 1.0
-        for e, v in zip(a, xi):
-            mono *= v**e
-        out += complex(c.eval(*x)) * mono
+        out += complex(c.eval(*x)) * _xi_monomial(a, xi)
     return out
 
 
@@ -379,10 +384,7 @@ def build_reduction_operators(
         probe_xi = [tuple(3.0 + 1.5 * i for _ in range(d)) for i in range(2)]
     ident = collected.get((0, zero), {})
     ev = GridEvaluator(algebra, np.array(probe_points, dtype=float), k_max=m + 1)
-    resid = 0.0
-    for xi in probe_xi:
-        vals = ev.eval_sum(ident, xi)
-        resid = max(resid, float(np.max(np.abs(vals - 1.0))))
+    resid = float(np.max(np.abs(ev.eval_sum(ident, probe_xi) - 1.0)))
     if resid > tol:
         raise ValueError(f"degree-0 part differs from the identity by {resid:.2e}")
     for (j, a), S in collected.items():
@@ -434,7 +436,6 @@ class GridEvaluator:
         self._jets: dict[int, list] = {}
         self._derivs: dict[Factor, np.ndarray] = {}
         self._phi_derivs: dict[MultiIndex, np.ndarray] = {}
-        self._pm_cache: dict[tuple, np.ndarray] = {}
 
     def _ensure_order(self, order: int) -> None:
         # audits may differentiate beyond the order anticipated at build
@@ -478,35 +479,38 @@ class GridEvaluator:
                 raise ValueError("no phi attached to this evaluator")
         return self._phi_derivs[beta]
 
-    def pm(self, xi: tuple) -> np.ndarray:
-        if xi not in self._pm_cache:
-            acc = np.zeros(len(self.points), dtype=complex)
-            for a, sid in self.algebra.principal_ids.items():
-                mono = 1.0
-                for e, v in zip(a, xi):
-                    mono *= v**e
-                acc += self.deriv(sid, self.algebra.zero_mi()) * mono
-            self._pm_cache[xi] = acc
-        return self._pm_cache[xi]
+    def pm(self, xis: Sequence[tuple]) -> np.ndarray:
+        """P_m at every (xi, x): an (n_xi, n_points) array."""
+        acc = np.zeros((len(xis), len(self.points)), dtype=complex)
+        for a, sid in self.algebra.principal_ids.items():
+            mono = np.array([_xi_monomial(a, xi) for xi in xis])
+            acc += self.deriv(sid, self.algebra.zero_mi()) * mono[:, None]
+        return acc
 
-    def eval_sum(self, S: SymbolSum, xi: tuple | float) -> np.ndarray:
-        if not isinstance(xi, tuple):
-            xi = (xi,)
-        out = np.zeros(len(self.points), dtype=complex)
+    def eval_sum(self, S: SymbolSum, xis: Sequence[tuple]) -> np.ndarray:
+        """S at every (xi, x): an (n_xi, n_points) array.
+
+        A term's x-part does not depend on xi, so it is built once and
+        broadcast against the xi^gamma and P_m^-k columns.
+        """
+        out = np.zeros((len(xis), len(self.points)), dtype=complex)
+        monos: dict[MultiIndex, np.ndarray] = {}
         pm = None
+        pm_pows: dict[int, np.ndarray] = {}
         for (factors, gamma, kpow, phi), scale in S.items():
             vec = np.full(len(self.points), scale, dtype=complex)
             for sid, beta in factors:
                 vec = vec * self.deriv(sid, beta)
-            mono = 1.0
-            for e, v in zip(gamma, xi):
-                mono *= v**e
-            if mono != 1.0:
-                vec = vec * mono
+            if any(gamma):
+                if gamma not in monos:
+                    monos[gamma] = np.array([_xi_monomial(gamma, xi) for xi in xis])
+                vec = vec * monos[gamma][:, None]
             if kpow:
-                if pm is None:
-                    pm = self.pm(xi)
-                vec = vec / pm**kpow
+                if kpow not in pm_pows:
+                    if pm is None:
+                        pm = self.pm(xis)
+                    pm_pows[kpow] = pm**kpow
+                vec = vec / pm_pows[kpow]
             if phi is not None:
                 vec = vec * self.phi_deriv(phi)
             out += vec
@@ -579,9 +583,7 @@ def ellipticity_bounds(
                 if v < zero_tol:
                     hit = (tuple(x), th)
             c2 = max(c2, v)
-    if hit is not None:
-        return EllipticityResult(C1=c1, C2=c2, char_hit=hit)
-    return EllipticityResult(C1=c1, C2=c2, char_hit=None)
+    return EllipticityResult(C1=c1, C2=c2, char_hit=hit)
 
 
 def inv_pm_derivative(
@@ -607,10 +609,7 @@ def inv_pm_derivative(
     def d_pm(p: MultiIndex) -> complex:
         acc = 0.0 + 0.0j
         for a, jt in jets.items():
-            mono = 1.0
-            for e, v in zip(a, xi):
-                mono *= v**e
-            acc += complex(jet_partial(jt, p)) * mono
+            acc += complex(jet_partial(jt, p)) * _xi_monomial(a, xi)
         return acc * (-1j) ** mi_order(p)
 
     total = 0.0 + 0.0j
@@ -754,10 +753,10 @@ def neumann_sums(
         raise TypeError("phi must be a Cutoff or a FunctionSpec")
 
     # characteristic guard
-    for xi in xi_list:
-        pm = evaluator.pm(xi)
+    pm_min = np.min(np.abs(evaluator.pm(xi_list)), axis=1)
+    for xi, low in zip(xi_list, pm_min):
         mag = sum(abs(c) ** 2 for c in xi) ** (m / 2.0)
-        if np.min(np.abs(pm)) < 1e-12 * max(mag, 1.0):
+        if low < 1e-12 * max(mag, 1.0):
             raise ValueError(f"characteristic xi sample {xi}")
 
     zero = alg.zero_mi()
@@ -788,14 +787,13 @@ def neumann_sums(
     for w in e_words:
         state(w)
 
-    n_pts = len(evaluator.points)
-    w_vals = np.zeros((len(xi_list), n_pts), dtype=complex)
-    e_vals = np.zeros((len(xi_list), n_pts), dtype=complex)
-    for i, xi in enumerate(xi_list):
-        for w in w_words:
-            w_vals[i] += evaluator.eval_sum(states[w], xi)
-        for w in e_words:
-            e_vals[i] += evaluator.eval_sum(states[w], xi)
+    shape = (len(xi_list), len(evaluator.points))
+    w_vals = np.zeros(shape, dtype=complex)
+    e_vals = np.zeros(shape, dtype=complex)
+    for w in w_words:
+        w_vals += evaluator.eval_sum(states[w], xi_list)
+    for w in e_words:
+        e_vals += evaluator.eval_sum(states[w], xi_list)
     phi_vals = evaluator.phi_deriv(zero).copy()
 
     K1 = [k for k in range(0, N // m + 1) if m * k <= N - m]
@@ -832,12 +830,9 @@ def residual_identity_check(sums: NeumannSums) -> LogMagnitude:
         part = _apply_reduction(sums.system, op, w_sum)
         for k, v in part.items():
             _sum_add(r_of_w, k, v)
-    worst = 0.0
-    for i, xi in enumerate(sums.xi_samples):
-        lhs = sums.w_values[i] - sums.evaluator.eval_sum(r_of_w, xi)
-        rhs = sums.phi_values - sums.e_values[i]
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return LogMagnitude.from_real(worst)
+    lhs = sums.w_values - sums.evaluator.eval_sum(r_of_w, sums.xi_samples)
+    rhs = sums.phi_values - sums.e_values
+    return LogMagnitude.from_real(float(np.max(np.abs(lhs - rhs))))
 
 
 # ---------------------------------------------------------------------------
@@ -900,30 +895,46 @@ def bound_audit(
         raise ValueError("beta_max limited to 6")
     system, ev = sums.system, sums.evaluator
     alg = system.algebra
-    d = alg.dim
     zero = alg.zero_mi()
     xi_list = sums.xi_samples
+    xi_mags = [math.sqrt(sum(c * c for c in xi)) for xi in xi_list]
 
-    def xi_mag(xi: tuple) -> float:
-        return math.sqrt(sum(c * c for c in xi))
+    def sup_logs(S: SymbolSum, weight: int) -> dict[int, float]:
+        """n -> log max over |beta| = n, x and xi of |D^beta S| |xi|^weight.
+
+        d^beta S is one `partial` of d^(beta - e_t) S along the last axis
+        t with beta_t > 0, the order `d_op` differentiates in; the unit
+        factor (-i)^n of D^beta is left out.  Orders whose values all
+        vanish are omitted.
+        """
+        col = np.array([mag**weight for mag in xi_mags])[:, None]
+        logs: dict[int, float] = {}
+        layer = {zero: S}
+        for n in range(beta_max + 1):
+            if n:
+                nxt = {}
+                for beta in mi_of_order(alg.dim, n):
+                    axis = max(i for i, b in enumerate(beta) if b)
+                    prev = tuple(b - (i == axis) for i, b in enumerate(beta))
+                    nxt[beta] = alg.partial(layer[prev], axis)
+                layer = nxt
+            v = max(
+                float(np.max(np.abs(ev.eval_sum(dS, xi_list)) * col))
+                for dS in layer.values()
+            )
+            if v > 0:
+                logs[n] = math.log(v)
+        return logs
 
     coeff_fits: dict[tuple[int, MultiIndex], tuple[float, float]] = {}
     coeff_viol = 0
     hom_err = 0.0
+    lams = (2.0, 4.0, 8.0)
+    xi0 = xi_list[0]
+    hom_xis = [xi0] + [tuple(lam * c for c in xi0) for lam in lams]
     for op in system.operators:
         for a_prime, coeff in op.action.items():
-            logs: dict[int, float] = {}
-            for n in range(beta_max + 1):
-                best = float("-inf")
-                for beta in mi_of_order(d, n):
-                    S = alg.d_op(coeff, beta)
-                    for xi in xi_list:
-                        vals = np.abs(ev.eval_sum(S, xi)) * xi_mag(xi) ** op.j
-                        v = float(np.max(vals))
-                        if v > 0:
-                            best = max(best, math.log(v))
-                if best > float("-inf"):
-                    logs[n] = best
+            logs = sup_logs(coeff, op.j)
             if not logs:
                 continue
             A, h = _fit_seminorm_envelope(logs, tau, sigma)
@@ -932,53 +943,27 @@ def bound_audit(
                 if v > log_envelope(n, tau, sigma, math.log(A), math.log(h)) + 1e-9:
                     coeff_viol += 1
             # homogeneity at scaled xi
-            xi0 = xi_list[0]
-            base = np.abs(ev.eval_sum(coeff, xi0))
-            for lam in (2.0, 4.0, 8.0):
-                xs = tuple(lam * c for c in xi0)
-                scaled = np.abs(ev.eval_sum(coeff, xs))
+            base, *scaled = np.abs(ev.eval_sum(coeff, hom_xis))
+            for lam, row in zip(lams, scaled):
                 ref = base * lam ** (-op.j)
                 denom = np.maximum(np.abs(ref), 1e-300)
-                err = float(np.max(np.abs(scaled - ref) / denom))
+                err = float(np.max(np.abs(row - ref) / denom))
                 if np.max(base) > 0:
                     hom_err = max(hom_err, err)
 
     # principal-coefficient envelope (4.24): sup |D^p P_m| / |xi|^m
-    p_logs: dict[int, float] = {}
-    for n in range(beta_max + 1):
-        best = float("-inf")
-        for p in mi_of_order(d, n):
-            for xi in xi_list:
-                acc = np.zeros(len(ev.points), dtype=complex)
-                for a, sid in alg.principal_ids.items():
-                    mono = 1.0
-                    for e, vxi in zip(a, xi):
-                        mono *= vxi**e
-                    acc += ev.deriv(sid, p) * mono
-                acc = acc * (-1j) ** n
-                v = float(np.max(np.abs(acc))) / xi_mag(xi) ** alg.m
-                if v > 0:
-                    p_logs[n] = max(p_logs.get(n, float("-inf")), math.log(v))
-    principal_fit = _fit_seminorm_envelope(p_logs, tau, sigma)
+    pm_sum: SymbolSum = {
+        _term_key([(sid, zero)], a, 0, None): 1.0 + 0.0j
+        for a, sid in alg.principal_ids.items()
+    }
+    principal_fit = _fit_seminorm_envelope(sup_logs(pm_sum, -alg.m), tau, sigma)
 
     # word-derivative envelopes (4.29)
     NM = sums.N + dist_order
     growth_nm = log_M(tau, sigma, NM)
     word_logs: dict[tuple[int, ...], dict[int, float]] = {}
     for w in sums.e_words:
-        S0 = sums.word_states[w]
-        logs: dict[int, float] = {}
-        for n in range(beta_max + 1):
-            best = float("-inf")
-            for beta in mi_of_order(d, n):
-                S = alg.d_op(S0, beta)
-                for xi in xi_list:
-                    vals = np.abs(ev.eval_sum(S, xi)) * xi_mag(xi) ** word_weight(w)
-                    v = float(np.max(vals))
-                    if v > 0:
-                        best = max(best, math.log(v))
-            if best > float("-inf"):
-                logs[n] = best
+        logs = sup_logs(sums.word_states[w], word_weight(w))
         if logs:
             word_logs[w] = logs
     log_a29 = max(

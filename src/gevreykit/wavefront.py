@@ -742,7 +742,12 @@ def wf_scan(
     Output order is point-major, direction-minor regardless of the
     worker count; per-point failures are recorded as error verdicts and
     the scan continues.  Every other verdict carries its profile.
+    A 2-D scan needs at least 3 directions (the default half angle is
+    pi / directions, and a cone's must lie below pi/2); 1-D scans ignore
+    the count.
     """
+    if u.dim != 1 and directions < 3:
+        raise ValueError(f"a {u.dim}-D scan needs at least 3 directions, got {directions}")
     dirs = scan_directions(u.dim, directions)
     if params.half_angle is not None:
         half = params.half_angle

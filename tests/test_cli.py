@@ -178,6 +178,22 @@ def test_malformed_gridfield_header_exits_1(tmp_path, capsys):
     assert "malformed GRIDFIELD header" in err and len(err.splitlines()) == 1
 
 
+def test_wf_scan_2d_needs_three_dirs(tmp_path, capsys):
+    outdir = os.path.join(tmp_path, "fields")
+    main(["catalog", "--out", outdir])
+    capsys.readouterr()
+    scan = ["wf-scan", "--field", os.path.join(outdir, "step2d.gf"), "--points", "0,0",
+            "--tau", "1", "--sigma", "2", "--threads", "1"]
+    for dirs in ("0", "2"):
+        code, rep = run(scan + ["--dirs", dirs], tmp_path, f"dirs{dirs}.json")
+        err = capsys.readouterr().err
+        assert code == 1 and rep is None, dirs
+        assert f"needs at least 3 directions, got {dirs}" in err and len(err.splitlines()) == 1
+    code, rep = run(scan + ["--dirs", "3"], tmp_path, "dirs3.json")
+    assert code == 0
+    assert len(rep["result"]["verdicts"]) == 3
+
+
 def test_fit_rejects_gaps_and_duplicates(tmp_path):
     for name, orders in (("gaps", [0, 2, 5] + list(range(6, 20))),
                          ("dups", [0, 1, 1] + list(range(2, 20)))):

@@ -6,6 +6,7 @@ import pytest
 from conftest import smooth_bump
 
 from gevreykit.funcspec import (
+    CosSpec,
     MVPolySpec,
     PolySpec,
     SinSpec,
@@ -14,6 +15,7 @@ from gevreykit.funcspec import (
 from gevreykit.jets import jet_of, jet_partial
 from gevreykit.parametrix import (
     DiffOperator,
+    GridEvaluator,
     bound_audit,
     build_reduction_operators,
     ellipticity_bounds,
@@ -323,6 +325,49 @@ def test_bound_audit_homogeneity_scaling():
     sums = neumann_sums(system, PHI, N=4, x_grid=X_GRID[:64], xi_samples=[4.0])
     rep = bound_audit(sums, beta_max=2, tau=1.0, sigma=2.0)
     assert rep.homogeneity_max_error <= 1e-12
+
+
+def test_eval_sum_rows_match_single_xi_calls():
+    P = DiffOperator(2, 1, {(2,): SumSpec(PolySpec((3,)), SinSpec()), (0,): PolySpec((1,))})
+    system = build_reduction_operators(P)
+    alg = system.algebra
+    ev = GridEvaluator(alg, X_GRID[::16], k_max=6)
+    xis = [(v,) for v in XI_SAMPLES[::8]] + [(-5.0,)]
+    # a reduction-operator coefficient carrying P_m^-k
+    coeff = system.operators[1].action[(0,)]
+    assert any(kpow for _, _, kpow, _ in coeff)
+    batched = ev.eval_sum(coeff, xis)
+    assert batched.shape == (len(xis), len(ev.points))
+    for i, xi in enumerate(xis):
+        assert np.array_equal(batched[i], ev.eval_sum(coeff, [xi])[0])
+    # a(x) xi^2 P_m^-1 against the scalar principal-symbol route
+    sid = alg.register(CosSpec())
+    term = {(((sid, (0,)),), (2,), 1, None): 1.0 + 0.0j}
+    vals = ev.eval_sum(term, xis)
+    for i, xi in enumerate(xis):
+        for j in (0, 5, len(ev.points) - 1):
+            x = float(ev.points[j, 0])
+            want = math.cos(x) * xi[0] ** 2 / principal_symbol(P, x, xi)
+            assert abs(vals[i, j] - want) <= 1e-14 * abs(want)
+
+
+def test_neumann_and_bound_audit_in_two_dimensions():
+    one = MVPolySpec.from_dict(2, {(0, 0): 1})
+    P = DiffOperator(2, 2, {
+        (2, 0): one,
+        (0, 2): one,
+        (1, 0): MVPolySpec.from_dict(2, {(0, 0): 1, (1, 1): 1}),
+        (0, 0): MVPolySpec.from_dict(2, {(0, 0): 2}),
+    })
+    phi = MVPolySpec.from_dict(2, {(0, 0): 1, (2, 0): -1, (0, 2): -1})
+    axis = np.linspace(-0.4, 0.4, 9)
+    mesh = np.meshgrid(axis, axis, indexing="ij")
+    grid = np.column_stack([m.reshape(-1) for m in mesh])
+    system = build_reduction_operators(P)
+    sums = neumann_sums(system, phi, N=5, x_grid=grid, xi_samples=[(6.0, 2.0), (3.0, 9.0)])
+    assert sums.w_values.shape == (2, 81)
+    assert residual_identity_check(sums).to_real() <= 1e-8
+    assert bound_audit(sums, beta_max=2, tau=1.0, sigma=2.0).ok()
 
 
 def test_parse_operator_grammar():
