@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -68,8 +69,17 @@ def _report(command: str, params: dict, result: dict, seed: int, out: str | None
         sys.stdout.write(text)
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in text.split(","))
+def _parse_floats(text: str, flag: str, count: int = 0) -> tuple[float, ...]:
+    """Comma-separated finite numbers; exactly `count` of them if count > 0."""
+    vals = tuple(float(t) for t in text.split(","))
+    if not all(map(math.isfinite, vals)) or count and len(vals) != count:
+        raise ValueError(f"{flag} needs {count or 'only'} finite numbers, got {text!r}")
+    return vals
+
+
+def finite(text: str) -> float:
+    """Type of the float flags; argparse's error reads "invalid finite value"."""
+    return _parse_floats(text, "", 1)[0]
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -123,7 +133,7 @@ def _cmd_fdb(args, seed: int) -> None:
     f = parse_spec(args.f)
     g = parse_spec(args.g)
     alpha = _parse_ints(args.alpha)
-    at = _parse_floats(args.at)
+    at = _parse_floats(args.at, "--at")
     value = fdb_derivative(f, g, alpha, at)
     result: dict = {"value": float(value)}
     if args.check_jet:
@@ -175,7 +185,7 @@ def _cmd_fit(args, seed: int) -> None:
         raise ValueError("growth data orders must be exactly 0..n_max, each once")
     entries = tuple(v for _, v in rows)
     data = DerivativeGrowthData(entries, source="measured-on-grid")
-    grid = _parse_floats(args.sigma_grid)
+    grid = _parse_floats(args.sigma_grid, "--sigma-grid")
     fit = fit_regularity(data, list(grid), margin=FIT_MARGIN)
     _report(
         "fit",
@@ -201,7 +211,7 @@ def _parse_points(text: str, field: GridField) -> list[tuple[float, ...]]:
             for line in fh:
                 line = line.strip()
                 if line:
-                    pts.append(_parse_floats(line))
+                    pts.append(_parse_floats(line, "--points"))
         return pts
     if text == "grid":
         # coarse interior lattice with room for the cutoff support
@@ -212,7 +222,7 @@ def _parse_points(text: str, field: GridField) -> list[tuple[float, ...]]:
             pts.append(np.linspace(lo, hi, 3))
         mesh = np.meshgrid(*pts, indexing="ij")
         return [tuple(float(m[idx]) for m in mesh) for idx in np.ndindex(mesh[0].shape)]
-    return [_parse_floats(chunk) for chunk in text.split(";")]
+    return [_parse_floats(chunk, "--points") for chunk in text.split(";")]
 
 
 def _cmd_wf_scan(args, seed: int) -> None:
@@ -279,12 +289,12 @@ def _cmd_parametrix(args, seed: int) -> None:
 
     P = parse_operator(args.op)
     system = build_reduction_operators(P)
-    dir_s, angle_s, ximin_s = args.cone.split(",")
-    xi_lo = max(float(ximin_s), 4.0)
+    direction, _, xi_min = _parse_floats(args.cone, "--cone", 3)
+    xi_lo = max(xi_min, 4.0)
     xis = [float(v) for v in np.geomspace(xi_lo, max(16.0 * xi_lo, 64.0), 33)]
-    if float(dir_s) < 0:
+    if direction < 0:
         xis = [-v for v in xis]
-    x0, rp, rs = _parse_floats(args.phi)
+    x0, rp, rs = _parse_floats(args.phi, "--phi", 3)
     n = args.grid
     spacing = 2.0 / n
     grid = GridField(1, (n,), (-1.0,), (spacing,), np.zeros(n))
@@ -350,8 +360,8 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sa = sub.add_parser("seq-audit", help="audit a defining sequence")
-    sa.add_argument("--tau", type=float, required=True)
-    sa.add_argument("--sigma", type=float, required=True)
+    sa.add_argument("--tau", type=finite, required=True)
+    sa.add_argument("--sigma", type=finite, required=True)
     sa.add_argument("--pmax", type=int, default=40)
     sa.add_argument("--out", default=None)
 
@@ -369,8 +379,8 @@ def build_parser() -> _Parser:
     fd.add_argument("--out", default=None)
 
     lm = sub.add_parser("lemma23", help="fit the splitting constant")
-    lm.add_argument("--tau", type=float, required=True)
-    lm.add_argument("--sigma", type=float, required=True)
+    lm.add_argument("--tau", type=finite, required=True)
+    lm.add_argument("--sigma", type=finite, required=True)
     lm.add_argument("--kmax", type=int, default=12)
     lm.add_argument("--out", default=None)
 
@@ -383,11 +393,11 @@ def build_parser() -> _Parser:
     wf.add_argument("--field", required=True)
     wf.add_argument("--points", required=True, help="file | grid | x1,y1;x2,y2")
     wf.add_argument("--dirs", type=int, default=16)
-    wf.add_argument("--tau", type=float, required=True)
-    wf.add_argument("--sigma", type=float, required=True)
-    wf.add_argument("--rp", type=float, default=None)
-    wf.add_argument("--rs", type=float, default=None)
-    wf.add_argument("--ximin", type=float, default=None)
+    wf.add_argument("--tau", type=finite, required=True)
+    wf.add_argument("--sigma", type=finite, required=True)
+    wf.add_argument("--rp", type=finite, default=None)
+    wf.add_argument("--rs", type=finite, default=None)
+    wf.add_argument("--ximin", type=finite, default=None)
     wf.add_argument("--nmax", type=int, default=40)
     wf.add_argument("--csv", default=None, help="also write decay profiles as CSV")
     wf.add_argument("--threads", type=int, default=None,
@@ -400,8 +410,8 @@ def build_parser() -> _Parser:
     pm.add_argument("--cone", default="1,0.4,4", help="dir,angle,ximin")
     pm.add_argument("--phi", default="0,0.15,0.4", help="x0,rp,rs")
     pm.add_argument("--grid", type=int, default=256)
-    pm.add_argument("--tau", type=float, default=1.0)
-    pm.add_argument("--sigma", type=float, default=2.0)
+    pm.add_argument("--tau", type=finite, default=1.0)
+    pm.add_argument("--sigma", type=finite, default=2.0)
     pm.add_argument("--beta-max", type=int, default=4)
     pm.add_argument("--out", default=None)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -223,6 +223,15 @@ def _sum_add(acc: SymbolSum, key: TermKey, scale: complex) -> None:
         acc[key] = new
 
 
+def _merge(sums: Iterable[SymbolSum]) -> SymbolSum:
+    """The term-wise sum of several symbol sums."""
+    out: SymbolSum = {}
+    for S in sums:
+        for key, scale in S.items():
+            _sum_add(out, key, scale)
+    return out
+
+
 class SymbolAlgebra:
     """Term ring over a fixed operator: registry of coefficient specs,
     differentiation, products with reduction-operator coefficients."""
@@ -248,6 +257,14 @@ class SymbolAlgebra:
 
     def zero_mi(self) -> MultiIndex:
         return (0,) * self.dim
+
+    def principal_sum(self) -> SymbolSum:
+        """P_m = sum_{|alpha| = m} a_alpha(x) xi^alpha as a symbol sum."""
+        zero = self.zero_mi()
+        return {
+            _term_key([(sid, zero)], a, 0, None): 1.0 + 0.0j
+            for a, sid in self.principal_ids.items()
+        }
 
     def factor_is_zero(self, sid: int, beta: MultiIndex) -> bool:
         degs = self.registry_degrees[sid]
@@ -357,17 +374,10 @@ def build_reduction_operators(
                     * (-1) ** mi_order(amb)
                 )
                 start: SymbolSum = {_term_key([], zero, 1, None): 1.0 + 0.0j}
-                dg = algebra.d_op(start, gamma)
-                coeff: SymbolSum = {}
-                for (f, g, k, p), s in dg.items():
+                acc = collected.setdefault((j, mi_sub(beta, gamma)), {})
+                for (f, g, k, p), s in algebra.d_op(start, gamma).items():
                     nf = list(f) + [(b_id, zero)]
-                    _sum_add(
-                        coeff, _term_key(nf, mi_add(g, amb), k, p), s * base
-                    )
-                op_key = (j, mi_sub(beta, gamma))
-                acc = collected.setdefault(op_key, {})
-                for k_, v in coeff.items():
-                    _sum_add(acc, k_, v)
+                    _sum_add(acc, _term_key(nf, mi_add(g, amb), k, p), s * base)
 
     # degree bookkeeping is exact by construction; assert it anyway
     for (j, _), S in collected.items():
@@ -481,39 +491,29 @@ class GridEvaluator:
 
     def pm(self, xis: Sequence[tuple]) -> np.ndarray:
         """P_m at every (xi, x): an (n_xi, n_points) array."""
-        acc = np.zeros((len(xis), len(self.points)), dtype=complex)
-        for a, sid in self.algebra.principal_ids.items():
-            mono = np.array([_xi_monomial(a, xi) for xi in xis])
-            acc += self.deriv(sid, self.algebra.zero_mi()) * mono[:, None]
-        return acc
+        return self.eval_sum(self.algebra.principal_sum(), xis)
 
     def eval_sum(self, S: SymbolSum, xis: Sequence[tuple]) -> np.ndarray:
         """S at every (xi, x): an (n_xi, n_points) array.
 
-        A term's x-part does not depend on xi, so it is built once and
-        broadcast against the xi^gamma and P_m^-k columns.
+        A term is an x-part (scale times factor and phi derivatives) times
+        xi^gamma P_m^-k.  The x-parts are summed per (gamma, k) first, so
+        each group meets one xi^gamma column and one P_m^-k array.
         """
-        out = np.zeros((len(xis), len(self.points)), dtype=complex)
-        monos: dict[MultiIndex, np.ndarray] = {}
-        pm = None
-        pm_pows: dict[int, np.ndarray] = {}
+        groups: dict[tuple[MultiIndex, int], np.ndarray] = {}
         for (factors, gamma, kpow, phi), scale in S.items():
             vec = np.full(len(self.points), scale, dtype=complex)
             for sid, beta in factors:
                 vec = vec * self.deriv(sid, beta)
-            if any(gamma):
-                if gamma not in monos:
-                    monos[gamma] = np.array([_xi_monomial(gamma, xi) for xi in xis])
-                vec = vec * monos[gamma][:, None]
-            if kpow:
-                if kpow not in pm_pows:
-                    if pm is None:
-                        pm = self.pm(xis)
-                    pm_pows[kpow] = pm**kpow
-                vec = vec / pm_pows[kpow]
             if phi is not None:
                 vec = vec * self.phi_deriv(phi)
-            out += vec
+            groups[gamma, kpow] = groups.get((gamma, kpow), 0.0) + vec
+        out = np.zeros((len(xis), len(self.points)), dtype=complex)
+        pm = self.pm(xis) if any(kpow for _, kpow in groups) else None
+        for (gamma, kpow), vec in groups.items():
+            mono = np.array([_xi_monomial(gamma, xi) for xi in xis])
+            part = vec * mono[:, None]
+            out += part / pm**kpow if kpow else part
         return out
 
 
@@ -701,12 +701,9 @@ def _apply_reduction(
     system: ReductionSystem, op: ReductionOperator, S: SymbolSum
 ) -> SymbolSum:
     alg = system.algebra
-    out: SymbolSum = {}
-    for a_prime, coeff in op.action.items():
-        dS = alg.d_op(S, a_prime)
-        prod = alg.product(coeff, dS)
-        for k, v in prod.items():
-            _sum_add(out, k, v)
+    out = _merge(
+        alg.product(coeff, alg.d_op(S, a_prime)) for a_prime, coeff in op.action.items()
+    )
     if len(out) > MAX_TERMS:
         raise ValueError("term budget exceeded")
     return out
@@ -782,18 +779,9 @@ def neumann_sums(
             )
         return states[word]
 
-    for w in w_words:
-        state(w)
-    for w in e_words:
-        state(w)
-
-    shape = (len(xi_list), len(evaluator.points))
-    w_vals = np.zeros(shape, dtype=complex)
-    e_vals = np.zeros(shape, dtype=complex)
-    for w in w_words:
-        w_vals += evaluator.eval_sum(states[w], xi_list)
-    for w in e_words:
-        e_vals += evaluator.eval_sum(states[w], xi_list)
+    # w_N and e_N are linear in the word states: merge, then evaluate once
+    w_vals = evaluator.eval_sum(_merge(map(state, w_words)), xi_list)
+    e_vals = evaluator.eval_sum(_merge(map(state, e_words)), xi_list)
     phi_vals = evaluator.phi_deriv(zero).copy()
 
     K1 = [k for k in range(0, N // m + 1) if m * k <= N - m]
@@ -820,16 +808,9 @@ def residual_identity_check(sums: NeumannSums) -> LogMagnitude:
 
     The identity is algebraic; the residual measures rounding only.
     """
-    alg = sums.system.algebra
-    w_sum: SymbolSum = {}
-    for w in sums.w_words:
-        for k, v in sums.word_states[w].items():
-            _sum_add(w_sum, k, v)
-    r_of_w: SymbolSum = {}
-    for op in sums.system.operators:
-        part = _apply_reduction(sums.system, op, w_sum)
-        for k, v in part.items():
-            _sum_add(r_of_w, k, v)
+    system = sums.system
+    w_sum = _merge(sums.word_states[w] for w in sums.w_words)
+    r_of_w = _merge(_apply_reduction(system, op, w_sum) for op in system.operators)
     lhs = sums.w_values - sums.evaluator.eval_sum(r_of_w, sums.xi_samples)
     rhs = sums.phi_values - sums.e_values
     return LogMagnitude.from_real(float(np.max(np.abs(lhs - rhs))))
@@ -952,11 +933,7 @@ def bound_audit(
                     hom_err = max(hom_err, err)
 
     # principal-coefficient envelope (4.24): sup |D^p P_m| / |xi|^m
-    pm_sum: SymbolSum = {
-        _term_key([(sid, zero)], a, 0, None): 1.0 + 0.0j
-        for a, sid in alg.principal_ids.items()
-    }
-    principal_fit = _fit_seminorm_envelope(sup_logs(pm_sum, -alg.m), tau, sigma)
+    principal_fit = _fit_seminorm_envelope(sup_logs(alg.principal_sum(), -alg.m), tau, sigma)
 
     # word-derivative envelopes (4.29)
     NM = sums.N + dist_order

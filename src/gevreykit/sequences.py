@@ -50,10 +50,10 @@ class DefiningSequence:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.sigma <= 1:
-            raise ValueError("sigma must exceed 1")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
+        if not 1 < self.sigma < math.inf:
+            raise ValueError("sigma must exceed 1 and be finite")
 
     def log_M(self, p: int) -> float:
         """ln M_p = tau * p^sigma * ln p (0 for p = 0, 1)."""

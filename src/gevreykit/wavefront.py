@@ -744,10 +744,14 @@ def wf_scan(
     the scan continues.  Every other verdict carries its profile.
     A 2-D scan needs at least 3 directions (the default half angle is
     pi / directions, and a cone's must lie below pi/2); 1-D scans ignore
-    the count.
+    the count.  Every point needs u.dim finite coordinates.
     """
     if u.dim != 1 and directions < 3:
         raise ValueError(f"a {u.dim}-D scan needs at least 3 directions, got {directions}")
+    pts = [tuple(float(c) for c in p) if isinstance(p, (tuple, list)) else (float(p),) for p in points]
+    for pt in pts:
+        if len(pt) != u.dim or not all(map(math.isfinite, pt)):
+            raise ValueError(f"point {pt} is not a finite point of the {u.dim}-D field")
     dirs = scan_directions(u.dim, directions)
     if params.half_angle is not None:
         half = params.half_angle
@@ -788,7 +792,6 @@ def wf_scan(
             out.append(verdict)
         return out
 
-    pts = [tuple(float(c) for c in p) if isinstance(p, (tuple, list)) else (float(p),) for p in points]
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 

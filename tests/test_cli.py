@@ -3,10 +3,11 @@ import math
 import os
 
 import numpy as np
+import pytest
 
 from gevreykit.cli import main
 from gevreykit.schemas import validate_report
-from gevreykit.wavefront import read_gridfield
+from gevreykit.wavefront import ScanParams, read_gridfield, wf_scan
 
 
 def run(args, tmp_path, name="out.json"):
@@ -192,6 +193,46 @@ def test_wf_scan_2d_needs_three_dirs(tmp_path, capsys):
     code, rep = run(scan + ["--dirs", "3"], tmp_path, "dirs3.json")
     assert code == 0
     assert len(rep["result"]["verdicts"]) == 3
+
+
+def test_non_finite_numbers_exit_1(tmp_path, capsys):
+    small = ["parametrix", "--op", "D^2", "--N", "2", "--grid", "64", "--beta-max", "1"]
+    cases = {
+        "phi": (small + ["--phi", "nan,0.1,0.4"], "--phi"),
+        "cone": (small + ["--cone", "1,0.4,nan"], "--cone"),
+        "cone2": (small + ["--cone", "1,0.4"], "--cone"),
+        "tau": (small + ["--tau", "nan"], "--tau"),
+        "at": (["fdb", "--f", "sin", "--g", "sin", "--alpha", "1", "--at", "nan"], "--at"),
+        "sigma_inf": (["seq-audit", "--tau", "1", "--sigma", "inf"], "finite"),
+        "tau_nan": (["seq-audit", "--tau", "nan", "--sigma", "2"], "finite"),
+        "lemma23": (["lemma23", "--tau", "1", "--sigma", "nan"], "finite"),
+    }
+    for name, (args, needle) in cases.items():
+        code, rep = run(args, tmp_path, f"{name}.json")
+        err = capsys.readouterr().err
+        assert code == 1 and rep is None, name
+        assert needle in err and len(err.splitlines()) == 1, (name, err)
+
+
+def test_wf_scan_rejects_points_off_the_field_dimension(tmp_path, capsys):
+    outdir = os.path.join(tmp_path, "fields")
+    main(["catalog", "--out", outdir])
+    capsys.readouterr()
+    cases = {
+        "kink2": ("kink.gf", "0,0", "point (0.0, 0.0)"),
+        "step1": ("step2d.gf", "0", "point (0.0,)"),
+        "kink_nan": ("kink.gf", "nan", "--points"),
+    }
+    for name, (field, points, needle) in cases.items():
+        code, rep = run(["wf-scan", "--field", os.path.join(outdir, field), "--points", points,
+                         "--tau", "1", "--sigma", "2", "--threads", "1"], tmp_path, f"{name}.json")
+        err = capsys.readouterr().err
+        assert code == 1 and rep is None, name
+        assert needle in err and len(err.splitlines()) == 1, (name, err)
+    # the library rejects a non-finite point itself, before any cutoff
+    params = ScanParams(r_plateau=0.15, r_support=0.35, xi_min=2.5, N_max=20)
+    with pytest.raises(ValueError, match="point"):
+        wf_scan(read_gridfield(os.path.join(outdir, "kink.gf")), [(math.nan,)], 2, 1.0, 2.0, params)
 
 
 def test_fit_rejects_gaps_and_duplicates(tmp_path):

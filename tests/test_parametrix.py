@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import smooth_bump
 
@@ -16,6 +18,7 @@ from gevreykit.jets import jet_of, jet_partial
 from gevreykit.parametrix import (
     DiffOperator,
     GridEvaluator,
+    _merge,
     bound_audit,
     build_reduction_operators,
     ellipticity_bounds,
@@ -274,6 +277,39 @@ def test_neumann_with_sampled_cutoff():
     system = build_reduction_operators(op_sin())
     sums = neumann_sums(system, phi, N=5, xi_samples=[8.0, 32.0])
     assert residual_identity_check(sums).to_real() <= 1e-8
+
+
+@pytest.mark.parametrize("c0", [0.5, 2.0])
+def test_sampled_cutoff_residual_at_benchmark_configuration(c0):
+    # grouped, merged evaluation keeps the FD-backed residual (finite
+    # differences of the cutoff reach ~1e11) inside the identity tolerance
+    grid = GridField(1, (256,), (-1.0,), (2.0 / 256,), np.zeros(256))
+    phi = make_cutoff((0.0,), 0.15, 0.4, grid)
+    system = build_reduction_operators(parse_operator(f"D^2 + sin*D + poly:{c0}"))
+    xis = [float(v) for v in np.geomspace(6.0, 96.0, 33)]
+    sums = neumann_sums(system, phi, N=7, xi_samples=xis, fd_order_max=4)
+    assert residual_identity_check(sums).to_real() <= 1e-8
+
+
+@pytest.fixture(scope="module")
+def sin_sums():
+    system = build_reduction_operators(op_sin())
+    return neumann_sums(system, PHI, N=6, x_grid=X_GRID[::8], xi_samples=XI_SAMPLES[::8])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_eval_sum_is_linear_over_merged_word_states(sin_sums, data):
+    words = sorted(sin_sums.word_states)
+    A, B = (
+        _merge(sin_sums.word_states[w] for w in data.draw(st.sets(st.sampled_from(words))))
+        for _ in range(2)
+    )
+    ev, xis = sin_sums.evaluator, sin_sums.xi_samples
+    eval_a, eval_b = ev.eval_sum(A, xis), ev.eval_sum(B, xis)
+    merged = ev.eval_sum(_merge([A, B]), xis)
+    scale = np.max(np.abs(eval_a)) + np.max(np.abs(eval_b))
+    assert np.max(np.abs(merged - (eval_a + eval_b))) <= 1e-12 * scale
 
 
 def test_budgets_enforced():

@@ -46,6 +46,9 @@ def test_parameter_validation():
         DefiningSequence(0.0, 2.0)
     with pytest.raises(ValueError):
         DefiningSequence(1.0, 1.0)
+    for tau, sigma in ((math.nan, 2.0), (math.inf, 2.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            DefiningSequence(tau, sigma)
 
 
 def test_m1_logconvexity_on_grid():
