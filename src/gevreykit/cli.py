@@ -10,6 +10,7 @@ GEVREY_THREADS overrides the worker pool for scans.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -433,10 +434,15 @@ _DISPATCH = {
 }
 
 
+@functools.cache
+def _parser() -> _Parser:
+    # built once per process: building it costs far more than a parse
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         _DISPATCH[args.command](args, args.seed)
         return 0
     except _CliError as exc:

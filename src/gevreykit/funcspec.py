@@ -12,6 +12,9 @@ Grammar accepted by :func:`parse_spec` (d = 1 unless noted):
     exp | sin | cos | recip
     compose(A,B)  sum(A,B)  prod(A,B)
     mvpoly:e1,..,ed:c;...   d >= 2 monomial:coefficient pairs
+
+Coefficients are ints, fractions p/q or finite floats and exponents are
+non-negative ints; anything else raises ValueError naming the token.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .jets import Jet, Number, jet_add, jet_compose, jet_mul
+from .jets import Jet, Number, _is_zero, jet_add, jet_compose, jet_mul
 from .multiindex import MultiIndex, mi_order
 
 __all__ = [
@@ -196,14 +199,14 @@ class ExpSpec(FunctionSpec):
 
     def jet(self, base: tuple[Number, ...], K: int) -> Jet:
         (b,) = base
-        v: Number = 1 if b == 0 else _exp(float(b) if isinstance(b, Fraction) else b)
+        v: Number = 1 if _is_zero(b) else _exp(float(b) if isinstance(b, Fraction) else b)
         coeffs = {}
         fact = 1
         for k in range(K + 1):
             if k > 0:
                 fact *= k
             coeffs[(k,)] = (
-                Fraction(1, fact) if (b == 0 and isinstance(v, int)) else v / fact
+                Fraction(1, fact) if isinstance(v, int) else v / fact
             )
         return Jet(1, K, coeffs, base)
 
@@ -231,7 +234,7 @@ class SinSpec(FunctionSpec):
         for k in range(K + 1):
             if k > 0:
                 fact *= k
-            if b == 0:
+            if _is_zero(b):
                 c = _SIN_CYCLE[k % 4]
                 if c:
                     coeffs[(k,)] = Fraction(c, fact)
@@ -261,7 +264,7 @@ class CosSpec(FunctionSpec):
         for k in range(K + 1):
             if k > 0:
                 fact *= k
-            if b == 0:
+            if _is_zero(b):
                 c = _SIN_CYCLE[(k + 1) % 4]
                 if c:
                     coeffs[(k,)] = Fraction(c, fact)
@@ -300,7 +303,7 @@ class RecipPowSpec(FunctionSpec):
 
     def jet(self, base: tuple[Number, ...], K: int) -> Jet:
         (b,) = base
-        if b == 0:
+        if np.any(b == 0):
             raise ZeroDivisionError("jet of reciprocal at a pole")
         k0 = self.power
         coeffs: dict[MultiIndex, Number] = {}
@@ -400,8 +403,14 @@ def _parse_number(tok: str) -> Number:
     except ValueError:
         pass
     if "/" in tok:
-        return Fraction(tok)
-    return float(tok)
+        try:
+            return Fraction(tok)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {tok!r}") from None
+    value = float(tok)
+    if not math.isfinite(value):
+        raise ValueError(f"number must be finite, got {tok!r}")
+    return value
 
 
 def _split_two(body: str) -> tuple[FunctionSpec, FunctionSpec]:
@@ -420,7 +429,7 @@ def _split_two(body: str) -> tuple[FunctionSpec, FunctionSpec]:
     for i in candidates:
         try:
             return parse_spec(body[:i]), parse_spec(body[i + 1 :])
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             continue
     raise ValueError(f"cannot split {body!r} into two specs")
 
@@ -445,6 +454,8 @@ def parse_spec(text: str) -> FunctionSpec:
         for pair in s[len("mvpoly:"):].split(";"):
             expo_s, _, coeff_s = pair.rpartition(":")
             expo = tuple(int(t) for t in expo_s.split(","))
+            if min(expo) < 0:
+                raise ValueError(f"exponents must be non-negative, got {expo_s!r}")
             if dim is None:
                 dim = len(expo)
             elif len(expo) != dim:

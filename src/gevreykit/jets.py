@@ -9,7 +9,9 @@ independent of each other.
 
 Coefficients are exact (int / Fraction) whenever base point and function
 permit, floats or complex otherwise; mixed arithmetic follows Python's
-numeric tower.
+numeric tower.  A base coordinate may also be a numpy array of base
+points: the coefficients are then arrays with one value per point, and
+every operation acts on all points at once.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
+import numpy as np
+
 from .multiindex import MultiIndex, mi_add, mi_factorial, mi_order
 
 Number = int | Fraction | float | complex
@@ -25,6 +29,11 @@ Number = int | Fraction | float | complex
 
 def _is_exact(x: Number) -> bool:
     return isinstance(x, (int, Fraction))
+
+
+def _is_zero(x) -> bool:
+    """Scalar zero test; an array over base points never counts as zero."""
+    return not isinstance(x, np.ndarray) and x == 0
 
 
 @dataclass(frozen=True)
@@ -43,21 +52,9 @@ class Jet:
     def value(self) -> Number:
         return self.coeff((0,) * self.dim)
 
-    def with_base(self, base: tuple[Number, ...]) -> "Jet":
-        return Jet(self.dim, self.order, dict(self.coeffs), base)
-
 
 def jet_const(c: Number, dim: int, order: int, base: tuple[Number, ...] = ()) -> Jet:
-    return Jet(dim, order, {(0,) * dim: c} if c != 0 else {}, base)
-
-
-def jet_variable(i: int, dim: int, order: int, base: tuple[Number, ...]) -> Jet:
-    """The coordinate function x_i as a jet at `base`."""
-    e_i = tuple(1 if j == i else 0 for j in range(dim))
-    coeffs: dict[MultiIndex, Number] = {(0,) * dim: base[i]}
-    if order >= 1:
-        coeffs[e_i] = 1
-    return Jet(dim, order, coeffs, tuple(base))
+    return Jet(dim, order, {} if _is_zero(c) else {(0,) * dim: c}, base)
 
 
 def _check_compatible(a: Jet, b: Jet) -> None:
@@ -74,23 +71,23 @@ def jet_add(a: Jet, b: Jet) -> Jet:
 
 
 def jet_scale(c: Number, a: Jet) -> Jet:
-    if c == 0:
+    if _is_zero(c):
         return jet_const(0, a.dim, a.order, a.base_point)
     return Jet(a.dim, a.order, {k: c * v for k, v in a.coeffs.items()}, a.base_point)
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
     _check_compatible(a, b)
+    b_terms = [(kb, mi_order(kb), vb) for kb, vb in b.coeffs.items() if not _is_zero(vb)]
     out: dict[MultiIndex, Number] = {}
     for ka, va in a.coeffs.items():
-        if va == 0:
+        if _is_zero(va):
             continue
-        na = mi_order(ka)
-        for kb, vb in b.coeffs.items():
-            if vb == 0 or na + mi_order(kb) > a.order:
-                continue
-            k = mi_add(ka, kb)
-            out[k] = out.get(k, 0) + va * vb
+        room = a.order - mi_order(ka)
+        for kb, nb, vb in b_terms:
+            if nb <= room:
+                k = mi_add(ka, kb)
+                out[k] = out.get(k, 0) + va * vb
     return Jet(a.dim, a.order, out, a.base_point or b.base_point)
 
 
@@ -106,13 +103,9 @@ def jet_compose(f: Jet, g: Jet) -> Jet:
         raise ValueError("jets must share truncation order")
     fb = f.base_point[0] if f.base_point else 0
     gv = g.value
-    if _is_exact(fb) and _is_exact(gv):
-        if fb != gv:
-            raise ValueError(f"outer base {fb} != inner value {gv}")
-    else:
-        if abs(complex(float(fb.real) if isinstance(fb, (int, float, Fraction)) else fb)
-               - complex(float(gv.real) if isinstance(gv, (int, float, Fraction)) else gv)) > 1e-10:
-            raise ValueError(f"outer base {fb} != inner value {gv}")
+    tol = 0 if _is_exact(fb) and _is_exact(gv) else 1e-10
+    if np.any(abs(fb - gv) > tol):
+        raise ValueError(f"outer base {fb} != inner value {gv}")
     K = g.order
     ghat_coeffs = {k: v for k, v in g.coeffs.items() if mi_order(k) > 0}
     ghat = Jet(g.dim, K, ghat_coeffs, g.base_point)

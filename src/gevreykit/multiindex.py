@@ -37,10 +37,6 @@ def mi_leq(a: MultiIndex, b: MultiIndex) -> bool:
     return all(x <= y for x, y in zip(a, b, strict=True))
 
 
-def mi_scale(m: int, a: MultiIndex) -> MultiIndex:
-    return tuple(m * x for x in a)
-
-
 def mi_factorial(alpha: MultiIndex) -> int:
     """alpha! = prod alpha_i!"""
     out = 1

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .funcspec import FunctionSpec, MVPolySpec, PolySpec, ProdSpec, SumSpec, parse_spec
-from .jets import jet_compose, jet_of, jet_partial
+from .jets import Jet, jet_compose, jet_of, jet_partial
 from .multiindex import (
     MultiIndex,
     enumerate_decompositions,
@@ -151,6 +151,8 @@ def parse_operator(text: str, dim: int = 1) -> DiffOperator:
         else:
             k = 0
             spec = parse_spec(part)
+        if k < 0:
+            raise ValueError(f"derivative power must be non-negative, got {part!r}")
         key = (k,)
         coeffs[key] = SumSpec(coeffs[key], spec) if key in coeffs else spec
     order = max(mi_order(a) for a in coeffs)
@@ -420,9 +422,10 @@ def build_reduction_operators(
 class GridEvaluator:
     """Evaluates term sums on a fixed set of x points.
 
-    Derivative values of registry specs come from per-point jets (exact
-    up to rounding); phi may instead be backed by a finite-difference
-    table from a sampled cutoff.
+    Each registry spec has one jet over the whole point set, with one
+    coefficient value per point (exact up to rounding), and derivative
+    rows are read from it.  phi is either a registry spec read the same
+    way or a finite-difference table from a sampled cutoff.
     """
 
     def __init__(
@@ -442,10 +445,9 @@ class GridEvaluator:
         self.points = pts
         self.k_max = k_max
         self.phi_spec = phi_spec
-        self.phi_table = phi_table
-        self._jets: dict[int, list] = {}
+        self.phi_table = phi_table and {b: v.astype(complex) for b, v in phi_table.items()}
+        self._jets: dict[int, Jet] = {}
         self._derivs: dict[Factor, np.ndarray] = {}
-        self._phi_derivs: dict[MultiIndex, np.ndarray] = {}
 
     def _ensure_order(self, order: int) -> None:
         # audits may differentiate beyond the order anticipated at build
@@ -455,39 +457,26 @@ class GridEvaluator:
             self._jets.clear()
             self._derivs.clear()
 
-    def _jet_list(self, sid: int) -> list:
-        if sid not in self._jets:
-            spec = self.algebra.registry[sid]
-            self._jets[sid] = [
-                jet_of(spec, tuple(p), self.k_max) for p in self.points
-            ]
-        return self._jets[sid]
-
     def deriv(self, sid: int, beta: MultiIndex) -> np.ndarray:
         key = (sid, beta)
         if key not in self._derivs:
             self._ensure_order(mi_order(beta))
-            jets = self._jet_list(sid)
-            self._derivs[key] = np.array(
-                [complex(jet_partial(j, beta)) for j in jets]
-            )
+            if sid not in self._jets:
+                spec = self.algebra.registry[sid]
+                self._jets[sid] = jet_of(spec, tuple(self.points.T), self.k_max)
+            # a coefficient that is constant over the points is a scalar
+            value = np.asarray(jet_partial(self._jets[sid], beta), dtype=complex)
+            self._derivs[key] = np.broadcast_to(value, (len(self.points),)).copy()
         return self._derivs[key]
 
     def phi_deriv(self, beta: MultiIndex) -> np.ndarray:
-        if beta not in self._phi_derivs:
-            if self.phi_table is not None:
-                if beta not in self.phi_table:
-                    raise ValueError(f"phi table lacks derivative {beta}")
-                self._phi_derivs[beta] = self.phi_table[beta].astype(complex)
-            elif self.phi_spec is not None:
-                self._ensure_order(mi_order(beta))
-                jets = self._jet_list(self.algebra.register(self.phi_spec))
-                self._phi_derivs[beta] = np.array(
-                    [complex(jet_partial(j, beta)) for j in jets]
-                )
-            else:
-                raise ValueError("no phi attached to this evaluator")
-        return self._phi_derivs[beta]
+        if self.phi_table is not None:
+            if beta not in self.phi_table:
+                raise ValueError(f"phi table lacks derivative {beta}")
+            return self.phi_table[beta]
+        if self.phi_spec is None:
+            raise ValueError("no phi attached to this evaluator")
+        return self.deriv(self.algebra.register(self.phi_spec), beta)
 
     def pm(self, xis: Sequence[tuple]) -> np.ndarray:
         """P_m at every (xi, x): an (n_xi, n_points) array."""
@@ -631,7 +620,7 @@ def inv_pm_derivative_jet_check(
     D^alpha = (-i)^{|alpha|} d^alpha on the x-jet.
     """
     from .funcspec import RecipPowSpec
-    from .jets import Jet, jet_add, jet_scale
+    from .jets import jet_add, jet_scale
 
     if not isinstance(x, tuple):
         x = (x,)
@@ -869,8 +858,9 @@ def bound_audit(
     A h^{|beta|^sigma} |beta|^{tau |beta|^sigma}, plus exact homogeneity
     at scaled xi.  Word side: sup_x |D^beta (R_word phi)| * |xi|^{weight}
     fitted against A h^{N^sigma} (N + M)^{tau (N + M)^sigma}.  Leibniz
-    side: every expanded term of the first `leibniz_words` e-words obeys
-    the derivative-order bookkeeping.
+    side: for the first `leibniz_words` e-words w and |beta| <= 4, every
+    term of the expanded d^beta (R_w phi) differentiates phi at most
+    weight(w) + |beta| times and is homogeneous of degree -weight(w) in xi.
     """
     if beta_max > 6:
         raise ValueError("beta_max limited to 6")
@@ -880,14 +870,20 @@ def bound_audit(
     xi_list = sums.xi_samples
     xi_mags = [math.sqrt(sum(c * c for c in xi)) for xi in xi_list]
 
-    def sup_logs(S: SymbolSum, weight: int) -> dict[int, float]:
+    terms_checked = 0
+    leib_viol = 0
+
+    def sup_logs(S: SymbolSum, weight: int, leibniz: bool = False) -> dict[int, float]:
         """n -> log max over |beta| = n, x and xi of |D^beta S| |xi|^weight.
 
         d^beta S is one `partial` of d^(beta - e_t) S along the last axis
         t with beta_t > 0, the order `d_op` differentiates in; the unit
         factor (-i)^n of D^beta is left out.  Orders whose values all
-        vanish are omitted.
+        vanish are omitted.  With `leibniz`, every term of d^beta S with
+        |beta| <= 4 is checked against the phi-order and xi-degree
+        bookkeeping of a word state of this weight.
         """
+        nonlocal terms_checked, leib_viol
         col = np.array([mag**weight for mag in xi_mags])[:, None]
         logs: dict[int, float] = {}
         layer = {zero: S}
@@ -899,6 +895,13 @@ def bound_audit(
                     prev = tuple(b - (i == axis) for i, b in enumerate(beta))
                     nxt[beta] = alg.partial(layer[prev], axis)
                 layer = nxt
+            if leibniz and n <= 4:
+                keys = [key for dS in layer.values() for key in dS]
+                terms_checked += len(keys)
+                leib_viol += sum(
+                    key[3] is None or mi_order(key[3]) > weight + n or alg.degree(key) != -weight
+                    for key in keys
+                )
             v = max(
                 float(np.max(np.abs(ev.eval_sum(dS, xi_list)) * col))
                 for dS in layer.values()
@@ -939,8 +942,8 @@ def bound_audit(
     NM = sums.N + dist_order
     growth_nm = log_M(tau, sigma, NM)
     word_logs: dict[tuple[int, ...], dict[int, float]] = {}
-    for w in sums.e_words:
-        logs = sup_logs(sums.word_states[w], word_weight(w))
+    for i, w in enumerate(sums.e_words):
+        logs = sup_logs(sums.word_states[w], word_weight(w), leibniz=i < leibniz_words)
         if logs:
             word_logs[w] = logs
     log_a29 = max(
@@ -959,44 +962,6 @@ def bound_audit(
         for v in logs.values():
             if v > log_a29 + ns_N * log_h29 + growth_nm + 1e-9:
                 word_viol += 1
-
-    # Leibniz bookkeeping on the expanded derivative chain
-    terms_checked = 0
-    leib_viol = 0
-    chosen = [w for w in sums.e_words if len(w) >= 1][:leibniz_words]
-    for w in chosen:
-        orders_options = [
-            [mi_order(a) for a in system.operators[j - 1].action.keys()]
-            for j in w
-        ]
-        k = len(w)
-        for beta_total in range(0, min(beta_max, 4) + 1):
-
-            def split_chain(i: int, incoming: int, sel: list[int], a_list: list[int]):
-                nonlocal terms_checked, leib_viol
-                if i == k:
-                    a_k = incoming
-                    a_all = a_list + [a_k]
-                    s_sel = sum(sel)
-                    if sum(a_all) != s_sel + beta_total:
-                        leib_viol += 1
-                    if a_all[0] > beta_total:
-                        leib_viol += 1
-                    for t in range(1, k + 1):
-                        if a_all[t] > sum(w[:t]) + beta_total:
-                            leib_viol += 1
-                    terms_checked += 1
-                    return
-                for a_sel in orders_options[i]:
-                    for onto_c in range(incoming + 1):
-                        split_chain(
-                            i + 1,
-                            incoming - onto_c + a_sel,
-                            sel + [a_sel],
-                            a_list + [onto_c],
-                        )
-
-            split_chain(0, beta_total, [], [])
 
     return BoundAuditReport(
         coefficient_fits=coeff_fits,

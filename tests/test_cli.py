@@ -214,6 +214,28 @@ def test_non_finite_numbers_exit_1(tmp_path, capsys):
         assert needle in err and len(err.splitlines()) == 1, (name, err)
 
 
+def test_bad_literals_in_specs_and_operators_exit_1(tmp_path, capsys):
+    # each bad token is named on one stderr line; no report is written
+    small = ["--N", "3", "--grid", "64", "--beta-max", "1"]
+    cases = {
+        "nan": (["parametrix", "--op", "D^2 + poly:nan"] + small, "'nan'"),
+        "inf": (["parametrix", "--op", "D^2 + poly:1,inf"] + small, "'inf'"),
+        "huge": (["parametrix", "--op", "D^2 + sin*D + poly:1e999"] + small, "'1e999'"),
+        "zero_den": (["parametrix", "--op", "D^2 + poly:1/0"] + small, "'1/0'"),
+        "neg_power": (["parametrix", "--op", "D^-1"] + small, "'D^-1'"),
+        "neg_power_coeff": (["parametrix", "--op", "D^2 + sin*D^-2"] + small, "D^-2"),
+        "neg_expo": (["fdb", "--f", "poly:0,0,1", "--g", "mvpoly:-1,2:3", "--alpha", "1,0",
+                      "--at", "2,3", "--check-jet"], "'-1,2'"),
+        "fdb_nan": (["fdb", "--f", "compose(exp,poly:0,nan)", "--g", "sin", "--alpha", "1",
+                     "--at", "0.5"], "nan"),
+    }
+    for name, (args, needle) in cases.items():
+        code, rep = run(args, tmp_path, f"{name}.json")
+        err = capsys.readouterr().err
+        assert code == 1 and rep is None, name
+        assert needle in err and len(err.splitlines()) == 1, (name, err)
+
+
 def test_wf_scan_rejects_points_off_the_field_dimension(tmp_path, capsys):
     outdir = os.path.join(tmp_path, "fields")
     main(["catalog", "--out", outdir])

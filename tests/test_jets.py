@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gevreykit import funcspec
 from gevreykit.funcspec import (
@@ -17,6 +19,7 @@ from gevreykit.funcspec import (
 )
 from gevreykit.jets import jet_compose, jet_mul, jet_of, jet_partial
 from gevreykit.multiindex import mi_binomial, mi_of_order, mi_range
+from gevreykit.parametrix import parse_operator
 
 
 def test_jet_of_examples():
@@ -171,3 +174,49 @@ def test_parse_spec_parses_each_side_once(monkeypatch):
     monkeypatch.setattr(funcspec, "parse_spec", counting)
     assert funcspec.parse_spec(text) == expected
     assert calls == 4 * depth + 1
+
+
+# grammar fragments, bad number literals included, for the fuzz test below
+_LEAVES = [
+    "exp", "sin", "cos", "recip", "poly:1,2", "poly:0.5,-1/3", "poly:nan", "poly:inf",
+    "poly:1e999", "poly:1/0", "poly:-inf,2", "mvpoly:1,0:2;0,1:1", "mvpoly:-1,2:3",
+    "mvpoly:2:1", "mvpoly:1,1:nan",
+]
+_FRAGMENTS = _LEAVES + [
+    "compose(", "sum(", "prod(", "(", ")", ",", ";", ":", "*D", "*D^2", "D^-1", "D^",
+    "D", "+", "-", "/", "1", "0", "1/0", "nan", " ",
+]
+_spec_tree = st.recursive(
+    st.sampled_from(_LEAVES),
+    lambda kids: st.builds(
+        "{}({},{})".format, st.sampled_from(["compose", "sum", "prod"]), kids, kids
+    ),
+    max_leaves=6,
+)
+_noise = st.lists(
+    st.one_of(st.sampled_from(_FRAGMENTS), st.text(max_size=3)), max_size=10
+).map("".join)
+_operator = st.lists(
+    st.tuples(_spec_tree, st.integers(-2, 4)).map(
+        lambda t: f"{t[0]}*D^{t[1]}" if t[1] else t[0]
+    ),
+    min_size=1,
+    max_size=3,
+).map(" + ".join)
+_grammar_text = st.one_of(
+    _spec_tree,
+    _noise,
+    _operator,
+    st.tuples(_spec_tree, _noise, _operator).map("".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_grammar_text)
+def test_grammars_parse_or_raise_value_error(text):
+    # any other exception would escape the CLI as a traceback
+    for parse in (parse_spec, parse_operator, lambda t: parse_operator(t, 2)):
+        try:
+            parse(text)
+        except ValueError:
+            pass

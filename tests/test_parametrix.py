@@ -8,16 +8,22 @@ from hypothesis import strategies as st
 from conftest import smooth_bump
 
 from gevreykit.funcspec import (
+    ComposeSpec,
     CosSpec,
+    ExpSpec,
     MVPolySpec,
     PolySpec,
+    ProdSpec,
+    RecipPowSpec,
     SinSpec,
     SumSpec,
 )
-from gevreykit.jets import jet_of, jet_partial
+from gevreykit.jets import jet_compose, jet_of, jet_partial
+from gevreykit.multiindex import mi_add, mi_of_order
 from gevreykit.parametrix import (
     DiffOperator,
     GridEvaluator,
+    SymbolAlgebra,
     _merge,
     bound_audit,
     build_reduction_operators,
@@ -310,6 +316,84 @@ def test_eval_sum_is_linear_over_merged_word_states(sin_sums, data):
     merged = ev.eval_sum(_merge([A, B]), xis)
     scale = np.max(np.abs(eval_a)) + np.max(np.abs(eval_b))
     assert np.max(np.abs(merged - (eval_a + eval_b))) <= 1e-12 * scale
+
+
+def test_leibniz_audit_catches_a_mistracked_phi_order(sin_sums, monkeypatch):
+    clean = bound_audit(sin_sums, beta_max=2, tau=1.0, sigma=2.0)
+    assert clean.leibniz_terms_checked > 0 and clean.leibniz_violations == 0
+    partial = SymbolAlgebra.partial
+
+    def shifted(self, S, axis):
+        # d/dx_axis that differentiates phi twice
+        e = tuple(int(i == axis) for i in range(self.dim))
+        return {
+            (f, g, k, p if p is None else mi_add(p, e)): v
+            for (f, g, k, p), v in partial(self, S, axis).items()
+        }
+
+    monkeypatch.setattr(SymbolAlgebra, "partial", shifted)
+    faulty = bound_audit(sin_sums, beta_max=2, tau=1.0, sigma=2.0)
+    assert faulty.leibniz_violations > 0 and not faulty.ok()
+
+
+def _per_point_rows(spec, points, beta, K):
+    return np.array([complex(jet_partial(jet_of(spec, tuple(p), K), beta)) for p in points])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        PolySpec((1, -2, 0.5, 3)),
+        ExpSpec(),
+        SinSpec(),
+        CosSpec(),
+        ComposeSpec(RecipPowSpec(2), PolySpec((1.5, 0.3, 1))),
+        PHI,
+        SumSpec(SinSpec(), PolySpec((0, 0, -1))),
+        ProdSpec(CosSpec(), ExpSpec()),
+        ComposeSpec(SinSpec(), ComposeSpec(ExpSpec(), PolySpec((0, 2)))),
+    ],
+    ids=["poly", "exp", "sin", "cos", "recip", "bump", "sum", "prod", "nested"],
+)
+def test_grid_jets_match_per_point_jets(spec):
+    # the grid holds 0.0 exactly, where the per-point jets of exp, sin and
+    # cos take their exact branch
+    points = np.linspace(-0.8, 0.8, 17)[:, None]
+    assert 0.0 in points
+    K = 8
+    ev = GridEvaluator(SymbolAlgebra(op_d()), points, k_max=K)
+    sid = ev.algebra.register(spec)
+    for n in range(K + 1):
+        want = _per_point_rows(spec, points, (n,), K)
+        got = ev.deriv(sid, (n,))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), n
+
+
+def test_grid_jets_match_per_point_jets_in_two_dimensions():
+    poly = MVPolySpec.from_dict(2, {(0, 0): 1, (2, 1): 0.5, (0, 3): -1, (1, 0): 2})
+    one = MVPolySpec.from_dict(2, {(0, 0): 1})
+    axis = np.linspace(-0.5, 0.5, 5)
+    points = np.column_stack([m.reshape(-1) for m in np.meshgrid(axis, axis, indexing="ij")])
+    K = 5
+    ev = GridEvaluator(SymbolAlgebra(DiffOperator(1, 2, {(1, 0): one})), points, k_max=K)
+    for spec in (poly, one, ComposeSpec(SinSpec(), poly)):
+        sid = ev.algebra.register(spec)
+        for n in range(K + 1):
+            for beta in mi_of_order(2, n):
+                want = _per_point_rows(spec, points, beta, K)
+                got = ev.deriv(sid, beta)
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), beta
+
+
+def test_grid_jets_reject_poles_and_base_mismatch():
+    ev = GridEvaluator(SymbolAlgebra(op_d()), np.linspace(-1.0, 1.0, 9), k_max=3)
+    sid = ev.algebra.register(ComposeSpec(ExpSpec(), RecipPowSpec(1)))
+    with pytest.raises(ZeroDivisionError):
+        ev.deriv(sid, (1,))
+    g = jet_of(SinSpec(), (np.array([0.1, 0.2]),), 3)
+    f = jet_of(ExpSpec(), (np.array([np.sin(0.1), 0.5]),), 3)
+    with pytest.raises(ValueError):
+        jet_compose(f, g)
 
 
 def test_budgets_enforced():
