@@ -4,7 +4,9 @@ and their sums, products and compositions.
 Every spec knows its dimension, evaluates at points or numpy arrays,
 differentiates within the catalog (the catalog is closed under
 derivative and product, which the symbol algebra relies on), and
-produces its truncated Taylor jet at any admissible base point.
+produces its truncated Taylor jet at any admissible base point.  On
+numpy arrays of base points, exact coefficients are rounded to floats,
+so such jets hold float arrays and never numpy object arrays.
 
 Grammar accepted by :func:`parse_spec` (d = 1 unless noted):
 
@@ -68,6 +70,16 @@ def _cos(x):
     return math.cos(x)
 
 
+def _on_grid(base: tuple[Number, ...]) -> bool:
+    return any(isinstance(b, np.ndarray) for b in base)
+
+
+def _float_on_grid(x: Number, grid: bool) -> Number:
+    # Fraction * ndarray is a numpy object array, so on a grid an exact
+    # coefficient is rounded once, where the per-point float route rounds it
+    return float(x) if grid and isinstance(x, Fraction) else x
+
+
 class FunctionSpec:
     """Base class; subclasses implement dim, eval, derivative and jet."""
 
@@ -112,12 +124,14 @@ class PolySpec(FunctionSpec):
 
     def jet(self, base: tuple[Number, ...], K: int) -> Jet:
         (b,) = base
+        grid = _on_grid(base)
         coeffs: dict[MultiIndex, Number] = {}
         for i, c in enumerate(self.coeffs):
             if c == 0:
                 continue
             for j in range(min(i, K) + 1):
-                coeffs[(j,)] = coeffs.get((j,), 0) + c * math.comb(i, j) * b ** (i - j)
+                scaled = _float_on_grid(c * math.comb(i, j), grid)
+                coeffs[(j,)] = coeffs.get((j,), 0) + scaled * b ** (i - j)
         return Jet(1, K, coeffs, base)
 
 
@@ -158,6 +172,7 @@ class MVPolySpec(FunctionSpec):
         return MVPolySpec.from_dict(self.dimension, new or {(0,) * self.dimension: 0})
 
     def jet(self, base: tuple[Number, ...], K: int) -> Jet:
+        grid = _on_grid(base)
         coeffs: dict[MultiIndex, Number] = {}
 
         def expand(expo: MultiIndex, c: Number) -> None:
@@ -175,10 +190,11 @@ class MVPolySpec(FunctionSpec):
                         up = tuple(
                             x + j if a == axis else x for a, x in enumerate(beta)
                         )
-                        nxt[up] = nxt.get(up, 0) + v * math.comb(e, j) * b ** (e - j)
+                        scaled = _float_on_grid(v * math.comb(e, j), grid)
+                        nxt[up] = nxt.get(up, 0) + scaled * b ** (e - j)
                 partial = nxt
             for beta, v in partial.items():
-                coeffs[beta] = coeffs.get(beta, 0) + v
+                coeffs[beta] = coeffs.get(beta, 0) + _float_on_grid(v, grid)
 
         for expo, c in self.terms:
             expand(expo, c)
@@ -343,7 +359,12 @@ class ComposeSpec(FunctionSpec):
 
     def jet(self, base: tuple[Number, ...], K: int) -> Jet:
         g = self.inner.jet(base, K)
-        f = self.outer.jet((g.value,), K)
+        v = g.value
+        if _on_grid(base) and not isinstance(v, np.ndarray):
+            # a constant inner spec: spread its value over the grid, so the
+            # outer jet takes its float route and not its exact one
+            v = np.full(np.broadcast_shapes(*map(np.shape, base)), float(v))
+        f = self.outer.jet((v,), K)
         return jet_compose(f, g)
 
 

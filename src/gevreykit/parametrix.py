@@ -423,8 +423,8 @@ class GridEvaluator:
     """Evaluates term sums on a fixed set of x points.
 
     Each registry spec has one jet over the whole point set, with one
-    coefficient value per point (exact up to rounding), and derivative
-    rows are read from it.  phi is either a registry spec read the same
+    float coefficient value per point, and derivative rows are read
+    from it.  phi is either a registry spec read the same
     way or a finite-difference table from a sampled cutoff.
     """
 
@@ -870,20 +870,15 @@ def bound_audit(
     xi_list = sums.xi_samples
     xi_mags = [math.sqrt(sum(c * c for c in xi)) for xi in xi_list]
 
-    terms_checked = 0
-    leib_viol = 0
-
-    def sup_logs(S: SymbolSum, weight: int, leibniz: bool = False) -> dict[int, float]:
+    def sup_logs(S: SymbolSum, weight: int, visit=None) -> dict[int, float]:
         """n -> log max over |beta| = n, x and xi of |D^beta S| |xi|^weight.
 
         d^beta S is one `partial` of d^(beta - e_t) S along the last axis
         t with beta_t > 0, the order `d_op` differentiates in; the unit
         factor (-i)^n of D^beta is left out.  Orders whose values all
-        vanish are omitted.  With `leibniz`, every term of d^beta S with
-        |beta| <= 4 is checked against the phi-order and xi-degree
-        bookkeeping of a word state of this weight.
+        vanish are omitted.  `visit(n, layer)`, when given, sees each
+        layer {beta: d^beta S} with |beta| = n.
         """
-        nonlocal terms_checked, leib_viol
         col = np.array([mag**weight for mag in xi_mags])[:, None]
         logs: dict[int, float] = {}
         layer = {zero: S}
@@ -895,13 +890,8 @@ def bound_audit(
                     prev = tuple(b - (i == axis) for i, b in enumerate(beta))
                     nxt[beta] = alg.partial(layer[prev], axis)
                 layer = nxt
-            if leibniz and n <= 4:
-                keys = [key for dS in layer.values() for key in dS]
-                terms_checked += len(keys)
-                leib_viol += sum(
-                    key[3] is None or mi_order(key[3]) > weight + n or alg.degree(key) != -weight
-                    for key in keys
-                )
+            if visit:
+                visit(n, layer)
             v = max(
                 float(np.max(np.abs(ev.eval_sum(dS, xi_list)) * col))
                 for dS in layer.values()
@@ -942,8 +932,23 @@ def bound_audit(
     NM = sums.N + dist_order
     growth_nm = log_M(tau, sigma, NM)
     word_logs: dict[tuple[int, ...], dict[int, float]] = {}
+    leibniz_ok: list[bool] = []  # one verdict per checked term
+
+    def leibniz_check(n: int, layer: dict[MultiIndex, SymbolSum]) -> None:
+        # each term of d^beta state(w), |beta| = n: phi order at most
+        # weight + n and xi-degree exactly -weight, for the word w that
+        # sup_logs is visiting
+        if n <= 4:
+            leibniz_ok.extend(
+                key[3] is not None and mi_order(key[3]) <= weight + n
+                and alg.degree(key) == -weight
+                for dS in layer.values() for key in dS
+            )
+
     for i, w in enumerate(sums.e_words):
-        logs = sup_logs(sums.word_states[w], word_weight(w), leibniz=i < leibniz_words)
+        weight = word_weight(w)
+        visit = leibniz_check if i < leibniz_words else None
+        logs = sup_logs(sums.word_states[w], weight, visit)
         if logs:
             word_logs[w] = logs
     log_a29 = max(
@@ -970,6 +975,6 @@ def bound_audit(
         principal_fit=principal_fit,
         word_fits=word_fits,
         word_violations=word_viol,
-        leibniz_terms_checked=terms_checked,
-        leibniz_violations=leib_viol,
+        leibniz_terms_checked=len(leibniz_ok),
+        leibniz_violations=leibniz_ok.count(False),
     )

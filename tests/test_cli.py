@@ -236,6 +236,17 @@ def test_bad_literals_in_specs_and_operators_exit_1(tmp_path, capsys):
         assert needle in err and len(err.splitlines()) == 1, (name, err)
 
 
+def test_fraction_coefficients_on_the_grid_exit_0(tmp_path):
+    # p/q coefficients under exp/sin/cos: the grid jets stay float arrays
+    small = ["--N", "3", "--grid", "64", "--beta-max", "1"]
+    for name, op in {
+        "sin": "D^2 + compose(sin,poly:1/2,1)*D + poly:1",
+        "exp": "D^2 + compose(exp,poly:1/3,-2/7)*D + poly:1/2",
+    }.items():
+        code, rep = run(["parametrix", "--op", op] + small, tmp_path, f"{name}.json")
+        assert code == 0 and rep["result"]["audit_ok"] is True, name
+
+
 def test_wf_scan_rejects_points_off_the_field_dimension(tmp_path, capsys):
     outdir = os.path.join(tmp_path, "fields")
     main(["catalog", "--out", outdir])

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -340,6 +341,13 @@ def _per_point_rows(spec, points, beta, K):
     return np.array([complex(jet_partial(jet_of(spec, tuple(p), K), beta)) for p in points])
 
 
+def _assert_float_grid_jet(spec, points, K):
+    # Fraction * ndarray would give an object array, which numpy's
+    # exp/sin/cos reject
+    jet = jet_of(spec, tuple(points.T), K)
+    assert all(np.asarray(v).dtype != object for v in jet.coeffs.values())
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -352,8 +360,13 @@ def _per_point_rows(spec, points, beta, K):
         SumSpec(SinSpec(), PolySpec((0, 0, -1))),
         ProdSpec(CosSpec(), ExpSpec()),
         ComposeSpec(SinSpec(), ComposeSpec(ExpSpec(), PolySpec((0, 2)))),
+        ComposeSpec(SinSpec(), PolySpec((Fraction(1, 2), 1))),
+        ComposeSpec(ExpSpec(), PolySpec((Fraction(1, 3), Fraction(-2, 7), 1))),
     ],
-    ids=["poly", "exp", "sin", "cos", "recip", "bump", "sum", "prod", "nested"],
+    ids=[
+        "poly", "exp", "sin", "cos", "recip", "bump", "sum", "prod", "nested",
+        "sin_fraction_poly", "exp_fraction_poly",
+    ],
 )
 def test_grid_jets_match_per_point_jets(spec):
     # the grid holds 0.0 exactly, where the per-point jets of exp, sin and
@@ -361,6 +374,7 @@ def test_grid_jets_match_per_point_jets(spec):
     points = np.linspace(-0.8, 0.8, 17)[:, None]
     assert 0.0 in points
     K = 8
+    _assert_float_grid_jet(spec, points, K)
     ev = GridEvaluator(SymbolAlgebra(op_d()), points, k_max=K)
     sid = ev.algebra.register(spec)
     for n in range(K + 1):
@@ -372,11 +386,25 @@ def test_grid_jets_match_per_point_jets(spec):
 def test_grid_jets_match_per_point_jets_in_two_dimensions():
     poly = MVPolySpec.from_dict(2, {(0, 0): 1, (2, 1): 0.5, (0, 3): -1, (1, 0): 2})
     one = MVPolySpec.from_dict(2, {(0, 0): 1})
+    # Fraction coefficients, and constant inner specs whose outer jets are
+    # exact at a scalar base, must still give float grid jets
+    frac = MVPolySpec.from_dict(2, {(0, 0): Fraction(1, 3), (1, 2): Fraction(-5, 7)})
+    zero = MVPolySpec.from_dict(2, {})
+    const_recip = ComposeSpec(RecipPowSpec(1), MVPolySpec.from_dict(2, {(0, 0): 3}))
+    specs = (
+        poly,
+        one,
+        ComposeSpec(SinSpec(), poly),
+        ComposeSpec(SinSpec(), frac),
+        ComposeSpec(ExpSpec(), ProdSpec(ComposeSpec(CosSpec(), zero), poly)),
+        ComposeSpec(CosSpec(), SumSpec(const_recip, poly)),
+    )
     axis = np.linspace(-0.5, 0.5, 5)
     points = np.column_stack([m.reshape(-1) for m in np.meshgrid(axis, axis, indexing="ij")])
     K = 5
     ev = GridEvaluator(SymbolAlgebra(DiffOperator(1, 2, {(1, 0): one})), points, k_max=K)
-    for spec in (poly, one, ComposeSpec(SinSpec(), poly)):
+    for spec in specs:
+        _assert_float_grid_jet(spec, points, K)
         sid = ev.algebra.register(spec)
         for n in range(K + 1):
             for beta in mi_of_order(2, n):
