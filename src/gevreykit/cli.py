@@ -62,7 +62,7 @@ def _report(command: str, params: dict, result: dict, seed: int, out: str | None
         },
         "result": result,
     }
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -242,9 +242,10 @@ def _cmd_wf_scan(args, seed: int) -> None:
         r_plateau=rp, r_support=rs, xi_min=xi_min, N_max=args.nmax
     )
     # pool size: env override > flag > available cores
-    threads = int(
-        os.environ.get("GEVREY_THREADS", args.threads or os.cpu_count() or 1)
-    )
+    try:
+        threads = int(os.environ.get("GEVREY_THREADS", args.threads or os.cpu_count() or 1))
+    except ValueError as exc:  # only the environment can hold a non-integer here
+        raise ValueError(f"GEVREY_THREADS: {exc}") from None
     verdicts = wf_scan(field, points, args.dirs, args.tau, args.sigma, params, threads)
     if args.csv:
         # plot-ready decay profiles the scan measured: point; direction; N;
@@ -448,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         sys.stderr.write(f"gevrey: {exc}\n")
         return 1
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"gevrey: {exc}\n")
         return 1
     except OSError as exc:

@@ -24,6 +24,7 @@ follow the composition recurrence c(v) = sum_{j<=m} c(v-j).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -137,7 +138,8 @@ def parse_operator(text: str, dim: int = 1) -> DiffOperator:
     if dim != 1:
         raise ValueError("operator grammar is univariate")
     coeffs: dict[MultiIndex, FunctionSpec] = {}
-    for raw in text.split("+"):
+    # a "+" after a mantissa's e/E is an exponent sign, not a term separator
+    for raw in re.split(r"(?<![0-9.][eE])\+", text):
         part = raw.strip()
         if not part:
             continue

@@ -4,6 +4,9 @@ The pipeline is: cut off around the test point (multiply in space),
 discrete Fourier transform, profile the decay sup_{cone bins}
 |xi|^N |(phi u)^(xi)| in the log domain, and test the profile against
 the two-parameter envelope family A h^{N^sigma} N^{tau N^sigma} / |xi|^N.
+The work splits along what varies: a FrequencyGrid (|xi|, radius bins,
+one mask per cone) is built once per field, a Spectrum (one transform)
+once per cutoff, and a DecayProfile per spectrum and cone.
 
 On a bounded frequency window the raw envelope inequality is always
 satisfiable by inflating the constants, so the measured-field verdict
@@ -21,8 +24,9 @@ the cone's frequency ceiling instead.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -109,15 +113,16 @@ def read_gridfield(path: str) -> GridField:
         origin = tuple(float(t) for t in header[4 : 4 + d])
         spacing = tuple(float(t) for t in header[4 + d : 4 + 2 * d])
         kind = header[4 + 2 * d]
-        body = fh.read().split()
-    if kind == "complex":
-        vals = np.array(
-            [complex(float(t.split(",")[0]), float(t.split(",")[1])) for t in body]
-        )
-    elif kind == "real":
-        vals = np.array([float(t) for t in body])
-    else:
+        body = [t.split(",") for t in fh.read().split()]
+    width = {"real": 1, "complex": 2}.get(kind)
+    if width is None:
         raise ValueError(f"unknown sample kind {kind!r}")
+    if any(len(t) != width for t in body):
+        raise ValueError(f"malformed {kind} sample in {path} (complex samples are re,im)")
+    vals = np.array([float(x) for t in body for x in t])
+    if not (all(map(math.isfinite, origin + spacing)) and np.isfinite(vals).all()):
+        raise ValueError(f"non-finite origin, spacing or sample in {path}")
+    vals = vals.view(complex) if width == 2 else vals
     expected = int(np.prod(sizes))
     if vals.size != expected:
         raise ValueError(f"expected {expected} samples, found {vals.size}")
@@ -239,8 +244,8 @@ class Cone:
         if self.xi_min <= 0:
             raise ValueError("xi_min must be positive")
 
-    def contains(self, xi: list[np.ndarray]) -> np.ndarray:
-        mag = np.sqrt(sum(x**2 for x in xi))
+    def contains(self, xi: list[np.ndarray], mag: np.ndarray) -> np.ndarray:
+        """Mask of the frequencies xi (one array per axis) with |xi| = mag."""
         dot = sum(x * d for x, d in zip(xi, self.direction))
         with np.errstate(invalid="ignore", divide="ignore"):
             cosang = np.where(mag > 0, dot / np.where(mag > 0, mag, 1.0), -1.0)
@@ -289,68 +294,83 @@ def synthetic_profile(
     )
 
 
-def directional_decay_profile(
-    u: GridField, phi: Cutoff, cone: Cone, N_max: int
-) -> DecayProfile:
-    """Window, transform, and profile the directional decay.
+class FrequencyGrid:
+    """The DFT bins of a field, shared by every cutoff of a scan: |xi|,
+    its radius-bin index round(|xi| / min dxi), the Nyquist value and one
+    bin mask per cone."""
 
-    The product phi*u is transformed with the DFT normalized by the cell
-    volume; frequency bins below the DC leakage band or under the
-    relative floor are excluded from the sup.
+    def __init__(self, u: GridField, cones: list[Cone]) -> None:
+        self.field = u
+        self.dxi = min(1.0 / (n * s) for n, s in zip(u.sizes, u.spacing))
+        self.nyquist = 0.5 / max(u.spacing)
+        freqs = [np.fft.fftfreq(n, d=s) for n, s in zip(u.sizes, u.spacing)]
+        mesh = np.meshgrid(*freqs, indexing="ij")
+        self.mag = np.sqrt(sum(m**2 for m in mesh))
+        self.ridx = np.round(self.mag / self.dxi).astype(int)
+        self.masks = {cone: cone.contains(mesh, self.mag) for cone in cones}
+
+    def spectrum(self, phi: Cutoff) -> Spectrum:
+        """|(phi u)^|: the DFT of phi*u normalized by the cell volume."""
+        u, pg = self.field, phi.profile
+        if pg.sizes != u.sizes or pg.spacing != u.spacing or pg.origin != u.origin:
+            raise ValueError("cutoff profile grid does not match the field grid")
+        amp = np.abs(np.fft.fftn(pg.samples * u.samples) * u.cell_volume)
+        return Spectrum(self, amp, phi.cutoff_id)
+
+
+@dataclass
+class Spectrum:
+    """One cutoff's transform amplitudes on its field's frequency grid."""
+
+    freq: FrequencyGrid
+    amp: np.ndarray
+    cutoff_id: str
+
+
+def directional_decay_profile(spectrum: Spectrum, cone: Cone, N_max: int) -> DecayProfile:
+    """Profile the decay of one cutoff's transform inside one cone.
+
+    The cone must be one the spectrum's frequency grid was built with.
+    Frequency bins below the DC leakage band or under the relative floor
+    are excluded from the sup; each shell is the first bin attaining the
+    largest amplitude of its radius index.
     """
-    pg = phi.profile
-    if pg.sizes != u.sizes or pg.spacing != u.spacing or pg.origin != u.origin:
-        raise ValueError("cutoff profile grid does not match the field grid")
-    dxi = [1.0 / (n * s) for n, s in zip(u.sizes, u.spacing)]
-    if cone.xi_min < 4.0 * min(dxi):
+    freq = spectrum.freq
+    if cone.xi_min < 4.0 * freq.dxi:
         raise ValueError("xi_min must clear the DC leakage band (>= 4 bins)")
-
-    v = pg.samples * u.samples
-    vhat = np.fft.fftn(v) * u.cell_volume
-    freqs = [np.fft.fftfreq(n, d=s) for n, s in zip(u.sizes, u.spacing)]
-    mesh = np.meshgrid(*freqs, indexing="ij")
-    mask = cone.contains(mesh)
+    mask = freq.masks[cone]
     if not mask.any():
         raise ValueError("cone contains no frequency bins")
 
-    mag = np.sqrt(sum(m**2 for m in mesh))[mask]
-    amp = np.abs(vhat)[mask]
-    amax = float(amp.max()) if amp.size else 0.0
-    nyquist = 0.5 / max(u.spacing)
+    mag, ridx, amp = freq.mag[mask], freq.ridx[mask], spectrum.amp[mask]
+    amax = float(amp.max())
 
     if amax == 0.0:
-        n_bins = len(np.unique(np.round(mag / min(dxi)).astype(int)))
         return DecayProfile(
             entries=(_NEG_INF,) * (N_max + 1),
             N_max=N_max,
             cone=cone,
-            cutoff_id=phi.cutoff_id,
+            cutoff_id=spectrum.cutoff_id,
             xi_max=float(mag.max()),
-            n_radial_bins=n_bins,
-            nyquist=nyquist,
+            n_radial_bins=len(np.unique(ridx)),
+            nyquist=freq.nyquist,
             sup_radius=(0.0,) * (N_max + 1),
             shells=(),
         )
 
     keep = amp > amax * 1e-13
-    mag, amp = mag[keep], amp[keep]
+    mag, ridx, amp = mag[keep], ridx[keep], amp[keep]
     logr = np.log(mag)
     loga = np.log(amp)
 
     # shells feed the slope analysis; the outer half of the window is
     # excluded there because sampled-jump transforms deflect (cot vs 1/x)
     # and smooth tails alias near Nyquist
-    shell_cap = 0.5 * nyquist
-    ridx = np.round(mag / min(dxi)).astype(int)
-    shells: dict[int, tuple[float, float]] = {}
-    for i in range(len(mag)):
-        r, v_ = float(mag[i]), float(loga[i])
-        if r > shell_cap:
-            continue
-        cur = shells.get(ridx[i])
-        if cur is None or v_ > cur[1]:
-            shells[ridx[i]] = (r, v_)
-    shell_list = tuple(shells[k] for k in sorted(shells))
+    inner = mag <= 0.5 * freq.nyquist
+    r_in, k_in, g_in = mag[inner], ridx[inner], loga[inner]
+    order = np.lexsort((-g_in, k_in))  # stable: a tie keeps the first bin
+    first = order[np.diff(k_in[order], prepend=-1) != 0]  # radius indices are >= 0
+    shell_list = tuple(zip(r_in[first].tolist(), g_in[first].tolist()))
 
     entries, sup_r = [], []
     for N in range(N_max + 1):
@@ -362,10 +382,10 @@ def directional_decay_profile(
         entries=tuple(entries),
         N_max=N_max,
         cone=cone,
-        cutoff_id=phi.cutoff_id,
+        cutoff_id=spectrum.cutoff_id,
         xi_max=float(mag.max()),
         n_radial_bins=len(shell_list),
-        nyquist=nyquist,
+        nyquist=freq.nyquist,
         sup_radius=tuple(sup_r),
         shells=shell_list,
     )
@@ -404,20 +424,8 @@ class WavefrontVerdict:
     profile: DecayProfile | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "point": list(self.point),
-            "direction": list(self.direction),
-            "tau": self.tau,
-            "sigma": self.sigma,
-            "regular": self.regular,
-            "A_hat": self.A_hat,
-            "h_hat": self.h_hat,
-            "nyquist": self.nyquist,
-            "n_usable": self.n_usable,
-            "decay_order": self.decay_order,
-            "required_order": self.required_order,
-            "error": self.error,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "profile"}
+        return out | {"point": list(self.point), "direction": list(self.direction)}
 
 
 def _fit_constants_sup(
@@ -568,19 +576,13 @@ def wf_point_test(
     if n_use + 1 < params.min_usable:
         raise ValueError(f"profile too short: {n_use + 1} usable values")
 
+    verdict = functools.partial(
+        WavefrontVerdict, point=point, direction=profile.cone.direction, tau=tau,
+        sigma=sigma, nyquist=profile.nyquist, n_usable=n_use,
+    )
     finite = [v for v in profile.entries[: n_use + 1] if v != _NEG_INF]
     if not finite:
-        return WavefrontVerdict(
-            point=point,
-            direction=profile.cone.direction,
-            tau=tau,
-            sigma=sigma,
-            regular=True,
-            A_hat=0.0,
-            h_hat=1.0,
-            nyquist=profile.nyquist,
-            n_usable=n_use,
-        )
+        return verdict(regular=True, A_hat=0.0, h_hat=1.0)
 
     if profile.shells is not None:
         order, log_edge = _measured_decay_order(profile.shells, params)
@@ -592,16 +594,10 @@ def wf_point_test(
             )
             regular = order >= required
         log_a, log_h = _fit_constants_ls(profile, tau, sigma, n_use + 1)
-        return WavefrontVerdict(
-            point=point,
-            direction=profile.cone.direction,
-            tau=tau,
-            sigma=sigma,
+        return verdict(
             regular=regular,
             A_hat=math.exp(log_a) if regular else None,
             h_hat=math.exp(log_h) if regular else None,
-            nyquist=profile.nyquist,
-            n_usable=n_use,
             decay_order=order,
             required_order=required,
         )
@@ -611,16 +607,10 @@ def wf_point_test(
     h_cap = params.h_cap_fraction * profile.xi_max
     regular = math.exp(log_h_sup) <= h_cap
     log_a, log_h = _fit_constants_ls(profile, tau, sigma, n_use + 1)
-    return WavefrontVerdict(
-        point=point,
-        direction=profile.cone.direction,
-        tau=tau,
-        sigma=sigma,
+    return verdict(
         regular=regular,
         A_hat=math.exp(log_a) if regular else None,
         h_hat=math.exp(log_h) if regular else math.exp(log_h_sup),
-        nyquist=profile.nyquist,
-        n_usable=n_use,
     )
 
 
@@ -744,7 +734,10 @@ def wf_scan(
     the scan continues.  Every other verdict carries its profile.
     A 2-D scan needs at least 3 directions (the default half angle is
     pi / directions, and a cone's must lie below pi/2); 1-D scans ignore
-    the count.  Every point needs u.dim finite coordinates.
+    the count.  Every point needs u.dim finite coordinates.  The cones and
+    their frequency masks are built once, before any cutoff, so a bad
+    xi_min or half angle rejects the whole scan; each point's cutoff is
+    transformed once and profiled in every cone.
     """
     if u.dim != 1 and directions < 3:
         raise ValueError(f"a {u.dim}-D scan needs at least 3 directions, got {directions}")
@@ -759,6 +752,8 @@ def wf_scan(
         half = math.pi / 4  # sign test only; the angle is immaterial in 1D
     else:
         half = math.pi / len(dirs)
+    cones = [Cone(d, half, params.xi_min) for d in dirs]
+    freq = FrequencyGrid(u, cones)
 
     def failed(pt: tuple[float, ...], d: tuple[float, ...], exc: ValueError) -> WavefrontVerdict:
         return WavefrontVerdict(
@@ -769,7 +764,7 @@ def wf_scan(
             regular=False,
             A_hat=None,
             h_hat=None,
-            nyquist=0.5 / max(u.spacing),
+            nyquist=freq.nyquist,
             n_usable=0,
             error=str(exc),
         )
@@ -777,13 +772,12 @@ def wf_scan(
     def run_point(pt: tuple[float, ...]) -> list[WavefrontVerdict]:
         out = []
         try:
-            phi = make_cutoff(pt, params.r_plateau, params.r_support, u)
+            spectrum = freq.spectrum(make_cutoff(pt, params.r_plateau, params.r_support, u))
         except ValueError as exc:
             return [failed(pt, d, exc) for d in dirs]
-        for d in dirs:
-            cone = Cone(d, half, params.xi_min)
+        for d, cone in zip(dirs, cones):
             try:
-                prof = directional_decay_profile(u, phi, cone, params.N_max)
+                prof = directional_decay_profile(spectrum, cone, params.N_max)
                 verdict = wf_point_test(prof, tau, sigma, params.test, point=pt)
             except ValueError as exc:
                 out.append(failed(pt, d, exc))

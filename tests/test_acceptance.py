@@ -54,6 +54,7 @@ from gevreykit.regularity import fit_regularity, synthetic_growth
 from gevreykit.sequences import DefiningSequence
 from gevreykit.wavefront import (
     Cone,
+    FrequencyGrid,
     ScanParams,
     catalog_field,
     directional_decay_profile,
@@ -264,7 +265,7 @@ def test_criterion_7_wavefront_scans():
 
     def audited_verdict(u, phi, cone, tau, sigma):
         nonlocal n_audits, n_agree
-        prof = directional_decay_profile(u, phi, cone, 40)
+        prof = directional_decay_profile(FrequencyGrid(u, [cone]).spectrum(phi), cone, 40)
         v = wf_point_test(prof, tau, sigma)
         n_audits += 1
         n_agree += int(enumeration_equivalence_detail(prof, tau, sigma)[0])

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gevreykit.cli import main
 from gevreykit.schemas import validate_report
@@ -294,3 +296,148 @@ def test_report_determinism_byte_identical(tmp_path):
     assert main(args + ["--out", c]) == 0
     assert main(args + ["--out", d]) == 0
     assert open(c, "rb").read() == open(d, "rb").read()
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    return err
+
+
+@pytest.mark.parametrize("header,body", [
+    ("GRIDFIELD 1 1 16 -1.0 nan real", "0.5 " * 16),
+    ("GRIDFIELD 1 1 16 inf 0.125 real", "0.5 " * 16),
+    ("GRIDFIELD 1 1 16 -1.0 0.125 real", "0.5 " * 15 + "nan"),
+    ("GRIDFIELD 1 1 16 -1.0 0.125 complex", "0.5,0 " * 15 + "1.0"),
+    ("GRIDFIELD 1 1 16 -1.0 0.125 complex", "0.5,0 " * 15 + "1,2,3"),
+], ids=["nan_spacing", "inf_origin", "nan_sample", "complex_one_part", "complex_three_parts"])
+def test_gridfield_bad_numbers_and_tokens_exit_1(tmp_path, capsys, header, body):
+    path = os.path.join(tmp_path, "bad.gf")
+    with open(path, "w") as fh:
+        fh.write(f"{header}\n{body}\n")
+    code, rep = run(["wf-scan", "--field", path, "--points", "0", "--tau", "1", "--sigma", "2",
+                     "--threads", "1"], tmp_path)
+    assert code == 1 and rep is None
+    assert path in _one_line_error(capsys)
+
+
+def test_wf_scan_ximin_zero_exits_1(tmp_path, capsys):
+    outdir = os.path.join(tmp_path, "fields")
+    main(["catalog", "--out", outdir])
+    capsys.readouterr()
+    code, rep = run(["wf-scan", "--field", os.path.join(outdir, "kink.gf"), "--points", "0",
+                     "--tau", "1", "--sigma", "2", "--ximin", "0", "--threads", "1"], tmp_path)
+    assert code == 1 and rep is None
+    assert "xi_min must be positive" in _one_line_error(capsys)
+
+
+def test_non_integer_gevrey_threads_exits_1(tmp_path, capsys, monkeypatch):
+    outdir = os.path.join(tmp_path, "fields")
+    main(["catalog", "--out", outdir])
+    capsys.readouterr()
+    monkeypatch.setenv("GEVREY_THREADS", "abc")
+    code, rep = run(["wf-scan", "--field", os.path.join(outdir, "kink.gf"), "--points", "0",
+                     "--tau", "1", "--sigma", "2"], tmp_path)
+    assert code == 1 and rep is None
+    assert "GEVREY_THREADS" in _one_line_error(capsys)
+
+
+def test_signed_exponent_coefficient_exits_0(tmp_path):
+    code, rep = run(["parametrix", "--op", "D^2 + poly:1e+5", "--N", "3", "--grid", "64",
+                     "--beta-max", "1"], tmp_path)
+    assert code == 0 and rep["config"]["parameters"]["op"] == "D^2 + poly:1e+5"
+
+
+def test_out_of_range_results_exit_1(tmp_path, capsys):
+    # exp(710) overflows a double; a NaN residual is not JSON: exit 1, no report
+    csv = os.path.join(tmp_path, "big.csv")
+    with open(csv, "w") as fh:
+        fh.write("0,710.0\n")
+    code, rep = run(["fit", "--data", csv], tmp_path, "fit.json")
+    assert code == 1 and rep is None
+    assert "range" in _one_line_error(capsys)
+    with np.errstate(all="ignore"):
+        code, rep = run(["parametrix", "--op", "D^2 + compose(exp,poly:0,900)*D", "--N", "2",
+                         "--grid", "64", "--beta-max", "1"], tmp_path, "pm.json")
+    assert code == 1 and rep is None
+    assert "not JSON compliant" in capsys.readouterr().err
+
+
+@st.composite
+def _gridfield_text(draw):
+    # near-valid 1-D files: header fields and sample tokens drawn from good and bad ones
+    num = st.sampled_from(["0.5", "-1", "0.125", "nan", "inf", "1e999", "x"])
+    kind = draw(st.sampled_from(["real", "complex", "int"]))
+    header = ["GRIDFIELD", "1", "1", draw(st.sampled_from(["16", "18", "8", "x"])),
+              draw(num), draw(num), kind]
+    if draw(st.booleans()):
+        del header[draw(st.integers(0, len(header) - 1))]
+    value = st.sampled_from(["0", "1.5", "-2e3", "nan", "inf", "x"])
+    pair = st.tuples(value, value).map(",".join)
+    odd = st.sampled_from(["1", "1,2", "1,2,3", ",", "1,", ""])
+    token = st.one_of(pair if kind == "complex" else value, odd)
+    body = draw(st.lists(token, min_size=14, max_size=18))
+    return " ".join(header) + "\n" + " ".join(body) + "\n"
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(_gridfield_text(), st.text(max_size=60)))
+def test_read_gridfield_returns_a_field_or_raises_value_error(tmp_path, text):
+    path = os.path.join(tmp_path, "fuzz.gf")
+    with open(path, "w") as fh:
+        fh.write(text)
+    try:  # the reader's contract: a field or a ValueError, nothing else
+        read_gridfield(path)
+    except ValueError:
+        pass
+
+
+def _assert_clean_exit(args, out):
+    if os.path.exists(out):
+        os.remove(out)
+    code = main(args + ["--out", out])
+    assert code in (0, 1, 2), code
+    if os.path.exists(out):
+        text = open(out).read()
+        assert "NaN" not in text and "Infinity" not in text, text
+        json.loads(text)
+
+
+_CSV_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["0", "-inf", "1e999", "x", "", "1,2", " 3 "]),
+)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_CSV_VALUES, max_size=14), st.lists(st.text(max_size=8), max_size=2))
+def test_fit_on_fuzzed_growth_csv_exits_cleanly(tmp_path, values, junk):
+    # mostly well-formed rows 0..n_max (so the fit runs), plus stray lines
+    csv = os.path.join(tmp_path, "growth.csv")
+    with open(csv, "w") as fh:
+        fh.write("n,log_sup_abs_derivative\n")
+        fh.writelines(f"{n},{v}\n" for n, v in enumerate(values))
+        fh.writelines(f"{line}\n" for line in junk)
+    _assert_clean_exit(["fit", "--data", csv], os.path.join(tmp_path, "fit.json"))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n=st.integers(16, 48),
+    spacing=st.one_of(st.floats(1e-3, 1.0), st.floats()),
+    samples=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=8),
+    ximin=st.sampled_from([[], ["--ximin", "0"], ["--ximin", "3"], ["--ximin", "1e6"]]),
+)
+def test_wf_scan_on_fuzzed_tiny_field_exits_cleanly(tmp_path, n, spacing, samples, ximin):
+    path = os.path.join(tmp_path, "tiny.gf")
+    vals = [samples[i % len(samples)] for i in range(n)]
+    with open(path, "w") as fh:
+        fh.write(f"GRIDFIELD 1 1 {n} 0.0 {spacing!r} real\n")
+        fh.write(" ".join(repr(v) for v in vals) + "\n")
+    _assert_clean_exit(["wf-scan", "--field", path, "--points", "grid", "--tau", "1",
+                        "--sigma", "2", "--threads", "1", "--nmax", "10", "--rp",
+                        repr(2 * spacing), "--rs", repr(12 * spacing)] + ximin,
+                       os.path.join(tmp_path, "wf.json"))

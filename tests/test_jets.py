@@ -180,7 +180,7 @@ def test_parse_spec_parses_each_side_once(monkeypatch):
 _LEAVES = [
     "exp", "sin", "cos", "recip", "poly:1,2", "poly:0.5,-1/3", "poly:nan", "poly:inf",
     "poly:1e999", "poly:1/0", "poly:-inf,2", "mvpoly:1,0:2;0,1:1", "mvpoly:-1,2:3",
-    "mvpoly:2:1", "mvpoly:1,1:nan",
+    "mvpoly:2:1", "mvpoly:1,1:nan", "poly:1e+5", "poly:2.5E-3",
 ]
 _FRAGMENTS = _LEAVES + [
     "compose(", "sum(", "prod(", "(", ")", ",", ";", ":", "*D", "*D^2", "D^-1", "D^",

@@ -524,6 +524,9 @@ def test_parse_operator_grammar():
     assert principal_symbol(P, 0.0, 2.0) == 4
     P2 = parse_operator("D")
     assert P2.order == 1
+    # a "+" inside a coefficient's exponent does not split terms
+    P3 = parse_operator("D^2 + poly:1e+5")
+    assert P3.order == 2 and P3.coeffs[(0,)].coeffs == (1e5,)
 
 
 def test_theorem_propagation_smoke():

@@ -7,8 +7,10 @@ import pytest
 from gevreykit.regularity import fit_regularity, measure_derivative_growth
 from gevreykit.wavefront import (
     Cone,
+    FrequencyGrid,
     GridField,
     ScanParams,
+    Spectrum,
     catalog_field,
     default_cutoff_radius,
     directional_decay_profile,
@@ -94,7 +96,7 @@ def test_default_cutoff_radius_positive_decreasing_in_tau():
 def test_profile_examples_delta_flat():
     u = catalog_field("delta")
     phi = make_cutoff((0.0,), 0.15, 0.4, u)
-    prof = directional_decay_profile(u, phi, CONE1, 30)
+    prof = directional_decay_profile(FrequencyGrid(u, [CONE1]).spectrum(phi), CONE1, 30)
     # flat transform: entries grow like N log xi_max, sup pinned at the edge
     slopes = [prof.entries[N + 1] - prof.entries[N] for N in range(8)]
     assert all(abs(s - math.log(prof.xi_max)) < 0.05 for s in slopes[1:])
@@ -104,8 +106,9 @@ def test_profile_examples_delta_flat():
 def test_profile_cone_validation():
     u = catalog_field("delta")
     phi = make_cutoff((0.0,), 0.15, 0.4, u)
+    cone = Cone((1.0,), math.pi / 4, 0.5)
     with pytest.raises(ValueError):
-        directional_decay_profile(u, phi, Cone((1.0,), math.pi / 4, 0.5), 10)
+        directional_decay_profile(FrequencyGrid(u, [cone]).spectrum(phi), cone, 10)
 
 
 def test_verdicts_on_catalog():
@@ -114,7 +117,8 @@ def test_verdicts_on_catalog():
         u = catalog_field(name)
         phi = make_cutoff((0.0,), 0.15, 0.4, u)
         for d in ((1.0,), (-1.0,)):
-            prof = directional_decay_profile(u, phi, Cone(d, math.pi / 4, 2.5), 40)
+            cone = Cone(d, math.pi / 4, 2.5)
+            prof = directional_decay_profile(FrequencyGrid(u, [cone]).spectrum(phi), cone, 40)
             v = wf_point_test(prof, 1, 2)
             assert v.regular == expect, (name, d, v)
             assert enumeration_equivalence_detail(prof, 1, 2)[0], (name, d)
@@ -123,7 +127,7 @@ def test_verdicts_on_catalog():
 def test_verdict_far_from_singularity():
     u = catalog_field("delta")
     phi = make_cutoff((0.6,), 0.15, 0.35, u)
-    prof = directional_decay_profile(u, phi, CONE1, 40)
+    prof = directional_decay_profile(FrequencyGrid(u, [CONE1]).spectrum(phi), CONE1, 40)
     v = wf_point_test(prof, 1, 2)
     assert v.regular and v.A_hat == 0.0
 
@@ -131,7 +135,7 @@ def test_verdict_far_from_singularity():
 def test_tau_monotonicity_with_same_constants():
     u = catalog_field("bump")
     phi = make_cutoff((0.0,), 0.15, 0.4, u)
-    prof = directional_decay_profile(u, phi, CONE1, 40)
+    prof = directional_decay_profile(FrequencyGrid(u, [CONE1]).spectrum(phi), CONE1, 40)
     v = wf_point_test(prof, 1, 2)
     assert v.regular
     # the fitted envelope still dominates with the same (A, h) at larger tau
@@ -147,7 +151,7 @@ def test_step2d_direction_resolution():
     for k in range(16):
         ang = 2 * math.pi * k / 16
         cone = Cone((math.cos(ang), math.sin(ang)), math.pi / 8, 2.5)
-        prof = directional_decay_profile(u, phi, cone, 30)
+        prof = directional_decay_profile(FrequencyGrid(u, [cone]).spectrum(phi), cone, 30)
         v = wf_point_test(prof, 1, 2)
         near_e1 = min(
             abs(math.remainder(ang - t, 2 * math.pi)) for t in (0.0, math.pi)
@@ -162,12 +166,12 @@ def test_step2d_direction_resolution():
 def test_locality_bit_identical():
     u = catalog_field("delta")
     phi = make_cutoff((0.0,), 0.15, 0.35, u)
-    prof1 = directional_decay_profile(u, phi, CONE1, 30)
+    prof1 = directional_decay_profile(FrequencyGrid(u, [CONE1]).spectrum(phi), CONE1, 30)
     # modify u outside the support arbitrarily: profiles bit-identical
     v = u.like(u.samples.copy())
     x = u.axis_coords(0)
     v.samples[np.abs(x) > 0.35] += np.sin(17 * x[np.abs(x) > 0.35]) * 5.0
-    prof2 = directional_decay_profile(v, phi, CONE1, 30)
+    prof2 = directional_decay_profile(FrequencyGrid(v, [CONE1]).spectrum(phi), CONE1, 30)
     assert prof1.entries == prof2.entries
     assert prof1.shells == prof2.shells
 
@@ -179,7 +183,7 @@ def test_half_support_cutoff_invariance():
         big = make_cutoff((0.0,), 0.15, 0.4, u)
         small = make_cutoff((0.0,), 0.08, 0.2, u)
         for phi in (big, small):
-            prof = directional_decay_profile(u, phi, CONE1, 40)
+            prof = directional_decay_profile(FrequencyGrid(u, [CONE1]).spectrum(phi), CONE1, 40)
             assert wf_point_test(prof, 1, 2).regular == expect, (name, phi.r_support)
 
 
@@ -261,7 +265,7 @@ def test_step_scan_stable_under_fan_halving():
 
     def verdict_at(ang, half):
         cone = Cone((math.cos(ang), math.sin(ang)), half, 2.5)
-        prof = directional_decay_profile(u, phi, cone, 30)
+        prof = directional_decay_profile(FrequencyGrid(u, [cone]).spectrum(phi), cone, 30)
         return wf_point_test(prof, 1, 2).regular
 
     coarse = {k: verdict_at(2 * math.pi * k / 8, math.pi / 8) for k in range(8)}
@@ -279,7 +283,8 @@ def test_singular_directions_contained_in_analytic_scale():
         u = catalog_field(name)
         phi = make_cutoff(pt, 0.15, 0.4, u)
         for d in ((1.0,), (-1.0,)):
-            prof = directional_decay_profile(u, phi, Cone(d, math.pi / 4, 2.5), 40)
+            cone = Cone(d, math.pi / 4, 2.5)
+            prof = directional_decay_profile(FrequencyGrid(u, [cone]).spectrum(phi), cone, 40)
             if not wf_point_test(prof, 1, 2).regular:
                 assert not wf_point_test(prof, 1.0, 1.0).regular, (name, d)
     # 2D step: the +-e1 directions flagged at (1,2) stay flagged at (1,1)
@@ -287,6 +292,78 @@ def test_singular_directions_contained_in_analytic_scale():
     phi = make_cutoff((0.0, 0.0), 0.12, 0.35, u)
     for ang in (0.0, math.pi):
         cone = Cone((math.cos(ang), math.sin(ang)), math.pi / 8, 2.5)
-        prof = directional_decay_profile(u, phi, cone, 30)
+        prof = directional_decay_profile(FrequencyGrid(u, [cone]).spectrum(phi), cone, 30)
         assert not wf_point_test(prof, 1, 2).regular
         assert not wf_point_test(prof, 1.0, 1.0).regular
+
+
+def test_wf_scan_transforms_each_point_once(monkeypatch):
+    # one spectrum per cutoff, shared by the point's 16 directions
+    calls = []
+    fftn = np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", lambda a, *args, **kw: calls.append(1) or fftn(a, *args, **kw))
+    u = catalog_field("step2d")
+    params = ScanParams(r_plateau=0.12, r_support=0.35, xi_min=2.5, N_max=30)
+    verdicts = wf_scan(u, [(0.0, 0.0), (0.62, 0.0), (0.95, 0.0)], 16, 1.0, 2.0, params)
+    assert sum(v.error is None for v in verdicts) == 32  # (0.95, 0) leaves the grid
+    assert len(calls) == 2
+
+
+def _loop_shells(spectrum, cone):
+    """The per-bin reference: first maximum of each radius index below
+    half Nyquist, in the masked bins' row-major order."""
+    freq = spectrum.freq
+    mask = freq.masks[cone]
+    mag, ridx, amp = freq.mag[mask], freq.ridx[mask], spectrum.amp[mask]
+    keep = amp > amp.max() * 1e-13
+    mag, ridx, loga = mag[keep], ridx[keep], np.log(amp[keep])
+    shells = {}
+    for i in range(len(mag)):
+        r, v = float(mag[i]), float(loga[i])
+        if r > 0.5 * freq.nyquist:
+            continue
+        cur = shells.get(ridx[i])
+        if cur is None or v > cur[1]:
+            shells[ridx[i]] = (r, v)
+    return tuple(shells[k] for k in sorted(shells))
+
+
+def test_shells_match_the_per_bin_loop():
+    kink = catalog_field("kink")
+    step = catalog_field("step2d")
+    fans = [Cone((math.cos(a), math.sin(a)), math.pi / 8, 2.5)
+            for a in (0.0, 0.3, math.pi / 2, 2.0, math.pi)]
+    cases = [
+        (kink, make_cutoff((0.0,), 0.15, 0.4, kink), [Cone((1.0,), math.pi / 4, 2.5),
+                                                       Cone((-1.0,), math.pi / 4, 2.5)]),
+        (step, make_cutoff((0.0, 0.0), 0.12, 0.35, step), fans),
+    ]
+    for u, phi, cones in cases:
+        spectrum = FrequencyGrid(u, cones).spectrum(phi)
+        for cone in cones:
+            shells = directional_decay_profile(spectrum, cone, 20).shells
+            assert len(shells) > 10 and shells == _loop_shells(spectrum, cone), cone
+
+    # ties: every bin of radius index 5 (|k| = 5 and sqrt(26) bins) at one amplitude
+    u = GridField(2, (32, 32), (0.0, 0.0), (1 / 32, 1 / 32), np.zeros((32, 32)))
+    cone = Cone((1.0, 1.0), math.pi / 4, 4.0)
+    freq = FrequencyGrid(u, [cone])
+    amp = np.random.default_rng(7).uniform(0.5, 1.0, u.sizes)
+    tied = freq.masks[cone] & (freq.ridx == 5)
+    assert len(np.unique(freq.mag[tied])) >= 2
+    amp[tied] = 2.0
+    spectrum = Spectrum(freq, amp, "ties")
+    shells = directional_decay_profile(spectrum, cone, 10).shells
+    assert shells == _loop_shells(spectrum, cone)
+    first = np.flatnonzero(tied)[0]
+    assert (freq.mag.flat[first], math.log(2.0)) in shells
+
+
+def test_wf_scan_2d_threads_bit_equal():
+    u = catalog_field("step2d")
+    params = ScanParams(r_plateau=0.12, r_support=0.35, xi_min=2.5, N_max=30)
+    pts = [(0.0, 0.0), (0.0078125, 0.0), (0.62, 0.0), (0.95, 0.0)]
+    one = wf_scan(u, pts, 16, 1.0, 2.0, params, threads=1)
+    two = wf_scan(u, pts, 16, 1.0, 2.0, params, threads=2)
+    assert [(v.to_dict(), v.profile) for v in two] == [(v.to_dict(), v.profile) for v in one]
+    assert sum(v.profile is not None for v in one) == 48
