@@ -62,7 +62,10 @@ def _report(command: str, params: dict, result: dict, seed: int, out: str | None
         },
         "result": result,
     }
-    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:  # json's own message names only one float value
+        raise ValueError("report holds NaN or Infinity; not written") from None
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -444,7 +447,10 @@ def _parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        _DISPATCH[args.command](args, args.seed)
+        # overflow and invalid values surface as NaN/Infinity, which the
+        # report writer refuses with one line; numpy's warnings would add more
+        with np.errstate(all="ignore"):
+            _DISPATCH[args.command](args, args.seed)
         return 0
     except _CliError as exc:
         sys.stderr.write(f"gevrey: {exc}\n")

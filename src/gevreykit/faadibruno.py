@@ -6,13 +6,18 @@ decompositions,
     alpha! * sum_pi f^(m)(g) * prod_k (1/m_k!) ((1/p_k!) d^{p_k} g)^{m_k},
 
 and is validated elsewhere against the independent jet-composition
-oracle.  The quantitative side fits the decomposition-splitting constant
-(``lemma23_constant_search``) and assembles certified sup bounds for
-compositions and reciprocals from seminorm inputs.
+oracle.  The sum's index part (each decomposition's m, parts and
+reciprocal factorials) depends on alpha alone, so it is enumerated once
+per alpha into a cached plan; the order limits admit 135 alphas, which
+bounds the cache.  The quantitative side fits the
+decomposition-splitting constant (``lemma23_constant_search``) and
+assembles certified sup bounds for compositions and reciprocals from
+seminorm inputs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,6 +44,8 @@ def fdb_derivative(f, g, alpha: MultiIndex, at: tuple) -> complex | float | Frac
     d = len(alpha)
     if d not in _MAX_ORDER:
         raise ValueError("dimension must be 1, 2 or 3")
+    if any(a < 0 for a in alpha):
+        raise ValueError(f"alpha {alpha} has a negative entry")
     n = mi_order(alpha)
     if n > _MAX_ORDER[d]:
         raise ValueError(f"|alpha| = {n} exceeds the enforced limit for d = {d}")
@@ -51,15 +58,29 @@ def fdb_derivative(f, g, alpha: MultiIndex, at: tuple) -> complex | float | Frac
         return f_jet.value
 
     total = 0
-    for dec in enumerate_decompositions(alpha):
-        m = dec.total_multiplicity
+    for m, factors in _fdb_plan(alpha):
         term = jet_partial(f_jet, (m,))
-        for part, mult in zip(dec.parts, dec.multiplicities):
-            dg = jet_partial(g_jet, part)
-            piece = Fraction(1, mi_factorial(part)) * dg
-            term = term * Fraction(1, math.factorial(mult)) * piece**mult
+        for part, inv_pf, inv_mf, mult in factors:
+            piece = inv_pf * jet_partial(g_jet, part)
+            term = term * inv_mf * piece**mult
         total = total + term
     return mi_factorial(alpha) * total
+
+
+@functools.cache
+def _fdb_plan(alpha: MultiIndex) -> tuple:
+    """The decomposition sum's index part, one (m, ((p, 1/p!, 1/mult!, mult), ...))
+    per decomposition of alpha, in the enumerator's order."""
+    return tuple(
+        (
+            dec.total_multiplicity,
+            tuple(
+                (part, Fraction(1, mi_factorial(part)), Fraction(1, math.factorial(mult)), mult)
+                for part, mult in zip(dec.parts, dec.multiplicities)
+            ),
+        )
+        for dec in enumerate_decompositions(alpha)
+    )
 
 
 def lemma23_ratio(

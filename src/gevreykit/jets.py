@@ -12,17 +12,26 @@ permit, floats or complex otherwise; mixed arithmetic follows Python's
 numeric tower.  A base coordinate may also be a numpy array of base
 points: the coefficients are then arrays with one value per point, and
 every operation acts on all points at once.
+
+The index work of a product depends only on the jet's shape: ``jet_mul``
+reads the sums ka + kb with |ka| + |kb| <= order from one table per
+(dim, order), built on first use, and multiplies and adds the
+coefficients in the same order as the plain pairwise loop would.
+``jet_compose`` starts Horner at f's highest nonzero coefficient, since
+leading zeros only multiply empty jets.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
-from .multiindex import MultiIndex, mi_add, mi_factorial, mi_order
+from .multiindex import MultiIndex, mi_add, mi_factorial, mi_of_order, mi_order
 
 Number = int | Fraction | float | complex
 
@@ -76,17 +85,28 @@ def jet_scale(c: Number, a: Jet) -> Jet:
     return Jet(a.dim, a.order, {k: c * v for k, v in a.coeffs.items()}, a.base_point)
 
 
+@functools.cache
+def _sum_table(dim: int, order: int) -> dict[MultiIndex, dict[MultiIndex, MultiIndex]]:
+    """ka -> {kb: ka + kb} for every kb with |ka| + |kb| <= order."""
+    shape = [k for n in range(order + 1) for k in mi_of_order(dim, n)]  # by |k|
+    return {
+        ka: {kb: mi_add(ka, kb) for kb in shape[: math.comb(order - mi_order(ka) + dim, dim)]}
+        for ka in shape
+    }
+
+
 def jet_mul(a: Jet, b: Jet) -> Jet:
     _check_compatible(a, b)
-    b_terms = [(kb, mi_order(kb), vb) for kb, vb in b.coeffs.items() if not _is_zero(vb)]
+    sums = _sum_table(a.dim, a.order)
+    b_terms = [(kb, vb) for kb, vb in b.coeffs.items() if not _is_zero(vb)]
     out: dict[MultiIndex, Number] = {}
     for ka, va in a.coeffs.items():
-        if _is_zero(va):
+        row = sums.get(ka)
+        if row is None or _is_zero(va):
             continue
-        room = a.order - mi_order(ka)
-        for kb, nb, vb in b_terms:
-            if nb <= room:
-                k = mi_add(ka, kb)
+        for kb, vb in b_terms:
+            k = row.get(kb)
+            if k is not None:
                 out[k] = out.get(k, 0) + va * vb
     return Jet(a.dim, a.order, out, a.base_point or b.base_point)
 
@@ -109,8 +129,10 @@ def jet_compose(f: Jet, g: Jet) -> Jet:
     K = g.order
     ghat_coeffs = {k: v for k, v in g.coeffs.items() if mi_order(k) > 0}
     ghat = Jet(g.dim, K, ghat_coeffs, g.base_point)
-    result = jet_const(f.coeff((K,)), g.dim, K, g.base_point)
-    for j in range(K - 1, -1, -1):
+    # leading zero coefficients would only multiply empty jets
+    top = max((k[0] for k, c in f.coeffs.items() if k[0] <= K and not _is_zero(c)), default=0)
+    result = jet_const(f.coeff((top,)), g.dim, K, g.base_point)
+    for j in range(top - 1, -1, -1):
         result = jet_mul(result, ghat)
         result = jet_add(result, jet_const(f.coeff((j,)), g.dim, K, g.base_point))
     return result

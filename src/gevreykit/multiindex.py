@@ -5,6 +5,10 @@ representation alpha = sum_k m_k * p_k into distinct nonzero parts p_k
 (strictly increasing in the lexicographic order) with positive
 multiplicities m_k.  For d = 1 the decompositions of (n) are exactly the
 integer partitions of n.
+
+``decomposition_census`` counts decompositions without listing them: a
+generating-function recurrence over the box below alpha, independent of
+``enumerate_decompositions``, so each checks the other.
 """
 
 from __future__ import annotations
@@ -181,9 +185,23 @@ def composition_multinomial_sum(n: int) -> int:
 
 
 def decomposition_census(alpha: MultiIndex) -> tuple[int, int, bool]:
-    """(count of decompositions, bound (1+|alpha|)^(d+2), count <= bound)."""
+    """(count of decompositions, bound (1+|alpha|)^(d+2), count <= bound).
+
+    The count is the coefficient of x^alpha in prod_{0 < p <= alpha}
+    1/(1 - x^p), built up one part p at a time over the cells of the box
+    below alpha; it never calls the enumerator.
+    """
     if mi_order(alpha) < 1:
         raise ValueError("decomposition_census requires |alpha| >= 1")
-    count = sum(1 for _ in enumerate_decompositions(alpha))
+    cells = list(mi_range(alpha))  # lexicographic: index(q + p) = index(q) + index(p)
+    index = {c: i for i, c in enumerate(cells)}
+    ways = [1] + [0] * (len(cells) - 1)
+    for p in cells[1:]:
+        shift = index[p]
+        # increasing q, so ways[q] already counts p itself: any multiplicity
+        for q in mi_range(mi_sub(alpha, p)):
+            i = index[q]
+            ways[i + shift] += ways[i]
+    count = ways[-1] if cells else 0  # a negative entry leaves no cells
     bound = (1 + mi_order(alpha)) ** (len(alpha) + 2)
     return count, bound, count <= bound

@@ -297,12 +297,15 @@ def synthetic_profile(
 class FrequencyGrid:
     """The DFT bins of a field, shared by every cutoff of a scan: |xi|,
     its radius-bin index round(|xi| / min dxi), the Nyquist value and one
-    bin mask per cone."""
+    bin mask per cone.  A cone whose xi_min lies inside the DC leakage
+    band (below 4 bins) rejects the grid, and with it the whole scan."""
 
     def __init__(self, u: GridField, cones: list[Cone]) -> None:
         self.field = u
         self.dxi = min(1.0 / (n * s) for n, s in zip(u.sizes, u.spacing))
         self.nyquist = 0.5 / max(u.spacing)
+        if any(cone.xi_min < 4.0 * self.dxi for cone in cones):
+            raise ValueError("xi_min must clear the DC leakage band (>= 4 bins)")
         freqs = [np.fft.fftfreq(n, d=s) for n, s in zip(u.sizes, u.spacing)]
         mesh = np.meshgrid(*freqs, indexing="ij")
         self.mag = np.sqrt(sum(m**2 for m in mesh))
@@ -336,8 +339,6 @@ def directional_decay_profile(spectrum: Spectrum, cone: Cone, N_max: int) -> Dec
     largest amplitude of its radius index.
     """
     freq = spectrum.freq
-    if cone.xi_min < 4.0 * freq.dxi:
-        raise ValueError("xi_min must clear the DC leakage band (>= 4 bins)")
     mask = freq.masks[cone]
     if not mask.any():
         raise ValueError("cone contains no frequency bins")

@@ -1,12 +1,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import gevreykit
 from gevreykit.cli import main
 from gevreykit.schemas import validate_report
 from gevreykit.wavefront import ScanParams, read_gridfield, wf_scan
@@ -331,6 +334,18 @@ def test_wf_scan_ximin_zero_exits_1(tmp_path, capsys):
     assert "xi_min must be positive" in _one_line_error(capsys)
 
 
+def test_wf_scan_ximin_in_dc_band_rejects_the_scan(tmp_path, capsys):
+    # one line for the whole scan, not one error verdict per direction
+    outdir = os.path.join(tmp_path, "fields")
+    main(["catalog", "--out", outdir])
+    capsys.readouterr()
+    csv = os.path.join(tmp_path, "profiles.csv")
+    code, rep = run(["wf-scan", "--field", os.path.join(outdir, "kink.gf"), "--points", "0",
+                     "--tau", "1", "--sigma", "2", "--ximin", "0.5", "--csv", csv], tmp_path)
+    assert code == 1 and rep is None and not os.path.exists(csv)
+    assert "DC leakage band" in _one_line_error(capsys)
+
+
 def test_non_integer_gevrey_threads_exits_1(tmp_path, capsys, monkeypatch):
     outdir = os.path.join(tmp_path, "fields")
     main(["catalog", "--out", outdir])
@@ -356,11 +371,26 @@ def test_out_of_range_results_exit_1(tmp_path, capsys):
     code, rep = run(["fit", "--data", csv], tmp_path, "fit.json")
     assert code == 1 and rep is None
     assert "range" in _one_line_error(capsys)
-    with np.errstate(all="ignore"):
-        code, rep = run(["parametrix", "--op", "D^2 + compose(exp,poly:0,900)*D", "--N", "2",
-                         "--grid", "64", "--beta-max", "1"], tmp_path, "pm.json")
+    code, rep = run(["parametrix", "--op", "D^2 + compose(exp,poly:0,900)*D", "--N", "2",
+                     "--grid", "64", "--beta-max", "1"], tmp_path, "pm.json")
     assert code == 1 and rep is None
-    assert "not JSON compliant" in capsys.readouterr().err
+    assert "report holds NaN or Infinity" in _one_line_error(capsys)
+
+
+def test_overflow_prints_one_line_in_a_fresh_process(tmp_path):
+    # pytest captures numpy's RuntimeWarnings; a fresh interpreter shows what a user sees
+    src = os.path.dirname(os.path.dirname(gevreykit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gevreykit.cli", "parametrix", "--op",
+         "D^2 + compose(exp,poly:0,900)*D", "--N", "2", "--grid", "64", "--beta-max", "1",
+         "--out", os.path.join(tmp_path, "pm.json")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("gevrey: "), proc.stderr
+    assert not os.path.exists(os.path.join(tmp_path, "pm.json"))
 
 
 @st.composite

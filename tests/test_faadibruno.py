@@ -7,6 +7,7 @@ from conftest import measure_spec_sups, oracle_pairs
 
 from gevreykit.faadibruno import (
     CompositionBoundInput,
+    _fdb_plan,
     fdb_derivative,
     lemma23_constant_search,
     lemma23_ratio,
@@ -47,6 +48,21 @@ def test_fdb_order_limits():
 
     with pytest.raises(ValueError):
         fdb_derivative(f, mv(3, {(1, 1, 1): 1}), (3, 3, 1), (1, 1, 1))
+
+
+def test_rejected_alphas_leave_no_plan():
+    # plans are cached per alpha, so only the 135 alphas within the limits may get one
+    f, g = PolySpec((0, 0, 1)), PolySpec((0, 0, 0, 1))
+    from conftest import mv
+
+    before = _fdb_plan.cache_info().currsize
+    for spec, alpha, at in [(g, (9,), (1,)), (g, (-1,), (1,)),
+                            (mv(2, {(1, 1): 1}), (-1, 3), (1, 1)),
+                            (mv(3, {(1, 1, 1): 1}), (3, 3, 1), (1, 1, 1)),
+                            (mv(4, {(1, 1, 1, 1): 1}), (1, 1, 1, 1), (1, 1, 1, 1))]:
+        with pytest.raises(ValueError):
+            fdb_derivative(f, spec, alpha, at)
+    assert _fdb_plan.cache_info().currsize == before
 
 
 def test_oracle_equivalence_catalog():

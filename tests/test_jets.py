@@ -17,7 +17,7 @@ from gevreykit.funcspec import (
     SumSpec,
     parse_spec,
 )
-from gevreykit.jets import jet_compose, jet_mul, jet_of, jet_partial
+from gevreykit.jets import Jet, jet_compose, jet_mul, jet_of, jet_partial
 from gevreykit.multiindex import mi_binomial, mi_of_order, mi_range
 from gevreykit.parametrix import parse_operator
 
@@ -220,3 +220,71 @@ def test_grammars_parse_or_raise_value_error(text):
             parse(text)
         except ValueError:
             pass
+
+
+def _reference_mul(a, b):
+    # the pairwise product with plain tuple addition, a's items outer
+    out = {}
+    for ka, va in a.coeffs.items():
+        for kb, vb in b.coeffs.items():
+            if va != 0 and vb != 0 and sum(ka) + sum(kb) <= a.order:
+                k = tuple(x + y for x, y in zip(ka, kb))
+                out[k] = out.get(k, 0) + va * vb
+    return out
+
+
+def _reference_compose(f, g):
+    # Horner from f's order K down, zero top coefficients included
+    K, zero = g.order, (0,) * g.dim
+    ghat = Jet(g.dim, K, {k: v for k, v in g.coeffs.items() if sum(k) > 0})
+    out = {}
+    for j in range(K, -1, -1):
+        out = _reference_mul(Jet(g.dim, K, out), ghat)
+        if f.coeff((j,)) != 0:
+            out[zero] = out.get(zero, 0) + f.coeff((j,))
+    return out
+
+
+_exact = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+
+
+@st.composite
+def _sparse_jet(draw, dim, order):
+    # random keys in random insertion order, zero coefficients included
+    shape = [k for n in range(order + 1) for k in mi_of_order(dim, n)]
+    keys = draw(st.lists(st.sampled_from(shape), unique=True, max_size=len(shape)))
+    return Jet(dim, order, {k: draw(_exact) for k in keys})
+
+
+@st.composite
+def _jet_pair(draw):
+    dim = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 6 if dim == 1 else 4))
+    return draw(_sparse_jet(dim, order)), draw(_sparse_jet(dim, order))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_jet_pair())
+def test_jet_mul_matches_pairwise_reference(pair):
+    a, b = pair
+    got = jet_mul(a, b).coeffs
+    want = _reference_mul(a, b)
+    assert got == want and list(got) == list(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_jet_pair(), st.data())
+def test_jet_compose_of_low_degree_polynomial_matches_full_horner(pair, data):
+    _, g = pair
+    degree = data.draw(st.integers(0, g.order))  # < K unless K = 0
+    if g.order:
+        degree = min(degree, g.order - 1)
+    coeffs = data.draw(st.lists(_exact, min_size=degree + 1, max_size=degree + 1))
+    f = Jet(1, g.order, {(j,): c for j, c in enumerate(coeffs)}, (g.value,))
+    got = jet_compose(f, g).coeffs
+    want = _reference_compose(f, g)
+    assert got == want and list(got) == list(want)

@@ -1,5 +1,6 @@
 import pytest
 
+from gevreykit.faadibruno import _MAX_ORDER
 from gevreykit.multiindex import (
     Decomposition,
     composition_multinomial_sum,
@@ -56,6 +57,18 @@ def test_census_examples():
     count, bound, ok = decomposition_census((2, 0))
     assert (count, bound, ok) == (2, 81, True)
     assert decomposition_census((1,)) == (1, 8, True)
+
+
+def test_census_counts_what_the_enumerator_yields():
+    # the census is a generating-function count, independent of the enumerator
+    alphas = [a for d, top in _MAX_ORDER.items()
+              for n in range(1, top + 1) for a in mi_of_order(d, n)]
+    assert len(alphas) == 135
+    for alpha in alphas:
+        assert decomposition_census(alpha)[0] == len(list(enumerate_decompositions(alpha))), alpha
+    assert decomposition_census((20,))[0] == 627
+    assert decomposition_census((3, 3, 3))[0] == 686
+    assert decomposition_census((5, 5, 5))[0] == 58616
 
 
 def test_census_bound_small_orders():
