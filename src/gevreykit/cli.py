@@ -38,7 +38,6 @@ from .wavefront import (
 
 # documented numerical defaults
 TOL_IDENTITY = 1e-8
-TOL_EXACT = 1e-12
 FIT_MARGIN = 0.05
 
 

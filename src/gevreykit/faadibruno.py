@@ -25,6 +25,7 @@ from fractions import Fraction
 from .jets import jet_of, jet_partial
 from .multiindex import (
     MultiIndex,
+    check_entries,
     enumerate_decompositions,
     mi_factorial,
     mi_order,
@@ -44,8 +45,7 @@ def fdb_derivative(f, g, alpha: MultiIndex, at: tuple) -> complex | float | Frac
     d = len(alpha)
     if d not in _MAX_ORDER:
         raise ValueError("dimension must be 1, 2 or 3")
-    if any(a < 0 for a in alpha):
-        raise ValueError(f"alpha {alpha} has a negative entry")
+    check_entries(alpha)
     n = mi_order(alpha)
     if n > _MAX_ORDER[d]:
         raise ValueError(f"|alpha| = {n} exceeds the enforced limit for d = {d}")
@@ -138,14 +138,11 @@ def lemma23_constant_search(seq: DefiningSequence, k_max: int) -> Lemma23Fit:
 
 # fitted constants are frozen per (tau, sigma) as regression anchors
 _LEMMA23_KMAX_DEFAULT = 12
-_lemma23_cache: dict[tuple[float, float], float] = {}
 
 
+@functools.cache
 def _lemma23_constant(seq: DefiningSequence) -> float:
-    key = (seq.tau, seq.sigma)
-    if key not in _lemma23_cache:
-        _lemma23_cache[key] = lemma23_constant_search(seq, _LEMMA23_KMAX_DEFAULT).C
-    return _lemma23_cache[key]
+    return lemma23_constant_search(seq, _LEMMA23_KMAX_DEFAULT).C
 
 
 @dataclass(frozen=True)

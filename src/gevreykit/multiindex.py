@@ -59,6 +59,12 @@ def mi_binomial(alpha: MultiIndex, beta: MultiIndex) -> int:
     return out
 
 
+def check_entries(alpha: MultiIndex) -> None:
+    """Reject a multi-index with a negative entry."""
+    if any(a < 0 for a in alpha):
+        raise ValueError(f"alpha {alpha} has a negative entry")
+
+
 def mi_range(bound: MultiIndex) -> Iterator[MultiIndex]:
     """All multi-indices beta with beta <= bound componentwise."""
     if len(bound) == 0:
@@ -120,6 +126,7 @@ def enumerate_decompositions(alpha: MultiIndex) -> Iterator[Decomposition]:
     its parts sorted increasingly, and the overall emission order is
     deterministic.
     """
+    check_entries(alpha)
     if mi_order(alpha) < 1:
         raise ValueError("enumerate_decompositions requires |alpha| >= 1")
     candidates = sorted(
@@ -191,6 +198,7 @@ def decomposition_census(alpha: MultiIndex) -> tuple[int, int, bool]:
     1/(1 - x^p), built up one part p at a time over the cells of the box
     below alpha; it never calls the enumerator.
     """
+    check_entries(alpha)
     if mi_order(alpha) < 1:
         raise ValueError("decomposition_census requires |alpha| >= 1")
     cells = list(mi_range(alpha))  # lexicographic: index(q + p) = index(q) + index(p)
@@ -202,6 +210,6 @@ def decomposition_census(alpha: MultiIndex) -> tuple[int, int, bool]:
         for q in mi_range(mi_sub(alpha, p)):
             i = index[q]
             ways[i + shift] += ways[i]
-    count = ways[-1] if cells else 0  # a negative entry leaves no cells
+    count = ways[-1]
     bound = (1 + mi_order(alpha)) ** (len(alpha) + 2)
     return count, bound, count <= bound

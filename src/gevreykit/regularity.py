@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .multiindex import mi_of_order
 from .numerics import LogMagnitude, log_factorial
 from .sequences import log_envelope, log_M, normalized_excess
 
@@ -242,8 +243,6 @@ def measure_derivative_growth(
     h_min = min(spacing)
     for n in range(n_max + 1):
         sup = 0.0
-        from .multiindex import mi_of_order
-
         ok = True
         for alpha in mi_of_order(d, n):
             a = arr

@@ -20,6 +20,12 @@ member would exhibit there; measured data must beat it by one order,
 which every fixed-order tail (flat, jump, kink) fails.  Synthetic
 N-indexed profiles (no per-bin data) are judged by the fitted h against
 the cone's frequency ceiling instead.
+
+One test serves two envelope families, each a list of (order k, growth,
+scale) per index M: the direct family (k = M, ln M_M, M^sigma) and the
+factorial form (k = floor(M^{1/sigma}), (tau/sigma) ln M!, M) that
+``enumeration_equivalence_detail`` checks against it.  The thresholds
+are the fixed module constants below; nothing sets them per call.
 """
 
 from __future__ import annotations
@@ -31,9 +37,16 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .numerics import log_factorial
-from .sequences import log_envelope, log_M, normalized_excess
+from .sequences import log_envelope, log_M
 
 _NEG_INF = float("-inf")
+
+# Frozen thresholds of the discrete membership test.
+USABLE_FRACTION = 0.8  # share of a profile's radius bins whose orders are read
+H_CAP_FRACTION = 0.25  # synthetic profiles: largest h, as a share of xi_max
+MIN_USABLE = 6  # fewest usable profile values a verdict needs
+N_BANDS = 6  # log-uniform radius bands of the shells' upper envelope
+ORDER_MARGIN = 1  # orders by which measured decay must beat the family's
 
 
 # ---------------------------------------------------------------------------
@@ -152,15 +165,18 @@ class Cutoff:
     r_support: float
     profile: GridField
 
-    @property
-    def cutoff_id(self) -> str:
-        c = ",".join(repr(x) for x in self.center)
-        return f"cutoff[{c};{self.r_plateau!r};{self.r_support!r}]"
-
 
 def _distances(grid: GridField, x0: tuple[float, ...]) -> np.ndarray:
     mesh = grid.meshgrid()
     return np.sqrt(sum((m - c) ** 2 for m, c in zip(mesh, x0)))
+
+
+def _check_radii(r_plateau: float, r_support: float, grid: GridField) -> None:
+    """The cutoff radii's own faults, the same at every center."""
+    if not r_plateau < r_support:
+        raise ValueError("r_plateau must be smaller than r_support")
+    if r_support - r_plateau < 8.0 * max(grid.spacing):
+        raise ValueError("transition band under-resolved (< 8 cells)")
 
 
 def make_cutoff(
@@ -168,8 +184,6 @@ def make_cutoff(
     r_plateau: float,
     r_support: float,
     grid: GridField,
-    tau: float | None = None,
-    sigma: float | None = None,
 ) -> Cutoff:
     """phi = chi * psi: indicator of the mid ball mollified to the
     transition band.  0 <= phi <= 1, phi = 1 inside r_plateau, 0 outside
@@ -177,11 +191,8 @@ def make_cutoff(
     """
     if not isinstance(x0, tuple):
         x0 = (float(x0),)
-    if not r_plateau < r_support:
-        raise ValueError("r_plateau must be smaller than r_support")
+    _check_radii(r_plateau, r_support, grid)
     band = r_support - r_plateau
-    if band < 8.0 * max(grid.spacing):
-        raise ValueError("transition band under-resolved (< 8 cells)")
     for i, c in enumerate(x0):
         lo = grid.origin[i]
         hi = grid.origin[i] + grid.spacing[i] * (grid.sizes[i] - 1)
@@ -264,30 +275,25 @@ class DecayProfile:
     entries: tuple[float, ...]
     N_max: int
     cone: Cone
-    cutoff_id: str
     xi_max: float
     n_radial_bins: int
     nyquist: float
     sup_radius: tuple[float, ...] | None = None
     shells: tuple[tuple[float, float], ...] | None = None
 
-    def usable_N(self, usable_fraction: float = 0.8) -> int:
-        return min(self.N_max, int(usable_fraction * self.n_radial_bins))
+    def usable_N(self) -> int:
+        return min(self.N_max, int(USABLE_FRACTION * self.n_radial_bins))
 
 
 def synthetic_profile(
-    values: list[float] | tuple[float, ...],
-    cone: Cone,
-    xi_max: float,
-    label: str = "synthetic",
+    values: list[float] | tuple[float, ...], cone: Cone, xi_max: float
 ) -> DecayProfile:
     vals = tuple(float(v) for v in values)
-    n_bins = max(len(vals), int(math.ceil(len(vals) / 0.8)))
+    n_bins = max(len(vals), int(math.ceil(len(vals) / USABLE_FRACTION)))
     return DecayProfile(
         entries=vals,
         N_max=len(vals) - 1,
         cone=cone,
-        cutoff_id=label,
         xi_max=xi_max,
         n_radial_bins=n_bins,
         nyquist=xi_max,
@@ -318,7 +324,7 @@ class FrequencyGrid:
         if pg.sizes != u.sizes or pg.spacing != u.spacing or pg.origin != u.origin:
             raise ValueError("cutoff profile grid does not match the field grid")
         amp = np.abs(np.fft.fftn(pg.samples * u.samples) * u.cell_volume)
-        return Spectrum(self, amp, phi.cutoff_id)
+        return Spectrum(self, amp)
 
 
 @dataclass
@@ -327,7 +333,6 @@ class Spectrum:
 
     freq: FrequencyGrid
     amp: np.ndarray
-    cutoff_id: str
 
 
 def directional_decay_profile(spectrum: Spectrum, cone: Cone, N_max: int) -> DecayProfile:
@@ -351,7 +356,6 @@ def directional_decay_profile(spectrum: Spectrum, cone: Cone, N_max: int) -> Dec
             entries=(_NEG_INF,) * (N_max + 1),
             N_max=N_max,
             cone=cone,
-            cutoff_id=spectrum.cutoff_id,
             xi_max=float(mag.max()),
             n_radial_bins=len(np.unique(ridx)),
             nyquist=freq.nyquist,
@@ -383,7 +387,6 @@ def directional_decay_profile(spectrum: Spectrum, cone: Cone, N_max: int) -> Dec
         entries=tuple(entries),
         N_max=N_max,
         cone=cone,
-        cutoff_id=spectrum.cutoff_id,
         xi_max=float(mag.max()),
         n_radial_bins=len(shell_list),
         nyquist=freq.nyquist,
@@ -394,17 +397,6 @@ def directional_decay_profile(spectrum: Spectrum, cone: Cone, N_max: int) -> Dec
 
 # ---------------------------------------------------------------------------
 # verdicts
-
-
-@dataclass(frozen=True)
-class WfTestParams:
-    """Frozen thresholds of the discrete membership test."""
-
-    usable_fraction: float = 0.8
-    h_cap_fraction: float = 0.25
-    min_usable: int = 6
-    n_bands: int = 6
-    order_margin: int = 1
 
 
 @dataclass
@@ -427,23 +419,6 @@ class WavefrontVerdict:
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "profile"}
         return out | {"point": list(self.point), "direction": list(self.direction)}
-
-
-def _fit_constants_sup(
-    profile: DecayProfile, tau: float, sigma: float, n_hi: int
-) -> float:
-    """ln h from the sup of the normalized excess (profile - growth)/N^sigma.
-
-    For data that only satisfies the envelope with h absorbing the whole
-    frequency window, this fit exposes it (unlike least squares, whose
-    free intercept can hide a linear-in-N profile)."""
-    svals = []
-    for N in range(1, max(n_hi, 2)):
-        v = profile.entries[N]
-        if v == _NEG_INF:
-            continue
-        svals.append(normalized_excess(v, N, tau, sigma))
-    return max(svals) if svals else 0.0
 
 
 def _fit_constants_ls(
@@ -469,33 +444,56 @@ def _fit_constants_ls(
     return float(coef[0]) + max(0.0, lift), float(coef[1])
 
 
-def _family_order(tau: float, sigma: float, log_r: float, n_cap: int) -> int:
-    """Decay order -d(ln envelope)/d(ln r) of the direct family at radius
-    e^{log_r}: the integer N minimizing tau N^sigma ln N - N log_r."""
-    best_n, best_v = 0, 0.0
-    for N in range(1, max(n_cap, 1) + 1):
-        v = log_M(tau, sigma, N) - N * log_r
-        if v < best_v:
-            best_n, best_v = N, v
-    return best_n
+# (order k, growth, scale) per index M = 1, 2, ... of an envelope family
+_Terms = list[tuple[int, float, float]]
 
 
-def _enumerated_family_order(tau: float, sigma: float, log_r: float, n_cap: int) -> int:
-    """Decay order of the factorial-form family: floor(N^{1/sigma}) at the
-    N minimizing (tau/sigma) ln N! - floor(N^{1/sigma}) log_r."""
-    m_cap = min(int(float(max(n_cap, 1)) ** sigma) + 1, 20_000)
+def _family(tau: float, sigma: float, n_use: int, factorial: bool) -> tuple[_Terms, int]:
+    """One envelope family over the usable window: (order k, growth,
+    scale) per index M = 1, 2, ..., and how many of them the sup fit reads.
+
+    The direct family is k = M, ln M_M, M^sigma for M <= n_use.  The
+    factorial form is k = floor(M^{1/sigma}), (tau/sigma) ln M!, M for
+    M <= n_use^sigma; its order search also reads the next index, the
+    first whose order reaches n_use when n_use^sigma is not an integer.
+    """
+    if not factorial:
+        return [(M, log_M(tau, sigma, M), float(M) ** sigma) for M in range(1, n_use + 1)], n_use
+    m_fit = int(float(n_use) ** sigma)
+    terms = [
+        (int(math.floor(M ** (1.0 / sigma) + 1e-12)), (tau / sigma) * log_factorial(M).log_value, M)
+        for M in range(1, m_fit + 2)
+    ]
+    return terms, m_fit
+
+
+def _order_search(terms: _Terms, log_r: float) -> int:
+    """The family's decay order -d(ln envelope)/d(ln r) at radius e^{log_r}:
+    the order k of the term minimizing growth - k log_r (0 if none is
+    negative)."""
     best_k, best_v = 0, 0.0
-    for N in range(1, m_cap + 1):
-        k = int(math.floor(N ** (1.0 / sigma) + 1e-12))
-        v = (tau / sigma) * log_factorial(N).log_value - k * log_r
+    for k, growth, _ in terms:
+        v = growth - k * log_r
         if v < best_v:
             best_k, best_v = k, v
     return best_k
 
 
-def _band_envelope_points(
-    shells: tuple[tuple[float, float], ...], n_bands: int
-) -> list[tuple[float, float]]:
+def _sup_excess(profile: DecayProfile, terms: _Terms) -> float:
+    """ln h from the sup of the normalized excess (profile - growth) / scale.
+
+    For data that only satisfies the envelope with h absorbing the whole
+    frequency window, this fit exposes it (unlike least squares, whose
+    free intercept can hide a linear-in-N profile)."""
+    excess = [
+        (profile.entries[k] - growth) / scale
+        for k, growth, scale in terms
+        if profile.entries[k] != _NEG_INF
+    ]
+    return max(excess, default=0.0)
+
+
+def _band_envelope_points(shells: tuple[tuple[float, float], ...]) -> list[tuple[float, float]]:
     """Upper-envelope points: the max shell per log-uniform radius band
     (transform zeros make raw per-shell slopes meaningless)."""
     if not shells:
@@ -503,9 +501,9 @@ def _band_envelope_points(
     r_lo, r_hi = shells[0][0], shells[-1][0]
     if r_hi <= r_lo:
         return [shells[0]]
-    edges = np.exp(np.linspace(math.log(r_lo), math.log(r_hi) + 1e-9, n_bands + 1))
+    edges = np.exp(np.linspace(math.log(r_lo), math.log(r_hi) + 1e-9, N_BANDS + 1))
     pts = []
-    for b in range(n_bands):
+    for b in range(N_BANDS):
         band = [(r, g) for r, g in shells if edges[b] <= r < edges[b + 1]]
         if band:
             pts.append(max(band, key=lambda t: t[1]))
@@ -513,14 +511,14 @@ def _band_envelope_points(
 
 
 def _measured_decay_order(
-    shells: tuple[tuple[float, float], ...], params: WfTestParams
+    shells: tuple[tuple[float, float], ...]
 ) -> tuple[float | None, float | None]:
     """(outer-window decay order, log of the outer window edge radius).
 
     None when the outer half of the usable window carries no data above
     the floor, which certifies decay by itself.
     """
-    pts = _band_envelope_points(shells, params.n_bands)
+    pts = _band_envelope_points(shells)
     if len(pts) < 2:
         return None, None
     half = len(pts) // 2
@@ -533,167 +531,83 @@ def _measured_decay_order(
     return -slope, float(xs[-1])
 
 
-def envelope_holds(
-    profile: DecayProfile,
-    tau: float,
-    sigma: float,
-    A: float,
-    h: float,
-    n_use: int | None = None,
-    slack: float = 1e-9,
-) -> bool:
+def _family_verdict(
+    profile: DecayProfile, tau: float, sigma: float, n_use: int, factorial: bool = False
+) -> tuple[bool, float | None, float | None, float | None]:
+    """(regular, decay order, required order, sup-fitted ln h) of the
+    profile against one envelope family.
+
+    Measured profiles: the shell maxima must steepen across the
+    frequency window at least ORDER_MARGIN orders beyond the family's
+    optimal order at the window edge (a fixed-order polynomial tail
+    cannot); data under the amplitude floor before the edge certifies
+    decay outright.  Synthetic profiles: singular when the sup fit needs
+    an h above H_CAP_FRACTION of the frequency ceiling (an h absorbing
+    the whole window is the failure mode).
+    """
+    if profile.shells is not None:
+        order, log_edge = _measured_decay_order(profile.shells)
+        if order is None:
+            return True, None, None, None
+        terms, _ = _family(tau, sigma, n_use, factorial)
+        required = float(_order_search(terms, log_edge) + ORDER_MARGIN)
+        return order >= required, order, required, None
+    terms, m_fit = _family(tau, sigma, n_use, factorial)
+    log_h = _sup_excess(profile, terms[:m_fit])
+    return math.exp(log_h) <= H_CAP_FRACTION * profile.xi_max, None, None, log_h
+
+
+def envelope_holds(profile: DecayProfile, tau: float, sigma: float, A: float, h: float) -> bool:
     """Does profile(N) <= ln A + N^sigma ln h + tau N^sigma ln N hold on
     the usable range with the given constants?"""
-    if n_use is None:
-        n_use = profile.usable_N()
     la, lh = math.log(A), math.log(h)
-    for N in range(n_use + 1):
-        v = profile.entries[N]
-        if v == _NEG_INF:
-            continue
-        if v > log_envelope(N, tau, sigma, la, lh) + slack:
-            return False
-    return True
+    return all(
+        v == _NEG_INF or v <= log_envelope(N, tau, sigma, la, lh) + 1e-9
+        for N, v in enumerate(profile.entries[: profile.usable_N() + 1])
+    )
 
 
 def wf_point_test(
-    profile: DecayProfile,
-    tau: float,
-    sigma: float,
-    params: WfTestParams = WfTestParams(),
-    point: tuple[float, ...] = (),
+    profile: DecayProfile, tau: float, sigma: float, point: tuple[float, ...] = ()
 ) -> WavefrontVerdict:
-    """Classify one (point, direction) against the (tau, sigma) envelope.
-
-    Measured profiles: the shell maxima must steepen across the
-    frequency window at least as much as the optimal-N envelope of the
-    family does (a fixed-order polynomial tail cannot).  Data falling
-    under the amplitude floor before the window edge certifies decay
-    outright.  Synthetic profiles: singular when no envelope with h
-    below the frequency-ceiling cap covers the data (an h absorbing the
-    whole window is the failure mode).
-    """
-    n_use = profile.usable_N(params.usable_fraction)
-    if n_use + 1 < params.min_usable:
+    """Classify one (point, direction) against the (tau, sigma) envelope:
+    the direct family's verdict, with (A, h) fitted by least squares
+    when it is regular and, on a singular synthetic profile, the h the
+    sup fit needs."""
+    n_use = profile.usable_N()
+    if n_use + 1 < MIN_USABLE:
         raise ValueError(f"profile too short: {n_use + 1} usable values")
-
     verdict = functools.partial(
         WavefrontVerdict, point=point, direction=profile.cone.direction, tau=tau,
         sigma=sigma, nyquist=profile.nyquist, n_usable=n_use,
     )
-    finite = [v for v in profile.entries[: n_use + 1] if v != _NEG_INF]
-    if not finite:
+    if all(v == _NEG_INF for v in profile.entries[: n_use + 1]):
         return verdict(regular=True, A_hat=0.0, h_hat=1.0)
 
-    if profile.shells is not None:
-        order, log_edge = _measured_decay_order(profile.shells, params)
-        if order is None:
-            regular, required = True, None
-        else:
-            required = float(
-                _family_order(tau, sigma, log_edge, n_use) + params.order_margin
-            )
-            regular = order >= required
-        log_a, log_h = _fit_constants_ls(profile, tau, sigma, n_use + 1)
-        return verdict(
-            regular=regular,
-            A_hat=math.exp(log_a) if regular else None,
-            h_hat=math.exp(log_h) if regular else None,
-            decay_order=order,
-            required_order=required,
-        )
-
-    # synthetic profile: fitted-h cap against the frequency ceiling
-    log_h_sup = _fit_constants_sup(profile, tau, sigma, n_use + 1)
-    h_cap = params.h_cap_fraction * profile.xi_max
-    regular = math.exp(log_h_sup) <= h_cap
+    regular, order, required, log_h_sup = _family_verdict(profile, tau, sigma, n_use)
     log_a, log_h = _fit_constants_ls(profile, tau, sigma, n_use + 1)
+    if regular:
+        A_hat, h_hat = math.exp(log_a), math.exp(log_h)
+    else:  # a singular synthetic profile reports the h its sup fit needs
+        A_hat = None
+        h_hat = None if log_h_sup is None else math.exp(log_h_sup)
     return verdict(
-        regular=regular,
-        A_hat=math.exp(log_a) if regular else None,
-        h_hat=math.exp(log_h) if regular else math.exp(log_h_sup),
+        regular=regular, A_hat=A_hat, h_hat=h_hat, decay_order=order, required_order=required
     )
 
 
-def _enumerated_constants(
-    profile: DecayProfile, tau: float, sigma: float, n_lo: int, n_hi: int
-) -> tuple[float, float]:
-    """(ln A1, ln h1) of the factorial-form family
-    A1 h1^N N!^{tau/sigma} / |xi|^{floor(N^{1/sigma})} on the profile."""
-    m_hi = max(2, int(math.floor(float(max(n_hi - 1, 1)) ** sigma)))
-    s1 = []
-    for M in range(1, m_hi + 1):
-        k = int(math.floor(M ** (1.0 / sigma) + 1e-12))
-        if k > profile.N_max or k >= n_hi:
-            break
-        v = profile.entries[k]
-        if v == _NEG_INF:
-            continue
-        s1.append((v - (tau / sigma) * log_factorial(M).log_value) / M)
-    log_h1 = max(s1) if s1 else 0.0
-    log_a1 = 0.0
-    m_cov = int(math.floor(float(max(n_lo, 1)) ** sigma))
-    for M in range(1, m_cov + 1):
-        k = int(math.floor(M ** (1.0 / sigma) + 1e-12))
-        if k > n_lo:
-            break
-        v = profile.entries[k]
-        if v == _NEG_INF:
-            continue
-        log_a1 = max(
-            log_a1, v - M * log_h1 - (tau / sigma) * log_factorial(M).log_value
-        )
-    return log_a1, log_h1
-
-
 def enumeration_equivalence_detail(
-    profile: DecayProfile,
-    tau: float,
-    sigma: float,
-    params: WfTestParams = WfTestParams(),
+    profile: DecayProfile, tau: float, sigma: float
 ) -> tuple[bool, bool, bool]:
-    """(agree, direct accepts, enumerated-form accepts).
-
-    The direct test is wf_point_test; the enumerated (factorial) form
-    runs the same machinery against its own envelope family, with its
-    own constants (A1, h1) fitted through N -> floor(N^{1/sigma}), and
-    must reach the same verdict.
-    """
-    direct = wf_point_test(profile, tau, sigma, params)
-    n_use = profile.usable_N(params.usable_fraction)
-
-    finite = [v for v in profile.entries[: n_use + 1] if v != _NEG_INF]
-    if not finite:
-        return True, direct.regular, True
-
-    if profile.shells is not None:
-        order, log_edge = _measured_decay_order(profile.shells, params)
-        if order is None:
-            accept31 = True
-        else:
-            required = float(
-                _enumerated_family_order(tau, sigma, log_edge, n_use)
-                + params.order_margin
-            )
-            accept31 = order >= required
-        if accept31:
-            log_a1, log_h1 = _enumerated_constants(profile, tau, sigma, n_use, n_use + 1)
-            # the re-fitted constants must cover the whole usable profile
-            for M in range(1, int(math.floor(float(n_use) ** sigma)) + 1):
-                k = int(math.floor(M ** (1.0 / sigma) + 1e-12))
-                if k > n_use:
-                    break
-                v = profile.entries[k]
-                if v == _NEG_INF:
-                    continue
-                allowed = log_a1 + M * log_h1 + (tau / sigma) * log_factorial(M).log_value
-                if v > allowed + 1e-9:
-                    accept31 = False
-                    break
-    else:
-        log_a1, log_h1 = _enumerated_constants(profile, tau, sigma, n_use, n_use + 1)
-        accept31 = math.exp(log_h1) <= params.h_cap_fraction * profile.xi_max
-    return direct.regular == accept31, direct.regular, accept31
+    """(agree, direct accepts, factorial form accepts): wf_point_test's
+    verdict and the same test run on the factorial-form family, which
+    must reach the same verdict."""
+    direct = wf_point_test(profile, tau, sigma).regular
+    n_use = profile.usable_N()
+    if all(v == _NEG_INF for v in profile.entries[: n_use + 1]):
+        return True, direct, True
+    factorial = _family_verdict(profile, tau, sigma, n_use, factorial=True)[0]
+    return direct == factorial, direct, factorial
 
 
 # ---------------------------------------------------------------------------
@@ -706,8 +620,6 @@ class ScanParams:
     r_support: float
     xi_min: float
     N_max: int = 40
-    half_angle: float | None = None
-    test: WfTestParams = field(default_factory=WfTestParams)
 
 
 def scan_directions(dim: int, count: int) -> list[tuple[float, ...]]:
@@ -733,12 +645,14 @@ def wf_scan(
     Output order is point-major, direction-minor regardless of the
     worker count; per-point failures are recorded as error verdicts and
     the scan continues.  Every other verdict carries its profile.
-    A 2-D scan needs at least 3 directions (the default half angle is
-    pi / directions, and a cone's must lie below pi/2); 1-D scans ignore
-    the count.  Every point needs u.dim finite coordinates.  The cones and
-    their frequency masks are built once, before any cutoff, so a bad
-    xi_min or half angle rejects the whole scan; each point's cutoff is
-    transformed once and profiled in every cone.
+    A 2-D scan needs at least 3 directions (the cones' half angle is
+    pi / directions, and it must lie below pi/2); 1-D scans ignore the
+    count and test the two signs.  Every point needs u.dim finite
+    coordinates.  The cones and their frequency masks are built once,
+    before any cutoff, so a bad xi_min rejects the whole scan, as do
+    cutoff radii that fail at every center and an N_max too small for a
+    verdict; a cutoff support leaving the grid stays a per-point error.
+    Each point's cutoff is transformed once and profiled in every cone.
     """
     if u.dim != 1 and directions < 3:
         raise ValueError(f"a {u.dim}-D scan needs at least 3 directions, got {directions}")
@@ -746,13 +660,12 @@ def wf_scan(
     for pt in pts:
         if len(pt) != u.dim or not all(map(math.isfinite, pt)):
             raise ValueError(f"point {pt} is not a finite point of the {u.dim}-D field")
+    _check_radii(params.r_plateau, params.r_support, u)
+    if params.N_max + 1 < MIN_USABLE:
+        raise ValueError(f"N_max = {params.N_max} leaves fewer than {MIN_USABLE} usable values")
     dirs = scan_directions(u.dim, directions)
-    if params.half_angle is not None:
-        half = params.half_angle
-    elif u.dim == 1:
-        half = math.pi / 4  # sign test only; the angle is immaterial in 1D
-    else:
-        half = math.pi / len(dirs)
+    # 1-D cones only test the sign, so their angle is immaterial
+    half = math.pi / 4 if u.dim == 1 else math.pi / len(dirs)
     cones = [Cone(d, half, params.xi_min) for d in dirs]
     freq = FrequencyGrid(u, cones)
 
@@ -779,7 +692,7 @@ def wf_scan(
         for d, cone in zip(dirs, cones):
             try:
                 prof = directional_decay_profile(spectrum, cone, params.N_max)
-                verdict = wf_point_test(prof, tau, sigma, params.test, point=pt)
+                verdict = wf_point_test(prof, tau, sigma, point=pt)
             except ValueError as exc:
                 out.append(failed(pt, d, exc))
                 continue

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 
@@ -10,9 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gevreykit
-from gevreykit.cli import main
+from gevreykit.cli import _parser, main
 from gevreykit.schemas import validate_report
-from gevreykit.wavefront import ScanParams, read_gridfield, wf_scan
+from gevreykit.wavefront import GridField, ScanParams, read_gridfield, wf_scan, write_gridfield
 
 
 def run(args, tmp_path, name="out.json"):
@@ -344,6 +345,50 @@ def test_wf_scan_ximin_in_dc_band_rejects_the_scan(tmp_path, capsys):
                      "--tau", "1", "--sigma", "2", "--ximin", "0.5", "--csv", csv], tmp_path)
     assert code == 1 and rep is None and not os.path.exists(csv)
     assert "DC leakage band" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--rp", "0.3", "--rs", "0.2"], "r_plateau must be smaller than r_support"),
+    (["--nmax", "3"], "N_max = 3 leaves fewer than 6 usable values"),
+    (["--nmax", "-2"], "N_max = -2 leaves fewer than 6 usable values"),
+    (["--tiny"], "transition band under-resolved (< 8 cells)"),
+])
+def test_wf_scan_faults_of_every_point_reject_the_scan(tmp_path, capsys, flags, message):
+    # exit 1 with one line and no report or CSV, not one error verdict per
+    # (point, direction)
+    outdir = os.path.join(tmp_path, "fields")
+    main(["catalog", "--out", outdir])
+    field = os.path.join(outdir, "kink.gf")
+    if flags == ["--tiny"]:  # 16 samples, spacing 0.125: the default band is 1.8 cells
+        field = os.path.join(tmp_path, "tiny.gf")
+        x = np.linspace(-1.0, 0.875, 16)
+        write_gridfield(GridField(1, (16,), (-1.0,), (0.125,), np.abs(x)), field)
+        flags = ["--ximin", "2.5"]
+    capsys.readouterr()
+    csv = os.path.join(tmp_path, "profiles.csv")
+    code, rep = run(["wf-scan", "--field", field, "--points", "0;0.5", "--tau", "1",
+                     "--sigma", "2", "--csv", csv] + flags, tmp_path)
+    assert code == 1 and rep is None and not os.path.exists(csv)
+    assert message in _one_line_error(capsys)
+
+
+def test_decomp_rejects_a_negative_entry(tmp_path, capsys):
+    for census in (["--census"], []):
+        code, rep = run(["decomp", "--alpha=-1,3"] + census, tmp_path)
+        assert code == 1 and rep is None
+        assert "alpha (-1, 3) has a negative entry" in _one_line_error(capsys)
+
+
+def test_readme_cli_examples_parse():
+    # every `gevrey ...` line of README's CLI block, continuations joined
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        block = fh.read().split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    lines = [ln.strip() for ln in block.replace("\\\n", " ").splitlines()]
+    examples = [shlex.split(ln, comments=True)[1:] for ln in lines if ln.startswith("gevrey ")]
+    assert len(examples) >= 8
+    for argv in examples:
+        _parser().parse_args(argv)
 
 
 def test_non_integer_gevrey_threads_exits_1(tmp_path, capsys, monkeypatch):

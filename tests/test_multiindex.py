@@ -104,6 +104,14 @@ def test_zero_alpha_rejected():
         list(enumerate_decompositions((0, 0)))
 
 
+def test_negative_entry_rejected_by_enumerator_and_census():
+    # the census used to count no cells and report 0, the enumerator to yield nothing
+    with pytest.raises(ValueError, match=r"alpha \(-1, 3\) has a negative entry"):
+        list(enumerate_decompositions((-1, 3)))
+    with pytest.raises(ValueError, match=r"alpha \(-1, 3\) has a negative entry"):
+        decomposition_census((-1, 3))
+
+
 def test_multiplicity_bounds():
     for d in enumerate_decompositions((2, 2)):
         assert d.total_multiplicity <= mi_order(d.target)

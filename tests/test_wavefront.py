@@ -1,16 +1,25 @@
+import functools
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gevreykit.numerics import log_factorial
 from gevreykit.regularity import fit_regularity, measure_derivative_growth
+from gevreykit.sequences import log_M, normalized_excess
 from gevreykit.wavefront import (
     Cone,
     FrequencyGrid,
     GridField,
     ScanParams,
     Spectrum,
+    WavefrontVerdict,
+    _family_verdict,
+    _fit_constants_ls,
+    _measured_decay_order,
     catalog_field,
     default_cutoff_radius,
     directional_decay_profile,
@@ -352,7 +361,7 @@ def test_shells_match_the_per_bin_loop():
     tied = freq.masks[cone] & (freq.ridx == 5)
     assert len(np.unique(freq.mag[tied])) >= 2
     amp[tied] = 2.0
-    spectrum = Spectrum(freq, amp, "ties")
+    spectrum = Spectrum(freq, amp)
     shells = directional_decay_profile(spectrum, cone, 10).shells
     assert shells == _loop_shells(spectrum, cone)
     first = np.flatnonzero(tied)[0]
@@ -367,3 +376,194 @@ def test_wf_scan_2d_threads_bit_equal():
     two = wf_scan(u, pts, 16, 1.0, 2.0, params, threads=2)
     assert [(v.to_dict(), v.profile) for v in two] == [(v.to_dict(), v.profile) for v in one]
     assert sum(v.profile is not None for v in one) == 48
+
+
+# Reference verdicts: the direct and the factorial-form tests written out
+# as separate loops (order search, sup fit, and for the factorial form a
+# constants fit and a cover loop), with the thresholds 0.8 / 0.25 / 6 / 1
+# spelled out.  The one family-generic path must reproduce both.
+
+
+def _ref_family_order(tau, sigma, log_r, n_cap):
+    best_n, best_v = 0, 0.0
+    for N in range(1, max(n_cap, 1) + 1):
+        v = log_M(tau, sigma, N) - N * log_r
+        if v < best_v:
+            best_n, best_v = N, v
+    return best_n
+
+
+def _ref_enumerated_family_order(tau, sigma, log_r, n_cap):
+    m_cap = min(int(float(max(n_cap, 1)) ** sigma) + 1, 20_000)
+    best_k, best_v = 0, 0.0
+    for N in range(1, m_cap + 1):
+        k = int(math.floor(N ** (1.0 / sigma) + 1e-12))
+        v = (tau / sigma) * log_factorial(N).log_value - k * log_r
+        if v < best_v:
+            best_k, best_v = k, v
+    return best_k
+
+
+def _ref_fit_constants_sup(profile, tau, sigma, n_hi):
+    svals = []
+    for N in range(1, max(n_hi, 2)):
+        v = profile.entries[N]
+        if v == -math.inf:
+            continue
+        svals.append(normalized_excess(v, N, tau, sigma))
+    return max(svals) if svals else 0.0
+
+
+def _ref_enumerated_constants(profile, tau, sigma, n_lo, n_hi):
+    m_hi = max(2, int(math.floor(float(max(n_hi - 1, 1)) ** sigma)))
+    s1 = []
+    for M in range(1, m_hi + 1):
+        k = int(math.floor(M ** (1.0 / sigma) + 1e-12))
+        if k > profile.N_max or k >= n_hi:
+            break
+        v = profile.entries[k]
+        if v == -math.inf:
+            continue
+        s1.append((v - (tau / sigma) * log_factorial(M).log_value) / M)
+    log_h1 = max(s1) if s1 else 0.0
+    log_a1 = 0.0
+    m_cov = int(math.floor(float(max(n_lo, 1)) ** sigma))
+    for M in range(1, m_cov + 1):
+        k = int(math.floor(M ** (1.0 / sigma) + 1e-12))
+        if k > n_lo:
+            break
+        v = profile.entries[k]
+        if v == -math.inf:
+            continue
+        log_a1 = max(log_a1, v - M * log_h1 - (tau / sigma) * log_factorial(M).log_value)
+    return log_a1, log_h1
+
+
+def _ref_wf_point_test(profile, tau, sigma, point=()):
+    n_use = min(profile.N_max, int(0.8 * profile.n_radial_bins))
+    if n_use + 1 < 6:
+        raise ValueError(f"profile too short: {n_use + 1} usable values")
+    verdict = functools.partial(
+        WavefrontVerdict, point=point, direction=profile.cone.direction, tau=tau,
+        sigma=sigma, nyquist=profile.nyquist, n_usable=n_use,
+    )
+    if not [v for v in profile.entries[: n_use + 1] if v != -math.inf]:
+        return verdict(regular=True, A_hat=0.0, h_hat=1.0)
+    if profile.shells is not None:
+        order, log_edge = _measured_decay_order(profile.shells)
+        if order is None:
+            regular, required = True, None
+        else:
+            required = float(_ref_family_order(tau, sigma, log_edge, n_use) + 1)
+            regular = order >= required
+        log_a, log_h = _fit_constants_ls(profile, tau, sigma, n_use + 1)
+        return verdict(
+            regular=regular,
+            A_hat=math.exp(log_a) if regular else None,
+            h_hat=math.exp(log_h) if regular else None,
+            decay_order=order,
+            required_order=required,
+        )
+    log_h_sup = _ref_fit_constants_sup(profile, tau, sigma, n_use + 1)
+    regular = math.exp(log_h_sup) <= 0.25 * profile.xi_max
+    log_a, log_h = _fit_constants_ls(profile, tau, sigma, n_use + 1)
+    return verdict(
+        regular=regular,
+        A_hat=math.exp(log_a) if regular else None,
+        h_hat=math.exp(log_h) if regular else math.exp(log_h_sup),
+    )
+
+
+def _ref_equivalence_detail(profile, tau, sigma):
+    direct = _ref_wf_point_test(profile, tau, sigma)
+    n_use = min(profile.N_max, int(0.8 * profile.n_radial_bins))
+    if not [v for v in profile.entries[: n_use + 1] if v != -math.inf]:
+        return True, direct.regular, True
+    if profile.shells is not None:
+        order, log_edge = _measured_decay_order(profile.shells)
+        if order is None:
+            accept = True
+        else:
+            required = float(_ref_enumerated_family_order(tau, sigma, log_edge, n_use) + 1)
+            accept = order >= required
+        if accept:
+            log_a1, log_h1 = _ref_enumerated_constants(profile, tau, sigma, n_use, n_use + 1)
+            for M in range(1, int(math.floor(float(n_use) ** sigma)) + 1):
+                k = int(math.floor(M ** (1.0 / sigma) + 1e-12))
+                if k > n_use:
+                    break
+                v = profile.entries[k]
+                if v == -math.inf:
+                    continue
+                if v > log_a1 + M * log_h1 + (tau / sigma) * log_factorial(M).log_value + 1e-9:
+                    accept = False
+                    break
+    else:
+        _, log_h1 = _ref_enumerated_constants(profile, tau, sigma, n_use, n_use + 1)
+        accept = math.exp(log_h1) <= 0.25 * profile.xi_max
+    return direct.regular == accept, direct.regular, accept
+
+
+def _outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return out.to_dict() if isinstance(out, WavefrontVerdict) else out
+
+
+TAU_SIGMA = [(1, 2), (0.5, 3), (2, 1.5), (1, 1), (0.25, 1.25)]
+
+
+def _assert_matches_references(prof, tau, sigma):
+    assert _outcome(wf_point_test, prof, tau, sigma) == _outcome(_ref_wf_point_test, prof, tau, sigma)
+    assert _outcome(enumeration_equivalence_detail, prof, tau, sigma) == _outcome(
+        _ref_equivalence_detail, prof, tau, sigma
+    )
+    order, log_edge = _measured_decay_order(prof.shells) if prof.shells else (None, None)
+    if order is not None:  # the factorial form's required order, which the tuple hides
+        n_use = prof.usable_N()
+        required = _family_verdict(prof, tau, sigma, n_use, factorial=True)[2]
+        assert required == _ref_enumerated_family_order(tau, sigma, log_edge, n_use) + 1
+
+
+def test_family_verdicts_match_the_references_on_the_catalog():
+    cases = []
+    for name in ("delta", "bump", "kink"):
+        u = catalog_field(name)
+        for x0 in (0.0, 0.6):
+            cones = [Cone(d, math.pi / 4, 2.5) for d in ((1.0,), (-1.0,))]
+            spectrum = FrequencyGrid(u, cones).spectrum(make_cutoff((x0,), 0.15, 0.35, u))
+            cases += [directional_decay_profile(spectrum, c, 40) for c in cones]
+    step = catalog_field("step2d")
+    cones = [Cone((math.cos(a), math.sin(a)), math.pi / 16, 2.5)
+             for a in (2 * math.pi * k / 16 for k in range(16))]
+    spectrum = FrequencyGrid(step, cones).spectrum(make_cutoff((0.0, 0.0), 0.12, 0.35, step))
+    cases += [directional_decay_profile(spectrum, c, 30) for c in cones]
+    for prof in cases:
+        for tau, sigma in TAU_SIGMA:
+            _assert_matches_references(prof, tau, sigma)
+
+
+@st.composite
+def _synthetic_cases(draw):
+    """(values, xi_max, tau, sigma): free values, or values jittered about
+    an envelope A h^{N^sigma} M_N, each with -inf entries mixed in."""
+    n = draw(st.integers(5, 20))
+    tau, sigma = draw(st.sampled_from(TAU_SIGMA))
+    hole = st.just(-math.inf)
+    if draw(st.booleans()):
+        values = draw(st.lists(st.one_of(hole, st.floats(-40.0, 160.0)), min_size=n, max_size=n))
+    else:
+        la, lh = draw(st.floats(-5.0, 5.0)), draw(st.floats(-3.0, 5.0))
+        jitter = draw(st.lists(st.one_of(hole, st.floats(-1.0, 1.0)), min_size=n, max_size=n))
+        values = [la + float(N) ** sigma * lh + log_M(tau, sigma, N) + j
+                  for N, j in enumerate(jitter)]
+    return values, draw(st.floats(4.0, 200.0)), tau, sigma
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=_synthetic_cases())
+def test_family_verdicts_match_the_references_on_synthetic_profiles(case):
+    values, xi_max, tau, sigma = case
+    _assert_matches_references(synthetic_profile(values, CONE1, xi_max), tau, sigma)
