@@ -317,8 +317,9 @@ def _cmd_parametrix(args, seed: int) -> None:
         "K2": sums.K2,
         "identity_residual_probe": system.identity_residual,
         "audit_ok": audit.ok(),
-        "coefficient_violations": audit.coefficient_violations,
-        "word_violations": audit.word_violations,
+        "coefficient_fits": [
+            [j, list(alpha), A, h] for (j, alpha), (A, h) in audit.coefficient_fits.items()
+        ],
         "homogeneity_max_error": audit.homogeneity_max_error,
         "leibniz_terms_checked": audit.leibniz_terms_checked,
         "leibniz_violations": audit.leibniz_violations,

@@ -46,28 +46,11 @@ __all__ = [
 ]
 
 
-def _exp(x):
+def _elementary(name: str, x):
+    """numpy's, cmath's or math's exp/sin/cos, by the type of x."""
     if isinstance(x, np.ndarray):
-        return np.exp(x)
-    if isinstance(x, complex):
-        return cmath.exp(x)
-    return math.exp(x)
-
-
-def _sin(x):
-    if isinstance(x, np.ndarray):
-        return np.sin(x)
-    if isinstance(x, complex):
-        return cmath.sin(x)
-    return math.sin(x)
-
-
-def _cos(x):
-    if isinstance(x, np.ndarray):
-        return np.cos(x)
-    if isinstance(x, complex):
-        return cmath.cos(x)
-    return math.cos(x)
+        return getattr(np, name)(x)
+    return getattr(cmath if isinstance(x, complex) else math, name)(x)
 
 
 def _on_grid(base: tuple[Number, ...]) -> bool:
@@ -208,14 +191,15 @@ class ExpSpec(FunctionSpec):
         return 1
 
     def eval(self, x):
-        return _exp(x)
+        return _elementary("exp", x)
 
     def derivative(self, i: int = 0) -> "ExpSpec":
         return ExpSpec()
 
     def jet(self, base: tuple[Number, ...], K: int) -> Jet:
         (b,) = base
-        v: Number = 1 if _is_zero(b) else _exp(float(b) if isinstance(b, Fraction) else b)
+        x = float(b) if isinstance(b, Fraction) else b
+        v: Number = 1 if _is_zero(b) else _elementary("exp", x)
         coeffs = {}
         fact = 1
         for k in range(K + 1):
@@ -231,6 +215,30 @@ class ExpSpec(FunctionSpec):
 _SIN_CYCLE = (0, 1, 0, -1)
 
 
+def _trig_jet(base: tuple[Number, ...], K: int, shift: int) -> Jet:
+    """Jet of sin (shift 0) or cos (shift 1): the k-th derivative is entry
+    (k + shift) % 4 of sin's cycle, with sin and cos evaluated once."""
+    (b,) = base
+    exact = _is_zero(b)
+    if exact:
+        cycle = _SIN_CYCLE
+    else:
+        x = float(b) if isinstance(b, Fraction) else b
+        s, c = _elementary("sin", x), _elementary("cos", x)
+        cycle = (s, c, -s, -c)
+    coeffs: dict[MultiIndex, Number] = {}
+    fact = 1
+    for k in range(K + 1):
+        if k > 0:
+            fact *= k
+        v = cycle[(k + shift) % 4]
+        if not exact:
+            coeffs[(k,)] = v / fact
+        elif v:
+            coeffs[(k,)] = Fraction(v, fact)
+    return Jet(1, K, coeffs, base)
+
+
 @dataclass(frozen=True)
 class SinSpec(FunctionSpec):
     @property
@@ -238,27 +246,13 @@ class SinSpec(FunctionSpec):
         return 1
 
     def eval(self, x):
-        return _sin(x)
+        return _elementary("sin", x)
 
     def derivative(self, i: int = 0) -> "FunctionSpec":
         return CosSpec()
 
     def jet(self, base: tuple[Number, ...], K: int) -> Jet:
-        (b,) = base
-        coeffs: dict[MultiIndex, Number] = {}
-        fact = 1
-        for k in range(K + 1):
-            if k > 0:
-                fact *= k
-            if _is_zero(b):
-                c = _SIN_CYCLE[k % 4]
-                if c:
-                    coeffs[(k,)] = Fraction(c, fact)
-            else:
-                x = float(b) if isinstance(b, Fraction) else b
-                cycle = (_sin(x), _cos(x), -_sin(x), -_cos(x))
-                coeffs[(k,)] = cycle[k % 4] / fact
-        return Jet(1, K, coeffs, base)
+        return _trig_jet(base, K, 0)
 
 
 @dataclass(frozen=True)
@@ -268,27 +262,13 @@ class CosSpec(FunctionSpec):
         return 1
 
     def eval(self, x):
-        return _cos(x)
+        return _elementary("cos", x)
 
     def derivative(self, i: int = 0) -> "FunctionSpec":
         return ProdSpec(PolySpec((-1,)), SinSpec())
 
     def jet(self, base: tuple[Number, ...], K: int) -> Jet:
-        (b,) = base
-        coeffs: dict[MultiIndex, Number] = {}
-        fact = 1
-        for k in range(K + 1):
-            if k > 0:
-                fact *= k
-            if _is_zero(b):
-                c = _SIN_CYCLE[(k + 1) % 4]
-                if c:
-                    coeffs[(k,)] = Fraction(c, fact)
-            else:
-                x = float(b) if isinstance(b, Fraction) else b
-                cycle = (_cos(x), -_sin(x), -_cos(x), _sin(x))
-                coeffs[(k,)] = cycle[k % 4] / fact
-        return Jet(1, K, coeffs, base)
+        return _trig_jet(base, K, 1)
 
 
 @dataclass(frozen=True)

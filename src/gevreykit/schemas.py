@@ -19,100 +19,44 @@ _CONFIG = {
     },
 }
 
-REPORT_SCHEMAS: dict[str, dict] = {
-    "seq-audit": {
-        "type": "object",
-        "required": ["schema", "config", "result"],
-        "properties": {
-            "schema": {"const": f"gevrey-kit/seq-audit/v{SCHEMA_VERSION}"},
-            "config": _CONFIG,
-            "result": {
-                "type": "object",
-                "required": ["m1_ok", "ratio_bound_ok", "almost_increasing_from",
-                             "fitted_C_m2bar", "fitted_Cq_m2prime"],
-            },
-        },
-    },
-    "decomp": {
-        "type": "object",
-        "required": ["schema", "config", "result"],
-        "properties": {
-            "schema": {"const": f"gevrey-kit/decomp/v{SCHEMA_VERSION}"},
-            "config": _CONFIG,
-        },
-    },
-    "fdb": {
-        "type": "object",
-        "required": ["schema", "config", "result"],
-        "properties": {
-            "schema": {"const": f"gevrey-kit/fdb/v{SCHEMA_VERSION}"},
-            "config": _CONFIG,
-            "result": {
-                "type": "object",
-                "required": ["value"],
-            },
-        },
-    },
-    "lemma23": {
-        "type": "object",
-        "required": ["schema", "config", "result"],
-        "properties": {
-            "schema": {"const": f"gevrey-kit/lemma23/v{SCHEMA_VERSION}"},
-            "config": _CONFIG,
-            "result": {"type": "object", "required": ["C", "witness_k"]},
-        },
-    },
-    "fit": {
-        "type": "object",
-        "required": ["schema", "config", "result"],
-        "properties": {
-            "schema": {"const": f"gevrey-kit/fit/v{SCHEMA_VERSION}"},
-            "config": _CONFIG,
-            "result": {
-                "type": "object",
-                "required": ["tau_hat", "sigma_hat", "h_hat", "A_hat", "admissible"],
-            },
-        },
-    },
-    "wf-scan": {
-        "type": "object",
-        "required": ["schema", "config", "result"],
-        "properties": {
-            "schema": {"const": f"gevrey-kit/wf-scan/v{SCHEMA_VERSION}"},
-            "config": _CONFIG,
-            "result": {
-                "type": "object",
-                "required": ["verdicts"],
-                "properties": {"verdicts": {"type": "array"}},
-            },
-        },
-    },
-    "parametrix": {
-        "type": "object",
-        "required": ["schema", "config", "result"],
-        "properties": {
-            "schema": {"const": f"gevrey-kit/parametrix/v{SCHEMA_VERSION}"},
-            "config": _CONFIG,
-            "result": {
-                "type": "object",
-                "required": ["max_residual", "word_count_w", "word_count_e"],
-            },
-        },
-    },
-    "catalog": {
-        "type": "object",
-        "required": ["schema", "config", "result"],
-        "properties": {
-            "schema": {"const": f"gevrey-kit/catalog/v{SCHEMA_VERSION}"},
-            "config": _CONFIG,
-            "result": {"type": "object", "required": ["files"]},
-        },
-    },
+# command -> the keys its result must carry
+_RESULT_KEYS: dict[str, tuple[str, ...]] = {
+    "seq-audit": ("m1_ok", "ratio_bound_ok", "almost_increasing_from",
+                  "fitted_C_m2bar", "fitted_Cq_m2prime"),
+    "decomp": ("alpha",),
+    "fdb": ("value",),
+    "lemma23": ("C", "witness_k"),
+    "fit": ("tau_hat", "sigma_hat", "h_hat", "A_hat", "admissible"),
+    "wf-scan": ("verdicts",),
+    "parametrix": ("max_residual", "word_count_w", "word_count_e", "audit_ok",
+                   "residual_ok", "word_count_matches_recurrence"),
+    "catalog": ("files",),
 }
+# result keys whose JSON type is pinned too
+_RESULT_TYPES = {"verdicts": "array"}
 
 
 def schema_id(command: str) -> str:
     return f"gevrey-kit/{command}/v{SCHEMA_VERSION}"
+
+
+def _schema(command: str, keys: tuple[str, ...]) -> dict:
+    return {
+        "type": "object",
+        "required": ["schema", "config", "result"],
+        "properties": {
+            "schema": {"const": schema_id(command)},
+            "config": _CONFIG,
+            "result": {
+                "type": "object",
+                "required": list(keys),
+                "properties": {k: {"type": _RESULT_TYPES[k]} for k in keys if k in _RESULT_TYPES},
+            },
+        },
+    }
+
+
+REPORT_SCHEMAS: dict[str, dict] = {c: _schema(c, keys) for c, keys in _RESULT_KEYS.items()}
 
 
 def validate_report(report: dict) -> None:

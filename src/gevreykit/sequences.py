@@ -23,12 +23,24 @@ from .numerics import LogMagnitude, log_factorial
 def log_M(tau: float, sigma: float, n: int) -> float:
     """ln M_n = tau * n^sigma * ln n (0 for n = 0, 1), unchecked.
 
-    The one place the kit writes the growth term out; sigma <= 1 is
-    accepted because the wave-front scans and fits accept it.
+    The one place the kit writes the growth term out; sigma = 1 is
+    accepted because the wave-front test accepts it (`check_class`).
     """
     if n <= 1:
         return 0.0
     return tau * (float(n) ** sigma) * math.log(n)
+
+
+def check_class(tau: float, sigma: float) -> None:
+    """Reject (tau, sigma) that name no class: tau > 0, sigma >= 1, both finite.
+
+    sigma = 1 is allowed (the wave-front test accepts it); the defining
+    sequence itself needs sigma > 1.
+    """
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau = {tau} names no class: tau must be positive and finite")
+    if not 1 <= sigma < math.inf:
+        raise ValueError(f"sigma = {sigma} names no class: sigma must be at least 1 and finite")
 
 
 def log_envelope(n: int, tau: float, sigma: float, log_a: float, log_h: float) -> float:
@@ -50,10 +62,9 @@ class DefiningSequence:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.tau < math.inf:
-            raise ValueError("tau must be positive and finite")
-        if not 1 < self.sigma < math.inf:
-            raise ValueError("sigma must exceed 1 and be finite")
+        check_class(self.tau, self.sigma)
+        if self.sigma == 1:
+            raise ValueError(f"sigma = {self.sigma} defines no sequence: sigma must exceed 1")
 
     def log_M(self, p: int) -> float:
         """ln M_p = tau * p^sigma * ln p (0 for p = 0, 1)."""

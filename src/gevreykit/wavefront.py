@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .numerics import log_factorial
-from .sequences import log_envelope, log_M
+from .sequences import check_class, log_envelope, log_M
 
 _NEG_INF = float("-inf")
 
@@ -149,6 +149,7 @@ def read_gridfield(path: str) -> GridField:
 def default_cutoff_radius(tau: float, sigma: float) -> float:
     """The support scale sum_p (2(p+1))^{-tau p^{sigma-1}} of the
     admissible-cutoff construction."""
+    check_class(tau, sigma)
     total, p = 0.0, 1
     while True:
         term = (2.0 * (p + 1)) ** (-tau * float(p) ** (sigma - 1.0))
@@ -648,12 +649,14 @@ def wf_scan(
     A 2-D scan needs at least 3 directions (the cones' half angle is
     pi / directions, and it must lie below pi/2); 1-D scans ignore the
     count and test the two signs.  Every point needs u.dim finite
-    coordinates.  The cones and their frequency masks are built once,
+    coordinates, and (tau, sigma) must name a class (`check_class`).
+    The cones and their frequency masks are built once,
     before any cutoff, so a bad xi_min rejects the whole scan, as do
     cutoff radii that fail at every center and an N_max too small for a
     verdict; a cutoff support leaving the grid stays a per-point error.
     Each point's cutoff is transformed once and profiled in every cone.
     """
+    check_class(tau, sigma)
     if u.dim != 1 and directions < 3:
         raise ValueError(f"a {u.dim}-D scan needs at least 3 directions, got {directions}")
     pts = [tuple(float(c) for c in p) if isinstance(p, (tuple, list)) else (float(p),) for p in points]

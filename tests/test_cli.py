@@ -128,7 +128,30 @@ def test_parametrix_command(tmp_path):
     assert r["residual_ok"] and r["max_residual"] <= 1e-8
     assert r["word_count_matches_recurrence"]
     assert r["audit_ok"]
+    # one [j, alpha, A, h] per audited reduction coefficient
+    assert r["coefficient_fits"]
+    for j, alpha, A, h in r["coefficient_fits"]:
+        assert 1 <= j <= 2 and len(alpha) == 1 and A > 0 and h >= 1
     validate_report(rep)
+
+
+def test_report_schemas_cover_every_command_and_reject_bad_reports(tmp_path):
+    import jsonschema
+
+    from gevreykit import cli
+    from gevreykit.schemas import REPORT_SCHEMAS, schema_id
+
+    assert set(REPORT_SCHEMAS) == set(cli._DISPATCH)
+    code, rep = run(["lemma23", "--tau", "1", "--sigma", "2", "--kmax", "6"], tmp_path)
+    assert code == 0
+    validate_report(rep)
+    with pytest.raises(ValueError, match="unknown report schema"):
+        validate_report(dict(rep, schema="gevrey-kit/nope/v1"))
+    with pytest.raises(jsonschema.ValidationError):
+        validate_report(dict(rep, result={"witness_k": rep["result"]["witness_k"]}))
+    # wf-scan pins the type of its verdicts
+    with pytest.raises(jsonschema.ValidationError):
+        validate_report(dict(rep, schema=schema_id("wf-scan"), result={"verdicts": {}}))
 
 
 def test_wf_scan_command(tmp_path):
@@ -370,6 +393,37 @@ def test_wf_scan_faults_of_every_point_reject_the_scan(tmp_path, capsys, flags, 
                      "--sigma", "2", "--csv", csv] + flags, tmp_path)
     assert code == 1 and rep is None and not os.path.exists(csv)
     assert message in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("tau,sigma,named", [
+    ("0", "2", "tau = 0.0"),
+    ("-1", "2", "tau = -1.0"),
+    ("1", "0", "sigma = 0.0"),
+    ("1", "0.5", "sigma = 0.5"),
+    ("1", "-2", "sigma = -2.0"),
+])
+def test_parameters_naming_no_class_exit_1(tmp_path, capsys, tau, sigma, named):
+    # tau > 0 and sigma >= 1, for the scan and the parametrix audit alike
+    outdir = os.path.join(tmp_path, "fields")
+    main(["catalog", "--out", outdir])
+    commands = [
+        ["wf-scan", "--field", os.path.join(outdir, "kink.gf"), "--points", "0"],
+        ["parametrix", "--op", "D^2 + sin*D + poly:1", "--N", "3", "--grid", "64",
+         "--beta-max", "2"],
+    ]
+    for argv in commands:
+        capsys.readouterr()
+        code, rep = run(argv + [f"--tau={tau}", f"--sigma={sigma}"], tmp_path)
+        assert code == 1 and rep is None
+        assert named in _one_line_error(capsys)
+
+
+def test_sigma_one_stays_allowed(tmp_path):
+    outdir = os.path.join(tmp_path, "fields")
+    main(["catalog", "--out", outdir])
+    code, rep = run(["wf-scan", "--field", os.path.join(outdir, "kink.gf"), "--points", "0",
+                     "--tau", "1", "--sigma", "1", "--threads", "1"], tmp_path)
+    assert code == 0 and len(rep["result"]["verdicts"]) == 2
 
 
 def test_decomp_rejects_a_negative_entry(tmp_path, capsys):

@@ -337,6 +337,19 @@ def test_leibniz_audit_catches_a_mistracked_phi_order(sin_sums, monkeypatch):
     assert faulty.leibniz_violations > 0 and not faulty.ok()
 
 
+def test_homogeneity_audit_catches_a_wrong_degree_term(sin_sums, monkeypatch):
+    clean = bound_audit(sin_sums, beta_max=2, tau=1.0, sigma=2.0)
+    assert clean.homogeneity_max_error <= 1e-12 and clean.ok()
+    op = sin_sums.system.operators[0]
+    a_prime, coeff = next(iter(op.action.items()))
+    # a constant term has xi-degree 0, not -j
+    zero = sin_sums.system.algebra.zero_mi()
+    faulty_coeff = _merge([coeff, {((), zero, 0, None): 1e-3 + 0.0j}])
+    monkeypatch.setitem(op.action, a_prime, faulty_coeff)
+    faulty = bound_audit(sin_sums, beta_max=2, tau=1.0, sigma=2.0)
+    assert faulty.homogeneity_max_error > 1e-12 and not faulty.ok()
+
+
 def _per_point_rows(spec, points, beta, K):
     return np.array([complex(jet_partial(jet_of(spec, tuple(p), K), beta)) for p in points])
 
@@ -457,8 +470,6 @@ def test_bound_audit_sin_operator():
     sums = neumann_sums(system, PHI, N=8, x_grid=X_GRID, xi_samples=XI_SAMPLES[::4])
     rep = bound_audit(sums, beta_max=4, tau=1.0, sigma=2.0)
     assert rep.ok()
-    assert rep.coefficient_violations == 0
-    assert rep.word_violations == 0
     assert rep.homogeneity_max_error <= 1e-12
     assert rep.leibniz_violations == 0
     assert rep.leibniz_terms_checked > 0
