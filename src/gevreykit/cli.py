@@ -25,7 +25,7 @@ from .jets import jet_compose, jet_of, jet_partial
 from .multiindex import decomposition_census, enumerate_decompositions
 from .regularity import DerivativeGrowthData, fit_regularity
 from .schemas import schema_id
-from .sequences import DefiningSequence, audit_sequence
+from .sequences import DefiningSequence, audit_sequence, check_class
 from .wavefront import (
     GridField,
     ScanParams,
@@ -291,6 +291,8 @@ def _cmd_parametrix(args, seed: int) -> None:
     )
     from .wavefront import make_cutoff
 
+    # a bad class is rejected before the Neumann sums, not by bound_audit after them
+    check_class(args.tau, args.sigma)
     P = parse_operator(args.op)
     system = build_reduction_operators(P)
     direction, _, xi_min = _parse_floats(args.cone, "--cone", 3)

@@ -119,15 +119,20 @@ def lemma23_constant_search(seq: DefiningSequence, k_max: int) -> Lemma23Fit:
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
+    # w[i] = ln(M_i / i!), the one term lemma23_ratio sums; summed here in
+    # its order, so every ratio is bit-identical to lemma23_ratio's
+    w = [seq.log_M(i) - log_factorial(i).log_value for i in range(k_max + 1)]
     best = 0.0
     witness_k, witness_parts = 1, (1,)
     for k in range(1, k_max + 1):
+        ks = float(k) ** seq.sigma
         for dec in enumerate_decompositions((k,)):
             parts: list[int] = []
             for p, mult in zip(dec.parts, dec.multiplicities):
                 parts.extend([p[0]] * mult)
-            j = len(parts)
-            expo = lemma23_ratio(seq, j, parts).log_value / float(k) ** seq.sigma
+            num = w[len(parts)]
+            num += sum(w[ki] for ki in parts)
+            expo = (num - w[k]) / ks
             if expo > best:
                 best = expo
                 witness_k, witness_parts = k, tuple(parts)

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .numerics import LogMagnitude, log_factorial
 
 
@@ -124,9 +126,16 @@ class SequenceAuditReport:
         }
 
 
-# ln[p^sigma]! for large p^sigma is the audit's only superlinear cost;
-# capping the reported Stirling-comparison range keeps it desk-scale.
+# The Stirling comparison sums ln k up to [p^sigma] (log_factorial's cache
+# grows to that length); capping its range keeps it desk-scale.
 _STIRLING_P_CAP = 64
+
+
+def _first_max(row: np.ndarray) -> tuple[int, float]:
+    """(index, value) of row's first maximum; NaN never wins, as in a strict > scan."""
+    row = np.where(np.isnan(row), -np.inf, row)
+    i = int(np.argmax(row))
+    return i, float(row[i])
 
 
 def audit_sequence(seq: DefiningSequence, p_max: int, q_max: int = 10) -> SequenceAuditReport:
@@ -138,6 +147,12 @@ def audit_sequence(seq: DefiningSequence, p_max: int, q_max: int = 10) -> Sequen
     (M_p/p!)^{1/p} is nondecreasing, fits the minimal constants of the
     two splitting inequalities, and compares [p^sigma]!^{tau/sigma}
     against its Stirling-predicted equivalent of M_p.
+
+    The (M.2)-bar fit is the one O(p_max^2) step. It runs one numpy row
+    per p, never the full p_max x p_max matrix: at p_max 2000 each
+    temporary of that matrix would take about 16 MB, where a row takes
+    16 kB. Both fits give the floats and first arg-max witnesses of the
+    plain double loop, bit for bit.
     """
     if p_max < 3:
         raise ValueError("audit_sequence requires p_max >= 3")
@@ -171,35 +186,38 @@ def audit_sequence(seq: DefiningSequence, p_max: int, q_max: int = 10) -> Sequen
             almost_from = i + 2  # a index i corresponds to p = i+1
     ai_from = almost_from
 
-    # (M.2)-bar: minimal C with M_{p+q} <= C^{p^s+q^s} M'_p M'_q, primed tau
+    # (M.2)-bar: minimal C with M_{p+q} <= C^{p^s+q^s} M'_p M'_q, primed tau,
+    # over p <= q <= p_max - p. Logs and powers stay Python scalars (np.power
+    # may differ by an ulp); numpy only subtracts, divides and takes argmax.
+    # One row per p keeps the loop's (p, q) first maximum: the row's first
+    # argmax, and a strict > across rows.
     primed = DefiningSequence(tau * 2.0 ** (sigma - 1.0), sigma)
-    logM_primed = [primed.log_M(p) for p in range(p_max + 1)]
+    LM = np.array(logM)
+    LMp = np.array([primed.log_M(p) for p in range(p_max + 1)])
+    PS = np.array([float(p) ** sigma for p in range(p_max + 1)])
     best = float("-inf")
     best_pq = (1, 1)
-    for p in range(0, p_max + 1):
-        for q in range(p, p_max + 1 - p):
-            if p == 0 and q == 0:
-                continue
-            expo = float(p) ** sigma + float(q) ** sigma
-            val = (logM[p + q] - logM_primed[p] - logM_primed[q]) / expo
-            if val > best:
-                best = val
-                best_pq = (p, q)
-    fitted_C_m2bar = math.exp(max(best, 0.0))
-
-    # (M.2)'-bar: per q, minimal C_q with M_{p+q} <= C_q^{p^sigma} M_p, p >= 1
     cq_list: list[tuple[int, float]] = []
     cq_arg: list[tuple[int, int]] = []
-    for q in range(0, min(q_max, p_max - 1) + 1):
-        best_q = float("-inf")
-        arg_p = 1
-        for p in range(1, p_max + 1 - q):
-            val = (logM[p + q] - logM[p]) / float(p) ** sigma
-            if val > best_q:
-                best_q = val
-                arg_p = p
-        cq_list.append((q, max(best_q, 0.0)))
-        cq_arg.append((q, arg_p))
+    # an overflowed ln M makes inf - inf: NaN, silent as in scalar arithmetic
+    with np.errstate(invalid="ignore"):
+        for p in range(0, p_max // 2 + 1):
+            q0 = max(p, 1)
+            row = (LM[p + q0:p_max + 1] - LMp[p] - LMp[q0:p_max + 1 - p]) / (
+                PS[p] + PS[q0:p_max + 1 - p]
+            )
+            i, val = _first_max(row)
+            if val > best:
+                best = val
+                best_pq = (p, q0 + i)
+
+        # (M.2)'-bar: per q, minimal C_q with M_{p+q} <= C_q^{p^sigma} M_p, p >= 1
+        for q in range(0, min(q_max, p_max - 1) + 1):
+            last = p_max - q
+            i, best_q = _first_max((LM[1 + q:p_max + 1] - LM[1:last + 1]) / PS[1:last + 1])
+            cq_list.append((q, max(best_q, 0.0)))
+            cq_arg.append((q, i + 1))
+    fitted_C_m2bar = math.exp(max(best, 0.0))
 
     residuals: list[tuple[int, float]] = []
     for p in range(1, min(p_max, _STIRLING_P_CAP) + 1):

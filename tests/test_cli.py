@@ -426,6 +426,17 @@ def test_sigma_one_stays_allowed(tmp_path):
     assert code == 0 and len(rep["result"]["verdicts"]) == 2
 
 
+def test_parametrix_rejects_a_bad_class_before_the_sums(tmp_path, capsys, monkeypatch):
+    def no_sums(*args, **kwargs):
+        raise AssertionError("neumann_sums ran before --tau was checked")
+
+    monkeypatch.setattr("gevreykit.parametrix.neumann_sums", no_sums)
+    code, rep = run(["parametrix", "--op", "D^2 + sin*D + poly:1", "--N", "8",
+                     "--tau=-1"], tmp_path)
+    assert code == 1 and rep is None
+    assert "tau = -1.0 names no class" in _one_line_error(capsys)
+
+
 def test_decomp_rejects_a_negative_entry(tmp_path, capsys):
     for census in (["--census"], []):
         code, rep = run(["decomp", "--alpha=-1,3"] + census, tmp_path)

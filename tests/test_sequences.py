@@ -1,9 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gevreykit.faadibruno import lemma23_constant_search, lemma23_ratio
+from gevreykit.multiindex import enumerate_decompositions
 from gevreykit.numerics import LogMagnitude
 from gevreykit.sequences import (
     DefiningSequence,
@@ -105,6 +107,102 @@ def test_audit_flags_and_fits():
     # nondecreasing in q (checked on the logs, which never overflow)
     vals = [c for _, c in rep.fitted_log_Cq_m2prime]
     assert all(vals[i] <= vals[i + 1] + 1e-9 for i in range(len(vals) - 1))
+
+
+def _splitting_fits_oracle(seq, p_max, q_max=10):
+    """Both splitting fits as plain double loops: the reference the audit's
+    numpy rows must reproduce bit for bit, arg-max witnesses included."""
+    tau, sigma = seq.tau, seq.sigma
+    logM = [seq.log_M(p) for p in range(p_max + 2)]
+    primed = DefiningSequence(tau * 2.0 ** (sigma - 1.0), sigma)
+    logM_primed = [primed.log_M(p) for p in range(p_max + 1)]
+    best = float("-inf")
+    best_pq = (1, 1)
+    for p in range(0, p_max + 1):
+        for q in range(p, p_max + 1 - p):
+            if p == 0 and q == 0:
+                continue
+            expo = float(p) ** sigma + float(q) ** sigma
+            val = (logM[p + q] - logM_primed[p] - logM_primed[q]) / expo
+            if val > best:
+                best = val
+                best_pq = (p, q)
+    cq_list, cq_arg = [], []
+    for q in range(0, min(q_max, p_max - 1) + 1):
+        best_q = float("-inf")
+        arg_p = 1
+        for p in range(1, p_max + 1 - q):
+            val = (logM[p + q] - logM[p]) / float(p) ** sigma
+            if val > best_q:
+                best_q = val
+                arg_p = p
+        cq_list.append([q, max(best_q, 0.0)])
+        cq_arg.append([q, arg_p])
+    return {
+        "fitted_C_m2bar": math.exp(max(best, 0.0)),
+        "fitted_C_m2bar_argmax": list(best_pq),
+        "fitted_log_Cq_m2prime": cq_list,
+        "fitted_Cq_m2prime_argmax": cq_arg,
+    }
+
+
+def _assert_fits_match_oracle(tau, sigma, p_max):
+    seq = DefiningSequence(tau, sigma)
+    got = audit_sequence(seq, p_max).to_dict()
+    want = _splitting_fits_oracle(seq, p_max)
+    assert {key: got[key] for key in want} == want, (tau, sigma, p_max)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tau=st.floats(0.1, 4.0), sigma=st.floats(1.001, 4.0), p_max=st.integers(3, 120))
+def test_splitting_fits_equal_the_double_loop(tau, sigma, p_max):
+    # the audit's Stirling comparison caches ln k! up to [min(p_max, 64)^sigma],
+    # about 0.6 GB at sigma = 4; the fits under test do not read it
+    assume(float(min(p_max, 64)) ** sigma <= 1e6)
+    _assert_fits_match_oracle(tau, sigma, p_max)
+
+
+@pytest.mark.parametrize("p_max", [3, 4, 5])
+def test_splitting_fits_equal_the_double_loop_at_the_smallest_ranges(p_max):
+    for tau, sigma in GRID + [(0.1, 1.001), (7.0, 4.0)]:
+        _assert_fits_match_oracle(tau, sigma, p_max)
+
+
+def test_splitting_fits_skip_nan_like_the_double_loop():
+    # ln M_p overflows to inf here, so inf - inf rows hold NaN, which a
+    # strict > never picks: the fit is inf at witness (1, 1) in both
+    _assert_fits_match_oracle(5e307, 2.0, 10)
+    assert audit_sequence(DefiningSequence(5e307, 2.0), 10).fitted_C_m2bar == math.inf
+
+
+def test_m2prime_tie_at_q0_keeps_the_first_witness():
+    # M_{p+0}/M_p = 1 for every p: all values tie at 0 and the witness is p = 1
+    for tau, sigma in GRID:
+        rep = audit_sequence(DefiningSequence(tau, sigma), 40)
+        assert rep.fitted_log_Cq_m2prime[0] == (0, 0.0)
+        assert rep.fitted_Cq_m2prime_argmax[0] == (0, 1)
+
+
+def _lemma23_oracle(seq, k_max):
+    best, witness = 0.0, (1, (1,))
+    for k in range(1, k_max + 1):
+        for dec in enumerate_decompositions((k,)):
+            parts = []
+            for p, mult in zip(dec.parts, dec.multiplicities):
+                parts.extend([p[0]] * mult)
+            expo = lemma23_ratio(seq, len(parts), parts).log_value / float(k) ** seq.sigma
+            if expo > best:
+                best, witness = expo, (k, tuple(parts))
+    return math.exp(best), witness
+
+
+def test_lemma23_search_equals_the_ratio_oracle():
+    for tau, sigma in GRID + [(0.1, 1.001)]:
+        seq = DefiningSequence(tau, sigma)
+        for k_max in (2, 3, 12):
+            fit = lemma23_constant_search(seq, k_max)
+            C, (k, parts) = _lemma23_oracle(seq, k_max)
+            assert (fit.C, fit.witness_k, fit.witness_parts) == (C, k, parts), (tau, sigma)
 
 
 def test_sigma_at_most_one_rejected_at_construction():
