@@ -4,7 +4,6 @@ Commands: seq-audit, decomp, fdb, lemma23, fit, wf-scan, parametrix,
 catalog.  Reports are JSON with sorted keys and embed the full run
 configuration, so identical configurations give byte-identical output.
 Exit status: 0 success, 1 validation failure, 2 I/O error.
-GEVREY_THREADS overrides the worker pool for scans.
 """
 
 from __future__ import annotations
@@ -243,11 +242,7 @@ def _cmd_wf_scan(args, seed: int) -> None:
     params = ScanParams(
         r_plateau=rp, r_support=rs, xi_min=xi_min, N_max=args.nmax
     )
-    # pool size: env override > flag > available cores
-    try:
-        threads = int(os.environ.get("GEVREY_THREADS", args.threads or os.cpu_count() or 1))
-    except ValueError as exc:  # only the environment can hold a non-integer here
-        raise ValueError(f"GEVREY_THREADS: {exc}") from None
+    threads = args.threads or os.cpu_count() or 1
     verdicts = wf_scan(field, points, args.dirs, args.tau, args.sigma, params, threads)
     if args.csv:
         # plot-ready decay profiles the scan measured: point; direction; N;
@@ -408,7 +403,7 @@ def build_parser() -> _Parser:
     wf.add_argument("--nmax", type=int, default=40)
     wf.add_argument("--csv", default=None, help="also write decay profiles as CSV")
     wf.add_argument("--threads", type=int, default=None,
-                    help="worker pool size (GEVREY_THREADS overrides)")
+                    help="worker pool size (default: the available cores)")
     wf.add_argument("--out", default=None)
 
     pm = sub.add_parser("parametrix", help="build and audit Neumann sums")

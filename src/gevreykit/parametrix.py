@@ -17,8 +17,10 @@ here is symbolic: a term is scale * prod d^beta(coeff) * xi^gamma *
 P_m^{-k} * d^delta(phi), a ring closed under x-differentiation and
 products, so the identity holds to rounding error on any grid.
 
-Operator words do not commute and are kept as sequences; word counts
-follow the composition recurrence c(v) = sum_{j<=m} c(v-j).
+Operator words do not commute, but each R_j is linear, so the words of
+one weight are built together as a layer: S_0 = phi and S_v =
+sum_{j <= min(m, v)} R_j S_{v-j}, the word-count recurrence
+c(v) = sum_{j<=m} c(v-j) applied to the states themselves.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -643,6 +646,11 @@ def inv_pm_derivative_jet_check(
 # ---------------------------------------------------------------------------
 # Neumann sums
 
+# the Leibniz check walks the first LEIBNIZ_WORDS e-words up to order
+# min(beta_max, LEIBNIZ_ORDER)
+LEIBNIZ_WORDS = 3
+LEIBNIZ_ORDER = 4
+
 
 def word_weight(word: tuple[int, ...]) -> int:
     return sum(word)
@@ -679,7 +687,8 @@ class NeumannSums:
     e_words: list[tuple[int, ...]]
     K1: list[int]
     K2: list[int]
-    word_states: dict[tuple[int, ...], SymbolSum]
+    layers: list[SymbolSum]  # S_v, the sum of the weight-v word states
+    word_states: dict[tuple[int, ...], SymbolSum]  # the first LEIBNIZ_WORDS e-words
     w_values: np.ndarray  # (n_xi, n_points)
     e_values: np.ndarray
     phi_values: np.ndarray
@@ -710,11 +719,12 @@ def neumann_sums(
 ) -> NeumannSums:
     """Build w_N and e_N by applying operator words to phi.
 
-    Words act right to left and share suffix states.  w_N collects the
-    words of weight at most N - m; e_N the words that cross the
-    threshold when one more operator is applied (exact telescoping:
-    (I - R) w_N = phi - e_N).  K1/K2 are the power-index windows
-    {k : mk <= N - m} and {k : N - m < mk <= N}.
+    The weight-v words' states are summed as one layer, S_0 = phi and
+    S_v = sum_{j <= min(m, v)} R_j S_{v-j}.  w_N is the sum of the layers
+    v <= N - m; e_N, the words that cross the threshold when one more
+    operator is applied, is sum_j R_j (S_v over N - m - j < v <= N - m)
+    (exact telescoping: (I - R) w_N = phi - e_N).  K1/K2 are the
+    power-index windows {k : mk <= N - m} and {k : N - m < mk <= N}.
     """
     alg = system.algebra
     m = alg.m
@@ -749,30 +759,23 @@ def neumann_sums(
 
     zero = alg.zero_mi()
     w_words = enumerate_words(m, N - m)
-    e_words = sorted(
-        {
-            (j,) + w
-            for w in w_words
-            for j in range(1, m + 1)
-            if word_weight(w) + j > N - m
-        },
-        key=lambda w: (len(w), w),
-    )
+    e_words = [w for w in enumerate_words(m, N) if word_weight(w[1:]) <= N - m < word_weight(w)]
+
+    def apply(S: SymbolSum, j: int) -> SymbolSum:  # R_j S
+        return _apply_reduction(system, system.operators[j - 1], S)
 
     unit: SymbolSum = {_term_key([], zero, 0, zero): 1.0 + 0.0j}
-    states: dict[tuple[int, ...], SymbolSum] = {(): unit}
+    layers = [unit]
+    for v in range(1, N - m + 1):
+        layers.append(_merge(apply(layers[v - j], j) for j in range(1, min(m, v) + 1)))
+    # the window starts at 0, not at a negative index, when N - m < j - 1
+    e_sum = _merge(apply(_merge(layers[max(0, N - m - j + 1):]), j) for j in range(1, m + 1))
+    # the Leibniz audit reads single words, each folded right to left
+    word_states = {w: reduce(apply, reversed(w), unit) for w in e_words[:LEIBNIZ_WORDS]}
 
-    def state(word: tuple[int, ...]) -> SymbolSum:
-        if word not in states:
-            head, tail = word[0], word[1:]
-            states[word] = _apply_reduction(
-                system, system.operators[head - 1], state(tail)
-            )
-        return states[word]
-
-    # w_N and e_N are linear in the word states: merge, then evaluate once
-    w_vals = evaluator.eval_sum(_merge(map(state, w_words)), xi_list)
-    e_vals = evaluator.eval_sum(_merge(map(state, e_words)), xi_list)
+    # w_N and e_N are linear in the states: merge, then evaluate once
+    w_vals = evaluator.eval_sum(_merge(layers), xi_list)
+    e_vals = evaluator.eval_sum(e_sum, xi_list)
     phi_vals = evaluator.phi_deriv(zero).copy()
 
     K1 = [k for k in range(0, N // m + 1) if m * k <= N - m]
@@ -784,7 +787,8 @@ def neumann_sums(
         e_words=e_words,
         K1=K1,
         K2=K2,
-        word_states={w: states[w] for w in set(w_words) | set(e_words)},
+        layers=layers,
+        word_states=word_states,
         w_values=w_vals,
         e_values=e_vals,
         phi_values=phi_vals,
@@ -800,7 +804,7 @@ def residual_identity_check(sums: NeumannSums) -> LogMagnitude:
     The identity is algebraic; the residual measures rounding only.
     """
     system = sums.system
-    w_sum = _merge(sums.word_states[w] for w in sums.w_words)
+    w_sum = _merge(sums.layers)
     r_of_w = _merge(_apply_reduction(system, op, w_sum) for op in system.operators)
     lhs = sums.w_values - sums.evaluator.eval_sum(r_of_w, sums.xi_samples)
     rhs = sums.phi_values - sums.e_values
@@ -834,12 +838,6 @@ class BoundAuditReport:
 
     def ok(self) -> bool:
         return self.leibniz_violations == 0 and self.homogeneity_max_error <= 1e-12
-
-
-# the Leibniz check walks the first LEIBNIZ_WORDS e-words up to order
-# min(beta_max, LEIBNIZ_ORDER)
-LEIBNIZ_WORDS = 3
-LEIBNIZ_ORDER = 4
 
 
 def _derivative_layers(alg: SymbolAlgebra, S: SymbolSum, n_max: int):
@@ -925,10 +923,9 @@ def bound_audit(
     # one verdict per term of d^beta state(w): phi order at most
     # weight + |beta| and xi-degree exactly -weight
     leibniz_ok: list[bool] = []
-    for w in sums.e_words[:LEIBNIZ_WORDS]:
+    for w, state in sums.word_states.items():
         weight = word_weight(w)
-        layers = _derivative_layers(alg, sums.word_states[w], min(beta_max, LEIBNIZ_ORDER))
-        for n, layer in enumerate(layers):
+        for n, layer in enumerate(_derivative_layers(alg, state, min(beta_max, LEIBNIZ_ORDER))):
             leibniz_ok.extend(
                 key[3] is not None and mi_order(key[3]) <= weight + n
                 and alg.degree(key) == -weight

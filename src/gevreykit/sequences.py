@@ -127,8 +127,10 @@ class SequenceAuditReport:
 
 
 # The Stirling comparison sums ln k up to [p^sigma] (log_factorial's cache
-# grows to that length); capping its range keeps it desk-scale.
+# grows to that length); capping p and [p^sigma] keeps it desk-scale.  The
+# second cap is the [p^sigma] that sigma = 3 reaches, so it cuts only sigma > 3.
 _STIRLING_P_CAP = 64
+_STIRLING_N_CAP = _STIRLING_P_CAP**3
 
 
 def _first_max(row: np.ndarray) -> tuple[int, float]:
@@ -146,7 +148,8 @@ def audit_sequence(seq: DefiningSequence, p_max: int, q_max: int = 10) -> Sequen
     sums of sum M_{p-1}/M_p, locates the index from which
     (M_p/p!)^{1/p} is nondecreasing, fits the minimal constants of the
     two splitting inequalities, and compares [p^sigma]!^{tau/sigma}
-    against its Stirling-predicted equivalent of M_p.
+    against its Stirling-predicted equivalent of M_p for p <= 64 with
+    [p^sigma] <= 64^3.
 
     The (M.2)-bar fit is the one O(p_max^2) step. It runs one numpy row
     per p, never the full p_max x p_max matrix: at p_max 2000 each
@@ -222,6 +225,8 @@ def audit_sequence(seq: DefiningSequence, p_max: int, q_max: int = 10) -> Sequen
     residuals: list[tuple[int, float]] = []
     for p in range(1, min(p_max, _STIRLING_P_CAP) + 1):
         n = math.floor(float(p) ** sigma)
+        if n > _STIRLING_N_CAP:
+            break
         lhs = (tau / sigma) * log_factorial(n).log_value
         rhs = (
             (tau / (2.0 * sigma)) * math.log(2.0 * math.pi)

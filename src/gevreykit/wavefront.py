@@ -148,8 +148,11 @@ def read_gridfield(path: str) -> GridField:
 
 def default_cutoff_radius(tau: float, sigma: float) -> float:
     """The support scale sum_p (2(p+1))^{-tau p^{sigma-1}} of the
-    admissible-cutoff construction."""
+    admissible-cutoff construction; it diverges at sigma = 1, tau <= 1, where
+    the class is quasianalytic and has no compactly supported cutoff."""
     check_class(tau, sigma)
+    if sigma == 1 and tau <= 1:
+        raise ValueError(f"tau = {tau}, sigma = 1 is quasianalytic: no compactly supported cutoff")
     total, p = 0.0, 1
     while True:
         term = (2.0 * (p + 1)) ** (-tau * float(p) ** (sigma - 1.0))

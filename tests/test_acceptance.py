@@ -405,7 +405,7 @@ def test_criterion_10_bound_audits():
           f"{rep.leibniz_terms_checked} terms, zero violations): PASS")
 
 
-def test_criterion_11_determinism(tmp_path, monkeypatch):
+def test_criterion_11_determinism(tmp_path):
     jobs = [
         ["seq-audit", "--tau", "1", "--sigma", "2", "--pmax", "60"],
         ["lemma23", "--tau", "1", "--sigma", "2", "--kmax", "10"],
@@ -429,9 +429,7 @@ def test_criterion_11_determinism(tmp_path, monkeypatch):
             "--rp", "0.15", "--rs", "0.35"]
     a = os.path.join(tmp_path, "scan_a.json")
     b = os.path.join(tmp_path, "scan_b.json")
-    monkeypatch.setenv("GEVREY_THREADS", "1")
-    assert main(scan + ["--out", a]) == 0
-    monkeypatch.setenv("GEVREY_THREADS", "4")
-    assert main(scan + ["--out", b]) == 0
+    assert main(scan + ["--threads", "1", "--out", a]) == 0
+    assert main(scan + ["--threads", "4", "--out", b]) == 0
     assert open(a, "rb").read() == open(b, "rb").read()
     print("ACCEPTANCE 11 (byte-identical reports on repeated runs): PASS")

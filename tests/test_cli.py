@@ -422,8 +422,21 @@ def test_sigma_one_stays_allowed(tmp_path):
     outdir = os.path.join(tmp_path, "fields")
     main(["catalog", "--out", outdir])
     code, rep = run(["wf-scan", "--field", os.path.join(outdir, "kink.gf"), "--points", "0",
-                     "--tau", "1", "--sigma", "1", "--threads", "1"], tmp_path)
+                     "--tau", "1", "--sigma", "1", "--rp", "0.16", "--rs", "0.4",
+                     "--threads", "1"], tmp_path)
     assert code == 0 and len(rep["result"]["verdicts"]) == 2
+
+
+@pytest.mark.parametrize("tau,code", [("1", 1), ("0.5", 1), ("1.5", 0)])
+def test_quasianalytic_class_needs_an_explicit_support(tmp_path, capsys, tau, code):
+    # at sigma = 1, tau <= 1 the cutoff-radius series diverges
+    outdir = os.path.join(tmp_path, "fields")
+    main(["catalog", "--out", outdir])
+    got, rep = run(["wf-scan", "--field", os.path.join(outdir, "kink.gf"), "--points", "0",
+                    "--tau", tau, "--sigma", "1", "--threads", "1"], tmp_path)
+    assert got == code and (rep is None) == (code == 1)
+    if code == 1:
+        assert "quasianalytic" in _one_line_error(capsys)
 
 
 def test_parametrix_rejects_a_bad_class_before_the_sums(tmp_path, capsys, monkeypatch):
@@ -456,15 +469,11 @@ def test_readme_cli_examples_parse():
         _parser().parse_args(argv)
 
 
-def test_non_integer_gevrey_threads_exits_1(tmp_path, capsys, monkeypatch):
-    outdir = os.path.join(tmp_path, "fields")
-    main(["catalog", "--out", outdir])
-    capsys.readouterr()
-    monkeypatch.setenv("GEVREY_THREADS", "abc")
-    code, rep = run(["wf-scan", "--field", os.path.join(outdir, "kink.gf"), "--points", "0",
-                     "--tau", "1", "--sigma", "2"], tmp_path)
-    assert code == 1 and rep is None
-    assert "GEVREY_THREADS" in _one_line_error(capsys)
+def test_seq_audit_at_a_large_sigma_exits_0(tmp_path):
+    # the Stirling comparison stops at [p^sigma] = 64^3 instead of caching 64^10 entries
+    code, rep = run(["seq-audit", "--tau", "1", "--sigma", "10", "--pmax", "64"], tmp_path)
+    assert code == 0
+    assert [p for p, _ in rep["result"]["stirling_ratio_log_residuals"]] == [1, 2, 3]
 
 
 def test_signed_exponent_coefficient_exits_0(tmp_path):

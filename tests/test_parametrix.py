@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -22,9 +24,11 @@ from gevreykit.funcspec import (
 from gevreykit.jets import jet_compose, jet_of, jet_partial
 from gevreykit.multiindex import mi_add, mi_of_order
 from gevreykit.parametrix import (
+    LEIBNIZ_WORDS,
     DiffOperator,
     GridEvaluator,
     SymbolAlgebra,
+    _apply_reduction,
     _merge,
     bound_audit,
     build_reduction_operators,
@@ -67,6 +71,10 @@ def op_sin():
 
 def op_variable_principal():
     return DiffOperator(1, 1, {(1,): SumSpec(PolySpec((2,)), SinSpec())})
+
+
+def op_d3():
+    return DiffOperator(3, 1, {(3,): PolySpec((1,))})
 
 
 CATALOG_OPS = [op_d, op_d_plus_x, op_d2, op_sin, op_variable_principal]
@@ -298,6 +306,44 @@ def test_sampled_cutoff_residual_at_benchmark_configuration(c0):
     assert residual_identity_check(sums).to_real() <= 1e-8
 
 
+def _per_word_sums(system, N):
+    """Reference: one memoised state per operator word, each word acting
+    right to left on its suffix's state, merged over the w- and e-words."""
+    m = system.algebra.m
+    zero = system.algebra.zero_mi()
+    states = {(): {((), zero, 0, zero): 1.0 + 0.0j}}
+
+    def state(word):
+        if word not in states:
+            op = system.operators[word[0] - 1]
+            states[word] = _apply_reduction(system, op, state(word[1:]))
+        return states[word]
+
+    w_words = enumerate_words(m, N - m)
+    e_words = sorted(
+        {(j,) + w for w in w_words for j in range(1, m + 1) if word_weight(w) + j > N - m},
+        key=lambda w: (len(w), w),
+    )
+    return _merge(map(state, w_words)), _merge(map(state, e_words)), e_words, state
+
+
+@pytest.mark.parametrize("make", CATALOG_OPS + [op_d3], ids=lambda f: f.__name__)
+def test_weight_layers_match_the_per_word_states(make):
+    # criterion 8's operators, N = m included (the e-window starts at 0 there)
+    system = build_reduction_operators(make())
+    for N in range(system.algebra.m, 11):
+        sums = neumann_sums(system, PHI, N=N, x_grid=X_GRID[::8], xi_samples=XI_SAMPLES[::8])
+        ref_w, ref_e, e_words, state = _per_word_sums(system, N)
+        assert set(_merge(sums.layers)) == set(ref_w), N
+        assert sums.e_words == e_words, N
+        ev, xis = sums.evaluator, sums.xi_samples
+        for got, ref in ((sums.w_values, ref_w), (sums.e_values, ref_e)):
+            want = ev.eval_sum(ref, xis)
+            scale = np.max(np.abs(want), axis=1, keepdims=True)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale), N
+        assert sums.word_states == {w: state(w) for w in e_words[:LEIBNIZ_WORDS]}, N
+
+
 @pytest.fixture(scope="module")
 def sin_sums():
     system = build_reduction_operators(op_sin())
@@ -307,9 +353,9 @@ def sin_sums():
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_eval_sum_is_linear_over_merged_word_states(sin_sums, data):
-    words = sorted(sin_sums.word_states)
+    weights = range(len(sin_sums.layers))
     A, B = (
-        _merge(sin_sums.word_states[w] for w in data.draw(st.sets(st.sampled_from(words))))
+        _merge(sin_sums.layers[v] for v in data.draw(st.sets(st.sampled_from(weights))))
         for _ in range(2)
     )
     ev, xis = sin_sums.evaluator, sin_sums.xi_samples
@@ -317,6 +363,18 @@ def test_eval_sum_is_linear_over_merged_word_states(sin_sums, data):
     merged = ev.eval_sum(_merge([A, B]), xis)
     scale = np.max(np.abs(eval_a)) + np.max(np.abs(eval_b))
     assert np.max(np.abs(merged - (eval_a + eval_b))) <= 1e-12 * scale
+
+
+def test_benchmark_span_hook_reads_a_real_result(sin_sums):
+    # the traced benchmark counts words and word-state terms off each
+    # NeumannSums; a renamed or retyped field must fail here, not there
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "spans.py")
+    spec = importlib.util.spec_from_file_location("benchmark_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    attrs = spans._neumann_attrs((), {}, sin_sums)
+    assert set(attrs) == {"words_w", "words_e", "word_state_terms"}
+    assert all(type(v) is int and v > 0 for v in attrs.values())
 
 
 def test_leibniz_audit_catches_a_mistracked_phi_order(sin_sums, monkeypatch):

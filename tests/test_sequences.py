@@ -1,9 +1,10 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gevreykit import numerics
 from gevreykit.faadibruno import lemma23_constant_search, lemma23_ratio
 from gevreykit.multiindex import enumerate_decompositions
 from gevreykit.numerics import LogMagnitude
@@ -156,9 +157,6 @@ def _assert_fits_match_oracle(tau, sigma, p_max):
 @settings(max_examples=60, deadline=None)
 @given(tau=st.floats(0.1, 4.0), sigma=st.floats(1.001, 4.0), p_max=st.integers(3, 120))
 def test_splitting_fits_equal_the_double_loop(tau, sigma, p_max):
-    # the audit's Stirling comparison caches ln k! up to [min(p_max, 64)^sigma],
-    # about 0.6 GB at sigma = 4; the fits under test do not read it
-    assume(float(min(p_max, 64)) ** sigma <= 1e6)
     _assert_fits_match_oracle(tau, sigma, p_max)
 
 
@@ -244,6 +242,16 @@ def test_m2bar_exponent_max_at_small_shell():
         assert shell_max[2] >= peak - 1e-9, (tau, sigma)
         for s_, v in shell_max.items():
             assert v <= shell_max[2] + 1e-9, (tau, sigma, s_)
+
+
+def test_stirling_comparison_caps_the_log_factorial_cache(monkeypatch):
+    # [p^sigma] stops at 64^3, the reach of sigma = 3; uncapped, sigma = 3.5
+    # would cache ln k! for k up to 64^3.5, about 2.1 million entries
+    cache = [0.0, 0.0]
+    monkeypatch.setattr(numerics, "_LOG_FACT_CACHE", cache)
+    rep = audit_sequence(DefiningSequence(1, 3.5), 64)
+    assert len(cache) <= 64**3 + 1
+    assert [p for p, _ in rep.stirling_ratio_log_residuals] == list(range(1, 36))
 
 
 def test_stirling_comparison_envelope():
