@@ -27,6 +27,7 @@ from .multiindex import (
     MultiIndex,
     check_entries,
     enumerate_decompositions,
+    integer_partitions,
     mi_factorial,
     mi_order,
 )
@@ -126,16 +127,15 @@ def lemma23_constant_search(seq: DefiningSequence, k_max: int) -> Lemma23Fit:
     witness_k, witness_parts = 1, (1,)
     for k in range(1, k_max + 1):
         ks = float(k) ** seq.sigma
-        for dec in enumerate_decompositions((k,)):
-            parts: list[int] = []
-            for p, mult in zip(dec.parts, dec.multiplicities):
-                parts.extend([p[0]] * mult)
+        # the enumerator's order matters: w[1] = 0 makes some ratios tie
+        # exactly, and the strict > keeps the first
+        for parts in integer_partitions(k):
             num = w[len(parts)]
             num += sum(w[ki] for ki in parts)
             expo = (num - w[k]) / ks
             if expo > best:
                 best = expo
-                witness_k, witness_parts = k, tuple(parts)
+                witness_k, witness_parts = k, parts
     return Lemma23Fit(
         C=math.exp(best), k_max=k_max, witness_k=witness_k, witness_parts=witness_parts
     )

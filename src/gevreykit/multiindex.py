@@ -4,7 +4,8 @@ A multi-index is a plain tuple of naturals.  A decomposition of alpha is a
 representation alpha = sum_k m_k * p_k into distinct nonzero parts p_k
 (strictly increasing in the lexicographic order) with positive
 multiplicities m_k.  For d = 1 the decompositions of (n) are exactly the
-integer partitions of n.
+integer partitions of n, which ``integer_partitions`` lists directly as
+flat part tuples, in the enumerator's order.
 
 ``decomposition_census`` counts decompositions without listing them: a
 generating-function recurrence over the box below alpha, independent of
@@ -160,6 +161,31 @@ def enumerate_decompositions(alpha: MultiIndex) -> Iterator[Decomposition]:
                 mult += 1
 
     yield from descend(alpha, 0, [])
+
+
+def integer_partitions(n: int) -> Iterator[tuple[int, ...]]:
+    """Every partition of n as its parts in increasing order, repeats kept.
+
+    The order is ``enumerate_decompositions((n,))``'s: largest part first,
+    and for each part the multiplicities 1, 2, ... before any smaller part.
+    """
+    if n < 1:
+        raise ValueError("integer_partitions requires n >= 1")
+
+    def descend(remaining: int, below: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            yield tuple(reversed(acc))
+            return
+        depth = len(acc)
+        for part in range(min(below - 1, remaining), 0, -1):
+            left = remaining
+            while left >= part:
+                acc.append(part)
+                left -= part
+                yield from descend(left, part, acc)
+            del acc[depth:]
+
+    yield from descend(n, n + 1, [])
 
 
 def composition_multinomial_sum(n: int) -> int:

@@ -10,6 +10,7 @@ terms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import total_ordering
@@ -111,9 +112,12 @@ def log_factorial(n: int) -> LogMagnitude:
     if n < 0:
         raise ValueError("log_factorial requires n >= 0")
     cache = _LOG_FACT_CACHE
-    while len(cache) <= n:
-        k = len(cache)
-        cache.append(cache[-1] + math.log(k))
+    k = len(cache)
+    if k <= n:
+        # accumulate adds left to right: the same sequential sums as a loop
+        grown = itertools.accumulate(map(math.log, range(k, n + 1)), initial=cache[-1])
+        next(grown)
+        cache.extend(grown)
     return LogMagnitude(cache[n])
 
 

@@ -688,6 +688,7 @@ class NeumannSums:
     K1: list[int]
     K2: list[int]
     layers: list[SymbolSum]  # S_v, the sum of the weight-v word states
+    w_sum: SymbolSum  # w_N, the merge of the layers
     word_states: dict[tuple[int, ...], SymbolSum]  # the first LEIBNIZ_WORDS e-words
     w_values: np.ndarray  # (n_xi, n_points)
     e_values: np.ndarray
@@ -774,7 +775,8 @@ def neumann_sums(
     word_states = {w: reduce(apply, reversed(w), unit) for w in e_words[:LEIBNIZ_WORDS]}
 
     # w_N and e_N are linear in the states: merge, then evaluate once
-    w_vals = evaluator.eval_sum(_merge(layers), xi_list)
+    w_sum = _merge(layers)
+    w_vals = evaluator.eval_sum(w_sum, xi_list)
     e_vals = evaluator.eval_sum(e_sum, xi_list)
     phi_vals = evaluator.phi_deriv(zero).copy()
 
@@ -788,6 +790,7 @@ def neumann_sums(
         K1=K1,
         K2=K2,
         layers=layers,
+        w_sum=w_sum,
         word_states=word_states,
         w_values=w_vals,
         e_values=e_vals,
@@ -804,8 +807,7 @@ def residual_identity_check(sums: NeumannSums) -> LogMagnitude:
     The identity is algebraic; the residual measures rounding only.
     """
     system = sums.system
-    w_sum = _merge(sums.layers)
-    r_of_w = _merge(_apply_reduction(system, op, w_sum) for op in system.operators)
+    r_of_w = _merge(_apply_reduction(system, op, sums.w_sum) for op in system.operators)
     lhs = sums.w_values - sums.evaluator.eval_sum(r_of_w, sums.xi_samples)
     rhs = sums.phi_values - sums.e_values
     return LogMagnitude.from_real(float(np.max(np.abs(lhs - rhs))))

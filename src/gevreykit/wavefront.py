@@ -171,8 +171,32 @@ class Cutoff:
 
 
 def _distances(grid: GridField, x0: tuple[float, ...]) -> np.ndarray:
-    mesh = grid.meshgrid()
-    return np.sqrt(sum((m - c) ** 2 for m, c in zip(mesh, x0)))
+    # an open mesh broadcasts to the same 0 + a_i + b_j per cell as a full one
+    offsets = np.ix_(*(grid.axis_coords(i) - c for i, c in enumerate(x0)))
+    return np.sqrt(sum(o**2 for o in offsets))
+
+
+@functools.lru_cache(maxsize=8)
+def _mollifier_transform(
+    spacing: tuple[float, ...], sizes: tuple[int, ...], r_psi: float
+) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
+    """(psi's shape, the padded FFT shape, rfftn(psi)) for the unit-mass
+    mollifier of radius r_psi sampled on the spacing; only the cutoff's
+    center changes across a scan, so this is built once per grid and band."""
+    dim = len(sizes)
+    half = [int(math.ceil(r_psi / spacing[i])) for i in range(dim)]
+    offsets = [np.arange(-h, h + 1) * spacing[i] for i, h in enumerate(half)]
+    mesh = np.meshgrid(*offsets, indexing="ij")
+    rho2 = sum(m**2 for m in mesh) / r_psi**2
+    with np.errstate(divide="ignore", over="ignore"):
+        psi = np.where(rho2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - rho2, 1e-300)), 0.0)
+    psi /= psi.sum() * float(np.prod(spacing))
+
+    shape = [sizes[i] + psi.shape[i] - 1 for i in range(dim)]
+    fshape = tuple(int(2 ** math.ceil(math.log2(s))) for s in shape)
+    psi_hat = np.fft.rfftn(psi, fshape, axes=list(range(dim)))
+    psi_hat.flags.writeable = False  # shared by every cutoff (and thread) of a scan
+    return psi.shape, fshape, psi_hat
 
 
 def _check_radii(r_plateau: float, r_support: float, grid: GridField) -> None:
@@ -195,6 +219,8 @@ def make_cutoff(
     """
     if not isinstance(x0, tuple):
         x0 = (float(x0),)
+    if len(x0) != grid.dim:
+        raise ValueError(f"center {x0} of a {grid.dim}-D field needs {grid.dim} coordinates")
     _check_radii(r_plateau, r_support, grid)
     band = r_support - r_plateau
     for i, c in enumerate(x0):
@@ -208,24 +234,10 @@ def make_cutoff(
     dist = _distances(grid, x0)
     chi = (dist <= r_mid).astype(float)
 
-    # mollifier sampled on the same spacing, normalized to unit mass
-    half = [int(math.ceil(r_psi / grid.spacing[i])) for i in range(grid.dim)]
-    offsets = [np.arange(-h, h + 1) * grid.spacing[i] for i, h in enumerate(half)]
-    mesh = np.meshgrid(*offsets, indexing="ij")
-    rho2 = sum(m**2 for m in mesh) / r_psi**2
-    with np.errstate(divide="ignore", over="ignore"):
-        psi = np.where(rho2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - rho2, 1e-300)), 0.0)
-    psi /= psi.sum() * grid.cell_volume
-
-    shape = [chi.shape[i] + psi.shape[i] - 1 for i in range(grid.dim)]
-    fshape = [int(2 ** math.ceil(math.log2(s))) for s in shape]
+    psi_shape, fshape, psi_hat = _mollifier_transform(tuple(grid.spacing), tuple(grid.sizes), r_psi)
     axes = list(range(grid.dim))
-    conv = np.fft.irfftn(
-        np.fft.rfftn(chi, fshape, axes=axes) * np.fft.rfftn(psi, fshape, axes=axes),
-        fshape,
-        axes=axes,
-    )
-    start = [(psi.shape[i] - 1) // 2 for i in range(grid.dim)]
+    conv = np.fft.irfftn(np.fft.rfftn(chi, fshape, axes=axes) * psi_hat, fshape, axes=axes)
+    start = [(psi_shape[i] - 1) // 2 for i in range(grid.dim)]
     sl = tuple(slice(start[i], start[i] + chi.shape[i]) for i in range(grid.dim))
     phi = conv[sl] * grid.cell_volume
 

@@ -6,6 +6,7 @@ from gevreykit.multiindex import (
     composition_multinomial_sum,
     decomposition_census,
     enumerate_decompositions,
+    integer_partitions,
     mi_binomial,
     mi_factorial,
     mi_of_order,
@@ -43,6 +44,23 @@ def test_round_trip_and_canonical_order():
             key = (d.parts, d.multiplicities)
             assert key not in seen
             seen.add(key)
+
+
+def test_integer_partitions_follow_the_enumerator_order():
+    # lemma23_constant_search keeps the first of exactly tied ratios, so
+    # the order, not just the set, must be the enumerator's
+    for n in range(1, 21):
+        flat = []
+        for d in enumerate_decompositions((n,)):
+            parts = []
+            for p, mult in zip(d.parts, d.multiplicities):
+                parts.extend([p[0]] * mult)
+            flat.append(tuple(parts))
+        assert list(integer_partitions(n)) == flat, n
+        assert len(flat) == PARTITIONS[n]
+    assert list(integer_partitions(4)) == [(4,), (1, 3), (1, 1, 2), (2, 2), (1, 1, 1, 1)]
+    with pytest.raises(ValueError):
+        list(integer_partitions(0))
 
 
 def test_census_matches_partition_function_d1():

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from gevreykit import numerics
 from gevreykit.numerics import (
     LogMagnitude,
     log_factorial,
@@ -24,6 +25,22 @@ def test_log_factorial_chain_rule_to_1e4():
         expect = prev + math.log(n + 1)
         assert abs(nxt - expect) <= 1e-12 * max(1.0, abs(expect))
         prev = nxt
+
+
+def test_log_factorial_cache_is_the_sequential_sum(monkeypatch):
+    # grown in uneven chunks, the cache must equal one plain left-to-right
+    # sum of ln k, bit for bit: reports print these values
+    cache = [0.0, 0.0]
+    monkeypatch.setattr(numerics, "_LOG_FACT_CACHE", cache)
+    ns = (3, 2, 1000, 999, 70_000, 70_001)
+    for n in ns:
+        assert log_factorial(n).log_value == cache[n]
+    assert len(cache) == max(ns) + 1
+    acc, expect = 0.0, [0.0]
+    for k in range(1, max(ns) + 1):
+        acc += math.log(k)
+        expect.append(acc)
+    assert cache == expect
 
 
 def test_multinomial_examples():

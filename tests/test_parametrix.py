@@ -335,6 +335,7 @@ def test_weight_layers_match_the_per_word_states(make):
         sums = neumann_sums(system, PHI, N=N, x_grid=X_GRID[::8], xi_samples=XI_SAMPLES[::8])
         ref_w, ref_e, e_words, state = _per_word_sums(system, N)
         assert set(_merge(sums.layers)) == set(ref_w), N
+        assert sums.w_sum == _merge(sums.layers), N  # what the residual check reads
         assert sums.e_words == e_words, N
         ev, xis = sums.evaluator, sums.xi_samples
         for got, ref in ((sums.w_values, ref_w), (sums.e_values, ref_e)):

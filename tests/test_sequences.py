@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from gevreykit import numerics
 from gevreykit.faadibruno import lemma23_constant_search, lemma23_ratio
-from gevreykit.multiindex import enumerate_decompositions
+from gevreykit.multiindex import enumerate_decompositions, integer_partitions
 from gevreykit.numerics import LogMagnitude
 from gevreykit.sequences import (
     DefiningSequence,
@@ -197,10 +197,20 @@ def _lemma23_oracle(seq, k_max):
 def test_lemma23_search_equals_the_ratio_oracle():
     for tau, sigma in GRID + [(0.1, 1.001)]:
         seq = DefiningSequence(tau, sigma)
-        for k_max in (2, 3, 12):
+        for k_max in (2, 3, 12, 20):
             fit = lemma23_constant_search(seq, k_max)
             C, (k, parts) = _lemma23_oracle(seq, k_max)
             assert (fit.C, fit.witness_k, fit.witness_parts) == (C, k, parts), (tau, sigma)
+
+
+def test_lemma23_tie_keeps_the_first_partition():
+    # w[1] = ln(M_1/1!) = 0, so (1, 3) and (1, 1, 2) give bit-equal ratios;
+    # the search's strict > keeps (1, 3), which the enumeration meets first
+    for tau, sigma in [(1, 2), (0.25, 1.25), (0.5, 3)]:
+        seq = DefiningSequence(tau, sigma)
+        assert lemma23_ratio(seq, 3, (1, 1, 2)) == lemma23_ratio(seq, 2, (1, 3))
+    order = list(integer_partitions(4))
+    assert order.index((1, 3)) < order.index((1, 1, 2))
 
 
 def test_sigma_at_most_one_rejected_at_construction():

@@ -1,6 +1,8 @@
 import functools
 import math
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from gevreykit.wavefront import (
     Spectrum,
     WavefrontVerdict,
     _family_verdict,
+    _mollifier_transform,
     _fit_constants_ls,
     _measured_decay_order,
     catalog_field,
@@ -83,6 +86,11 @@ def test_cutoff_resolvability_and_bounds():
         make_cutoff((0.0,), 0.10, 0.11, u)  # band under-resolved
     with pytest.raises(ValueError):
         make_cutoff((0.9,), 0.15, 0.4, u)  # support leaves the grid
+    # a center with the wrong number of coordinates once gave a stripe cutoff
+    with pytest.raises(ValueError, match="needs 2 coordinates"):
+        make_cutoff((0.0,), 0.12, 0.35, catalog_field("step2d"))
+    with pytest.raises(ValueError, match="needs 1 coordinates"):
+        make_cutoff((0.0, 0.0), 0.15, 0.4, u)
 
 
 def test_cutoff_growth_admissible_for_requested_class():
@@ -194,6 +202,53 @@ def test_half_support_cutoff_invariance():
         for phi in (big, small):
             prof = directional_decay_profile(FrequencyGrid(u, [CONE1]).spectrum(phi), CONE1, 40)
             assert wf_point_test(prof, 1, 2).regular == expect, (name, phi.r_support)
+
+
+def _cutoff_reference(x0, r_plateau, r_support, grid):
+    """make_cutoff as one self-contained construction per center: full
+    coordinate mesh, mollifier and its transform built afresh each call."""
+    mesh = grid.meshgrid()
+    dist = np.sqrt(sum((m - c) ** 2 for m, c in zip(mesh, x0)))
+    r_mid, r_psi = 0.5 * (r_plateau + r_support), 0.5 * (r_support - r_plateau)
+    chi = (dist <= r_mid).astype(float)
+    half = [int(math.ceil(r_psi / grid.spacing[i])) for i in range(grid.dim)]
+    offsets = [np.arange(-h, h + 1) * grid.spacing[i] for i, h in enumerate(half)]
+    rho2 = sum(m**2 for m in np.meshgrid(*offsets, indexing="ij")) / r_psi**2
+    with np.errstate(divide="ignore", over="ignore"):
+        psi = np.where(rho2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - rho2, 1e-300)), 0.0)
+    psi /= psi.sum() * grid.cell_volume
+    fshape = [int(2 ** math.ceil(math.log2(a + b - 1))) for a, b in zip(chi.shape, psi.shape)]
+    axes = list(range(grid.dim))
+    conv = np.fft.irfftn(
+        np.fft.rfftn(chi, fshape, axes=axes) * np.fft.rfftn(psi, fshape, axes=axes),
+        fshape,
+        axes=axes,
+    )
+    sl = tuple(slice((p - 1) // 2, (p - 1) // 2 + n) for p, n in zip(psi.shape, chi.shape))
+    phi = np.clip(conv[sl] * grid.cell_volume, 0.0, 1.0)
+    phi[dist >= r_support] = 0.0
+    phi[dist <= r_plateau] = 1.0
+    return phi
+
+
+def test_cutoffs_sharing_one_mollifier_equal_the_reference_across_threads():
+    # make_cutoff reuses one cached mollifier transform per (spacing, sizes,
+    # band); built from more threads than cores on a cold cache, every
+    # cutoff must still equal its own construction bit for bit
+    cases = [(catalog_field("step2d"), 0.12, 0.35, [(0.0, 0.0), (0.3, -0.2), (-0.4, 0.45)]),
+             (catalog_field("kink"), 0.15, 0.4, [(0.0,), (0.3,), (-0.5,)])]
+    jobs = [(pt, rp, rs, u) for u, rp, rs, pts in cases for pt in pts] * 2
+    _mollifier_transform.cache_clear()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            got = list(pool.map(lambda job: make_cutoff(*job), jobs))
+    finally:
+        sys.setswitchinterval(switch)
+    for job, phi in zip(jobs, got):
+        assert np.array_equal(phi.profile.samples, _cutoff_reference(*job)), job[0]
+    assert _mollifier_transform.cache_info().currsize == 2  # one per grid and band
 
 
 def test_synthetic_profile_rules():
