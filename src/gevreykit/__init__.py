@@ -12,10 +12,9 @@ variable-coefficient operators, verifying their growth bounds.
 
 __version__ = "0.1.0"
 
-from .numerics import LogMagnitude, log_factorial, multinomial, stirling_log_residual
+from .numerics import log_factorial, multinomial, stirling_log_residual
 
 __all__ = [
-    "LogMagnitude",
     "log_factorial",
     "multinomial",
     "stirling_log_residual",

@@ -305,8 +305,8 @@ def _cmd_parametrix(args, seed: int) -> None:
     audit = bound_audit(sums, beta_max=args.beta_max, tau=args.tau, sigma=args.sigma)
     expected = sum(word_count_recurrence(P.order, v) for v in range(0, args.N - P.order + 1))
     result = {
-        "max_residual": residual.to_real(),
-        "residual_ok": residual.to_real() <= TOL_IDENTITY,
+        "max_residual": residual,
+        "residual_ok": residual <= TOL_IDENTITY,
         "word_count_w": len(sums.w_words),
         "word_count_e": len(sums.e_words),
         "word_count_matches_recurrence": len(sums.w_words) == expected,

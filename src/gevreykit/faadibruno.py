@@ -31,7 +31,7 @@ from .multiindex import (
     mi_factorial,
     mi_order,
 )
-from .numerics import LogMagnitude, log_factorial
+from .numerics import log_factorial
 from .sequences import DefiningSequence, log_M
 
 # enforced order limits: decomposition counts explode beyond these
@@ -86,8 +86,8 @@ def _fdb_plan(alpha: MultiIndex) -> tuple:
 
 def lemma23_ratio(
     seq: DefiningSequence, j: int, parts: list[int] | tuple[int, ...]
-) -> LogMagnitude:
-    """log of [(M_j/j!) prod_i M_{k_i}/k_i!] / [M_k/k!], k = sum(parts)."""
+) -> float:
+    """ln of [(M_j/j!) prod_i M_{k_i}/k_i!] / [M_k/k!], k = sum(parts)."""
     if j < 1:
         raise ValueError("j must be a positive natural")
     if len(parts) != j:
@@ -95,10 +95,9 @@ def lemma23_ratio(
     if any(k < 1 for k in parts):
         raise ValueError("parts must be positive")
     k = sum(parts)
-    num = seq.log_M(j) - log_factorial(j).log_value
-    num += sum(seq.log_M(ki) - log_factorial(ki).log_value for ki in parts)
-    den = seq.log_M(k) - log_factorial(k).log_value
-    return LogMagnitude(num - den)
+    num = seq.log_M_over_factorial(j)
+    num += sum(seq.log_M_over_factorial(ki) for ki in parts)
+    return num - seq.log_M_over_factorial(k)
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,7 @@ def lemma23_constant_search(seq: DefiningSequence, k_max: int) -> Lemma23Fit:
         raise ValueError("k_max must be >= 2")
     # w[i] = ln(M_i / i!), the one term lemma23_ratio sums; summed here in
     # its order, so every ratio is bit-identical to lemma23_ratio's
-    w = [seq.log_M(i) - log_factorial(i).log_value for i in range(k_max + 1)]
+    w = [seq.log_M_over_factorial(i) for i in range(k_max + 1)]
     best = 0.0
     witness_k, witness_parts = 1, (1,)
     for k in range(1, k_max + 1):
@@ -206,10 +205,9 @@ def superposition_bound_components(
     }
 
 
-def superposition_log_bound(inp: CompositionBoundInput, alpha: MultiIndex) -> LogMagnitude:
+def superposition_log_bound(inp: CompositionBoundInput, alpha: MultiIndex) -> float:
     """Certified log bound on sup |d^alpha (f o g)| from seminorm inputs."""
-    parts = superposition_bound_components(inp, alpha)
-    return LogMagnitude(sum(parts.values()))
+    return sum(superposition_bound_components(inp, alpha).values())
 
 
 def reciprocal_bound_components(
@@ -228,7 +226,7 @@ def reciprocal_bound_components(
         raise ValueError("use 1/min_abs directly for alpha = 0")
     seq = inp._seq()
     log_outer_amp = max(
-        log_factorial(m).log_value - (m + 1) * math.log(min_abs) - seq.log_M(m)
+        log_factorial(m) - (m + 1) * math.log(min_abs) - seq.log_M(m)
         for m in range(n + 1)
     )
     eff = CompositionBoundInput(
@@ -245,12 +243,11 @@ def reciprocal_bound_components(
 
 def reciprocal_log_bound(
     inp: CompositionBoundInput, alpha: MultiIndex, min_abs: float
-) -> LogMagnitude:
+) -> float:
     """Certified log bound on sup |d^alpha (1/phi)| given inf |phi| >= min_abs."""
     if min_abs <= 0:
         raise ValueError("min_abs must be positive")
     if mi_order(alpha) == 0:
-        return LogMagnitude(-math.log(min_abs))
+        return -math.log(min_abs)
     parts = reciprocal_bound_components(inp, alpha, min_abs)
-    total = sum(v for k, v in parts.items() if k != "reciprocal_amplitude")
-    return LogMagnitude(total)
+    return sum(v for k, v in parts.items() if k != "reciprocal_amplitude")

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multiindex import mi_of_order
-from .numerics import LogMagnitude, log_factorial
-from .sequences import log_envelope, log_M, normalized_excess
+from .sequences import log_envelope, log_factorial_form, log_M, normalized_excess
 
 _NEG_INF = float("-inf")
 
@@ -63,8 +62,8 @@ def synthetic_growth(
 
 def seminorm_log(
     data: DerivativeGrowthData, tau: float, sigma: float, h: float
-) -> LogMagnitude:
-    """log of the seminorm: max over n of log sup - n^sigma ln h - ln M_n."""
+) -> float:
+    """ln of the seminorm: max over n of log sup - n^sigma ln h - ln M_n."""
     if h <= 0:
         raise ValueError("h must be positive")
     best = _NEG_INF
@@ -73,7 +72,7 @@ def seminorm_log(
             continue
         ns = float(n) ** sigma if n else 0.0
         best = max(best, v - ns * math.log(h) - log_M(tau, sigma, n))
-    return LogMagnitude(best)
+    return best
 
 
 def _h_interval(s_values: list[float]) -> tuple[float, float] | None:
@@ -124,7 +123,7 @@ def seminorm_equivalence_gap(
         ns = float(n) ** sigma
         s1.append(normalized_excess(v, n, tau, sigma))
         fl = math.floor(ns)
-        s2.append((v - (tau / sigma) * log_factorial(fl).log_value) / ns)
+        s2.append((v - log_factorial_form(tau, sigma, fl)) / ns)
     return _h_interval(s1), _h_interval(s2)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import LogMagnitude, log_factorial
+from .numerics import log_factorial
 
 
 def log_M(tau: float, sigma: float, n: int) -> float:
@@ -31,6 +31,12 @@ def log_M(tau: float, sigma: float, n: int) -> float:
     if n <= 1:
         return 0.0
     return tau * (float(n) ** sigma) * math.log(n)
+
+
+def log_factorial_form(tau: float, sigma: float, m: int) -> float:
+    """(tau/sigma) ln m!, the growth of the factorial form m!^{tau/sigma}
+    that stands in for M_n at m = [n^sigma]; unchecked."""
+    return (tau / sigma) * log_factorial(m)
 
 
 def check_class(tau: float, sigma: float) -> None:
@@ -73,6 +79,11 @@ class DefiningSequence:
         if p < 0:
             raise ValueError("p must be a natural number")
         return log_M(self.tau, self.sigma, p)
+
+    def log_M_over_factorial(self, p: int) -> float:
+        """ln(M_p / p!), the term the almost-increasing and splitting
+        bounds sum."""
+        return self.log_M(p) - log_factorial(p)
 
 
 @dataclass
@@ -182,9 +193,7 @@ def audit_sequence(seq: DefiningSequence, p_max: int, q_max: int = 10) -> Sequen
         partial_sums.append((p, acc))
 
     # first index from which a_p = (ln M_p - ln p!)/p is nondecreasing
-    a = [
-        (logM[p] - log_factorial(p).log_value) / p for p in range(1, p_max + 1)
-    ]
+    a = [seq.log_M_over_factorial(p) / p for p in range(1, p_max + 1)]
     almost_from = 1
     for i in range(len(a) - 1):
         if a[i + 1] < a[i] - 1e-15:
@@ -229,7 +238,7 @@ def audit_sequence(seq: DefiningSequence, p_max: int, q_max: int = 10) -> Sequen
         n = math.floor(float(p) ** sigma)
         if n > _STIRLING_N_CAP:
             break
-        lhs = (tau / sigma) * log_factorial(n).log_value
+        lhs = log_factorial_form(tau, sigma, n)
         rhs = (
             (tau / (2.0 * sigma)) * math.log(2.0 * math.pi)
             + (tau / 2.0) * math.log(p)
@@ -256,8 +265,8 @@ def audit_sequence(seq: DefiningSequence, p_max: int, q_max: int = 10) -> Sequen
 
 def almost_increasing_pair_bound(
     seq: DefiningSequence, parts: list[int] | tuple[int, ...]
-) -> LogMagnitude:
-    """log of [prod_i M_{k_i}/k_i!] / [M_k/k!] with k = sum(parts).
+) -> float:
+    """ln of [prod_i M_{k_i}/k_i!] / [M_k/k!] with k = sum(parts).
 
     The ratio is at most C^k for the constant fitted by audit_sequence.
     """
@@ -266,15 +275,14 @@ def almost_increasing_pair_bound(
     if any(k < 1 for k in parts):
         raise ValueError("parts must be positive")
     k = sum(parts)
-    num = sum(seq.log_M(ki) - log_factorial(ki).log_value for ki in parts)
-    den = seq.log_M(k) - log_factorial(k).log_value
-    return LogMagnitude(num - den)
+    num = sum(seq.log_M_over_factorial(ki) for ki in parts)
+    return num - seq.log_M_over_factorial(k)
 
 
 def enumerate_transform(
-    decay: list[tuple[int, LogMagnitude]], sigma: float
-) -> list[tuple[int, LogMagnitude]]:
-    """Re-index a decay profile by N -> ceil(N^sigma).
+    decay: list[tuple[int, float]], sigma: float
+) -> list[tuple[int, float]]:
+    """Re-index a decay profile of (N, log value) pairs by N -> ceil(N^sigma).
 
     Image indices carry the input values; gaps are filled by linear
     interpolation in the log domain (conservative for convex profiles).
@@ -292,17 +300,17 @@ def enumerate_transform(
     image: list[tuple[int, float]] = []
     for n, v in pairs:
         m = math.ceil(float(n) ** sigma - 1e-9) if n > 0 else 0
-        image.append((m, v.log_value))
+        image.append((m, v))
 
-    out: list[tuple[int, LogMagnitude]] = []
+    out: list[tuple[int, float]] = []
     for (m0, v0), (m1, v1) in zip(image, image[1:]):
-        out.append((m0, LogMagnitude(v0)))
+        out.append((m0, v0))
         for m in range(m0 + 1, m1):
             if v0 == float("-inf") or v1 == float("-inf"):
                 interp = float("-inf")
             else:
                 t = (m - m0) / (m1 - m0)
                 interp = v0 + t * (v1 - v0)
-            out.append((m, LogMagnitude(interp)))
-    out.append((image[-1][0], LogMagnitude(image[-1][1])))
+            out.append((m, interp))
+    out.append(image[-1])
     return out

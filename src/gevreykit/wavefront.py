@@ -36,8 +36,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .numerics import log_factorial
-from .sequences import check_class, log_envelope, log_M
+from .sequences import check_class, log_envelope, log_factorial_form, log_M
 
 _NEG_INF = float("-inf")
 
@@ -477,7 +476,7 @@ def _family(tau: float, sigma: float, n_use: int, factorial: bool) -> tuple[_Ter
         return [(M, log_M(tau, sigma, M), float(M) ** sigma) for M in range(1, n_use + 1)], n_use
     m_fit = int(float(n_use) ** sigma)
     terms = [
-        (int(math.floor(M ** (1.0 / sigma) + 1e-12)), (tau / sigma) * log_factorial(M).log_value, M)
+        (int(math.floor(M ** (1.0 / sigma) + 1e-12)), log_factorial_form(tau, sigma, M), M)
         for M in range(1, m_fit + 2)
     ]
     return terms, m_fit

@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gevreykit
-from gevreykit.cli import _parser, main
+from gevreykit import parametrix
+from gevreykit.cli import TOL_IDENTITY, _parser, main
 from gevreykit.schemas import validate_report
 from gevreykit.wavefront import GridField, ScanParams, read_gridfield, wf_scan, write_gridfield
 
@@ -133,6 +134,35 @@ def test_parametrix_command(tmp_path):
     for j, alpha, A, h in r["coefficient_fits"]:
         assert 1 <= j <= 2 and len(alpha) == 1 and A > 0 and h >= 1
     validate_report(rep)
+
+
+def test_parametrix_max_residual_is_the_measured_maximum(tmp_path, monkeypatch):
+    # the README example: the report prints max |(I - R) w_N - (phi - e_N)|
+    # itself, recomputed here from the Neumann sums the command built
+    built = []
+    sums_of = parametrix.neumann_sums
+
+    def keep(*args, **kwargs):
+        built.append(sums_of(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(parametrix, "neumann_sums", keep)
+    code, rep = run(
+        ["parametrix", "--op", "D^2 + sin*D + poly:1", "--N", "8",
+         "--cone", "1,0.4,6", "--phi", "0,0.15,0.4"],
+        tmp_path,
+    )
+    assert code == 0
+    (sums,) = built
+    system = sums.system
+    r_of_w = parametrix._merge(
+        parametrix._apply_reduction(system, op, sums.w_sum) for op in system.operators
+    )
+    lhs = sums.w_values - sums.evaluator.eval_sum(r_of_w, sums.xi_samples)
+    measured = float(np.max(np.abs(lhs - (sums.phi_values - sums.e_values))))
+    r = rep["result"]
+    assert r["max_residual"] == measured
+    assert r["residual_ok"] == (measured <= TOL_IDENTITY)
 
 
 def test_report_schemas_cover_every_command_and_reject_bad_reports(tmp_path):

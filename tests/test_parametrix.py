@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import os
+import pkgutil
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import smooth_bump
 
+import gevreykit
 from gevreykit.funcspec import (
     ComposeSpec,
     CosSpec,
@@ -272,7 +274,7 @@ def test_residual_identity_catalog():
             sums = neumann_sums(
                 system, PHI, N=N, x_grid=X_GRID, xi_samples=XI_SAMPLES[::8]
             )
-            res = residual_identity_check(sums).to_real()
+            res = residual_identity_check(sums)
             assert res <= 1e-8, (P, N, res)
 
 
@@ -282,7 +284,7 @@ def test_residual_identity_single_term_case():
     system = build_reduction_operators(P)
     sums = neumann_sums(system, PHI, N=2, x_grid=X_GRID[:64], xi_samples=[8.0])
     assert sums.w_words == [()]
-    assert residual_identity_check(sums).to_real() <= 1e-10
+    assert residual_identity_check(sums) <= 1e-10
 
 
 def test_neumann_with_sampled_cutoff():
@@ -291,7 +293,7 @@ def test_neumann_with_sampled_cutoff():
     phi = make_cutoff((0.0,), 0.15, 0.4, grid)
     system = build_reduction_operators(op_sin())
     sums = neumann_sums(system, phi, N=5, xi_samples=[8.0, 32.0])
-    assert residual_identity_check(sums).to_real() <= 1e-8
+    assert residual_identity_check(sums) <= 1e-8
 
 
 @pytest.mark.parametrize("c0", [0.5, 2.0])
@@ -303,7 +305,7 @@ def test_sampled_cutoff_residual_at_benchmark_configuration(c0):
     system = build_reduction_operators(parse_operator(f"D^2 + sin*D + poly:{c0}"))
     xis = [float(v) for v in np.geomspace(6.0, 96.0, 33)]
     sums = neumann_sums(system, phi, N=7, xi_samples=xis, fd_order_max=4)
-    assert residual_identity_check(sums).to_real() <= 1e-8
+    assert residual_identity_check(sums) <= 1e-8
 
 
 def _per_word_sums(system, N):
@@ -366,16 +368,49 @@ def test_eval_sum_is_linear_over_merged_word_states(sin_sums, data):
     assert np.max(np.abs(merged - (eval_a + eval_b))) <= 1e-12 * scale
 
 
-def test_benchmark_span_hook_reads_a_real_result(sin_sums):
-    # the traced benchmark counts words and word-state terms off each
-    # NeumannSums; a renamed or retyped field must fail here, not there
+def _benchmark_spans():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "spans.py")
     spec = importlib.util.spec_from_file_location("benchmark_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    attrs = spans._neumann_attrs((), {}, sin_sums)
+    return spans
+
+
+def test_benchmark_span_hook_reads_a_real_result(sin_sums):
+    # the traced benchmark counts words and word-state terms off each
+    # NeumannSums; a renamed or retyped field must fail here, not there
+    attrs = _benchmark_spans()._neumann_attrs((), {}, sin_sums)
     assert set(attrs) == {"words_w", "words_e", "word_state_terms"}
     assert all(type(v) is int and v > 0 for v in attrs.values())
+
+
+def _target(modname: str, qual: str):
+    owner = importlib.import_module(f"gevreykit.{modname}")
+    *path, attr = qual.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    return owner.__dict__[attr]
+
+
+def test_benchmark_targets_all_resolve_and_unwrap():
+    # the traced benchmark wraps every TARGETS name; a renamed function
+    # must fail here, not as a KeyError inside the traced run
+    spans = _benchmark_spans()
+    names = [f"gevreykit.{m.name}" for m in pkgutil.iter_modules(gevreykit.__path__)]
+    modules = [gevreykit, *map(importlib.import_module, names)]
+    before = {m: dict(vars(m)) for m in modules}
+    originals = {(mod, qual): _target(mod, qual) for mod, qual, _ in spans.TARGETS}
+    undo = spans.install(spans.SpanRecorder())
+    try:
+        for (mod, qual), orig in originals.items():
+            traced = _target(mod, qual)
+            assert getattr(traced, "__wrapped__", None) is orig, f"{mod}.{qual} was never bound"
+    finally:
+        spans.uninstall(undo)
+    for (mod, qual), orig in originals.items():
+        assert _target(mod, qual) is orig, f"{mod}.{qual} was not restored"
+    for m, names in before.items():
+        assert all(vars(m)[k] is v for k, v in names.items()), m.__name__
 
 
 def test_leibniz_audit_catches_a_mistracked_phi_order(sin_sums, monkeypatch):
@@ -584,7 +619,7 @@ def test_neumann_and_bound_audit_in_two_dimensions():
     system = build_reduction_operators(P)
     sums = neumann_sums(system, phi, N=5, x_grid=grid, xi_samples=[(6.0, 2.0), (3.0, 9.0)])
     assert sums.w_values.shape == (2, 81)
-    assert residual_identity_check(sums).to_real() <= 1e-8
+    assert residual_identity_check(sums) <= 1e-8
     assert bound_audit(sums, beta_max=2, tau=1.0, sigma=2.0).ok()
 
 

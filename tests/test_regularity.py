@@ -34,21 +34,21 @@ def gaussian_growth(n_max=24):
 def test_seminorm_examples():
     # constant data: seminorm is the order-0 value
     const = DerivativeGrowthData((0.5,) + (NEG_INF,) * 10)
-    assert seminorm_log(const, 1, 2, 1).log_value == 0.5
+    assert seminorm_log(const, 1, 2, 1) == 0.5
     # exactly synthesized data has seminorm log 0
     data = synthetic_growth(1, 2, 1, 1, 24)
-    assert seminorm_log(data, 1, 2, 1).log_value == pytest.approx(0.0, abs=1e-12)
+    assert seminorm_log(data, 1, 2, 1) == pytest.approx(0.0, abs=1e-12)
     # Gaussian data is dominated at (1, 2, 1)
     g = gaussian_growth()
-    assert seminorm_log(g, 1, 2, 1).log_value < float("inf")
-    assert seminorm_log(g, 1, 2, 1).log_value == pytest.approx(0.0, abs=1e-9)
+    assert seminorm_log(g, 1, 2, 1) < float("inf")
+    assert seminorm_log(g, 1, 2, 1) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_seminorm_monotone_in_h_and_tau():
     g = gaussian_growth()
-    s1 = seminorm_log(g, 1, 2, 1).log_value
-    assert seminorm_log(g, 1, 2, 2).log_value <= s1
-    assert seminorm_log(g, 2, 2, 1).log_value <= s1
+    s1 = seminorm_log(g, 1, 2, 1)
+    assert seminorm_log(g, 1, 2, 2) <= s1
+    assert seminorm_log(g, 2, 2, 1) <= s1
 
 
 def test_equivalence_gap_cases():

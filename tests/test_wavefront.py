@@ -453,7 +453,7 @@ def _ref_enumerated_family_order(tau, sigma, log_r, n_cap):
     best_k, best_v = 0, 0.0
     for N in range(1, m_cap + 1):
         k = int(math.floor(N ** (1.0 / sigma) + 1e-12))
-        v = (tau / sigma) * log_factorial(N).log_value - k * log_r
+        v = (tau / sigma) * log_factorial(N) - k * log_r
         if v < best_v:
             best_k, best_v = k, v
     return best_k
@@ -479,7 +479,7 @@ def _ref_enumerated_constants(profile, tau, sigma, n_lo, n_hi):
         v = profile.entries[k]
         if v == -math.inf:
             continue
-        s1.append((v - (tau / sigma) * log_factorial(M).log_value) / M)
+        s1.append((v - (tau / sigma) * log_factorial(M)) / M)
     log_h1 = max(s1) if s1 else 0.0
     log_a1 = 0.0
     m_cov = int(math.floor(float(max(n_lo, 1)) ** sigma))
@@ -490,7 +490,7 @@ def _ref_enumerated_constants(profile, tau, sigma, n_lo, n_hi):
         v = profile.entries[k]
         if v == -math.inf:
             continue
-        log_a1 = max(log_a1, v - M * log_h1 - (tau / sigma) * log_factorial(M).log_value)
+        log_a1 = max(log_a1, v - M * log_h1 - (tau / sigma) * log_factorial(M))
     return log_a1, log_h1
 
 
@@ -550,7 +550,7 @@ def _ref_equivalence_detail(profile, tau, sigma):
                 v = profile.entries[k]
                 if v == -math.inf:
                     continue
-                if v > log_a1 + M * log_h1 + (tau / sigma) * log_factorial(M).log_value + 1e-9:
+                if v > log_a1 + M * log_h1 + (tau / sigma) * log_factorial(M) + 1e-9:
                     accept = False
                     break
     else:
