@@ -9,8 +9,11 @@ and is validated elsewhere against the independent jet-composition
 oracle.  The sum's index part (each decomposition's m, parts and
 reciprocal factorials) depends on alpha alone, so it is enumerated once
 per alpha into a cached plan; the order limits admit 135 alphas, which
-bounds the cache.  The quantitative side fits the
-decomposition-splitting constant (``lemma23_constant_search``) and
+bounds the cache.  The plan lists each distinct (part, multiplicity)
+once, so a call builds each f^(m)(g) and each power ((1/p!) d^p g)^mult
+once, however many decompositions share it, and still sums the
+decompositions in the enumerator's order.  The quantitative side fits
+the decomposition-splitting constant (``lemma23_constant_search``) and
 assembles certified sup bounds for compositions and reciprocals from
 seminorm inputs.
 """
@@ -31,7 +34,6 @@ from .multiindex import (
     mi_factorial,
     mi_order,
 )
-from .numerics import log_factorial
 from .sequences import DefiningSequence, log_M
 
 # enforced order limits: decomposition counts explode beyond these
@@ -58,30 +60,35 @@ def fdb_derivative(f, g, alpha: MultiIndex, at: tuple) -> complex | float | Frac
     if n == 0:
         return f_jet.value
 
+    pieces, terms = _fdb_plan(alpha)
+    # one outer derivative per m and one power per (part, mult), each built as
+    # the per-decomposition loop built it, so float sums stay bit-identical
+    outer = [jet_partial(f_jet, (m,)) for m in range(n + 1)]
+    powers = [(inv_pf * jet_partial(g_jet, part)) ** mult for part, inv_pf, mult in pieces]
     total = 0
-    for m, factors in _fdb_plan(alpha):
-        term = jet_partial(f_jet, (m,))
-        for part, inv_pf, inv_mf, mult in factors:
-            piece = inv_pf * jet_partial(g_jet, part)
-            term = term * inv_mf * piece**mult
+    for m, factors in terms:
+        term = outer[m]
+        for inv_mf, i in factors:
+            term = term * inv_mf * powers[i]
         total = total + term
     return mi_factorial(alpha) * total
 
 
 @functools.cache
 def _fdb_plan(alpha: MultiIndex) -> tuple:
-    """The decomposition sum's index part, one (m, ((p, 1/p!, 1/mult!, mult), ...))
-    per decomposition of alpha, in the enumerator's order."""
-    return tuple(
-        (
-            dec.total_multiplicity,
-            tuple(
-                (part, Fraction(1, mi_factorial(part)), Fraction(1, math.factorial(mult)), mult)
-                for part, mult in zip(dec.parts, dec.multiplicities)
-            ),
-        )
-        for dec in enumerate_decompositions(alpha)
-    )
+    """The decomposition sum's index part: the distinct pieces (p, 1/p!, mult)
+    and, per decomposition of alpha in the enumerator's order, its m and one
+    (1/mult!, piece index) per part."""
+    index: dict[tuple[MultiIndex, int], int] = {}
+    terms = []
+    for dec in enumerate_decompositions(alpha):
+        factors = []
+        for part, mult in zip(dec.parts, dec.multiplicities):
+            i = index.setdefault((part, mult), len(index))
+            factors.append((Fraction(1, math.factorial(mult)), i))
+        terms.append((dec.total_multiplicity, tuple(factors)))
+    pieces = tuple((part, Fraction(1, mi_factorial(part)), mult) for part, mult in index)
+    return pieces, tuple(terms)
 
 
 def lemma23_ratio(
@@ -226,8 +233,7 @@ def reciprocal_bound_components(
         raise ValueError("use 1/min_abs directly for alpha = 0")
     seq = inp._seq()
     log_outer_amp = max(
-        log_factorial(m) - (m + 1) * math.log(min_abs) - seq.log_M(m)
-        for m in range(n + 1)
+        -seq.log_M_over_factorial(m) - (m + 1) * math.log(min_abs) for m in range(n + 1)
     )
     eff = CompositionBoundInput(
         tau=inp.tau,

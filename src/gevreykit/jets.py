@@ -17,8 +17,19 @@ The index work of a product depends only on the jet's shape: ``jet_mul``
 reads the sums ka + kb with |ka| + |kb| <= order from one table per
 (dim, order), built on first use, and multiplies and adds the
 coefficients in the same order as the plain pairwise loop would.
+When one factor's coefficients are all Fractions and the other's all
+ints or Fractions, the product is taken on integer numerators over each
+factor's least common denominator, with one Fraction per output key,
+instead of two gcds per Fraction product and sum; any float, complex or
+array coefficient keeps the plain loop.
+
 ``jet_compose`` starts Horner at f's highest nonzero coefficient, since
-leading zeros only multiply empty jets.
+leading zeros only multiply empty jets, and truncates each step: after
+step j, j more factors of g's nonconstant part follow, each raising the
+order by at least 1, so step j keeps only the orders up to K - j.  The
+kept coefficients come from the same products summed in the same order,
+so the result equals the untruncated Horner's bit for bit, key order
+included.
 """
 
 from __future__ import annotations
@@ -95,19 +106,54 @@ def _sum_table(dim: int, order: int) -> dict[MultiIndex, dict[MultiIndex, MultiI
     }
 
 
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    _check_compatible(a, b)
-    sums = _sum_table(a.dim, a.order)
-    b_terms = [(kb, vb) for kb, vb in b.coeffs.items() if not _is_zero(vb)]
+def _numerators(values: list) -> tuple[int, list[int]]:
+    """The least common denominator of int/Fraction values and each value's
+    integer numerator over it."""
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
+_EXACT_TYPES = frozenset((int, Fraction))
+_FRACTION_TYPE = frozenset((Fraction,))
+
+
+def _mul_terms(
+    a_coeffs: Mapping[MultiIndex, Number],
+    b_terms: list[tuple[MultiIndex, Number]],
+    sums: dict[MultiIndex, dict[MultiIndex, MultiIndex]],
+) -> dict[MultiIndex, Number]:
+    """The product of a's coefficients with b's nonzero terms, kept where
+    ``sums`` holds ka + kb: a's items outer, b's inner, each output key
+    inserted at its first product."""
+    rows = [(sums[ka], va) for ka, va in a_coeffs.items() if ka in sums and not _is_zero(va)]
+    a_types = {type(va) for _, va in rows}
+    b_types = {type(vb) for _, vb in b_terms}
+    # exact branch: every product has a Fraction factor, so each output is a
+    # Fraction; with ints on both sides the loop keeps int * int an int
+    exact = (a_types <= _FRACTION_TYPE and b_types <= _EXACT_TYPES) or (
+        b_types <= _FRACTION_TYPE and a_types <= _EXACT_TYPES
+    )
+    if exact:
+        da, a_num = _numerators([va for _, va in rows])
+        db, b_num = _numerators([vb for _, vb in b_terms])
+        rows = [(row, na) for (row, _), na in zip(rows, a_num)]
+        b_terms = [(kb, nb) for (kb, _), nb in zip(b_terms, b_num)]
     out: dict[MultiIndex, Number] = {}
-    for ka, va in a.coeffs.items():
-        row = sums.get(ka)
-        if row is None or _is_zero(va):
-            continue
+    for row, va in rows:
         for kb, vb in b_terms:
             k = row.get(kb)
             if k is not None:
                 out[k] = out.get(k, 0) + va * vb
+    if exact:
+        d = da * db
+        return {k: Fraction(n, d) for k, n in out.items()}
+    return out
+
+
+def jet_mul(a: Jet, b: Jet) -> Jet:
+    _check_compatible(a, b)
+    b_terms = [(kb, vb) for kb, vb in b.coeffs.items() if not _is_zero(vb)]
+    out = _mul_terms(a.coeffs, b_terms, _sum_table(a.dim, a.order))
     return Jet(a.dim, a.order, out, a.base_point or b.base_point)
 
 
@@ -126,16 +172,20 @@ def jet_compose(f: Jet, g: Jet) -> Jet:
     tol = 0 if _is_exact(fb) and _is_exact(gv) else 1e-10
     if np.any(abs(fb - gv) > tol):
         raise ValueError(f"outer base {fb} != inner value {gv}")
-    K = g.order
-    ghat_coeffs = {k: v for k, v in g.coeffs.items() if mi_order(k) > 0}
-    ghat = Jet(g.dim, K, ghat_coeffs, g.base_point)
+    K, zero = g.order, (0,) * g.dim
+    ghat = [(k, v) for k, v in g.coeffs.items() if mi_order(k) > 0 and not _is_zero(v)]
     # leading zero coefficients would only multiply empty jets
     top = max((k[0] for k, c in f.coeffs.items() if k[0] <= K and not _is_zero(c)), default=0)
-    result = jet_const(f.coeff((top,)), g.dim, K, g.base_point)
+    c = f.coeff((top,))
+    out: dict[MultiIndex, Number] = {} if _is_zero(c) else {zero: c}
     for j in range(top - 1, -1, -1):
-        result = jet_mul(result, ghat)
-        result = jet_add(result, jet_const(f.coeff((j,)), g.dim, K, g.base_point))
-    return result
+        # j more factors of ghat follow, each raising the order by at least
+        # 1, so only the orders up to K - j can reach the result
+        out = _mul_terms(out, ghat, _sum_table(g.dim, K - j))
+        c = f.coeff((j,))
+        if not _is_zero(c):
+            out[zero] = out.get(zero, 0) + c
+    return Jet(g.dim, K, out, g.base_point)
 
 
 def jet_partial(j: Jet, alpha: MultiIndex) -> Number:

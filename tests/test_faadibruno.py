@@ -1,11 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import measure_spec_sups, oracle_pairs
+from conftest import measure_spec_sups, mv, oracle_pairs
 
 from gevreykit.faadibruno import (
+    _MAX_ORDER,
     CompositionBoundInput,
     _fdb_plan,
     fdb_derivative,
@@ -26,7 +30,7 @@ from gevreykit.funcspec import (
     SumSpec,
 )
 from gevreykit.jets import jet_compose, jet_of, jet_partial
-from gevreykit.multiindex import enumerate_decompositions, mi_of_order, mi_order
+from gevreykit.multiindex import enumerate_decompositions, mi_factorial, mi_of_order, mi_order
 from gevreykit.sequences import DefiningSequence
 
 
@@ -86,6 +90,63 @@ def test_oracle_equivalence_catalog():
                     ww = complex(want)
                     tol = 1e-9 * max(abs(ww), 1.0)
                     assert abs(gw - ww) <= tol, (f, g, alpha, gw, ww)
+
+
+def _reference_fdb(f, g, alpha, at):
+    # the decomposition sum one decomposition at a time, every outer
+    # derivative and every piece built again where it occurs
+    n = mi_order(alpha)
+    g_jet = jet_of(g, at, n)
+    f_jet = jet_of(f, (g_jet.value,), n)
+    if n == 0:
+        return f_jet.value
+    total = 0
+    for dec in enumerate_decompositions(alpha):
+        term = jet_partial(f_jet, (dec.total_multiplicity,))
+        for part, mult in zip(dec.parts, dec.multiplicities):
+            piece = Fraction(1, mi_factorial(part)) * jet_partial(g_jet, part)
+            term = term * Fraction(1, math.factorial(mult)) * piece**mult
+        total = total + term
+    return mi_factorial(alpha) * total
+
+
+def _assert_same_value(got, want):
+    # == on exact values, the same bits on floats; the same type on both
+    assert type(got) is type(want) and repr(got) == repr(want), (got, want)
+
+
+def test_fdb_matches_the_per_decomposition_sum_on_the_catalog():
+    for f, g, at, _ in oracle_pairs():
+        d = g.dim
+        for n in range(min(_MAX_ORDER[d], 6) + 1):
+            for alpha in mi_of_order(d, n):
+                _assert_same_value(fdb_derivative(f, g, alpha, at), _reference_fdb(f, g, alpha, at))
+
+
+@st.composite
+def _fdb_case(draw):
+    d = draw(st.integers(1, 3))
+    alpha = draw(st.sampled_from(list(mi_of_order(d, draw(st.integers(0, _MAX_ORDER[d]))))))
+    exact = draw(st.booleans())
+    num = st.fractions(-2, 2, max_denominator=5) if exact else st.floats(-2, 2)
+    at = tuple(draw(num) for _ in range(d))
+    monomial = st.tuples(*[st.integers(0, 3)] * d)
+    g = mv(d, draw(st.dictionaries(monomial, num, min_size=1, max_size=4)))
+    outer = [ExpSpec(), SinSpec(), CosSpec(), RecipPowSpec(1), PolySpec((1, 2, 0, 1))]
+    if exact:
+        outer.append(PolySpec(tuple(draw(st.lists(num, min_size=1, max_size=5)))))
+    return draw(st.sampled_from(outer)), g, alpha, at
+
+
+@settings(max_examples=80, deadline=None)
+@given(_fdb_case())
+def test_fdb_matches_the_per_decomposition_sum_on_drawn_input(case):
+    f, g, alpha, at = case
+    try:
+        want = _reference_fdb(f, g, alpha, at)
+    except (ZeroDivisionError, OverflowError):
+        assume(False)
+    _assert_same_value(fdb_derivative(f, g, alpha, at), want)
 
 
 def test_exponent_identity_of_proof():

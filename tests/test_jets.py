@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gevreykit import funcspec
+from gevreykit import funcspec, jets
 from gevreykit.funcspec import (
     ComposeSpec,
     CosSpec,
@@ -222,27 +224,41 @@ def test_grammars_parse_or_raise_value_error(text):
             pass
 
 
+def _zero(v):
+    # an array over base points never counts as zero, as in the jets
+    return not isinstance(v, np.ndarray) and v == 0
+
+
 def _reference_mul(a, b):
     # the pairwise product with plain tuple addition, a's items outer
     out = {}
     for ka, va in a.coeffs.items():
         for kb, vb in b.coeffs.items():
-            if va != 0 and vb != 0 and sum(ka) + sum(kb) <= a.order:
+            if not _zero(va) and not _zero(vb) and sum(ka) + sum(kb) <= a.order:
                 k = tuple(x + y for x, y in zip(ka, kb))
                 out[k] = out.get(k, 0) + va * vb
     return out
 
 
 def _reference_compose(f, g):
-    # Horner from f's order K down, zero top coefficients included
+    # Horner from f's order K down, zero top coefficients included, every
+    # step through the full order K
     K, zero = g.order, (0,) * g.dim
     ghat = Jet(g.dim, K, {k: v for k, v in g.coeffs.items() if sum(k) > 0})
     out = {}
     for j in range(K, -1, -1):
         out = _reference_mul(Jet(g.dim, K, out), ghat)
-        if f.coeff((j,)) != 0:
+        if not _zero(f.coeff((j,))):
             out[zero] = out.get(zero, 0) + f.coeff((j,))
     return out
+
+
+def _bits(coeffs):
+    # keys in order, each value's type and exact bits (repr tells -0.0 from 0.0)
+    return [
+        (k, type(v), v.tobytes() if isinstance(v, np.ndarray) else repr(v))
+        for k, v in coeffs.items()
+    ]
 
 
 _exact = st.one_of(
@@ -250,21 +266,25 @@ _exact = st.one_of(
     st.integers(-3, 3),
     st.fractions(min_value=-3, max_value=3, max_denominator=6),
 )
+_inexact = st.one_of(
+    st.floats(-3, 3),
+    st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
+)
 
 
 @st.composite
-def _sparse_jet(draw, dim, order):
+def _sparse_jet(draw, dim, order, values=_exact):
     # random keys in random insertion order, zero coefficients included
     shape = [k for n in range(order + 1) for k in mi_of_order(dim, n)]
     keys = draw(st.lists(st.sampled_from(shape), unique=True, max_size=len(shape)))
-    return Jet(dim, order, {k: draw(_exact) for k in keys})
+    return Jet(dim, order, {k: draw(values) for k in keys})
 
 
 @st.composite
-def _jet_pair(draw):
+def _jet_pair(draw, values=_exact):
     dim = draw(st.integers(1, 3))
     order = draw(st.integers(0, 6 if dim == 1 else 4))
-    return draw(_sparse_jet(dim, order)), draw(_sparse_jet(dim, order))
+    return draw(_sparse_jet(dim, order, values)), draw(_sparse_jet(dim, order, values))
 
 
 @settings(max_examples=200, deadline=None)
@@ -276,15 +296,97 @@ def test_jet_mul_matches_pairwise_reference(pair):
     assert got == want and list(got) == list(want)
 
 
+def _jet_1d(coeffs):
+    return Jet(1, 4, {(k,): v for k, v in enumerate(coeffs)})
+
+
+@pytest.mark.parametrize(
+    "a, b, exact",
+    [
+        # zero coefficients of both kinds, on both sides
+        (_jet_1d([Fraction(1, 2), 0, Fraction(-2, 3), Fraction(0)]),
+         _jet_1d([Fraction(0), Fraction(3, 4), 0, Fraction(5, 6), Fraction(1, 7)]), True),
+        # Fractions with denominator 1, alone and beside larger denominators
+        (_jet_1d([Fraction(2), Fraction(-3), Fraction(1)]),
+         _jet_1d([Fraction(5), Fraction(1, 3), Fraction(4)]), True),
+        (_jet_1d([Fraction(2), Fraction(-3)]), _jet_1d([Fraction(7), Fraction(-1)]), True),
+        # all-int jets keep int products
+        (_jet_1d([2, -3, 0, 5]), _jet_1d([1, 4, -2]), False),
+        # ints against Fractions: every product has a Fraction factor
+        (_jet_1d([1, 2, 3]), _jet_1d([Fraction(1, 2), Fraction(-1, 3)]), True),
+        # ints beside Fractions on both sides: an int * int key stays int
+        (_jet_1d([1, Fraction(1, 2)]), _jet_1d([Fraction(1, 3), 3]), False),
+        (Jet(2, 3, {(0, 0): Fraction(1, 3), (1, 0): Fraction(-2, 5), (1, 1): Fraction(4, 9)}),
+         Jet(2, 3, {(0, 1): Fraction(3, 2), (0, 0): Fraction(-1, 6), (2, 0): 0}), True),
+    ],
+)
+def test_jet_mul_exact_products_match_the_reference(a, b, exact):
+    # equal values, keys in the same order and the same types (int stays int)
+    with mock.patch.object(jets, "_numerators", wraps=jets._numerators) as spy:
+        got = jet_mul(a, b).coeffs
+    want = _reference_mul(a, b)
+    assert got == want and list(got) == list(want)
+    assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+    assert spy.called == exact
+
+
+@st.composite
+def _mixed_jet_pair(draw):
+    # jets of mixed values, one side given a nonzero float or complex
+    # coefficient, so that the pair never qualifies for the exact branch
+    pair = list(draw(_jet_pair(st.one_of(_exact, _inexact))))
+    i = draw(st.integers(0, 1))
+    dim, order = pair[i].dim, pair[i].order
+    key = draw(st.sampled_from([k for n in range(order + 1) for k in mi_of_order(dim, n)]))
+    value = draw(_inexact.filter(lambda v: v != 0))
+    pair[i] = Jet(dim, order, {**pair[i].coeffs, key: value})
+    return tuple(pair)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mixed_jet_pair())
+def test_jet_mul_on_mixed_jets_is_bitwise_the_pairwise_loop(pair):
+    a, b = pair
+    with mock.patch.object(jets, "_numerators", side_effect=AssertionError("exact branch")):
+        got = jet_mul(a, b).coeffs
+    assert _bits(got) == _bits(_reference_mul(a, b))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_jet_pair(), st.data())
-def test_jet_compose_of_low_degree_polynomial_matches_full_horner(pair, data):
+def test_jet_compose_of_full_degree_polynomial_matches_full_horner(pair, data):
+    # f of degree up to K: every Horner step below the top is truncated
     _, g = pair
-    degree = data.draw(st.integers(0, g.order))  # < K unless K = 0
-    if g.order:
-        degree = min(degree, g.order - 1)
+    degree = data.draw(st.integers(0, g.order))
     coeffs = data.draw(st.lists(_exact, min_size=degree + 1, max_size=degree + 1))
     f = Jet(1, g.order, {(j,): c for j, c in enumerate(coeffs)}, (g.value,))
     got = jet_compose(f, g).coeffs
     want = _reference_compose(f, g)
     assert got == want and list(got) == list(want)
+    assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_jet_pair(st.floats(-3, 3)), st.data())
+def test_jet_compose_on_float_jets_is_bitwise_the_full_horner(pair, data):
+    _, g = pair
+    coeffs = data.draw(st.lists(st.floats(-3, 3), min_size=g.order + 1, max_size=g.order + 1))
+    f = Jet(1, g.order, {(j,): c for j, c in enumerate(coeffs)}, (g.value,))
+    assert _bits(jet_compose(f, g).coeffs) == _bits(_reference_compose(f, g))
+
+
+_point_values = st.lists(st.floats(-3, 3).map(lambda x: x + 0.0), min_size=3, max_size=3).map(
+    np.array
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_jet_pair(_point_values), st.data())
+def test_jet_compose_on_array_jets_is_bitwise_the_full_horner(pair, data):
+    # jets over three base points, as the grid evaluator builds them; the
+    # values avoid -0.0, since for a constant f the jet keeps c itself where
+    # the reference adds it to 0, which turns -0.0 into 0.0
+    _, g = pair
+    coeffs = data.draw(st.lists(_point_values, min_size=g.order + 1, max_size=g.order + 1))
+    f = Jet(1, g.order, {(j,): c for j, c in enumerate(coeffs)}, (g.value,))
+    assert _bits(jet_compose(f, g).coeffs) == _bits(_reference_compose(f, g))
