@@ -9,12 +9,15 @@ flat part tuples, in the enumerator's order.
 
 ``decomposition_census`` counts decompositions without listing them: a
 generating-function recurrence over the box below alpha, independent of
-``enumerate_decompositions``, so each checks the other.
+``enumerate_decompositions``, so each checks the other; it counts each
+alpha once and answers repeats from a cache.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -113,10 +116,6 @@ class Decomposition:
     def total_multiplicity(self) -> int:
         """m = m_1 + ... + m_s."""
         return sum(self.multiplicities)
-
-    @property
-    def num_parts(self) -> int:
-        return len(self.parts)
 
 
 def enumerate_decompositions(alpha: MultiIndex) -> Iterator[Decomposition]:
@@ -227,6 +226,12 @@ def decomposition_census(alpha: MultiIndex) -> tuple[int, int, bool]:
     check_entries(alpha)
     if mi_order(alpha) < 1:
         raise ValueError("decomposition_census requires |alpha| >= 1")
+    return _census(tuple(map(operator.index, alpha)))
+
+
+@functools.lru_cache(maxsize=1024)
+def _census(alpha: MultiIndex) -> tuple[int, int, bool]:
+    """decomposition_census of a checked alpha, once per alpha."""
     cells = list(mi_range(alpha))  # lexicographic: index(q + p) = index(q) + index(p)
     index = {c: i for i, c in enumerate(cells)}
     ways = [1] + [0] * (len(cells) - 1)

@@ -47,9 +47,6 @@ class DerivativeGrowthData:
     def n_max(self) -> int:
         return len(self.entries) - 1
 
-    def log_sup(self, n: int) -> float:
-        return self.entries[n]
-
 
 def synthetic_growth(
     tau: float, sigma: float, h: float = 1.0, A: float = 1.0, n_max: int = 24

@@ -5,8 +5,13 @@ discrete Fourier transform, profile the decay sup_{cone bins}
 |xi|^N |(phi u)^(xi)| in the log domain, and test the profile against
 the two-parameter envelope family A h^{N^sigma} N^{tau N^sigma} / |xi|^N.
 The work splits along what varies: a FrequencyGrid (|xi|, radius bins,
-one mask per cone) is built once per field, a Spectrum (one transform)
-once per cutoff, and a DecayProfile per spectrum and cone.
+one ConeBins table per cone) is built once per field, a Spectrum (one
+transform) once per cutoff, and a DecayProfile per spectrum and cone.
+Each step does only the work its data needs: a cutoff is convolved on
+the window of its support, not on the whole grid, and the sup over N
+reads only the staircase of bins that no bin of larger or equal |xi|
+and clearly larger amplitude dominates, which leaves every entry and
+its radius exactly as the sup over all bins gives them (_STAIR_MARGIN).
 
 On a bounded frequency window the raw envelope inequality is always
 satisfiable by inflating the constants, so the measured-field verdict
@@ -46,6 +51,7 @@ H_CAP_FRACTION = 0.25  # synthetic profiles: largest h, as a share of xi_max
 MIN_USABLE = 6  # fewest usable profile values a verdict needs
 N_BANDS = 6  # log-uniform radius bands of the shells' upper envelope
 ORDER_MARGIN = 1  # orders by which measured decay must beat the family's
+_WINDOW_MARGIN = 2  # cells beyond r_support on each side of a cutoff's window
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +131,20 @@ def read_gridfield(path: str) -> GridField:
         origin = tuple(float(t) for t in header[4 : 4 + d])
         spacing = tuple(float(t) for t in header[4 + d : 4 + 2 * d])
         kind = header[4 + 2 * d]
-        body = [t.split(",") for t in fh.read().split()]
+        tokens = fh.read().split()
     width = {"real": 1, "complex": 2}.get(kind)
     if width is None:
         raise ValueError(f"unknown sample kind {kind!r}")
-    if any(len(t) != width for t in body):
+    if width == 2:
+        tokens = [t.split(",") for t in tokens]
+        malformed = any(len(t) != 2 for t in tokens)
+        tokens = [x for t in tokens for x in t]
+    else:
+        malformed = any("," in t for t in tokens)
+    if malformed:
         raise ValueError(f"malformed {kind} sample in {path} (complex samples are re,im)")
-    vals = np.array([float(x) for t in body for x in t])
+    # str items convert through float() itself: the same tokens pass or fail
+    vals = np.array(tokens, dtype=float)
     if not (all(map(math.isfinite, origin + spacing)) and np.isfinite(vals).all()):
         raise ValueError(f"non-finite origin, spacing or sample in {path}")
     vals = vals.view(complex) if width == 2 else vals
@@ -169,20 +182,23 @@ class Cutoff:
     profile: GridField
 
 
-def _distances(grid: GridField, x0: tuple[float, ...]) -> np.ndarray:
+def _distances(grid: GridField, x0: tuple[float, ...], window: tuple[slice, ...]) -> np.ndarray:
+    """|x - x0| on the samples of a window of the grid, bit-equal to the
+    same samples of the full grid's distances."""
     # an open mesh broadcasts to the same 0 + a_i + b_j per cell as a full one
-    offsets = np.ix_(*(grid.axis_coords(i) - c for i, c in enumerate(x0)))
+    offsets = np.ix_(*(grid.axis_coords(i)[w] - c for i, (w, c) in enumerate(zip(window, x0))))
     return np.sqrt(sum(o**2 for o in offsets))
 
 
 @functools.lru_cache(maxsize=8)
 def _mollifier_transform(
-    spacing: tuple[float, ...], sizes: tuple[int, ...], r_psi: float
-) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
-    """(psi's shape, the padded FFT shape, rfftn(psi)) for the unit-mass
-    mollifier of radius r_psi sampled on the spacing; only the cutoff's
-    center changes across a scan, so this is built once per grid and band."""
-    dim = len(sizes)
+    spacing: tuple[float, ...], r_psi: float, fshape: tuple[int, ...]
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """(psi's shape, rfftn(psi) on the padded window shape fshape) for the
+    unit-mass mollifier of radius r_psi sampled on the spacing; only the
+    cutoff's center changes across a scan, and every window of a scan pads
+    to the same shape, so this is built once per grid and band."""
+    dim = len(spacing)
     half = [int(math.ceil(r_psi / spacing[i])) for i in range(dim)]
     offsets = [np.arange(-h, h + 1) * spacing[i] for i, h in enumerate(half)]
     mesh = np.meshgrid(*offsets, indexing="ij")
@@ -190,12 +206,9 @@ def _mollifier_transform(
     with np.errstate(divide="ignore", over="ignore"):
         psi = np.where(rho2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - rho2, 1e-300)), 0.0)
     psi /= psi.sum() * float(np.prod(spacing))
-
-    shape = [sizes[i] + psi.shape[i] - 1 for i in range(dim)]
-    fshape = tuple(int(2 ** math.ceil(math.log2(s))) for s in shape)
     psi_hat = np.fft.rfftn(psi, fshape, axes=list(range(dim)))
     psi_hat.flags.writeable = False  # shared by every cutoff (and thread) of a scan
-    return psi.shape, fshape, psi_hat
+    return psi.shape, psi_hat
 
 
 def _check_radii(r_plateau: float, r_support: float, grid: GridField) -> None:
@@ -215,6 +228,10 @@ def make_cutoff(
     """phi = chi * psi: indicator of the mid ball mollified to the
     transition band.  0 <= phi <= 1, phi = 1 inside r_plateau, 0 outside
     r_support (enforced exactly against convolution ripple).
+
+    phi vanishes beyond r_mid + r_psi = r_support, so the convolution runs
+    on the window of samples within r_support of x0 (plus _WINDOW_MARGIN
+    cells per side), not on the whole grid; the rest of phi is 0.
     """
     if not isinstance(x0, tuple):
         x0 = (float(x0),)
@@ -230,19 +247,28 @@ def make_cutoff(
 
     r_mid = 0.5 * (r_plateau + r_support)
     r_psi = 0.5 * band
-    dist = _distances(grid, x0)
+    # the window's index range per axis, cut to the grid
+    window = []
+    for i, c in enumerate(x0):
+        h = grid.spacing[i]
+        mid, reach = round((c - grid.origin[i]) / h), math.ceil(r_support / h) + _WINDOW_MARGIN
+        window.append(slice(max(mid - reach, 0), min(mid + reach + 1, grid.sizes[i])))
+    window = tuple(window)
+    dist = _distances(grid, x0, window)
     chi = (dist <= r_mid).astype(float)
 
-    psi_shape, fshape, psi_hat = _mollifier_transform(tuple(grid.spacing), tuple(grid.sizes), r_psi)
+    half = [int(math.ceil(r_psi / h)) for h in grid.spacing]
+    fshape = tuple(int(2 ** math.ceil(math.log2(n + 2 * k))) for n, k in zip(chi.shape, half))
+    psi_shape, psi_hat = _mollifier_transform(tuple(grid.spacing), r_psi, fshape)
     axes = list(range(grid.dim))
     conv = np.fft.irfftn(np.fft.rfftn(chi, fshape, axes=axes) * psi_hat, fshape, axes=axes)
     start = [(psi_shape[i] - 1) // 2 for i in range(grid.dim)]
     sl = tuple(slice(start[i], start[i] + chi.shape[i]) for i in range(grid.dim))
-    phi = conv[sl] * grid.cell_volume
-
-    phi = np.clip(phi, 0.0, 1.0)
-    phi[dist >= r_support] = 0.0
-    phi[dist <= r_plateau] = 1.0
+    local = np.clip(conv[sl] * grid.cell_volume, 0.0, 1.0)
+    local[dist >= r_support] = 0.0
+    local[dist <= r_plateau] = 1.0
+    phi = np.zeros(grid.sizes)
+    phi[window] = local
     return Cutoff(x0, r_plateau, r_support, grid.like(phi))
 
 
@@ -315,11 +341,38 @@ def synthetic_profile(
     )
 
 
+@dataclass(frozen=True)
+class ConeBins:
+    """One cone's DFT bins, listed once per scan: flat indices (row-major),
+    |xi|, ln |xi| and radius index per bin; the count of distinct radius
+    indices; the bins sorted by |xi| descending (stable), and for each
+    sorted position the last position of its run of equal |xi|."""
+
+    idx: np.ndarray
+    mag: np.ndarray
+    log_mag: np.ndarray
+    ridx: np.ndarray
+    n_ridx: int
+    by_mag: np.ndarray
+    run_end: np.ndarray
+
+    @classmethod
+    def select(cls, mask: np.ndarray, mag: np.ndarray, ridx: np.ndarray) -> "ConeBins":
+        idx = np.flatnonzero(mask)
+        m, r = mag.reshape(-1)[idx], ridx.reshape(-1)[idx]
+        by_mag = np.argsort(-m, kind="stable")
+        bounds = np.append(np.flatnonzero(np.diff(m[by_mag], prepend=np.inf)), len(m))
+        run_end = np.repeat(bounds[1:] - 1, np.diff(bounds))
+        n_ridx = int(np.count_nonzero(np.bincount(r)))  # radius indices are >= 0
+        return cls(idx, m, np.log(m), r, n_ridx, by_mag, run_end)
+
+
 class FrequencyGrid:
     """The DFT bins of a field, shared by every cutoff of a scan: |xi|,
     its radius-bin index round(|xi| / min dxi), the Nyquist value and one
-    bin mask per cone.  A cone whose xi_min lies inside the DC leakage
-    band (below 4 bins) rejects the grid, and with it the whole scan."""
+    ConeBins table per cone.  A cone whose xi_min lies inside the DC
+    leakage band (below 4 bins) rejects the grid, and with it the whole
+    scan."""
 
     def __init__(self, u: GridField, cones: list[Cone]) -> None:
         self.field = u
@@ -331,7 +384,10 @@ class FrequencyGrid:
         mesh = np.meshgrid(*freqs, indexing="ij")
         self.mag = np.sqrt(sum(m**2 for m in mesh))
         self.ridx = np.round(self.mag / self.dxi).astype(int)
-        self.masks = {cone: cone.contains(mesh, self.mag) for cone in cones}
+        self.bins = {
+            cone: ConeBins.select(cone.contains(mesh, self.mag), self.mag, self.ridx)
+            for cone in cones
+        }
 
     def spectrum(self, phi: Cutoff) -> Spectrum:
         """|(phi u)^|: the DFT of phi*u normalized by the cell volume."""
@@ -350,20 +406,42 @@ class Spectrum:
     amp: np.ndarray
 
 
+# A bin is dropped from the sup over N when a bin of |xi| at least as large
+# has a log-amplitude at least _STAIR_MARGIN * max(1, S) higher, S bounding
+# |N ln|xi| + ln|amp|| over the profile.  This is exact: N >= 0, ln is
+# monotone and rounding is monotone, so fl(N ln r') >= fl(N ln r) for
+# r' >= r; adding the log-amplitudes, the exact sums differ by at least
+# the margin, far more than the 2^-52 S that rounding both sums can close.
+# So at every N a dropped bin lies strictly below another bin and is never
+# the first argmax: entries and sup_radius are those of the sup over all
+# bins, bit for bit.
+_STAIR_MARGIN = 1e-9
+
+
+def _staircase(bins: ConeBins, keep: np.ndarray, loga: np.ndarray, margin: float) -> np.ndarray:
+    """Table positions, ascending, of the kept bins whose log-amplitude
+    comes within margin of the largest at every |xi| at least as large."""
+    g = np.where(keep, loga, -np.inf)[bins.by_mag]
+    level = np.maximum.accumulate(g)[bins.run_end]
+    # strict, so that a bin under the floor (g = -inf) never passes
+    return np.sort(bins.by_mag[g > level - margin])
+
+
 def directional_decay_profile(spectrum: Spectrum, cone: Cone, N_max: int) -> DecayProfile:
     """Profile the decay of one cutoff's transform inside one cone.
 
     The cone must be one the spectrum's frequency grid was built with.
     Frequency bins below the DC leakage band or under the relative floor
     are excluded from the sup; each shell is the first bin attaining the
-    largest amplitude of its radius index.
+    largest amplitude of its radius index.  The sup over N is taken over
+    the staircase of bins no larger bin dominates (_STAIR_MARGIN).
     """
     freq = spectrum.freq
-    mask = freq.masks[cone]
-    if not mask.any():
+    bins = freq.bins[cone]
+    if not bins.idx.size:
         raise ValueError("cone contains no frequency bins")
 
-    mag, ridx, amp = freq.mag[mask], freq.ridx[mask], spectrum.amp[mask]
+    amp = spectrum.amp.reshape(-1)[bins.idx]
     amax = float(amp.max())
 
     if amax == 0.0:
@@ -371,41 +449,39 @@ def directional_decay_profile(spectrum: Spectrum, cone: Cone, N_max: int) -> Dec
             entries=(_NEG_INF,) * (N_max + 1),
             N_max=N_max,
             cone=cone,
-            xi_max=float(mag.max()),
-            n_radial_bins=len(np.unique(ridx)),
+            xi_max=float(bins.mag.max()),
+            n_radial_bins=bins.n_ridx,
             nyquist=freq.nyquist,
             sup_radius=(0.0,) * (N_max + 1),
             shells=(),
         )
 
     keep = amp > amax * 1e-13
-    mag, ridx, amp = mag[keep], ridx[keep], amp[keep]
-    logr = np.log(mag)
-    loga = np.log(amp)
+    with np.errstate(divide="ignore"):  # a zero amplitude is under the floor
+        loga = np.log(amp)
+    mag, ridx, g = bins.mag[keep], bins.ridx[keep], loga[keep]
 
     # shells feed the slope analysis; the outer half of the window is
     # excluded there because sampled-jump transforms deflect (cot vs 1/x)
     # and smooth tails alias near Nyquist
     inner = mag <= 0.5 * freq.nyquist
-    r_in, k_in, g_in = mag[inner], ridx[inner], loga[inner]
+    r_in, k_in, g_in = mag[inner], ridx[inner], g[inner]
     order = np.lexsort((-g_in, k_in))  # stable: a tie keeps the first bin
     first = order[np.diff(k_in[order], prepend=-1) != 0]  # radius indices are >= 0
     shell_list = tuple(zip(r_in[first].tolist(), g_in[first].tolist()))
 
-    entries, sup_r = [], []
-    for N in range(N_max + 1):
-        vals = N * logr + loga
-        k = int(np.argmax(vals))
-        entries.append(float(vals[k]))
-        sup_r.append(float(mag[k]))
+    bound = N_max * float(np.abs(bins.log_mag).max()) + float(np.abs(g).max())
+    cand = _staircase(bins, keep, loga, _STAIR_MARGIN * max(1.0, bound))
+    vals = np.arange(N_max + 1, dtype=float)[:, None] * bins.log_mag[cand] + loga[cand]
+    k = np.argmax(vals, axis=1)
     return DecayProfile(
-        entries=tuple(entries),
+        entries=tuple(vals[np.arange(N_max + 1), k].tolist()),
         N_max=N_max,
         cone=cone,
         xi_max=float(mag.max()),
         n_radial_bins=len(shell_list),
         nyquist=freq.nyquist,
-        sup_radius=tuple(sup_r),
+        sup_radius=tuple(bins.mag[cand][k].tolist()),
         shells=shell_list,
     )
 
@@ -517,12 +593,12 @@ def _band_envelope_points(shells: tuple[tuple[float, float], ...]) -> list[tuple
     if r_hi <= r_lo:
         return [shells[0]]
     edges = np.exp(np.linspace(math.log(r_lo), math.log(r_hi) + 1e-9, N_BANDS + 1))
-    pts = []
-    for b in range(N_BANDS):
-        band = [(r, g) for r, g in shells if edges[b] <= r < edges[b + 1]]
-        if band:
-            pts.append(max(band, key=lambda t: t[1]))
-    return pts
+    rg = np.array(shells)
+    band = np.searchsorted(edges, rg[:, 0], side="right") - 1  # edges[b] <= r < edges[b + 1]
+    inside = np.flatnonzero((band >= 0) & (band < N_BANDS))
+    order = inside[np.lexsort((-rg[inside, 1], band[inside]))]  # stable: first max per band
+    first = order[np.diff(band[order], prepend=-1) != 0]
+    return [shells[i] for i in first]
 
 
 def _measured_decay_order(
@@ -664,7 +740,7 @@ def wf_scan(
     pi / directions, and it must lie below pi/2); 1-D scans ignore the
     count and test the two signs.  Every point needs u.dim finite
     coordinates, and (tau, sigma) must name a class (`check_class`).
-    The cones and their frequency masks are built once,
+    The cones and their bin tables are built once,
     before any cutoff, so a bad xi_min rejects the whole scan, as do
     cutoff radii that fail at every center and an N_max too small for a
     verdict; a cutoff support leaving the grid stays a per-point error.

@@ -572,6 +572,40 @@ def test_read_gridfield_returns_a_field_or_raises_value_error(tmp_path, text):
         pass
 
 
+_SAMPLE_TOKENS = ["1_0", "+.5", "1.", "0x10", "nan", "-nan", "inf", "-Infinity", "1e400", "4e-400",
+                  "\u0661\u0662", "\uff11.5", "\u00b2", "\u22121", "1__0", "_1", "1e", ".", "0b1", "2.5"]
+
+
+@pytest.mark.parametrize("token", _SAMPLE_TOKENS)
+def test_read_gridfield_parses_samples_as_float_does(tmp_path, token):
+    # every sample token passes or fails as Python's float() takes it;
+    # a parsed non-finite value is then rejected as such
+    path = os.path.join(tmp_path, "t.gf")
+    with open(path, "w") as fh:
+        fh.write("GRIDFIELD 1 1 16 0.0 0.125 real\n" + "0.5 " * 15 + token + "\n")
+    try:
+        want = float(token)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            read_gridfield(path)
+        assert str(got.value) == str(exc)
+        return
+    if not math.isfinite(want):
+        with pytest.raises(ValueError, match="non-finite origin, spacing or sample"):
+            read_gridfield(path)
+        return
+    samples = read_gridfield(path).samples
+    assert samples[-1] == want and (samples[:-1] == 0.5).all()
+
+
+def test_read_gridfield_names_a_comma_in_a_real_sample(tmp_path):
+    path = os.path.join(tmp_path, "t.gf")
+    with open(path, "w") as fh:
+        fh.write("GRIDFIELD 1 1 16 0.0 0.125 real\n" + "0.5 " * 15 + "1,2\n")
+    with pytest.raises(ValueError, match=r"malformed real sample in .*t\.gf \(complex samples are re,im\)"):
+        read_gridfield(path)
+
+
 def _assert_clean_exit(args, out):
     if os.path.exists(out):
         os.remove(out)

@@ -3,6 +3,7 @@ import pytest
 from gevreykit.faadibruno import _MAX_ORDER
 from gevreykit.multiindex import (
     Decomposition,
+    _census,
     composition_multinomial_sum,
     decomposition_census,
     enumerate_decompositions,
@@ -130,10 +131,30 @@ def test_negative_entry_rejected_by_enumerator_and_census():
         decomposition_census((-1, 3))
 
 
+def test_census_cache_answers_repeats_with_the_fresh_count():
+    alphas = [(6,), (2, 0), (3, 3, 3), (1, 2), (6,), (2, 0), (1, 2), (3, 3, 3), (6,)]
+    fresh = [_census.__wrapped__(a) for a in alphas]
+    _census.cache_clear()
+    assert [decomposition_census(a) for a in alphas] == fresh
+    info = _census.cache_info()
+    assert (info.hits, info.misses) == (5, 4)
+    assert [decomposition_census(list(a)) for a in alphas] == fresh  # any sequence of ints
+    assert _census.cache_info().hits == 14
+    # bad input is rejected on every call, before the cache is read
+    for _ in range(2):
+        with pytest.raises(ValueError, match="negative entry"):
+            decomposition_census((-1, 3))
+        with pytest.raises(ValueError, match=r"\|alpha\| >= 1"):
+            decomposition_census((0, 0))
+        with pytest.raises(TypeError):
+            decomposition_census((6.0,))
+    assert _census.cache_info().misses == 4
+
+
 def test_multiplicity_bounds():
     for d in enumerate_decompositions((2, 2)):
         assert d.total_multiplicity <= mi_order(d.target)
-        assert d.num_parts <= mi_order(d.target)
+        assert len(d.parts) <= mi_order(d.target)
         assert all(1 <= mi_order(p) <= mi_order(d.target) for p in d.parts)
 
 

@@ -6,19 +6,21 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gevreykit.numerics import log_factorial
 from gevreykit.regularity import fit_regularity, measure_derivative_growth
 from gevreykit.sequences import log_M, normalized_excess
 from gevreykit.wavefront import (
+    N_BANDS,
     Cone,
     FrequencyGrid,
     GridField,
     ScanParams,
     Spectrum,
     WavefrontVerdict,
+    _band_envelope_points,
     _family_verdict,
     _mollifier_transform,
     _fit_constants_ls,
@@ -231,13 +233,22 @@ def _cutoff_reference(x0, r_plateau, r_support, grid):
     return phi
 
 
+_CUTOFF_CASES = [
+    (catalog_field("step2d"), 0.12, 0.35, [(0.0, 0.0), (0.3, -0.2), (-0.4, 0.45)]),
+    (catalog_field("kink"), 0.15, 0.4, [(0.0,), (0.3,), (-0.5,)]),
+]
+
+
 def test_cutoffs_sharing_one_mollifier_equal_the_reference_across_threads():
-    # make_cutoff reuses one cached mollifier transform per (spacing, sizes,
-    # band); built from more threads than cores on a cold cache, every
-    # cutoff must still equal its own construction bit for bit
-    cases = [(catalog_field("step2d"), 0.12, 0.35, [(0.0, 0.0), (0.3, -0.2), (-0.4, 0.45)]),
-             (catalog_field("kink"), 0.15, 0.4, [(0.0,), (0.3,), (-0.5,)])]
-    jobs = [(pt, rp, rs, u) for u, rp, rs, pts in cases for pt in pts] * 2
+    # make_cutoff reuses one cached mollifier transform per (spacing, band,
+    # padded window); built from more threads than cores on a cold cache,
+    # every cutoff must equal the same center built alone on a cold cache
+    # bit for bit
+    jobs = [(pt, rp, rs, u) for u, rp, rs, pts in _CUTOFF_CASES for pt in pts] * 2
+    alone = []
+    for job in jobs:
+        _mollifier_transform.cache_clear()
+        alone.append(make_cutoff(*job).profile.samples)
     _mollifier_transform.cache_clear()
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -246,9 +257,41 @@ def test_cutoffs_sharing_one_mollifier_equal_the_reference_across_threads():
             got = list(pool.map(lambda job: make_cutoff(*job), jobs))
     finally:
         sys.setswitchinterval(switch)
-    for job, phi in zip(jobs, got):
-        assert np.array_equal(phi.profile.samples, _cutoff_reference(*job)), job[0]
+    for job, phi, ref in zip(jobs, got, alone):
+        assert np.array_equal(phi.profile.samples, ref), job[0]
     assert _mollifier_transform.cache_info().currsize == 2  # one per grid and band
+
+
+def test_windowed_cutoff_matches_the_full_grid_reference():
+    # the convolution on the support window rounds differently from the
+    # full-grid one, so equal to rounding, with the forced 0 and 1 exact;
+    # (-0.72, 0.1) and (0.75,) put the window against the grid's edge
+    step, kink = catalog_field("step2d"), catalog_field("kink")
+    cases = _CUTOFF_CASES + [(step, 0.112, 0.28, [(-0.72, 0.1), (0.0078125, 0.6)]),
+                             (kink, 0.1, 0.24, [(0.75,), (-0.6,)])]
+    for u, rp, rs, pts in cases:
+        mesh = u.meshgrid()
+        for pt in pts:
+            phi = make_cutoff(pt, rp, rs, u).profile.samples
+            dist = np.sqrt(sum((m - c) ** 2 for m, c in zip(mesh, pt)))
+            assert np.abs(phi - _cutoff_reference(pt, rp, rs, u)).max() <= 1e-13, pt
+            assert (phi[dist <= rp] == 1.0).all() and (phi[dist >= rs] == 0.0).all(), pt
+            assert ((phi > 0.0) & (phi < 1.0)).any(), pt
+
+
+def test_cutoff_fft_runs_on_the_support_window(monkeypatch):
+    # at the wf-scan defaults on step2d (r_support 0.28) the padded window
+    # is 128 per axis, against 512 for the whole 256^2 grid
+    shapes = []
+    rfftn = np.fft.rfftn
+    monkeypatch.setattr(np.fft, "rfftn", lambda a, s, **kw: shapes.append(tuple(s)) or rfftn(a, s, **kw))
+    u = catalog_field("step2d")
+    rs = min(default_cutoff_radius(1, 2), 0.2 * u.spacing[0] * (u.sizes[0] - 1))
+    _mollifier_transform.cache_clear()
+    for pt in [(0.0, 0.0), (-0.7, 0.7), (0.42, -0.3)]:
+        make_cutoff(pt, 0.4 * rs, rs, u)
+    assert _mollifier_transform.cache_info().currsize == 1
+    assert shapes and max(max(s) for s in shapes) <= 128
 
 
 def test_synthetic_profile_rules():
@@ -377,8 +420,8 @@ def _loop_shells(spectrum, cone):
     """The per-bin reference: first maximum of each radius index below
     half Nyquist, in the masked bins' row-major order."""
     freq = spectrum.freq
-    mask = freq.masks[cone]
-    mag, ridx, amp = freq.mag[mask], freq.ridx[mask], spectrum.amp[mask]
+    idx = freq.bins[cone].idx
+    mag, ridx, amp = freq.mag.flat[idx], freq.ridx.flat[idx], spectrum.amp.flat[idx]
     keep = amp > amp.max() * 1e-13
     mag, ridx, loga = mag[keep], ridx[keep], np.log(amp[keep])
     shells = {}
@@ -413,7 +456,9 @@ def test_shells_match_the_per_bin_loop():
     cone = Cone((1.0, 1.0), math.pi / 4, 4.0)
     freq = FrequencyGrid(u, [cone])
     amp = np.random.default_rng(7).uniform(0.5, 1.0, u.sizes)
-    tied = freq.masks[cone] & (freq.ridx == 5)
+    in_cone = np.zeros(u.sizes, dtype=bool)
+    in_cone.flat[freq.bins[cone].idx] = True
+    tied = in_cone & (freq.ridx == 5)
     assert len(np.unique(freq.mag[tied])) >= 2
     amp[tied] = 2.0
     spectrum = Spectrum(freq, amp)
@@ -421,6 +466,118 @@ def test_shells_match_the_per_bin_loop():
     assert shells == _loop_shells(spectrum, cone)
     first = np.flatnonzero(tied)[0]
     assert (freq.mag.flat[first], math.log(2.0)) in shells
+
+
+def _loop_sup(spectrum, cone, N_max):
+    """The per-N reference of the sup: the first argmax of N ln|xi| + ln|amp|
+    over every bin above the floor in the cone's mask, built afresh."""
+    mesh = _freq_mesh(spectrum.freq.field)
+    mag = np.sqrt(sum(m**2 for m in mesh))
+    mask = cone.contains(mesh, mag)
+    mag, amp = mag[mask], spectrum.amp[mask]
+    keep = amp > amp.max() * 1e-13
+    mag, loga = mag[keep], np.log(amp[keep])
+    entries, sup_r = [], []
+    for N in range(N_max + 1):
+        vals = N * np.log(mag) + loga
+        k = int(np.argmax(vals))
+        entries.append(float(vals[k]))
+        sup_r.append(float(mag[k]))
+    return tuple(entries), tuple(sup_r), float(mag.max())
+
+
+_STAIR_GRIDS = [
+    GridField(2, (24, 24), (0.0, 0.0), (1 / 24, 1 / 24), np.zeros((24, 24))),
+    GridField(2, (16, 20), (0.0, 0.0), (1 / 16, 1 / 16), np.zeros((16, 20))),
+    GridField(1, (64,), (0.0,), (1 / 64,), np.zeros(64)),
+]
+
+
+@st.composite
+def _stair_cases(draw):
+    """(grid, cone, amplitudes, N_max): amplitudes drawn from a small palette,
+    so that bins of equal |xi| (the lattice's symmetric pairs) share their
+    amplitude, with zeros, values under the 1e-13 floor and pairs a hair
+    apart mixed in."""
+    u = draw(st.sampled_from(_STAIR_GRIDS))
+    if u.dim == 1:
+        cone = Cone((draw(st.sampled_from([1.0, -1.0])),), math.pi / 4, 4.0)
+    else:
+        ang = draw(st.floats(0.0, 2 * math.pi))
+        cone = Cone((math.cos(ang), math.sin(ang)), draw(st.sampled_from([0.2, 0.5, 1.2])), 4.0)
+    base = draw(st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=6))
+    palette = base + [b * (1 + 1e-12) for b in base[:2]] + [0.0, base[0] * 1e-15]
+    weights = np.array(draw(st.lists(st.integers(0, 5), min_size=len(palette), max_size=len(palette)))) + 1e-9
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amp = np.array(palette)[rng.choice(len(palette), size=u.sizes, p=weights / weights.sum())]
+    if draw(st.booleans()):  # the same amplitude on every bin of a radius
+        amp = np.array(palette)[np.round(_grid_mag(u)).astype(int) % len(palette)]
+    return u, cone, amp, draw(st.integers(0, 60))
+
+
+def _freq_mesh(u):
+    return np.meshgrid(*(np.fft.fftfreq(n, d=s) for n, s in zip(u.sizes, u.spacing)), indexing="ij")
+
+
+def _grid_mag(u):
+    return np.sqrt(sum(m**2 for m in _freq_mesh(u)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_stair_cases())
+# the outer bins lie under the floor, where they would win every large N
+@example(case=(_STAIR_GRIDS[0], Cone((1.0, 0.0), 0.5, 4.0),
+               np.where(_grid_mag(_STAIR_GRIDS[0]) >= 6.0, 1e-15, 1.0), 60))
+def test_staircase_sup_equals_the_per_N_loop(case):
+    u, cone, amp, N_max = case
+    freq = FrequencyGrid(u, [cone])
+    assert freq.bins[cone].idx.size
+    spectrum = Spectrum(freq, amp)
+    prof = directional_decay_profile(spectrum, cone, N_max)
+    if amp.flat[freq.bins[cone].idx].max() == 0.0:
+        assert prof.entries == (-math.inf,) * (N_max + 1)
+        return
+    entries, sup_r, xi_max = _loop_sup(spectrum, cone, N_max)
+    assert prof.entries == entries
+    assert prof.sup_radius == sup_r
+    assert prof.xi_max == xi_max
+
+
+def _ref_band_points(shells):
+    """The per-band comprehension: the first maximum of each log-uniform band."""
+    if not shells:
+        return []
+    r_lo, r_hi = shells[0][0], shells[-1][0]
+    if r_hi <= r_lo:
+        return [shells[0]]
+    edges = np.exp(np.linspace(math.log(r_lo), math.log(r_hi) + 1e-9, N_BANDS + 1))
+    pts = []
+    for b in range(N_BANDS):
+        band = [(r, g) for r, g in shells if edges[b] <= r < edges[b + 1]]
+        if band:
+            pts.append(max(band, key=lambda t: t[1]))
+    return pts
+
+
+@st.composite
+def _drawn_shells(draw):
+    """Shells whose radii include the band edges themselves and whose
+    values repeat, in radius order or not."""
+    r_lo, r_hi = sorted(draw(st.lists(st.floats(0.5, 200.0), min_size=2, max_size=2)))
+    edges = np.exp(np.linspace(math.log(r_lo), math.log(r_hi) + 1e-9, N_BANDS + 1)).tolist()
+    radius = st.one_of(st.sampled_from(edges), st.floats(0.8 * r_lo, 1.2 * r_hi))
+    value = st.one_of(st.sampled_from([-3.0, 0.0, 2.5]), st.floats(-50.0, 50.0))
+    inner = draw(st.lists(st.tuples(radius, value), max_size=30))
+    if draw(st.booleans()):
+        inner.sort()
+    ends = [(r_lo, draw(value)), (r_hi, draw(value))]
+    return tuple([ends[0]] + inner + [ends[1]]) if draw(st.booleans()) else tuple(inner)
+
+
+@settings(max_examples=400, deadline=None)
+@given(shells=_drawn_shells())
+def test_band_envelope_points_match_the_per_band_comprehension(shells):
+    assert _band_envelope_points(shells) == _ref_band_points(shells)
 
 
 def test_wf_scan_2d_threads_bit_equal():
