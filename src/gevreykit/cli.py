@@ -37,7 +37,6 @@ from .wavefront import (
 
 # documented numerical defaults
 TOL_IDENTITY = 1e-8
-FIT_MARGIN = 0.05
 
 
 class _CliError(Exception):
@@ -188,7 +187,7 @@ def _cmd_fit(args, seed: int) -> None:
     entries = tuple(v for _, v in rows)
     data = DerivativeGrowthData(entries, source="measured-on-grid")
     grid = _parse_floats(args.sigma_grid, "--sigma-grid")
-    fit = fit_regularity(data, list(grid), margin=FIT_MARGIN)
+    fit = fit_regularity(data, list(grid))
     _report(
         "fit",
         {"data": args.data, "sigma_grid": list(grid)},
@@ -279,6 +278,7 @@ def _cmd_parametrix(args, seed: int) -> None:
     from .parametrix import (
         bound_audit,
         build_reduction_operators,
+        check_audit_order,
         neumann_sums,
         parse_operator,
         residual_identity_check,
@@ -286,8 +286,9 @@ def _cmd_parametrix(args, seed: int) -> None:
     )
     from .wavefront import make_cutoff
 
-    # a bad class is rejected before the Neumann sums, not by bound_audit after them
+    # a bad class or order is rejected before the Neumann sums, not by bound_audit after them
     check_class(args.tau, args.sigma)
+    check_audit_order(args.beta_max)
     P = parse_operator(args.op)
     system = build_reduction_operators(P)
     direction, _, xi_min = _parse_floats(args.cone, "--cone", 3)
@@ -300,7 +301,7 @@ def _cmd_parametrix(args, seed: int) -> None:
     spacing = 2.0 / n
     grid = GridField(1, (n,), (-1.0,), (spacing,), np.zeros(n))
     phi = make_cutoff((x0,), rp, rs, grid)
-    sums = neumann_sums(system, phi, args.N, xi_samples=xis, fd_order_max=args.beta_max)
+    sums = neumann_sums(system, phi, args.N, xi_samples=xis)
     residual = residual_identity_check(sums)
     audit = bound_audit(sums, beta_max=args.beta_max, tau=args.tau, sigma=args.sigma)
     expected = sum(word_count_recurrence(P.order, v) for v in range(0, args.N - P.order + 1))

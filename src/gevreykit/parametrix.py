@@ -55,7 +55,7 @@ from .multiindex import (
     mi_sub,
 )
 from .sequences import check_class, normalized_excess
-from .wavefront import Cone, Cutoff
+from .wavefront import Cone, Cutoff, GridField
 
 # desk-scale budgets: beyond these the word count A*C^N is impractical
 MAX_ORDER_M = 3
@@ -63,6 +63,7 @@ MAX_TRUNCATION_N = 12
 MAX_DIM = 2
 MAX_GRID_POINTS = 1024
 MAX_TERMS = 200_000
+MAX_AUDIT_ORDER = 6
 
 
 def _const_spec(c, dim: int) -> FunctionSpec:
@@ -143,10 +144,8 @@ class DiffOperator:
         return {a: c for a, c in self.coeffs.items() if mi_order(a) == self.order}
 
 
-def parse_operator(text: str, dim: int = 1) -> DiffOperator:
+def parse_operator(text: str) -> DiffOperator:
     """CLI grammar: terms like 'SPEC*D^2 + SPEC*D + SPEC' (d = 1)."""
-    if dim != 1:
-        raise ValueError("operator grammar is univariate")
     coeffs: dict[MultiIndex, FunctionSpec] = {}
     # a "+" after a mantissa's e/E is an exponent sign, not a term separator
     for raw in re.split(r"(?<![0-9.][eE])\+", text):
@@ -212,6 +211,24 @@ def transpose(P: DiffOperator) -> DiffOperator:
             term = ProdSpec(_const_spec(scale, P.dim), spec)
             out[beta] = SumSpec(out[beta], term) if beta in out else term
     return DiffOperator(P.order, P.dim, out)
+
+
+# ---------------------------------------------------------------------------
+# derivative tables
+
+
+def _derivative(table: dict, beta: MultiIndex, step):
+    """table[beta], built on first use from its predecessor.
+
+    d^beta is step(d^(beta - e_t), t), t the last axis with beta_t > 0, so
+    every derivative is taken along axis 0 first.  The table holds the
+    zero index; the missing predecessors are built and kept on the way.
+    """
+    if beta not in table:
+        t = max(i for i, b in enumerate(beta) if b)
+        prev = tuple(b - (i == t) for i, b in enumerate(beta))
+        table[beta] = step(_derivative(table, prev, step), t)
+    return table[beta]
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +329,16 @@ class SymbolAlgebra:
                     )
         return out
 
-    def d_op(self, S: SymbolSum, alpha: MultiIndex) -> SymbolSum:
-        """D^alpha = (-i)^{|alpha|} d^alpha."""
-        out = S
-        for axis, k in enumerate(alpha):
-            for _ in range(k):
-                out = self.partial(out, axis)
-        scale = (-1j) ** mi_order(alpha)
-        if scale != 1:
-            out = {k: v * scale for k, v in out.items()}
+    def d_op(self, S: SymbolSum, n: int) -> dict[MultiIndex, SymbolSum]:
+        """{alpha: D^alpha S for |alpha| <= n}, D^alpha = (-i)^{|alpha|} d^alpha,
+        each d^alpha one `partial` of its predecessor."""
+        d = {self.zero_mi(): S}
+        out: dict[MultiIndex, SymbolSum] = {}
+        for k in range(n + 1):
+            scale = (-1j) ** k
+            for alpha in mi_of_order(self.dim, k):
+                dS = _derivative(d, alpha, self.partial)
+                out[alpha] = dS if scale == 1 else {key: v * scale for key, v in dS.items()}
         return out
 
     def product(self, A: SymbolSum, B: SymbolSum) -> SymbolSum:
@@ -355,25 +373,22 @@ class ReductionOperator:
 class ReductionSystem:
     algebra: SymbolAlgebra
     operators: list[ReductionOperator]
-    transpose_op: DiffOperator
     identity_residual: float
 
 
-def build_reduction_operators(
-    P: DiffOperator,
-    probe_points: Sequence[tuple] | None = None,
-    probe_xi: Sequence[tuple] | None = None,
-    tol: float = 1e-9,
-) -> ReductionSystem:
+def build_reduction_operators(P: DiffOperator) -> ReductionSystem:
     """Expand the conjugated transpose and collect by xi-homogeneity.
 
     The degree-0 part must be exactly the identity (checked numerically
-    at probe points); degrees -1..-m become R_1..R_m via I - R.
+    at three probe points and two xi, to 1e-9); degrees -1..-m become
+    R_1..R_m via I - R.
     """
     algebra = SymbolAlgebra(P)
     m, d = P.order, P.dim
     PT = transpose(P)
     zero = algebra.zero_mi()
+    # D^gamma (1/P_m) for every |gamma| <= m
+    inv_pm = algebra.d_op({_term_key([], zero, 1, None): 1.0 + 0.0j}, m)
 
     collected: dict[tuple[int, MultiIndex], SymbolSum] = {}
     for alpha, b_spec in PT.coeffs.items():
@@ -387,9 +402,8 @@ def build_reduction_operators(
                     * mi_binomial(beta, gamma)
                     * (-1) ** mi_order(amb)
                 )
-                start: SymbolSum = {_term_key([], zero, 1, None): 1.0 + 0.0j}
                 acc = collected.setdefault((j, mi_sub(beta, gamma)), {})
-                for (f, g, k, p), s in algebra.d_op(start, gamma).items():
+                for (f, g, k, p), s in inv_pm[gamma].items():
                     nf = list(f) + [(b_id, zero)]
                     _sum_add(acc, _term_key(nf, mi_add(g, amb), k, p), s * base)
 
@@ -400,16 +414,12 @@ def build_reduction_operators(
                 raise AssertionError("homogeneity bookkeeping failed")
 
     # the degree-0 cell must be the identity
-    if probe_points is None:
-        probe_points = [
-            tuple(0.17 + 0.23 * i + 0.11 * ax for ax in range(d)) for i in range(3)
-        ]
-    if probe_xi is None:
-        probe_xi = [tuple(3.0 + 1.5 * i for _ in range(d)) for i in range(2)]
+    probe_points = [tuple(0.17 + 0.23 * i + 0.11 * ax for ax in range(d)) for i in range(3)]
+    probe_xi = [tuple(3.0 + 1.5 * i for _ in range(d)) for i in range(2)]
     ident = collected.get((0, zero), {})
     ev = GridEvaluator(algebra, np.array(probe_points, dtype=float), k_max=m + 1)
     resid = float(np.max(np.abs(ev.eval_sum(ident, probe_xi) - 1.0)))
-    if resid > tol:
+    if resid > 1e-9:
         raise ValueError(f"degree-0 part differs from the identity by {resid:.2e}")
     for (j, a), S in collected.items():
         if j == 0 and a != zero and S:
@@ -422,9 +432,7 @@ def build_reduction_operators(
             if jj == j and S:
                 action[a] = {k: -v for k, v in S.items()}
         ops.append(ReductionOperator(j=j, action=action))
-    return ReductionSystem(
-        algebra=algebra, operators=ops, transpose_op=PT, identity_residual=resid
-    )
+    return ReductionSystem(algebra=algebra, operators=ops, identity_residual=resid)
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +444,10 @@ class GridEvaluator:
 
     Each registry spec has one jet over the whole point set, with one
     float coefficient value per point, and derivative rows are read
-    from it.  phi is either a registry spec read the same
-    way or a finite-difference table from a sampled cutoff.
+    from it.  phi is either a registry spec read the same way or the
+    samples of a cutoff on the grid of the points (row-major): d^beta phi
+    is then the centered difference (np.gradient) of its predecessor,
+    taken on first use and kept.
     """
 
     def __init__(
@@ -446,7 +456,7 @@ class GridEvaluator:
         points: np.ndarray,
         k_max: int,
         phi_spec: FunctionSpec | None = None,
-        phi_table: dict[MultiIndex, np.ndarray] | None = None,
+        phi_samples: GridField | None = None,
     ):
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
@@ -457,7 +467,12 @@ class GridEvaluator:
         self.points = pts
         self.k_max = k_max
         self.phi_spec = phi_spec
-        self.phi_table = phi_table and {b: v.astype(complex) for b, v in phi_table.items()}
+        self.phi_samples = phi_samples
+        # d^beta phi on the sample grid, and the same flattened to complex rows
+        self._phi_grid: dict[MultiIndex, np.ndarray] = {}
+        if phi_samples is not None:
+            self._phi_grid[algebra.zero_mi()] = phi_samples.samples.astype(float)
+        self._phi_rows: dict[MultiIndex, np.ndarray] = {}
         self._jets: dict[int, Jet] = {}
         self._derivs: dict[Factor, np.ndarray] = {}
 
@@ -482,10 +497,14 @@ class GridEvaluator:
         return self._derivs[key]
 
     def phi_deriv(self, beta: MultiIndex) -> np.ndarray:
-        if self.phi_table is not None:
-            if beta not in self.phi_table:
-                raise ValueError(f"phi table lacks derivative {beta}")
-            return self.phi_table[beta]
+        if self.phi_samples is not None:
+            if beta not in self._phi_rows:
+                spacing = self.phi_samples.spacing
+                grid = _derivative(
+                    self._phi_grid, beta, lambda a, t: np.gradient(a, spacing[t], axis=t)
+                )
+                self._phi_rows[beta] = grid.reshape(-1).astype(complex)
+            return self._phi_rows[beta]
         if self.phi_spec is None:
             raise ValueError("no phi attached to this evaluator")
         return self.deriv(self.algebra.register(self.phi_spec), beta)
@@ -516,28 +535,6 @@ class GridEvaluator:
             part = vec * mono[:, None]
             out += part / pm**kpow if kpow else part
         return out
-
-
-def fd_phi_table(cutoff: Cutoff, n_max: int) -> tuple[np.ndarray, dict[MultiIndex, np.ndarray]]:
-    """(points, derivative table) from a sampled cutoff, via iterated
-    centered differences (np.gradient); supports the residual identity,
-    whose cancellation is algebraic in the phi-derivative symbols."""
-    g = cutoff.profile
-    vals = g.samples.astype(float)
-    table: dict[MultiIndex, np.ndarray] = {}
-    for n in range(n_max + 1):
-        for beta in mi_of_order(g.dim, n):
-            a = vals
-            for axis, k in enumerate(beta):
-                for _ in range(k):
-                    a = np.gradient(a, g.spacing[axis], axis=axis)
-            table[beta] = a.reshape(-1)
-    if g.dim == 1:
-        pts = g.axis_coords(0)[:, None]
-    else:
-        mesh = g.meshgrid()
-        pts = np.column_stack([m.reshape(-1) for m in mesh])
-    return pts, table
 
 
 # ---------------------------------------------------------------------------
@@ -703,9 +700,8 @@ def _apply_reduction(
     system: ReductionSystem, op: ReductionOperator, S: SymbolSum
 ) -> SymbolSum:
     alg = system.algebra
-    out = _merge(
-        alg.product(coeff, alg.d_op(S, a_prime)) for a_prime, coeff in op.action.items()
-    )
+    dS = alg.d_op(S, op.j)
+    out = _merge(alg.product(coeff, dS[a_prime]) for a_prime, coeff in op.action.items())
     if len(out) > MAX_TERMS:
         raise ValueError("term budget exceeded")
     return out
@@ -717,7 +713,6 @@ def neumann_sums(
     N: int,
     x_grid: np.ndarray | None = None,
     xi_samples: Sequence[tuple | float] = (),
-    fd_order_max: int | None = None,
 ) -> NeumannSums:
     """Build w_N and e_N by applying operator words to phi.
 
@@ -727,6 +722,9 @@ def neumann_sums(
     operator is applied, is sum_j R_j (S_v over N - m - j < v <= N - m)
     (exact telescoping: (I - R) w_N = phi - e_N).  K1/K2 are the
     power-index windows {k : mk <= N - m} and {k : N - m < mk <= N}.
+
+    phi is a closed-form spec, evaluated on x_grid, or a sampled cutoff,
+    evaluated on its own grid; neither is differentiated past order N.
     """
     alg = system.algebra
     m = alg.m
@@ -740,15 +738,13 @@ def neumann_sums(
         raise ValueError("need at least one xi sample")
 
     if isinstance(phi, Cutoff):
-        need = N + (fd_order_max or 0)
-        pts, table = fd_phi_table(phi, need)
-        evaluator = GridEvaluator(alg, pts, k_max=N + m + 2, phi_table=table)
+        g = phi.profile
+        pts = np.column_stack([axis.reshape(-1) for axis in g.meshgrid()])
+        evaluator = GridEvaluator(alg, pts, k_max=N + m + 2, phi_samples=g)
     elif isinstance(phi, FunctionSpec):
         if x_grid is None:
             raise ValueError("x_grid required for closed-form phi")
-        evaluator = GridEvaluator(
-            alg, x_grid, k_max=N + m + 2 + (fd_order_max or 0), phi_spec=phi
-        )
+        evaluator = GridEvaluator(alg, x_grid, k_max=N + m + 2, phi_spec=phi)
     else:
         raise TypeError("phi must be a Cutoff or a FunctionSpec")
 
@@ -843,23 +839,11 @@ class BoundAuditReport:
         return self.leibniz_violations == 0 and self.homogeneity_max_error <= 1e-12
 
 
-def _derivative_layers(alg: SymbolAlgebra, S: SymbolSum, n_max: int):
-    """Yield the layers {beta: d^beta S} with |beta| = 0, 1, .., n_max.
-
-    d^beta S is one `partial` of d^(beta - e_t) S along the last axis
-    t with beta_t > 0, the order `d_op` differentiates in; the unit
-    factor (-i)^n of D^beta is left out.
-    """
-    layer = {alg.zero_mi(): S}
-    yield layer
-    for n in range(1, n_max + 1):
-        nxt = {}
-        for beta in mi_of_order(alg.dim, n):
-            axis = max(i for i, b in enumerate(beta) if b)
-            prev = tuple(b - (i == axis) for i, b in enumerate(beta))
-            nxt[beta] = alg.partial(layer[prev], axis)
-        layer = nxt
-        yield layer
+def check_audit_order(beta_max: int) -> None:
+    """bound_audit differentiates 0..MAX_AUDIT_ORDER times; a negative
+    order would leave it nothing to check."""
+    if not 0 <= beta_max <= MAX_AUDIT_ORDER:
+        raise ValueError(f"beta_max = {beta_max} lies outside 0..{MAX_AUDIT_ORDER}")
 
 
 def bound_audit(
@@ -882,8 +866,7 @@ def bound_audit(
     homogeneity error and the Leibniz verdicts.
     """
     check_class(tau, sigma)
-    if beta_max > 6:
-        raise ValueError("beta_max limited to 6")
+    check_audit_order(beta_max)
     system, ev = sums.system, sums.evaluator
     alg = system.algebra
     xi_list = sums.xi_samples
@@ -893,11 +876,12 @@ def bound_audit(
         """n -> log max over |beta| = n, x and xi of |D^beta S| |xi|^weight;
         orders whose values all vanish are omitted."""
         col = np.array([mag**weight for mag in xi_mags])[:, None]
+        table = alg.d_op(S, beta_max)
         logs: dict[int, float] = {}
-        for n, layer in enumerate(_derivative_layers(alg, S, beta_max)):
+        for n in range(beta_max + 1):
             v = max(
-                float(np.max(np.abs(ev.eval_sum(dS, xi_list)) * col))
-                for dS in layer.values()
+                float(np.max(np.abs(ev.eval_sum(table[beta], xi_list)) * col))
+                for beta in mi_of_order(alg.dim, n)
             )
             if v > 0:
                 logs[n] = math.log(v)
@@ -928,11 +912,11 @@ def bound_audit(
     leibniz_ok: list[bool] = []
     for w, state in sums.word_states.items():
         weight = word_weight(w)
-        for n, layer in enumerate(_derivative_layers(alg, state, min(beta_max, LEIBNIZ_ORDER))):
+        for beta, dS in alg.d_op(state, min(beta_max, LEIBNIZ_ORDER)).items():
             leibniz_ok.extend(
-                key[3] is not None and mi_order(key[3]) <= weight + n
+                key[3] is not None and mi_order(key[3]) <= weight + mi_order(beta)
                 and alg.degree(key) == -weight
-                for dS in layer.values() for key in dS
+                for key in dS
             )
 
     return BoundAuditReport(

@@ -23,6 +23,8 @@ from .multiindex import mi_of_order
 from .sequences import log_envelope, log_factorial_form, log_M, normalized_excess
 
 _NEG_INF = float("-inf")
+# fit_regularity's admissibility margin, as a fraction of the data span
+FIT_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,6 @@ class RegularityFit:
 def fit_regularity(
     data: DerivativeGrowthData,
     sigma_grid: list[float] | tuple[float, ...],
-    margin: float = 0.05,
 ) -> RegularityFit:
     """Least-squares fit of log sup against {1, n^sigma, n^sigma ln n}.
 
@@ -151,7 +152,7 @@ def fit_regularity(
     single bound constraint the clamp-and-refit step is the exact KKT
     solution.  Returns the grid sigma minimizing the residual norm.
     Admissible means the data never exceeds the fitted envelope by more
-    than the margin (scaled by the data span).
+    than FIT_MARGIN times the data span.
     """
     if any(s <= 1 for s in sigma_grid):
         raise ValueError("sigma grid must lie in (1, inf)")
@@ -175,7 +176,7 @@ def fit_regularity(
     ns = np.array([n for n, _ in finite], dtype=float)
     ys = np.array([v for _, v in finite], dtype=float)
     span = max(1.0, float(ys.max() - ys.min()))
-    tol = margin * span
+    tol = FIT_MARGIN * span
 
     best = None
     for sigma in sigma_grid:
@@ -209,23 +210,18 @@ def measure_derivative_growth(
     values: np.ndarray,
     spacing: float | tuple[float, ...],
     n_max: int,
-    norm: str = "sup",
 ) -> DerivativeGrowthData:
     """Growth data from grid samples by iterated centered differences.
 
-    norm is 'sup' or 'l2' (the discrete L2 norm over the grid; the two
-    seminorm forms are equivalent up to constants that are not tracked).
+    Entry n is ln max over |alpha| = n of sup |d^alpha u| on the grid.
     Orders whose measured magnitude falls below 100x the estimated
     roundoff amplification are dropped (the finite-difference value is
     no longer reliable there).
     """
-    if norm not in ("sup", "l2"):
-        raise ValueError("norm must be 'sup' or 'l2'")
     arr = np.asarray(values, dtype=float)
     d = arr.ndim
     if isinstance(spacing, (int, float)):
         spacing = (float(spacing),) * d
-    cellvol = float(np.prod(spacing))
     scale = float(np.max(np.abs(arr))) if arr.size else 0.0
 
     def centered(a: np.ndarray, axis: int) -> np.ndarray:
@@ -253,10 +249,7 @@ def measure_derivative_growth(
             if not ok:
                 break
             if a.size:
-                if norm == "sup":
-                    sup = max(sup, float(np.max(np.abs(a))))
-                else:
-                    sup = max(sup, float(np.sqrt(np.sum(np.abs(a) ** 2) * cellvol)))
+                sup = max(sup, float(np.max(np.abs(a))))
         if not ok:
             break
         noise = scale * 2.2e-16 * (1.0 / h_min) ** n

@@ -144,6 +144,8 @@ class SequenceAuditReport:
 # 0.03-0.05 s in a fresh interpreter (2-vCPU Xeon VM).
 _STIRLING_P_CAP = 64
 _STIRLING_N_CAP = _STIRLING_P_CAP**3
+# the (M.2)'-bar constants C_q are fitted for q = 0..Q_MAX
+Q_MAX = 10
 
 
 def _first_max(row: np.ndarray) -> tuple[int, float]:
@@ -153,7 +155,7 @@ def _first_max(row: np.ndarray) -> tuple[int, float]:
     return i, float(row[i])
 
 
-def audit_sequence(seq: DefiningSequence, p_max: int, q_max: int = 10) -> SequenceAuditReport:
+def audit_sequence(seq: DefiningSequence, p_max: int) -> SequenceAuditReport:
     """Audit M_p over 1 <= p <= p_max and fit the unnamed constants.
 
     Checks log-convexity (M.1) and the ratio bound
@@ -226,7 +228,7 @@ def audit_sequence(seq: DefiningSequence, p_max: int, q_max: int = 10) -> Sequen
                 best_pq = (p, q0 + i)
 
         # (M.2)'-bar: per q, minimal C_q with M_{p+q} <= C_q^{p^sigma} M_p, p >= 1
-        for q in range(0, min(q_max, p_max - 1) + 1):
+        for q in range(0, min(Q_MAX, p_max - 1) + 1):
             last = p_max - q
             i, best_q = _first_max((LM[1 + q:p_max + 1] - LM[1:last + 1]) / PS[1:last + 1])
             cq_list.append((q, max(best_q, 0.0)))

@@ -810,8 +810,10 @@ def wf_scan(
 # built-in catalog fields
 
 
-def catalog_field(name: str, n: int = 512) -> GridField:
-    """Built-in test fields: 'delta', 'bump', 'step2d', 'kink'."""
+def catalog_field(name: str) -> GridField:
+    """Built-in test fields: 'delta', 'bump', 'kink' on 512 samples of
+    [-1, 1), 'step2d' on 256^2 samples of [-1, 1)^2."""
+    n = 512
     if name == "delta":
         spacing = 2.0 / n
         samples = np.zeros(n)
@@ -827,7 +829,7 @@ def catalog_field(name: str, n: int = 512) -> GridField:
             )
         return GridField(1, (n,), (-1.0,), (spacing,), samples)
     if name == "step2d":
-        m = min(n, 256)
+        m = 256
         spacing = 2.0 / m
         x = -1.0 + spacing * np.arange(m)
         col = np.where(x > 0, 1.0, np.where(x < 0, 0.0, 0.5))

@@ -480,6 +480,20 @@ def test_parametrix_rejects_a_bad_class_before_the_sums(tmp_path, capsys, monkey
     assert "tau = -1.0 names no class" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("beta_max", ["-1", "7"])
+def test_parametrix_rejects_beta_max_outside_0_to_6_before_the_sums(
+    tmp_path, capsys, monkeypatch, beta_max
+):
+    def no_sums(*args, **kwargs):
+        raise AssertionError("neumann_sums ran before --beta-max was checked")
+
+    monkeypatch.setattr("gevreykit.parametrix.neumann_sums", no_sums)
+    code, rep = run(["parametrix", "--op", "D^2 + sin*D + poly:1", "--N", "12",
+                     f"--beta-max={beta_max}"], tmp_path)
+    assert code == 1 and rep is None
+    assert f"beta_max = {beta_max} lies outside 0..6" in _one_line_error(capsys)
+
+
 def test_decomp_rejects_a_negative_entry(tmp_path, capsys):
     for census in (["--census"], []):
         code, rep = run(["decomp", "--alpha=-1,3"] + census, tmp_path)

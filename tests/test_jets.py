@@ -217,7 +217,7 @@ _grammar_text = st.one_of(
 @given(text=_grammar_text)
 def test_grammars_parse_or_raise_value_error(text):
     # any other exception would escape the CLI as a traceback
-    for parse in (parse_spec, parse_operator, lambda t: parse_operator(t, 2)):
+    for parse in (parse_spec, parse_operator):
         try:
             parse(text)
         except ValueError:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 import os
@@ -304,7 +305,7 @@ def test_sampled_cutoff_residual_at_benchmark_configuration(c0):
     phi = make_cutoff((0.0,), 0.15, 0.4, grid)
     system = build_reduction_operators(parse_operator(f"D^2 + sin*D + poly:{c0}"))
     xis = [float(v) for v in np.geomspace(6.0, 96.0, 33)]
-    sums = neumann_sums(system, phi, N=7, xi_samples=xis, fd_order_max=4)
+    sums = neumann_sums(system, phi, N=7, xi_samples=xis)
     assert residual_identity_check(sums) <= 1e-8
 
 
@@ -531,6 +532,146 @@ def test_grid_jets_reject_poles_and_base_mismatch():
         jet_compose(f, g)
 
 
+def _d_op_chain(alg, S, alpha):
+    """Reference D^alpha S: one chain of `partial`s from S, axis 0 first."""
+    out = S
+    for axis, k in enumerate(alpha):
+        for _ in range(k):
+            out = alg.partial(out, axis)
+    scale = (-1j) ** sum(alpha)
+    if scale != 1:
+        out = {k: v * scale for k, v in out.items()}
+    return out
+
+
+def _algebra_with_specs(P, extra):
+    alg = SymbolAlgebra(P)
+    for spec in extra:
+        alg.register(spec)
+    return alg
+
+
+# x-dependent principal parts, so that d(P_m^-k) adds factors, and
+# polynomial specs, whose high derivatives are pruned
+_D_OP_ALGEBRAS = {
+    "1d": _algebra_with_specs(
+        DiffOperator(2, 1, {(2,): SumSpec(PolySpec((2,)), SinSpec()), (0,): PolySpec((1,))}),
+        [PolySpec((1, 2)), CosSpec(), PolySpec((0, 0, 3))],
+    ),
+    "2d": _algebra_with_specs(
+        DiffOperator(2, 2, {
+            (2, 0): MVPolySpec.from_dict(2, {(0, 0): 2, (1, 0): 1}),
+            (0, 2): ComposeSpec(ExpSpec(), MVPolySpec.from_dict(2, {(0, 1): 1})),
+            (1, 1): MVPolySpec.from_dict(2, {(0, 0): 1}),
+        }),
+        [
+            MVPolySpec.from_dict(2, {(1, 1): 1, (0, 2): -1}),
+            ComposeSpec(SinSpec(), MVPolySpec.from_dict(2, {(1, 0): 1})),
+        ],
+    ),
+}
+
+
+def _symbol_sums(alg):
+    mi = st.tuples(*[st.integers(0, 2)] * alg.dim)
+    factor = st.tuples(st.integers(0, len(alg.registry) - 1), mi)
+    key = st.builds(
+        lambda f, g, k, p: (tuple(sorted(f)), g, k, p),
+        st.lists(factor, max_size=3), mi, st.integers(0, 2), st.none() | mi,
+    )
+    scale = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False)
+    return st.dictionaries(key, scale, max_size=6)
+
+
+@pytest.mark.parametrize("dim", sorted(_D_OP_ALGEBRAS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_d_op_table_matches_the_per_alpha_chains(dim, data):
+    # each D^alpha from its predecessor: the same keys, key order and
+    # floats as a chain of partials from S per alpha
+    alg = _D_OP_ALGEBRAS[dim]
+    S = data.draw(_symbol_sums(alg))
+    n = data.draw(st.integers(0, 4))
+    table = alg.d_op(S, n)
+    assert list(table) == [a for k in range(n + 1) for a in mi_of_order(alg.dim, k)]
+    for alpha, got in table.items():
+        want = _d_op_chain(alg, S, alpha)
+        assert list(got.items()) == list(want.items()), alpha
+        assert all(np.array(v).tobytes() == np.array(want[k]).tobytes() for k, v in got.items())
+
+
+def _eager_phi_table(g, n_max):
+    """Reference: every d^beta phi, |beta| <= n_max, by its own chain of
+    np.gradient from the samples, axis 0 first."""
+    vals = g.samples.astype(float)
+    table = {}
+    for n in range(n_max + 1):
+        for beta in mi_of_order(g.dim, n):
+            a = vals
+            for axis, k in enumerate(beta):
+                for _ in range(k):
+                    a = np.gradient(a, g.spacing[axis], axis=axis)
+            table[beta] = a.reshape(-1).astype(complex)
+    return table
+
+
+_PHI_CUTOFFS = {
+    "1d": make_cutoff(
+        (0.0,), 0.15, 0.4, GridField(1, (256,), (-1.0,), (2.0 / 256,), np.zeros(256))
+    ),
+    "2d": make_cutoff(
+        (0.1, -0.05), 0.1, 0.65,
+        GridField(2, (32, 32), (-1.0, -1.0), (1 / 16, 1 / 16), np.zeros((32, 32))),
+    ),
+}
+
+
+@pytest.mark.parametrize("dim", sorted(_PHI_CUTOFFS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_phi_differences_on_demand_match_the_eager_table(dim, data):
+    # asked for in any order, each d^beta phi is bit-equal to its own chain
+    g = _PHI_CUTOFFS[dim].profile
+    n_max = 6 if g.dim == 1 else 4
+    want = _eager_phi_table(g, n_max)
+    pts = np.column_stack([axis.reshape(-1) for axis in g.meshgrid()])
+    P = op_d() if g.dim == 1 else DiffOperator(1, 2, {(1, 0): MVPolySpec.from_dict(2, {(0, 0): 1})})
+    ev = GridEvaluator(SymbolAlgebra(P), pts, k_max=2, phi_samples=g)
+    for beta in data.draw(st.permutations(list(want))):
+        got = ev.phi_deriv(beta)
+        assert got.dtype == complex and got.tobytes() == want[beta].tobytes(), beta
+        assert ev.phi_deriv(beta) is got
+
+
+@pytest.mark.parametrize("N,beta_max", [(7, 4), (4, 6)])
+def test_sums_and_audit_take_no_phi_difference_above_N(N, beta_max):
+    # the benchmark's audit (a): phi is read up to order N and no further
+    phi = _PHI_CUTOFFS["1d"]
+    system = build_reduction_operators(parse_operator("D^2 + sin*D + poly:1"))
+    sums = neumann_sums(system, phi, N=N, xi_samples=[8.0, 32.0])
+    residual_identity_check(sums)
+    bound_audit(sums, beta_max=beta_max, tau=1.0, sigma=2.0)
+    assert max(map(sum, sums.evaluator._phi_grid)) == N
+
+
+def test_growing_k_max_matches_an_evaluator_built_at_it():
+    # D + sin at N = 1 builds jets through order 4; the audit's D^6 of the
+    # coefficients grows them, and must read what a larger start would
+    P = parse_operator("D + sin")
+    system = build_reduction_operators(P)
+    phi = _PHI_CUTOFFS["1d"]
+    sums = neumann_sums(system, phi, N=1, xi_samples=[6.0, 24.0, 96.0])
+    ev = sums.evaluator
+    assert ev.k_max == 4
+    grown = bound_audit(sums, beta_max=6, tau=1.0, sigma=2.0)
+    assert ev.k_max > 4
+    fresh = GridEvaluator(system.algebra, ev.points, k_max=ev.k_max, phi_samples=phi.profile)
+    direct = bound_audit(dataclasses.replace(sums, evaluator=fresh), beta_max=6, tau=1.0, sigma=2.0)
+    assert fresh.k_max == ev.k_max
+    assert grown.coefficient_fits == direct.coefficient_fits
+    assert len(grown.coefficient_fits) == 2
+
+
 def test_budgets_enforced():
     with pytest.raises(ValueError):
         DiffOperator(4, 1, {(4,): PolySpec((1,))})
@@ -541,6 +682,10 @@ def test_budgets_enforced():
         neumann_sums(system, PHI, N=0, x_grid=X_GRID, xi_samples=[8.0])
     with pytest.raises(ValueError):
         neumann_sums(system, PHI, N=4, x_grid=np.linspace(-0.5, 0.5, 2000), xi_samples=[8.0])
+    sums = neumann_sums(system, PHI, N=2, x_grid=X_GRID[:64], xi_samples=[8.0])
+    for beta_max in (-1, 7):
+        with pytest.raises(ValueError, match=f"beta_max = {beta_max} lies outside 0..6"):
+            bound_audit(sums, beta_max=beta_max, tau=1.0, sigma=2.0)
 
 
 def test_characteristic_xi_rejected():
