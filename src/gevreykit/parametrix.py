@@ -263,9 +263,40 @@ def _merge(sums: Iterable[SymbolSum]) -> SymbolSum:
     return out
 
 
+class _Table(dict):
+    """A dict that builds a missing entry from its key on first lookup."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
 class SymbolAlgebra:
     """Term ring over a fixed operator: registry of coefficient specs,
-    differentiation, products with reduction-operator coefficients."""
+    differentiation, products with reduction-operator coefficients.
+
+    Every key's factor tuple is sorted: keys are built by `_term_key` or
+    read from the tables below, which hold sorted tuples only.  The
+    tables are built on first use, so `partial` and `product` do no
+    multi-index bookkeeping per term, only lookups and scale arithmetic:
+
+    - per axis t, factor tuple -> the sorted successor tuples, one per
+      factor whose d/dx_t does not vanish, in factor order, and the
+      d(P_m^-k) successors: for each principal coefficient a_alpha with
+      d/dx_t a_alpha not vanishing, the sorted tuple with (sid, e_t)
+      appended and the xi shift alpha;
+    - per axis t, phi index -> phi + e_t;
+    - fa, then fb -> sorted(fa + fb), for `product`;
+    - a, then b -> a + b on multi-indices: gamma + alpha in `partial`,
+      ga + gb in `product`.
+
+    A successor depends only on the factors' own registry degrees, so
+    the tables stay valid as more specs are registered.
+    """
 
     def __init__(self, P: DiffOperator):
         self.P = P
@@ -277,6 +308,15 @@ class SymbolAlgebra:
         self.principal_ids: dict[MultiIndex, int] = {
             a: self.register(c) for a, c in P.principal().items()
         }
+        self._partial_tables = [
+            (
+                _Table(lambda factors, t=t: self._successors(factors, t)),
+                _Table(lambda phi, t=t: mi_add(phi, self._unit(t))),
+            )
+            for t in range(self.dim)
+        ]
+        self._sorted_union = _Table(lambda fa: _Table(lambda fb: tuple(sorted(fa + fb))))
+        self._mi_sum = _Table(lambda a: _Table(lambda b: mi_add(a, b)))
 
     def register(self, spec: FunctionSpec) -> int:
         key = id(spec)
@@ -288,6 +328,9 @@ class SymbolAlgebra:
 
     def zero_mi(self) -> MultiIndex:
         return (0,) * self.dim
+
+    def _unit(self, axis: int) -> MultiIndex:
+        return tuple(1 if i == axis else 0 for i in range(self.dim))
 
     def principal_sum(self) -> SymbolSum:
         """P_m = sum_{|alpha| = m} a_alpha(x) xi^alpha as a symbol sum."""
@@ -301,32 +344,39 @@ class SymbolAlgebra:
         degs = self.registry_degrees[sid]
         return degs is not None and any(b > dg for b, dg in zip(beta, degs))
 
-    def partial(self, S: SymbolSum, axis: int) -> SymbolSum:
-        """d/dx_axis of a term sum (stays in the ring)."""
-        e = tuple(1 if i == axis else 0 for i in range(self.dim))
-        out: SymbolSum = {}
-        for (factors, gamma, kpow, phi), scale in S.items():
-            for idx in range(len(factors)):
-                sid, beta = factors[idx]
-                up = mi_add(beta, e)
-                if self.factor_is_zero(sid, up):
-                    continue
+    def _successors(self, factors: tuple[Factor, ...], axis: int) -> tuple[tuple, tuple]:
+        """The partial-table entry of a sorted factor tuple along one axis."""
+        e = self._unit(axis)
+        ups = []
+        for idx, (sid, beta) in enumerate(factors):
+            up = mi_add(beta, e)
+            if not self.factor_is_zero(sid, up):
                 nf = list(factors)
                 nf[idx] = (sid, up)
-                _sum_add(out, _term_key(nf, gamma, kpow, phi), scale)
+                ups.append(tuple(sorted(nf)))
+        pm_ups = tuple(
+            (tuple(sorted(factors + ((sid, e),))), a)
+            for a, sid in self.principal_ids.items()
+            if not self.factor_is_zero(sid, e)
+        )
+        return tuple(ups), pm_ups
+
+    def partial(self, S: SymbolSum, axis: int) -> SymbolSum:
+        """d/dx_axis of a term sum (stays in the ring)."""
+        successors, phi_up = self._partial_tables[axis]
+        mi_sum = self._mi_sum
+        out: SymbolSum = {}
+        for (factors, gamma, kpow, phi), scale in S.items():
+            ups, pm_ups = successors[factors]
+            for nf in ups:
+                _sum_add(out, (nf, gamma, kpow, phi), scale)
             if phi is not None:
-                _sum_add(out, _term_key(factors, gamma, kpow, mi_add(phi, e)), scale)
+                _sum_add(out, (factors, gamma, kpow, phi_up[phi]), scale)
             if kpow > 0:
                 # d(Pm^-k) = -k Pm^-(k+1) * dPm, with dPm a xi-polynomial
-                for a, sid in self.principal_ids.items():
-                    if self.factor_is_zero(sid, e):
-                        continue
-                    nf = list(factors) + [(sid, e)]
-                    _sum_add(
-                        out,
-                        _term_key(nf, mi_add(gamma, a), kpow + 1, phi),
-                        scale * (-kpow),
-                    )
+                shift = mi_sum[gamma]
+                for nf, a in pm_ups:
+                    _sum_add(out, (nf, shift[a], kpow + 1, phi), scale * (-kpow))
         return out
 
     def d_op(self, S: SymbolSum, n: int) -> dict[MultiIndex, SymbolSum]:
@@ -344,12 +394,13 @@ class SymbolAlgebra:
     def product(self, A: SymbolSum, B: SymbolSum) -> SymbolSum:
         out: SymbolSum = {}
         for (fa, ga, ka, pa), sa in A.items():
+            unions, shifts = self._sorted_union[fa], self._mi_sum[ga]
             for (fb, gb, kb, pb), sb in B.items():
                 if pa is not None and pb is not None:
                     raise ValueError("at most one phi factor per term")
                 _sum_add(
                     out,
-                    _term_key(fa + fb, mi_add(ga, gb), ka + kb, pa if pa is not None else pb),
+                    (unions[fb], shifts[gb], ka + kb, pa if pa is not None else pb),
                     sa * sb,
                 )
         return out
@@ -478,11 +529,11 @@ class GridEvaluator:
 
     def _ensure_order(self, order: int) -> None:
         # audits may differentiate beyond the order anticipated at build
-        # time; extend the truncation and rebuild the jet caches
+        # time; extend the truncation and rebuild the jets.  The rows stay:
+        # a row read from the shorter jet equals the longer jet's bit for bit
         if order > self.k_max:
             self.k_max = order + 4
             self._jets.clear()
-            self._derivs.clear()
 
     def deriv(self, sid: int, beta: MultiIndex) -> np.ndarray:
         key = (sid, beta)

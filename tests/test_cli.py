@@ -136,6 +136,24 @@ def test_parametrix_command(tmp_path):
     validate_report(rep)
 
 
+# reports written before the symbol ring had index tables: the ring must
+# keep producing the same keys, in the same order, with the same scales
+GOLDEN_REPORTS = {
+    "parametrix_m2_N6.json": ["--op", "poly:5/2*D^2 + sin*D^2 + cos*D + poly:1", "--N", "6"],
+    "parametrix_m3_N5.json": ["--op", "D^3 + compose(sin,poly:1/2,1)*D^2 + exp*D + poly:2",
+                              "--N", "5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_parametrix_report_is_byte_identical_to_its_golden_copy(name, tmp_path):
+    out = os.path.join(tmp_path, name)
+    assert main(["parametrix", *GOLDEN_REPORTS[name], "--grid", "64", "--out", out]) == 0
+    golden = os.path.join(os.path.dirname(__file__), "data", name)
+    with open(out, "rb") as got, open(golden, "rb") as want:
+        assert got.read() == want.read()
+
+
 def test_parametrix_max_residual_is_the_measured_maximum(tmp_path, monkeypatch):
     # the README example: the report prints max |(I - R) w_N - (phi - e_N)|
     # itself, recomputed here from the Neumann sums the command built

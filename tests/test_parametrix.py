@@ -551,14 +551,20 @@ def _algebra_with_specs(P, extra):
     return alg
 
 
-# x-dependent principal parts, so that d(P_m^-k) adds factors, and
-# polynomial specs, whose high derivatives are pruned
-_D_OP_ALGEBRAS = {
-    "1d": _algebra_with_specs(
+# x-dependent principal parts, so that d(P_m^-k) adds factors, a constant
+# one, whose d(P_m^-k) vanishes, and polynomial specs, whose high
+# derivatives are pruned: (operator, specs registered after the principal
+# coefficients)
+_RING_SETUPS = {
+    "1d": (
         DiffOperator(2, 1, {(2,): SumSpec(PolySpec((2,)), SinSpec()), (0,): PolySpec((1,))}),
         [PolySpec((1, 2)), CosSpec(), PolySpec((0, 0, 3))],
     ),
-    "2d": _algebra_with_specs(
+    "1d_const": (
+        DiffOperator(2, 1, {(2,): PolySpec((1,)), (1,): SinSpec()}),
+        [PolySpec((0, 1)), ExpSpec()],
+    ),
+    "2d": (
         DiffOperator(2, 2, {
             (2, 0): MVPolySpec.from_dict(2, {(0, 0): 2, (1, 0): 1}),
             (0, 2): ComposeSpec(ExpSpec(), MVPolySpec.from_dict(2, {(0, 1): 1})),
@@ -570,14 +576,15 @@ _D_OP_ALGEBRAS = {
         ],
     ),
 }
+_D_OP_ALGEBRAS = {name: _algebra_with_specs(*setup) for name, setup in _RING_SETUPS.items()}
 
 
-def _symbol_sums(alg):
+def _symbol_sums(alg, phi=True):
     mi = st.tuples(*[st.integers(0, 2)] * alg.dim)
     factor = st.tuples(st.integers(0, len(alg.registry) - 1), mi)
     key = st.builds(
         lambda f, g, k, p: (tuple(sorted(f)), g, k, p),
-        st.lists(factor, max_size=3), mi, st.integers(0, 2), st.none() | mi,
+        st.lists(factor, max_size=3), mi, st.integers(0, 2), st.none() | mi if phi else st.none(),
     )
     scale = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False)
     return st.dictionaries(key, scale, max_size=6)
@@ -598,6 +605,97 @@ def test_d_op_table_matches_the_per_alpha_chains(dim, data):
         want = _d_op_chain(alg, S, alpha)
         assert list(got.items()) == list(want.items()), alpha
         assert all(np.array(v).tobytes() == np.array(want[k]).tobytes() for k, v in got.items())
+
+
+def _ref_add(acc, key, scale):
+    cur = acc.get(key, 0.0)
+    new = cur + scale
+    if new == 0:
+        acc.pop(key, None)
+    else:
+        acc[key] = new
+
+
+def _ref_key(factors, gamma, kpow, phi):
+    return (tuple(sorted(factors)), gamma, kpow, phi)
+
+
+def _reference_partial(alg, S, axis):
+    """The per-term `partial` the index tables replaced: mi_add, the zero
+    test and a sort for every successor."""
+    e = tuple(1 if i == axis else 0 for i in range(alg.dim))
+    out = {}
+    for (factors, gamma, kpow, phi), scale in S.items():
+        for idx in range(len(factors)):
+            sid, beta = factors[idx]
+            up = mi_add(beta, e)
+            if alg.factor_is_zero(sid, up):
+                continue
+            nf = list(factors)
+            nf[idx] = (sid, up)
+            _ref_add(out, _ref_key(nf, gamma, kpow, phi), scale)
+        if phi is not None:
+            _ref_add(out, _ref_key(factors, gamma, kpow, mi_add(phi, e)), scale)
+        if kpow > 0:
+            for a, sid in alg.principal_ids.items():
+                if alg.factor_is_zero(sid, e):
+                    continue
+                nf = list(factors) + [(sid, e)]
+                _ref_add(out, _ref_key(nf, mi_add(gamma, a), kpow + 1, phi), scale * (-kpow))
+    return out
+
+
+def _reference_product(A, B):
+    """The per-term `product`: a sort and mi_add for every pair."""
+    out = {}
+    for (fa, ga, ka, pa), sa in A.items():
+        for (fb, gb, kb, pb), sb in B.items():
+            if pa is not None and pb is not None:
+                raise ValueError("at most one phi factor per term")
+            _ref_add(
+                out,
+                _ref_key(fa + fb, mi_add(ga, gb), ka + kb, pa if pa is not None else pb),
+                sa * sb,
+            )
+    return out
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_same_sum(got, want):
+    # the same dict, key order included, with bit-equal scales
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert list(got) == list(want)
+    assert [np.complex128(v).tobytes() for v in got.values()] == [
+        np.complex128(v).tobytes() for v in want.values()
+    ]
+
+
+@pytest.mark.parametrize("dim", sorted(_RING_SETUPS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_tabled_partial_and_product_match_the_per_term_loops(dim, data):
+    alg = _algebra_with_specs(*_RING_SETUPS[dim])  # empty tables
+    late = PolySpec((1, -1)) if alg.dim == 1 else MVPolySpec.from_dict(2, {(0, 1): 1, (1, 0): 3})
+    # the second round reads tables the first filled; the third draws a
+    # spec registered after that
+    for rnd in range(3):
+        if rnd == 2:
+            alg.register(late)
+        S = data.draw(_symbol_sums(alg))
+        for axis in range(alg.dim):
+            _assert_same_sum(alg.partial(S, axis), _reference_partial(alg, S, axis))
+        coeff = data.draw(_symbol_sums(alg, phi=False))
+        other = data.draw(_symbol_sums(alg))
+        for A, B in ((coeff, S), (S, other)):
+            _assert_same_sum(_outcome(alg.product, A, B), _outcome(_reference_product, A, B))
 
 
 def _eager_phi_table(g, n_max):
@@ -670,6 +768,43 @@ def test_growing_k_max_matches_an_evaluator_built_at_it():
     assert fresh.k_max == ev.k_max
     assert grown.coefficient_fits == direct.coefficient_fits
     assert len(grown.coefficient_fits) == 2
+
+
+_GROWTH_SPECS = {
+    "sin": SinSpec(),
+    "cos_of_poly": ComposeSpec(CosSpec(), PolySpec((0.5, 1))),
+    "exp_times_sin": ProdSpec(ExpSpec(), SinSpec()),
+    "poly_plus_cos": SumSpec(PolySpec((1, -2, 0, 3)), CosSpec()),
+    "exp_of_x_sin": ComposeSpec(ExpSpec(), ProdSpec(PolySpec((0, 1)), SinSpec())),
+    "sin_of_mvpoly_2d": ComposeSpec(
+        SinSpec(), MVPolySpec.from_dict(2, {(1, 0): 1, (1, 1): 0.5, (0, 2): -1})
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", list(_GROWTH_SPECS.values()), ids=list(_GROWTH_SPECS))
+def test_rows_built_before_the_order_grows_stay_bit_equal_to_a_fresh_evaluators(spec):
+    # growing k_max rebuilds the jets but keeps the rows already read,
+    # which must equal what an evaluator built at the grown order reads
+    if spec.dim == 1:
+        P, pts = op_d(), np.linspace(-0.9, 0.9, 256)
+    else:
+        P = DiffOperator(1, 2, {(1, 0): MVPolySpec.from_dict(2, {(0, 0): 1})})
+        axis = np.linspace(-0.9, 0.9, 16)
+        pts = np.column_stack([m.reshape(-1) for m in np.meshgrid(axis, axis, indexing="ij")])
+    for K in range(1, 9):
+        alg = SymbolAlgebra(P)
+        sid = alg.register(spec)
+        ev = GridEvaluator(alg, pts, k_max=K)
+        early = {beta: ev.deriv(sid, beta) for n in range(K + 1) for beta in mi_of_order(P.dim, n)}
+        top = (K + 1,) + (0,) * (P.dim - 1)
+        grown = ev.deriv(sid, top)
+        assert ev.k_max == K + 5
+        fresh = GridEvaluator(alg, pts, k_max=K + 5)
+        for beta, row in early.items():
+            assert ev.deriv(sid, beta) is row
+            assert row.tobytes() == fresh.deriv(sid, beta).tobytes(), (K, beta)
+        assert grown.tobytes() == fresh.deriv(sid, top).tobytes()
 
 
 def test_budgets_enforced():
