@@ -188,6 +188,16 @@ def jet_compose(f: Jet, g: Jet) -> Jet:
     return Jet(g.dim, K, out, g.base_point)
 
 
+def jet_chain_partial(f, g, alpha: MultiIndex, at: tuple[Number, ...]) -> Number:
+    """d^alpha (f o g)(at) by the jet route: g's jet at `at`, f's jet at
+    g's value, `jet_compose` and `jet_partial`.  The oracle the
+    decomposition-sum chain rule is checked against."""
+    n = mi_order(alpha)
+    g_jet = jet_of(g, at, n)
+    f_jet = jet_of(f, (g_jet.value,), n)
+    return jet_partial(jet_compose(f_jet, g_jet), alpha)
+
+
 def jet_partial(j: Jet, alpha: MultiIndex) -> Number:
     """d^alpha f(base) = alpha! * coeff(alpha)."""
     if len(alpha) != j.dim:

@@ -90,6 +90,21 @@ def mi_of_order(d: int, n: int) -> Iterator[MultiIndex]:
             yield (h,) + tail
 
 
+def mi_derivative(table: dict, beta: MultiIndex, step):
+    """table[beta], built on first use from its predecessor.
+
+    d^beta is step(d^(beta - e_t), t), t the last axis with beta_t > 0, so
+    every derivative is taken along axis 0 first.  The table holds the
+    zero index, or every index of the order below beta's; the missing
+    predecessors are built and kept on the way.
+    """
+    if beta not in table:
+        t = max(i for i, b in enumerate(beta) if b)
+        prev = tuple(b - (i == t) for i, b in enumerate(beta))
+        table[beta] = step(mi_derivative(table, prev, step), t)
+    return table[beta]
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """alpha = sum_k multiplicities[k] * parts[k], parts strictly increasing."""

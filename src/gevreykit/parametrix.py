@@ -33,6 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .faadibruno import fdb_derivative
 from .funcspec import (
     FunctionSpec,
     MVPolySpec,
@@ -42,13 +43,12 @@ from .funcspec import (
     SumSpec,
     parse_spec,
 )
-from .jets import Jet, jet_add, jet_compose, jet_of, jet_partial, jet_scale
+from .jets import Jet, jet_chain_partial, jet_of, jet_partial
 from .multiindex import (
     MultiIndex,
-    enumerate_decompositions,
     mi_add,
     mi_binomial,
-    mi_factorial,
+    mi_derivative,
     mi_of_order,
     mi_order,
     mi_range,
@@ -178,16 +178,22 @@ def _xi_monomial(gamma: MultiIndex, xi: tuple) -> float:
     return mono
 
 
+def _as_tuple(v: tuple | float) -> tuple:
+    return v if isinstance(v, tuple) else (v,)
+
+
+def principal_spec(P: DiffOperator, xi: tuple | float) -> FunctionSpec:
+    """x -> P_m(x, xi) = sum_{|alpha| = m} xi^alpha a_alpha(x), a catalog spec."""
+    xi = _as_tuple(xi)
+    return reduce(
+        SumSpec,
+        (ProdSpec(_const_spec(_xi_monomial(a, xi), P.dim), c) for a, c in P.principal().items()),
+    )
+
+
 def principal_symbol(P: DiffOperator, x: tuple | float, xi: tuple | float) -> complex:
     """P_m(x, xi) = sum_{|alpha| = m} a_alpha(x) xi^alpha."""
-    if not isinstance(x, tuple):
-        x = (x,)
-    if not isinstance(xi, tuple):
-        xi = (xi,)
-    out = 0.0 + 0.0j
-    for a, c in P.principal().items():
-        out += complex(c.eval(*x)) * _xi_monomial(a, xi)
-    return out
+    return complex(principal_spec(P, xi).eval(*_as_tuple(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -211,24 +217,6 @@ def transpose(P: DiffOperator) -> DiffOperator:
             term = ProdSpec(_const_spec(scale, P.dim), spec)
             out[beta] = SumSpec(out[beta], term) if beta in out else term
     return DiffOperator(P.order, P.dim, out)
-
-
-# ---------------------------------------------------------------------------
-# derivative tables
-
-
-def _derivative(table: dict, beta: MultiIndex, step):
-    """table[beta], built on first use from its predecessor.
-
-    d^beta is step(d^(beta - e_t), t), t the last axis with beta_t > 0, so
-    every derivative is taken along axis 0 first.  The table holds the
-    zero index; the missing predecessors are built and kept on the way.
-    """
-    if beta not in table:
-        t = max(i for i, b in enumerate(beta) if b)
-        prev = tuple(b - (i == t) for i, b in enumerate(beta))
-        table[beta] = step(_derivative(table, prev, step), t)
-    return table[beta]
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +375,7 @@ class SymbolAlgebra:
         for k in range(n + 1):
             scale = (-1j) ** k
             for alpha in mi_of_order(self.dim, k):
-                dS = _derivative(d, alpha, self.partial)
+                dS = mi_derivative(d, alpha, self.partial)
                 out[alpha] = dS if scale == 1 else {key: v * scale for key, v in dS.items()}
         return out
 
@@ -551,7 +539,7 @@ class GridEvaluator:
         if self.phi_samples is not None:
             if beta not in self._phi_rows:
                 spacing = self.phi_samples.spacing
-                grid = _derivative(
+                grid = mi_derivative(
                     self._phi_grid, beta, lambda a, t: np.gradient(a, spacing[t], axis=t)
                 )
                 self._phi_rows[beta] = grid.reshape(-1).astype(complex)
@@ -599,17 +587,20 @@ class EllipticityResult:
     char_hit: tuple[tuple, tuple] | None
 
 
+# a sampled |P_m| below this is a characteristic hit
+ZERO_TOL = 1e-9
+
+
 def ellipticity_bounds(
     P: DiffOperator,
     box: tuple[tuple[float, float], ...],
     cone: Cone,
     samples: int = 16,
-    zero_tol: float = 1e-9,
 ) -> EllipticityResult:
     """Sampled min/max of |P_m(x, theta)| over box x cone directions.
 
-    A sampled minimum below the tolerance is a characteristic hit and is
-    returned with its witness.
+    A sampled minimum below ZERO_TOL is a characteristic hit and is
+    returned with its witness, the first minimum in (x, theta) order.
     """
     if samples < 16:
         raise ValueError("need at least 16 samples per axis/direction")
@@ -622,74 +613,42 @@ def ellipticity_bounds(
         base = math.atan2(cone.direction[1], cone.direction[0])
         angles = np.linspace(base - cone.half_angle, base + cone.half_angle, samples)
         dirs = [(math.cos(a), math.sin(a)) for a in angles]
-    c1, c2 = float("inf"), 0.0
-    hit = None
-    for x in xs:
-        for th in dirs:
-            v = abs(principal_symbol(P, tuple(x), th))
-            if v < c1:
-                c1 = v
-                if v < zero_tol:
-                    hit = (tuple(x), th)
-            c2 = max(c2, v)
-    return EllipticityResult(C1=c1, C2=c2, char_hit=hit)
+    # one column per direction: row-major order is (x, theta) order; exact
+    # coefficients make object arrays of Python floats
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.abs(np.column_stack([
+            np.broadcast_to(principal_spec(P, th).eval(*xs.T), (len(xs),)) for th in dirs
+        ])).astype(float)
+    if not np.isfinite(values).all():
+        raise ZeroDivisionError("P_m is not finite on the sample box")
+    i, j = np.unravel_index(np.argmin(values), values.shape)
+    c1 = float(values[i, j])
+    hit = (tuple(xs[i]), dirs[j]) if c1 < ZERO_TOL else None
+    return EllipticityResult(C1=c1, C2=float(values.max()), char_hit=hit)
 
 
 def inv_pm_derivative(
     P: DiffOperator, alpha: MultiIndex, x: tuple | float, xi: tuple | float
 ) -> complex:
-    """D^alpha (1/P_m)(x, xi) via the decomposition sum
-
-    alpha! sum_pi (-1)^j j! / P_m^{j+1} prod_k (1/j_k!) ((1/p_k!) D^{p_k} P_m)^{j_k}.
-    """
-    if not isinstance(x, tuple):
-        x = (x,)
-    if not isinstance(xi, tuple):
-        xi = (xi,)
-    pm0 = principal_symbol(P, x, xi)
-    if abs(pm0) < 1e-300:
+    """D^alpha (1/P_m)(x, xi) by the decomposition-sum chain rule on
+    (1/y) o P_m(., xi), D^alpha = (-i)^{|alpha|} d^alpha; |alpha| is held
+    to `fdb_derivative`'s order limits."""
+    x = _as_tuple(x)
+    pm = principal_spec(P, xi)
+    if abs(pm.eval(*x)) < 1e-300:
         raise ZeroDivisionError("characteristic point")
-    if mi_order(alpha) == 0:
-        return 1.0 / pm0
-    n = mi_order(alpha)
-
-    jets = {a: jet_of(c, x, n) for a, c in P.principal().items()}
-
-    def d_pm(p: MultiIndex) -> complex:
-        acc = 0.0 + 0.0j
-        for a, jt in jets.items():
-            acc += complex(jet_partial(jt, p)) * _xi_monomial(a, xi)
-        return acc * (-1j) ** mi_order(p)
-
-    total = 0.0 + 0.0j
-    for dec in enumerate_decompositions(alpha):
-        j = dec.total_multiplicity
-        term = (-1) ** j * math.factorial(j) / pm0 ** (j + 1)
-        for part, mult in zip(dec.parts, dec.multiplicities):
-            piece = d_pm(part) / mi_factorial(part)
-            term *= piece**mult / math.factorial(mult)
-        total += term
-    return mi_factorial(alpha) * total
+    return (-1j) ** mi_order(alpha) * fdb_derivative(RecipPowSpec(1), pm, alpha, x)
 
 
 def inv_pm_derivative_jet_check(
     P: DiffOperator, alpha: MultiIndex, x: tuple | float, xi: tuple | float
 ) -> complex:
-    """Independent route: jet of 1/P_m(., xi) by reciprocal composition.
+    """Independent route: the jet of (1/y) o P_m(., xi) by `jet_compose`.
 
     D^alpha = (-i)^{|alpha|} d^alpha on the x-jet.
     """
-    if not isinstance(x, tuple):
-        x = (x,)
-    if not isinstance(xi, tuple):
-        xi = (xi,)
-    n = mi_order(alpha)
-    pm_jet = Jet(P.dim, n, {}, x)
-    for a, c in P.principal().items():
-        pm_jet = jet_add(pm_jet, jet_scale(_xi_monomial(a, xi), jet_of(c, x, n)))
-    recip = RecipPowSpec(1).jet((pm_jet.value,), n)
-    inv_jet = jet_compose(recip, pm_jet)
-    return (-1j) ** n * complex(jet_partial(inv_jet, alpha))
+    value = jet_chain_partial(RecipPowSpec(1), principal_spec(P, xi), alpha, _as_tuple(x))
+    return (-1j) ** mi_order(alpha) * complex(value)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiindex import mi_of_order
+from .multiindex import mi_derivative, mi_of_order
 from .sequences import log_envelope, log_factorial_form, log_M, normalized_excess
 
 _NEG_INF = float("-inf")
@@ -136,11 +136,6 @@ class RegularityFit:
     admissible: bool
     degenerate: bool = False
 
-    def envelope(self, n: int) -> float:
-        return log_envelope(
-            n, self.tau_hat, self.sigma_hat, math.log(self.A_hat), math.log(self.h_hat)
-        )
-
 
 def fit_regularity(
     data: DerivativeGrowthData,
@@ -233,25 +228,16 @@ def measure_derivative_growth(
 
     entries: list[float] = []
     h_min = min(spacing)
+    level = {(0,) * d: arr}  # d^alpha u for every alpha of the order below
     for n in range(n_max + 1):
+        # an order-n difference along an axis needs 2n + 1 samples on it
+        if n and min(arr.shape) < 2 * n + 1:
+            break
+        level = {alpha: mi_derivative(level, alpha, centered) for alpha in mi_of_order(d, n)}
         sup = 0.0
-        ok = True
-        for alpha in mi_of_order(d, n):
-            a = arr
-            for axis, k in enumerate(alpha):
-                for _ in range(k):
-                    if a.shape[axis] < 3:
-                        ok = False
-                        break
-                    a = centered(a, axis)
-                if not ok:
-                    break
-            if not ok:
-                break
+        for a in level.values():
             if a.size:
                 sup = max(sup, float(np.max(np.abs(a))))
-        if not ok:
-            break
         noise = scale * 2.2e-16 * (1.0 / h_min) ** n
         if n > 0 and sup < 100.0 * noise:
             break

@@ -512,19 +512,18 @@ class WavefrontVerdict:
         return out | {"point": list(self.point), "direction": list(self.direction)}
 
 
-def _fit_constants_ls(
-    profile: DecayProfile, tau: float, sigma: float, n_hi: int
-) -> tuple[float, float]:
+def _fit_constants_ls(profile: DecayProfile, terms: _Terms) -> tuple[float, float]:
     """(ln A, ln h) by least squares on {1, N^sigma}, with ln A lifted so
     the fitted envelope covers every usable entry (exact on data lying
-    exactly on an envelope)."""
+    exactly on an envelope).  terms is the direct family over the usable
+    window, read for ln M_N and N^sigma at N >= 1; N = 0 has both 0."""
     ns_list, ys = [], []
-    for N in range(0, max(n_hi, 2)):
+    for N, (_, growth, scale) in enumerate(((0, 0.0, 0.0),) + terms):
         v = profile.entries[N]
         if v == _NEG_INF:
             continue
-        ns_list.append(float(N) ** sigma if N else 0.0)
-        ys.append(v - log_M(tau, sigma, N))
+        ns_list.append(scale)
+        ys.append(v - growth)
     if len(ys) < 2:
         val = ys[0] if ys else 0.0
         return max(0.0, val), 0.0
@@ -536,9 +535,10 @@ def _fit_constants_ls(
 
 
 # (order k, growth, scale) per index M = 1, 2, ... of an envelope family
-_Terms = list[tuple[int, float, float]]
+_Terms = tuple[tuple[int, float, float], ...]
 
 
+@functools.lru_cache(maxsize=16)
 def _family(tau: float, sigma: float, n_use: int, factorial: bool) -> tuple[_Terms, int]:
     """One envelope family over the usable window: (order k, growth,
     scale) per index M = 1, 2, ..., and how many of them the sup fit reads.
@@ -547,14 +547,16 @@ def _family(tau: float, sigma: float, n_use: int, factorial: bool) -> tuple[_Ter
     factorial form is k = floor(M^{1/sigma}), (tau/sigma) ln M!, M for
     M <= n_use^sigma; its order search also reads the next index, the
     first whose order reaches n_use when n_use^sigma is not an integer.
+    A scan meets few (tau, sigma, n_use), so each table is built once.
     """
     if not factorial:
-        return [(M, log_M(tau, sigma, M), float(M) ** sigma) for M in range(1, n_use + 1)], n_use
+        terms = tuple((M, log_M(tau, sigma, M), float(M) ** sigma) for M in range(1, n_use + 1))
+        return terms, n_use
     m_fit = int(float(n_use) ** sigma)
-    terms = [
+    terms = tuple(
         (int(math.floor(M ** (1.0 / sigma) + 1e-12)), log_factorial_form(tau, sigma, M), M)
         for M in range(1, m_fit + 2)
-    ]
+    )
     return terms, m_fit
 
 
@@ -676,8 +678,8 @@ def wf_point_test(
         return verdict(regular=True, A_hat=0.0, h_hat=1.0)
 
     regular, order, required, log_h_sup = _family_verdict(profile, tau, sigma, n_use)
-    log_a, log_h = _fit_constants_ls(profile, tau, sigma, n_use + 1)
     if regular:
+        log_a, log_h = _fit_constants_ls(profile, _family(tau, sigma, n_use, False)[0])
         A_hat, h_hat = math.exp(log_a), math.exp(log_h)
     else:  # a singular synthetic profile reports the h its sup fit needs
         A_hat = None

@@ -406,6 +406,30 @@ def test_wf_scan_ximin_zero_exits_1(tmp_path, capsys):
     assert "xi_min must be positive" in _one_line_error(capsys)
 
 
+def test_wf_scan_runs_one_worker_by_default(tmp_path, monkeypatch):
+    from gevreykit import cli
+
+    outdir = os.path.join(tmp_path, "fields")
+    main(["catalog", "--out", outdir])
+    pools = []
+    real = cli.wf_scan
+    monkeypatch.setattr(cli, "wf_scan", lambda *a: pools.append(a[-1]) or real(*a))
+    code, _ = run(["wf-scan", "--field", os.path.join(outdir, "kink.gf"), "--points", "0",
+                   "--tau", "1", "--sigma", "2"], tmp_path)
+    assert code == 0 and pools == [1]
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_wf_scan_threads_below_one_exit_1(tmp_path, capsys, threads):
+    outdir = os.path.join(tmp_path, "fields")
+    main(["catalog", "--out", outdir])
+    capsys.readouterr()
+    code, rep = run(["wf-scan", "--field", os.path.join(outdir, "kink.gf"), "--points", "0",
+                     "--tau", "1", "--sigma", "2", "--threads", threads], tmp_path)
+    assert code == 1 and rep is None
+    assert f"--threads must be at least 1, got {threads}" in _one_line_error(capsys)
+
+
 def test_wf_scan_ximin_in_dc_band_rejects_the_scan(tmp_path, capsys):
     # one line for the whole scan, not one error verdict per direction
     outdir = os.path.join(tmp_path, "fields")

@@ -24,8 +24,8 @@ from gevreykit.funcspec import (
     SinSpec,
     SumSpec,
 )
-from gevreykit.jets import jet_compose, jet_of, jet_partial
-from gevreykit.multiindex import mi_add, mi_of_order
+from gevreykit.jets import Jet, jet_add, jet_compose, jet_of, jet_partial, jet_scale
+from gevreykit.multiindex import enumerate_decompositions, mi_add, mi_factorial, mi_of_order
 from gevreykit.parametrix import (
     LEIBNIZ_WORDS,
     DiffOperator,
@@ -959,3 +959,193 @@ def test_theorem_propagation_smoke():
     f0 = u.like(np.zeros_like(u.samples))
     fv = wf_scan(f0, [(0.0,), (0.6,)], 2, tau, sigma, params)
     assert all(v.regular for v in fv)
+
+
+# the reciprocal symbol 1/P_m = (1/y) o P_m: three routes to its derivatives
+
+def _reference_principal_symbol(P, x, xi):
+    """P_m(x, xi) summed per coefficient, as before P_m was a catalog spec."""
+    out = 0.0 + 0.0j
+    for a, c in P.principal().items():
+        out += complex(c.eval(*x)) * math.prod(v**e for e, v in zip(a, xi))
+    return out
+
+
+def _reference_inv_pm_derivative(P, alpha, x, xi):
+    """The per-decomposition loop `inv_pm_derivative` ran before it called
+    `fdb_derivative`: D^alpha (1/P_m) = alpha! sum_pi (-1)^j j! / P_m^{j+1}
+    prod_k (1/j_k!) ((1/p_k!) D^{p_k} P_m)^{j_k}."""
+    pm0 = _reference_principal_symbol(P, x, xi)
+    n = sum(alpha)
+    if n == 0:
+        return 1.0 / pm0
+    jets = {a: jet_of(c, x, n) for a, c in P.principal().items()}
+
+    def d_pm(p):
+        acc = 0.0 + 0.0j
+        for a, jt in jets.items():
+            acc += complex(jet_partial(jt, p)) * math.prod(v**e for e, v in zip(a, xi))
+        return acc * (-1j) ** sum(p)
+
+    total = 0.0 + 0.0j
+    for dec in enumerate_decompositions(alpha):
+        j = dec.total_multiplicity
+        term = (-1) ** j * math.factorial(j) / pm0 ** (j + 1)
+        for part, mult in zip(dec.parts, dec.multiplicities):
+            piece = d_pm(part) / mi_factorial(part)
+            term *= piece**mult / math.factorial(mult)
+        total += term
+    return mi_factorial(alpha) * total
+
+
+def _reference_inv_pm_jet_check(P, alpha, x, xi):
+    """The hand-built P_m jet (a scaled jet per coefficient, added up) the
+    jet check composed with 1/y before it shared the CLI's oracle."""
+    n = sum(alpha)
+    pm_jet = Jet(P.dim, n, {}, x)
+    for a, c in P.principal().items():
+        mono = 1.0
+        for e, v in zip(a, xi):
+            mono *= v**e
+        pm_jet = jet_add(pm_jet, jet_scale(mono, jet_of(c, x, n)))
+    inv_jet = jet_compose(RecipPowSpec(1).jet((pm_jet.value,), n), pm_jet)
+    return (-1j) ** n * complex(jet_partial(inv_jet, alpha))
+
+
+_ONE_2D = MVPolySpec.from_dict(2, {(0, 0): 1})
+# (operator, x points, xi samples): variable and constant principal parts
+_INV_PM_CASES = {
+    "m2_sin": (parse_operator("poly:5/2*D^2 + sin*D^2 + cos*D + poly:1"),
+               [(0.2,), (-0.4,), (0.0,)], [(1.0,), (3.0,), (-2.0,)]),
+    "m3_readme": (parse_operator("D^3 + compose(sin,poly:1/2,1)*D^2 + exp*D + poly:2"),
+                  [(0.2,), (-0.4,)], [(1.0,), (-3.0,)]),
+    "m2_poly": (parse_operator("poly:1,0,1*D^2 + D"), [(0.3,), (-0.7,)], [(1.0,), (2.5,)]),
+    "m1_sum": (op_variable_principal(), [(0.2,), (-0.4,)], [(1.0,), (3.0,)]),
+    "2d_variable": (_RING_SETUPS["2d"][0],
+                    [(0.2, -0.3), (0.0, 0.1)], [(1.0, 0.5), (0.3, -2.0)]),
+    "2d_xy": (DiffOperator(2, 2, {
+                  (2, 0): MVPolySpec.from_dict(2, {(0, 0): 3, (1, 1): 1}),
+                  (0, 2): ComposeSpec(CosSpec(), MVPolySpec.from_dict(2, {(1, 0): 1})),
+                  (0, 0): _ONE_2D}),
+              [(0.4, 0.25), (-0.5, 0.0)], [(1.0, 1.0), (2.0, -0.5)]),
+}
+
+
+def _inv_pm_points(name, n_max=6):
+    P, xs, xis = _INV_PM_CASES[name]
+    for n in range(n_max + 1):
+        for alpha in mi_of_order(P.dim, n):
+            for x in xs:
+                for xi in xis:
+                    yield P, alpha, x, xi
+
+
+@pytest.mark.parametrize("name", sorted(_INV_PM_CASES))
+def test_inv_pm_derivative_matches_the_per_decomposition_loop(name):
+    worst = 0.0
+    for P, alpha, x, xi in _inv_pm_points(name):
+        got = inv_pm_derivative(P, alpha, x, xi)
+        want = _reference_inv_pm_derivative(P, alpha, x, xi)
+        worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(_INV_PM_CASES))
+def test_inv_pm_jet_check_is_bit_equal_to_the_hand_built_jet(name):
+    for P, alpha, x, xi in _inv_pm_points(name):
+        got = inv_pm_derivative_jet_check(P, alpha, x, xi)
+        want = _reference_inv_pm_jet_check(P, alpha, x, xi)
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (alpha, x, xi)
+
+
+@pytest.mark.parametrize("name", ["m2_sin", "m3_readme", "2d_variable", "2d_xy"])
+def test_symbol_ring_reciprocal_table_matches_inv_pm_derivative(name):
+    # D^gamma (1/P_m) as ring terms, evaluated on the x points, against the
+    # chain rule at each point
+    P, xs, xis = _INV_PM_CASES[name]
+    alg = SymbolAlgebra(P)
+    n = 6 if P.dim == 1 else 4
+    table = alg.d_op({((), alg.zero_mi(), 1, None): 1.0 + 0.0j}, n)
+    ev = GridEvaluator(alg, np.array(xs), k_max=n)
+    worst = 0.0
+    for gamma, S in table.items():
+        vals = ev.eval_sum(S, xis)
+        for i, xi in enumerate(xis):
+            for j, x in enumerate(xs):
+                want = inv_pm_derivative(P, gamma, x, xi)
+                worst = max(worst, abs(vals[i, j] - want) / max(abs(want), 1e-300))
+    assert worst <= 1e-13
+
+
+def test_inv_pm_derivative_keeps_the_chain_rule_order_limit():
+    P = _INV_PM_CASES["m2_sin"][0]
+    inv_pm_derivative(P, (8,), 0.2, 1.0)
+    with pytest.raises(ValueError, match="exceeds the enforced limit"):
+        inv_pm_derivative(P, (9,), 0.2, 1.0)
+
+
+def _reference_ellipticity_bounds(P, box, cone, samples=16, zero_tol=1e-9):
+    """The per-(x, theta) loop `ellipticity_bounds` ran before it evaluated
+    P_m on the whole box per direction."""
+    axes = [np.linspace(lo, hi, samples) for lo, hi in box]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    xs = np.column_stack([m.reshape(-1) for m in mesh])
+    if P.dim == 1:
+        dirs = [(1.0,) if cone.direction[0] > 0 else (-1.0,)]
+    else:
+        base = math.atan2(cone.direction[1], cone.direction[0])
+        angles = np.linspace(base - cone.half_angle, base + cone.half_angle, samples)
+        dirs = [(math.cos(a), math.sin(a)) for a in angles]
+    c1, c2 = float("inf"), 0.0
+    hit = None
+    for x in xs:
+        for th in dirs:
+            v = abs(_reference_principal_symbol(P, tuple(x), th))
+            if v < c1:
+                c1 = v
+                if v < zero_tol:
+                    hit = (tuple(x), th)
+            c2 = max(c2, v)
+    return c1, c2, hit
+
+
+_DIAG = 1 / math.sqrt(2)
+_ELLIPTICITY_OPS = {
+    "laplace": DiffOperator(2, 2, {(2, 0): _ONE_2D, (0, 2): _ONE_2D}),
+    "wave": DiffOperator(2, 2, {(2, 0): _ONE_2D, (0, 2): MVPolySpec.from_dict(2, {(0, 0): -1})}),
+    # x1 xi1 xi2 vanishes on the row x1 = 0 and on the direction theta = 0:
+    # its first zero in (x, theta) order is not its first in (theta, x) order
+    "x1_mixed": DiffOperator(2, 2, {(1, 1): MVPolySpec.from_dict(2, {(1, 0): 1})}),
+    "x_d2": DiffOperator(2, 1, {(2,): PolySpec((0, 1))}),
+    "x2_d_sin": parse_operator("poly:0,0,1*D^2 + sin*D"),
+    **{name: case[0] for name, case in _INV_PM_CASES.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ELLIPTICITY_OPS))
+def test_ellipticity_bounds_match_the_per_point_loop(name):
+    P = _ELLIPTICITY_OPS[name]
+    box = ((-1.0, 1.0),) * P.dim
+    if P.dim == 1:
+        cones = [Cone((1.0,), 0.3, 1.0), Cone((-1.0,), 0.3, 1.0)]
+    else:
+        cones = [Cone((1.0, 0.0), math.pi / 8, 1.0), Cone((_DIAG, _DIAG), math.pi / 8, 1.0)]
+    for cone in cones:
+        for samples in (16, 17):
+            r = ellipticity_bounds(P, box, cone, samples)
+            assert (r.C1, r.C2, r.char_hit) == _reference_ellipticity_bounds(P, box, cone, samples)
+    if name == "x1_mixed":
+        hit = ellipticity_bounds(P, box, Cone((1.0, 0.0), math.pi / 8, 1.0), 17).char_hit
+        assert hit == ((-1.0, -1.0), (1.0, 0.0))
+
+
+def test_ellipticity_bounds_reject_a_pole_on_the_sample_box():
+    # 1/x D: the per-point loop raised at the sample x = 0, and so must the
+    # array evaluation; off the pole both give the same bounds
+    P = DiffOperator(1, 1, {(1,): RecipPowSpec(1)})
+    cone = Cone((1.0,), 0.3, 1.0)
+    for run in (_reference_ellipticity_bounds, ellipticity_bounds):
+        with pytest.raises(ZeroDivisionError):
+            run(P, ((-1.0, 1.0),), cone, 17)
+    r = ellipticity_bounds(P, ((-1.0, 1.0),), cone, 16)
+    assert (r.C1, r.C2, r.char_hit) == _reference_ellipticity_bounds(P, ((-1.0, 1.0),), cone, 16)

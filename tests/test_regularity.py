@@ -6,6 +6,7 @@ import pytest
 from conftest import smooth_bump
 
 from gevreykit.jets import jet_of, jet_partial
+from gevreykit.multiindex import mi_of_order
 from gevreykit.funcspec import ComposeSpec, ExpSpec, PolySpec
 from gevreykit.regularity import (
     DerivativeGrowthData,
@@ -152,3 +153,71 @@ def test_measured_bump_admissible():
     assert data.n_max >= 8
     fit = fit_regularity(data, [1.5, 2.0, 2.5, 3.0])
     assert fit.admissible
+
+
+def _reference_measure_derivative_growth(values, spacing, n_max):
+    """The per-alpha difference chains measure_derivative_growth ran before
+    it took each difference from its predecessor."""
+    arr = np.asarray(values, dtype=float)
+    d = arr.ndim
+    if isinstance(spacing, (int, float)):
+        spacing = (float(spacing),) * d
+    scale = float(np.max(np.abs(arr))) if arr.size else 0.0
+
+    def centered(a, axis):
+        sl_hi = [slice(None)] * d
+        sl_lo = [slice(None)] * d
+        sl_hi[axis] = slice(2, None)
+        sl_lo[axis] = slice(None, -2)
+        return (a[tuple(sl_hi)] - a[tuple(sl_lo)]) / (2.0 * spacing[axis])
+
+    entries = []
+    h_min = min(spacing)
+    for n in range(n_max + 1):
+        sup = 0.0
+        ok = True
+        for alpha in mi_of_order(d, n):
+            a = arr
+            for axis, k in enumerate(alpha):
+                for _ in range(k):
+                    if a.shape[axis] < 3:
+                        ok = False
+                        break
+                    a = centered(a, axis)
+                if not ok:
+                    break
+            if not ok:
+                break
+            if a.size:
+                sup = max(sup, float(np.max(np.abs(a))))
+        if not ok:
+            break
+        noise = scale * 2.2e-16 * (1.0 / h_min) ** n
+        if n > 0 and sup < 100.0 * noise:
+            break
+        entries.append(math.log(sup) if sup > 0 else NEG_INF)
+    return tuple(entries)
+
+
+def _growth_arrays():
+    rng = np.random.default_rng(7)
+    shapes = [(k,) for k in range(1, 5)] + [(a, b) for a in range(1, 5) for b in range(1, 5)]
+    shapes += [(40,), (9, 7), (5, 11)]  # long enough to reach several orders
+    yield "empty", np.zeros((0,))
+    yield "empty_2d", np.zeros((0, 3))
+    for shape in shapes:
+        yield "x".join(map(str, shape)), rng.standard_normal(shape)
+    xs = np.linspace(-1, 1, 17)
+    yield "smooth_2d", np.sin(np.add.outer(xs, 2 * xs[:13]))
+    # mixed differences carry the sup: the axis order shows in the bits
+    yield "sin_xy", np.sin(3 * np.multiply.outer(xs, xs))
+
+
+@pytest.mark.parametrize("values", [pytest.param(v, id=name) for name, v in _growth_arrays()])
+def test_growth_from_predecessor_differences_is_bit_equal_to_the_per_alpha_chains(values):
+    spacing = 0.125 if values.ndim == 1 else (0.125, 0.1)
+    got = measure_derivative_growth(values, spacing, 8).entries
+    want = _reference_measure_derivative_growth(values, spacing, 8)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    if values.size == 0:
+        assert got == (NEG_INF,)

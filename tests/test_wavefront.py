@@ -23,7 +23,6 @@ from gevreykit.wavefront import (
     _band_envelope_points,
     _family_verdict,
     _mollifier_transform,
-    _fit_constants_ls,
     _measured_decay_order,
     catalog_field,
     default_cutoff_radius,
@@ -651,6 +650,26 @@ def _ref_enumerated_constants(profile, tau, sigma, n_lo, n_hi):
     return log_a1, log_h1
 
 
+def _ref_fit_constants_ls(profile, tau, sigma, n_hi):
+    """The least-squares fit with ln M_N taken per N, as it was before the
+    fit read the cached direct family."""
+    ns_list, ys = [], []
+    for N in range(0, max(n_hi, 2)):
+        v = profile.entries[N]
+        if v == -math.inf:
+            continue
+        ns_list.append(float(N) ** sigma if N else 0.0)
+        ys.append(v - log_M(tau, sigma, N))
+    if len(ys) < 2:
+        val = ys[0] if ys else 0.0
+        return max(0.0, val), 0.0
+    X = np.column_stack([np.ones(len(ns_list)), np.array(ns_list)])
+    y = np.array(ys)
+    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
+    lift = float(np.max(y - X @ coef))
+    return float(coef[0]) + max(0.0, lift), float(coef[1])
+
+
 def _ref_wf_point_test(profile, tau, sigma, point=()):
     n_use = min(profile.N_max, int(0.8 * profile.n_radial_bins))
     if n_use + 1 < 6:
@@ -668,7 +687,7 @@ def _ref_wf_point_test(profile, tau, sigma, point=()):
         else:
             required = float(_ref_family_order(tau, sigma, log_edge, n_use) + 1)
             regular = order >= required
-        log_a, log_h = _fit_constants_ls(profile, tau, sigma, n_use + 1)
+        log_a, log_h = _ref_fit_constants_ls(profile, tau, sigma, n_use + 1)
         return verdict(
             regular=regular,
             A_hat=math.exp(log_a) if regular else None,
@@ -678,7 +697,7 @@ def _ref_wf_point_test(profile, tau, sigma, point=()):
         )
     log_h_sup = _ref_fit_constants_sup(profile, tau, sigma, n_use + 1)
     regular = math.exp(log_h_sup) <= 0.25 * profile.xi_max
-    log_a, log_h = _fit_constants_ls(profile, tau, sigma, n_use + 1)
+    log_a, log_h = _ref_fit_constants_ls(profile, tau, sigma, n_use + 1)
     return verdict(
         regular=regular,
         A_hat=math.exp(log_a) if regular else None,
