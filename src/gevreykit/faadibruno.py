@@ -12,10 +12,23 @@ per alpha into a cached plan; the order limits admit 135 alphas, which
 bounds the cache.  The plan lists each distinct (part, multiplicity)
 once, so a call builds each f^(m)(g) and each power ((1/p!) d^p g)^mult
 once, however many decompositions share it, and still sums the
-decompositions in the enumerator's order.  The quantitative side fits
-the decomposition-splitting constant (``lemma23_constant_search``) and
-assembles certified sup bounds for compositions and reciprocals from
-seminorm inputs.
+decompositions in the enumerator's order.
+
+When every outer derivative and every piece power is an int or a
+Fraction, the sum is taken on integer numerators: 1/mult! is folded into
+its piece (the piece fixes mult), the outer values and the pieces are
+scaled to integer numerators over their least common denominators, each
+term with fewer pieces than the longest is padded with powers of the
+pieces' denominator, and one Fraction is built at the end, equal to the
+Fraction the term-by-term loop gives.  Float, complex and mixed input
+keeps that loop, so its sums stay bit-identical.  This sum and the jet
+oracle (``jet_chain_partial``) read g's and f's jets through ``jet_of``,
+whose memo builds each jet once for both; they differ only in how they
+combine the jets.
+
+The quantitative side fits the decomposition-splitting constant
+(``lemma23_constant_search``) and assembles certified sup bounds for
+compositions and reciprocals from seminorm inputs.
 """
 
 from __future__ import annotations
@@ -25,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .jets import jet_of, jet_partial
+from .jets import _EXACT_TYPES, _numerators, check_chain_dims, jet_of, jet_partial
 from .multiindex import (
     MultiIndex,
     check_entries,
@@ -43,8 +56,11 @@ _MAX_ORDER = {1: 8, 2: 8, 3: 6}
 def fdb_derivative(f, g, alpha: MultiIndex, at: tuple) -> complex | float | Fraction:
     """d^alpha (f o g)(at) via the decomposition sum; exact on exact input.
 
-    f is univariate; g maps R^d -> R with d = len(alpha) <= 3.
+    f is univariate; g maps R^d -> R with d = len(alpha) = len(at) <= 3.
     """
+    if not isinstance(at, tuple):
+        at = (at,)
+    check_chain_dims(f, g, alpha, at)
     d = len(alpha)
     if d not in _MAX_ORDER:
         raise ValueError("dimension must be 1, 2 or 3")
@@ -52,8 +68,6 @@ def fdb_derivative(f, g, alpha: MultiIndex, at: tuple) -> complex | float | Frac
     n = mi_order(alpha)
     if n > _MAX_ORDER[d]:
         raise ValueError(f"|alpha| = {n} exceeds the enforced limit for d = {d}")
-    if not isinstance(at, tuple):
-        at = (at,)
 
     g_jet = jet_of(g, at, n)
     f_jet = jet_of(f, (g_jet.value,), n)
@@ -65,6 +79,8 @@ def fdb_derivative(f, g, alpha: MultiIndex, at: tuple) -> complex | float | Frac
     # the per-decomposition loop built it, so float sums stay bit-identical
     outer = [jet_partial(f_jet, (m,)) for m in range(n + 1)]
     powers = [(inv_pf * jet_partial(g_jet, part)) ** mult for part, inv_pf, mult in pieces]
+    if {*map(type, outer[1:]), *map(type, powers)} <= _EXACT_TYPES:
+        return _exact_sum(outer[1:], powers, pieces, terms, mi_factorial(alpha))
     total = 0
     for m, factors in terms:
         term = outer[m]
@@ -72,6 +88,24 @@ def fdb_derivative(f, g, alpha: MultiIndex, at: tuple) -> complex | float | Frac
             term = term * inv_mf * powers[i]
         total = total + term
     return mi_factorial(alpha) * total
+
+
+def _exact_sum(outer: list, powers: list, pieces: tuple, terms: tuple, scale: int) -> Fraction:
+    """scale * the decomposition sum on integer numerators; outer[m - 1] is
+    the m-th outer derivative and every value is an int or a Fraction."""
+    da, a = _numerators(outer)
+    # 1/mult! folded into its piece, which fixes mult
+    folded = [Fraction(p, math.factorial(mult)) for p, (_, _, mult) in zip(powers, pieces)]
+    dp, b = _numerators(folded)
+    width = max(len(factors) for _, factors in terms)
+    pad = [dp**k for k in range(width + 1)]
+    total = 0
+    for m, factors in terms:
+        term = a[m - 1] * pad[width - len(factors)]
+        for _, i in factors:
+            term *= b[i]
+        total += term
+    return Fraction(scale * total, da * pad[width])
 
 
 @functools.cache

@@ -30,14 +30,30 @@ order by at least 1, so step j keeps only the orders up to K - j.  The
 kept coefficients come from the same products summed in the same order,
 so the result equals the untruncated Horner's bit for bit, key order
 included.
+
+``jet_of`` keeps the few most recently built jets, so the two chain-rule
+routes (``fdb_derivative`` and ``jet_chain_partial``) share g's jet at the
+point and f's jet at g's value instead of building each twice; only their
+combining steps, the decomposition sum and Horner composition, need to
+be independent.  An entry is keyed by the spec's identity (the entry
+holds the spec, so its id cannot be reused while the entry lives; equal
+specs such as ``PolySpec((1,))`` and ``PolySpec((1.0,))`` would give
+different jets), by the order, and per base coordinate by its type and
+value, floats and complex numbers by their bits: ``1``, ``1.0`` and
+``Fraction(1)`` are three keys, and so are ``0.0`` and ``-0.0``.  A base
+holding anything else, a numpy array above all, is never stored.  A
+stored jet's coefficients are a read-only view, since every caller shares
+them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -188,10 +204,23 @@ def jet_compose(f: Jet, g: Jet) -> Jet:
     return Jet(g.dim, K, out, g.base_point)
 
 
+def check_chain_dims(f, g, alpha: MultiIndex, at: tuple) -> None:
+    """Raise ValueError unless f is univariate and the point, alpha and g
+    have one dimension."""
+    if f.dim != 1:
+        raise ValueError(f"outer function must be univariate, got dimension {f.dim}")
+    if not len(at) == len(alpha) == g.dim:
+        raise ValueError(
+            f"the point, alpha and g must have one dimension; "
+            f"got {len(at)}, {len(alpha)} and {g.dim}"
+        )
+
+
 def jet_chain_partial(f, g, alpha: MultiIndex, at: tuple[Number, ...]) -> Number:
     """d^alpha (f o g)(at) by the jet route: g's jet at `at`, f's jet at
     g's value, `jet_compose` and `jet_partial`.  The oracle the
     decomposition-sum chain rule is checked against."""
+    check_chain_dims(f, g, alpha, at)
     n = mi_order(alpha)
     g_jet = jet_of(g, at, n)
     f_jet = jet_of(f, (g_jet.value,), n)
@@ -207,11 +236,45 @@ def jet_partial(j: Jet, alpha: MultiIndex) -> Number:
     return mi_factorial(alpha) * j.coeff(alpha)
 
 
+# the most recently built jets: (id(spec), K, coordinate keys) -> (spec, jet),
+# least recently used first
+_MEMO_SIZE = 8
+_memo: dict[tuple, tuple] = {}
+_pack_float, _pack_complex = struct.Struct("<d").pack, struct.Struct("<dd").pack
+
+
+def _memo_key(spec, base: tuple, K: int) -> tuple | None:
+    """jet_of's memo key, or None for a base that must not be stored."""
+    key: list = [id(spec), K]
+    for x in base:
+        t = type(x)
+        if t is int or t is Fraction:
+            key.append((t, x))
+        elif t is float:
+            key.append((t, _pack_float(x)))
+        elif t is complex:
+            key.append((t, _pack_complex(x.real, x.imag)))
+        else:
+            return None
+    return tuple(key)
+
+
 def jet_of(spec, base: tuple[Number, ...] | Number, K: int):
     """Jet of a FunctionSpec at `base` through order K.
 
-    Thin dispatcher; the catalog of specs lives in gevreykit.funcspec.
+    Thin dispatcher, with the memo of the module docstring; the catalog
+    of specs lives in gevreykit.funcspec.
     """
     if not isinstance(base, tuple):
         base = (base,)
-    return spec.jet(base, K)
+    key = _memo_key(spec, base, K)
+    if key is None:
+        return spec.jet(base, K)
+    entry = _memo.pop(key, None)
+    if entry is None:
+        j = spec.jet(base, K)
+        entry = (spec, Jet(j.dim, j.order, MappingProxyType(j.coeffs), j.base_point))
+        if len(_memo) >= _MEMO_SIZE:
+            del _memo[next(iter(_memo))]
+    _memo[key] = entry
+    return entry[1]

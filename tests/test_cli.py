@@ -154,6 +154,30 @@ def test_parametrix_report_is_byte_identical_to_its_golden_copy(name, tmp_path):
         assert got.read() == want.read()
 
 
+# fdb --check-jet reports written before jet_of kept its recent jets and
+# before the exact decomposition sum ran on integer numerators
+GOLDEN_FDB_REPORTS = {
+    "fdb_1d.json": ["--f", "compose(recip,poly:2,0,1)", "--g", "prod(cos,poly:0.3,1)",
+                    "--alpha", "8", "--at=0.4"],
+    "fdb_2d.json": ["--f", "exp", "--g",
+                    "sum(mvpoly:0,1:1/3;1,1:-0.5;2,0:1,compose(sin,mvpoly:1,0:1;0,2:0.25))",
+                    "--alpha", "3,5", "--at=0.2,-0.3"],
+    "fdb_3d.json": ["--f", "sin", "--g", "compose(exp,mvpoly:1,0,0:1;0,1,1:2;2,0,1:-0.75)",
+                    "--alpha", "2,1,3", "--at=0.1,-0.2,0.3"],
+    "fdb_deep.json": ["--f", "compose(sin,compose(cos," * 6 + "poly:0.412,0.637" + "))" * 6,
+                      "--g", "compose(sin,poly:0.1,0.5,-0.25)", "--alpha", "8", "--at=-0.35"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FDB_REPORTS))
+def test_fdb_check_jet_report_is_byte_identical_to_its_golden_copy(name, tmp_path):
+    out = os.path.join(tmp_path, name)
+    assert main(["fdb", *GOLDEN_FDB_REPORTS[name], "--check-jet", "--out", out]) == 0
+    golden = os.path.join(os.path.dirname(__file__), "data", name)
+    with open(out, "rb") as got, open(golden, "rb") as want:
+        assert got.read() == want.read()
+
+
 def test_parametrix_max_residual_is_the_measured_maximum(tmp_path, monkeypatch):
     # the README example: the report prints max |(I - R) w_N - (phi - e_N)|
     # itself, recomputed here from the Neumann sums the command built
@@ -311,6 +335,21 @@ def test_bad_literals_in_specs_and_operators_exit_1(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 1 and rep is None, name
         assert needle in err and len(err.splitlines()) == 1, (name, err)
+
+
+@pytest.mark.parametrize("args, dims", [
+    (["--g", "mvpoly:0,1:1", "--alpha", "0,1", "--at=0.3"], "got 1, 2 and 2"),
+    (["--g", "mvpoly:1,0:1", "--alpha", "1,1", "--at=0"], "got 1, 2 and 2"),
+    (["--g", "sum(mvpoly:1,0:1,mvpoly:0,1:1)", "--alpha", "1,0", "--at=0.3,0.1,0.7",
+      "--check-jet"], "got 3, 2 and 2"),
+    (["--g", "poly:0,1", "--alpha", "2", "--at=0,0"], "got 2, 1 and 1"),
+], ids=["short_point", "short_point_zero", "long_point_check_jet", "long_point_1d"])
+def test_fdb_rejects_a_point_or_alpha_of_another_dimension(args, dims, tmp_path, capsys):
+    # the point, alpha and g must agree: no coordinate is dropped or invented
+    code, rep = run(["fdb", "--f", "exp", *args], tmp_path)
+    err = capsys.readouterr().err
+    assert code == 1 and rep is None
+    assert dims in err and len(err.splitlines()) == 1, err
 
 
 def test_fraction_coefficients_on_the_grid_exit_0(tmp_path):

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import measure_spec_sups, mv, oracle_pairs
 
+from gevreykit import faadibruno, jets
 from gevreykit.faadibruno import (
     _MAX_ORDER,
     CompositionBoundInput,
@@ -147,6 +149,114 @@ def test_fdb_matches_the_per_decomposition_sum_on_drawn_input(case):
     except (ZeroDivisionError, OverflowError):
         assume(False)
     _assert_same_value(fdb_derivative(f, g, alpha, at), want)
+
+
+def _term_loop_fdb(f, g, alpha, at):
+    # the plan's terms summed one by one for every input type, as before the
+    # integer route; the jets are built afresh, outside jet_of's memo
+    n = mi_order(alpha)
+    g_jet = g.jet(at, n)
+    f_jet = f.jet((g_jet.value,), n)
+    if n == 0:
+        return f_jet.value
+    pieces, terms = _fdb_plan(alpha)
+    outer = [jet_partial(f_jet, (m,)) for m in range(n + 1)]
+    powers = [(inv_pf * jet_partial(g_jet, part)) ** mult for part, inv_pf, mult in pieces]
+    total = 0
+    for m, factors in terms:
+        term = outer[m]
+        for inv_mf, i in factors:
+            term = term * inv_mf * powers[i]
+        total = total + term
+    return mi_factorial(alpha) * total
+
+
+def _fdb_and_route(f, g, alpha, at):
+    """fdb_derivative's value and whether it took the integer route."""
+    with mock.patch.object(faadibruno, "_exact_sum", wraps=faadibruno._exact_sum) as spy:
+        return fdb_derivative(f, g, alpha, at), spy.called
+
+
+def test_exact_sum_matches_the_term_loop_on_the_catalog():
+    for f, g, at, exact in oracle_pairs():
+        if not exact:
+            continue
+        for n in range(1, _MAX_ORDER[g.dim] + 1):
+            for alpha in mi_of_order(g.dim, n):
+                got, integer_route = _fdb_and_route(f, g, alpha, at)
+                _assert_same_value(got, _term_loop_fdb(f, g, alpha, at))
+                assert integer_route, (f, g, alpha)
+
+
+_NUMBERS = {
+    "exact": st.fractions(-2, 2, max_denominator=5),
+    "float": st.floats(-2, 2),
+    "complex": st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False),
+}
+_NUMBERS["mixed"] = st.one_of(st.integers(-2, 2), *_NUMBERS.values())
+
+
+@st.composite
+def _typed_fdb_case(draw):
+    d = draw(st.integers(1, 3))
+    alpha = draw(st.sampled_from(list(mi_of_order(d, draw(st.integers(1, _MAX_ORDER[d]))))))
+    num = _NUMBERS[draw(st.sampled_from(sorted(_NUMBERS)))]
+    at = tuple(draw(num) for _ in range(d))
+    monomial = st.tuples(*[st.integers(0, 3)] * d)
+    g = mv(d, draw(st.dictionaries(monomial, num, min_size=1, max_size=4)))
+    outer = [ExpSpec(), SinSpec(), RecipPowSpec(1),
+             PolySpec(tuple(draw(st.lists(num, min_size=1, max_size=5))))]
+    return draw(st.sampled_from(outer)), g, alpha, at
+
+
+@settings(max_examples=150, deadline=None)
+@given(_typed_fdb_case())
+def test_exact_sum_is_taken_exactly_when_the_term_loop_gives_a_fraction(case):
+    # every outer derivative and every piece occurs in some term, so the
+    # loop's sum is a Fraction exactly when all of them are ints or Fractions;
+    # float, complex and mixed sums keep the loop and its bits
+    f, g, alpha, at = case
+    try:
+        want = _term_loop_fdb(f, g, alpha, at)
+    except (ZeroDivisionError, OverflowError):
+        assume(False)
+    got, integer_route = _fdb_and_route(f, g, alpha, at)
+    _assert_same_value(got, want)
+    assert integer_route == (type(want) is Fraction)
+
+
+@pytest.mark.parametrize("f, g, at", [
+    # float outer derivatives on exact pieces
+    (ExpSpec(), mv(2, {(1, 0): Fraction(1, 2), (1, 1): 3}), (Fraction(1, 3), Fraction(2))),
+    # exact outer derivatives on float pieces
+    (PolySpec((1, Fraction(1, 2), 3)), mv(2, {(2, 1): 0.25, (0, 1): 1}), (0.5, -0.75)),
+    # complex pieces, complex outer derivatives, complex base
+    (RecipPowSpec(1), mv(2, {(0, 0): 2, (1, 1): 1j}), (Fraction(1, 2), Fraction(1, 3))),
+    (PolySpec((0, 1j, Fraction(1, 2))), mv(2, {(1, 1): Fraction(1, 3)}), (1, Fraction(-1, 2))),
+    (SinSpec(), mv(2, {(2, 0): 1, (0, 1): 1}), (0.2 + 0.1j, -0.3)),
+])
+def test_inexact_decomposition_sums_never_take_the_integer_route(f, g, at):
+    for n in range(1, _MAX_ORDER[2] + 1):
+        for alpha in mi_of_order(2, n):
+            got, integer_route = _fdb_and_route(f, g, alpha, at)
+            _assert_same_value(got, _term_loop_fdb(f, g, alpha, at))
+            assert not integer_route, alpha
+
+
+@pytest.mark.parametrize("f, g, alpha, at", [
+    (ExpSpec(), mv(2, {(0, 1): 1}), (0, 1), (0.3,)),
+    (ExpSpec(), mv(2, {(1, 0): 1}), (1, 1), (0.0,)),
+    (ExpSpec(), SumSpec(mv(2, {(1, 0): 1}), mv(2, {(0, 1): 1})), (1, 0), (0.3, 0.1, 0.7)),
+    (ExpSpec(), PolySpec((0, 1)), (2,), (0.0, 0.0)),
+    (mv(2, {(1, 1): 1}), SinSpec(), (1,), (0.5,)),
+])
+def test_chain_rules_reject_mismatched_dimensions_before_any_jet(f, g, alpha, at):
+    stop = AssertionError("a jet was built")
+    with mock.patch.object(faadibruno, "jet_of", side_effect=stop), \
+            mock.patch.object(jets, "jet_of", side_effect=stop):
+        for route in (fdb_derivative, jets.jet_chain_partial):
+            with pytest.raises(ValueError, match="one dimension|univariate"):
+                route(f, g, alpha, at)
 
 
 def test_exponent_identity_of_proof():

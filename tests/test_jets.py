@@ -390,3 +390,82 @@ def test_jet_compose_on_array_jets_is_bitwise_the_full_horner(pair, data):
     coeffs = data.draw(st.lists(_point_values, min_size=g.order + 1, max_size=g.order + 1))
     f = Jet(1, g.order, {(j,): c for j, c in enumerate(coeffs)}, (g.value,))
     assert _bits(jet_compose(f, g).coeffs) == _bits(_reference_compose(f, g))
+
+
+# ---------------------------------------------------------------------------
+# jet_of's memo of recent jets
+
+
+@pytest.fixture
+def empty_memo():
+    jets._memo.clear()
+    yield jets._memo
+    jets._memo.clear()
+
+
+def test_memo_keys_each_coordinate_by_type_and_bits(empty_memo):
+    p = PolySpec((0, 1))
+    one = [jet_of(p, (x,), 2).value for x in (1, 1.0, Fraction(1))]
+    assert [type(v) for v in one] == [int, float, Fraction]
+    assert len(empty_memo) == 3
+    # a shared entry would hand back the first caller's base
+    zero = [repr(jet_of(p, (x,), 2).base_point) for x in (0.0, -0.0, 0.0, -0.0)]
+    assert zero == ["(0.0,)", "(-0.0,)", "(0.0,)", "(-0.0,)"]
+    assert len(empty_memo) == 5
+    # complex coordinates by their bits as well
+    assert repr(jet_of(p, (complex(1, -0.0),), 2).base_point) == "((1-0j),)"
+    assert repr(jet_of(p, (complex(1, 0.0),), 2).base_point) == "((1+0j),)"
+    assert len(empty_memo) == 7
+
+
+def test_memo_never_shares_an_entry_between_equal_specs(empty_memo):
+    # dataclass equality calls these equal, and they hash alike
+    a, b = PolySpec((1,)), PolySpec((1.0,))
+    assert a == b and hash(a) == hash(b)
+    assert type(jet_of(a, (0,), 3).value) is int
+    assert type(jet_of(b, (0,), 3).value) is float
+    c = PolySpec((1,))
+    assert jet_of(c, (0,), 3) is not jet_of(a, (0,), 3)
+    assert len(empty_memo) == 3
+
+
+def test_memo_never_stores_an_array_base(empty_memo):
+    xs = np.array([0.1, 0.2, 0.3])
+    for base in [(xs,), (xs, 0.5), (0.5, xs)]:
+        spec = SinSpec() if len(base) == 1 else MVPolySpec.from_dict(2, {(1, 1): 1})
+        first, second = jet_of(spec, base, 3), jet_of(spec, base, 3)
+        assert first is not second and type(first.coeffs) is dict
+    assert not empty_memo
+
+
+def test_memo_holds_a_bounded_number_of_entries(empty_memo):
+    specs = [PolySpec((k, 1)) for k in range(3 * jets._MEMO_SIZE)]
+    for k, spec in enumerate(specs):
+        assert jet_of(spec, (Fraction(k, 7),), 4).value == k + Fraction(k, 7)
+        assert len(empty_memo) <= jets._MEMO_SIZE
+    # the most recent entries are kept, each with its own spec
+    assert [entry[0] for entry in empty_memo.values()] == specs[-jets._MEMO_SIZE:]
+    # a hit makes its entry the most recent
+    jet_of(specs[-jets._MEMO_SIZE], (Fraction(2 * jets._MEMO_SIZE, 7),), 4)
+    assert list(empty_memo.values())[-1][0] is specs[-jets._MEMO_SIZE]
+
+
+@pytest.mark.parametrize("f, g, alpha, at", [
+    (RecipPowSpec(1), MVPolySpec.from_dict(2, {(0, 0): 2, (1, 1): Fraction(1, 3)}), (2, 2),
+     (Fraction(1, 2), Fraction(-1, 5))),
+    (ExpSpec(), SumSpec(SinSpec(), PolySpec((0.5, 0, 1))), (6,), (0.3,)),
+])
+def test_a_shared_jet_survives_both_chain_rule_routes(f, g, alpha, at, empty_memo):
+    from gevreykit.faadibruno import fdb_derivative
+
+    n = sum(alpha)
+    fdb_derivative(f, g, alpha, at)
+    jets.jet_chain_partial(f, g, alpha, at)
+    g_jet = jet_of(g, at, n)
+    f_jet = jet_of(f, (g_jet.value,), n)
+    # both routes read these two entries, and only these
+    assert len(empty_memo) == 2 and g_jet is jet_of(g, at, n)
+    assert _bits(g_jet.coeffs) == _bits(g.jet(at, n).coeffs)
+    assert _bits(f_jet.coeffs) == _bits(f.jet((g_jet.value,), n).coeffs)
+    with pytest.raises(TypeError):
+        g_jet.coeffs[(0,) * len(alpha)] = 0
