@@ -280,39 +280,3 @@ def almost_increasing_pair_bound(
     num = sum(seq.log_M_over_factorial(ki) for ki in parts)
     return num - seq.log_M_over_factorial(k)
 
-
-def enumerate_transform(
-    decay: list[tuple[int, float]], sigma: float
-) -> list[tuple[int, float]]:
-    """Re-index a decay profile of (N, log value) pairs by N -> ceil(N^sigma).
-
-    Image indices carry the input values; gaps are filled by linear
-    interpolation in the log domain (conservative for convex profiles).
-    sigma = 1 is accepted and acts as the identity.
-    """
-    if not decay:
-        raise ValueError("enumerate_transform requires a nonempty profile")
-    if sigma < 1:
-        raise ValueError("sigma must be >= 1")
-    pairs = sorted(decay)
-    ns = [n for n, _ in pairs]
-    if ns != list(range(ns[0], ns[0] + len(ns))):
-        raise ValueError("profile indices must be contiguous")
-
-    image: list[tuple[int, float]] = []
-    for n, v in pairs:
-        m = math.ceil(float(n) ** sigma - 1e-9) if n > 0 else 0
-        image.append((m, v))
-
-    out: list[tuple[int, float]] = []
-    for (m0, v0), (m1, v1) in zip(image, image[1:]):
-        out.append((m0, v0))
-        for m in range(m0 + 1, m1):
-            if v0 == float("-inf") or v1 == float("-inf"):
-                interp = float("-inf")
-            else:
-                t = (m - m0) / (m1 - m0)
-                interp = v0 + t * (v1 - v0)
-            out.append((m, interp))
-    out.append(image[-1])
-    return out

@@ -22,15 +22,14 @@ tails alias), the shell maxima are reduced to log-band envelope points
 and the decay order is the slope of the outer half.  The envelope
 family's own optimal order at the window edge is what a borderline
 member would exhibit there; measured data must beat it by one order,
-which every fixed-order tail (flat, jump, kink) fails.  Synthetic
-N-indexed profiles (no per-bin data) are judged by the fitted h against
-the cone's frequency ceiling instead.
+which every fixed-order tail (flat, jump, kink) fails.
 
-One test serves two envelope families, each a list of (order k, growth,
-scale) per index M: the direct family (k = M, ln M_M, M^sigma) and the
-factorial form (k = floor(M^{1/sigma}), (tau/sigma) ln M!, M) that
-``enumeration_equivalence_detail`` checks against it.  The thresholds
-are the fixed module constants below; nothing sets them per call.
+One order test serves two envelope families, each a list of (order k,
+growth, scale) per index M: the direct family (k = M, ln M_M, M^sigma)
+and the factorial form (k = floor(M^{1/sigma}), (tau/sigma) ln M!, M)
+that ``enumeration_equivalence_detail`` checks against it.  The
+thresholds are the fixed module constants below; nothing sets them per
+call.
 """
 
 from __future__ import annotations
@@ -41,13 +40,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .sequences import check_class, log_envelope, log_factorial_form, log_M
+from .sequences import check_class, log_factorial_form, log_M
 
 _NEG_INF = float("-inf")
 
 # Frozen thresholds of the discrete membership test.
 USABLE_FRACTION = 0.8  # share of a profile's radius bins whose orders are read
-H_CAP_FRACTION = 0.25  # synthetic profiles: largest h, as a share of xi_max
 MIN_USABLE = 6  # fewest usable profile values a verdict needs
 N_BANDS = 6  # log-uniform radius bands of the shells' upper envelope
 ORDER_MARGIN = 1  # orders by which measured decay must beat the family's
@@ -213,6 +211,8 @@ def _mollifier_transform(
 
 def _check_radii(r_plateau: float, r_support: float, grid: GridField) -> None:
     """The cutoff radii's own faults, the same at every center."""
+    if r_plateau < 0:
+        raise ValueError(f"r_plateau = {r_plateau} is negative: the cutoff has no plateau")
     if not r_plateau < r_support:
         raise ValueError("r_plateau must be smaller than r_support")
     if r_support - r_plateau < 8.0 * max(grid.spacing):
@@ -308,9 +308,9 @@ class Cone:
 class DecayProfile:
     """entries[N] = log sup over cone bins of |xi|^N |(phi u)^(xi)|.
 
-    sup_radius[N] records the |xi| where the sup is attained (None for
-    synthetic profiles); shells hold the per-radius log max of the
-    transform for diagnostics.
+    sup_radius[N] records the |xi| where the sup is attained; shells hold
+    the per-radius log max of the transform below half Nyquist, whose
+    decay order the verdict reads.
     """
 
     entries: tuple[float, ...]
@@ -319,26 +319,11 @@ class DecayProfile:
     xi_max: float
     n_radial_bins: int
     nyquist: float
-    sup_radius: tuple[float, ...] | None = None
-    shells: tuple[tuple[float, float], ...] | None = None
+    sup_radius: tuple[float, ...]
+    shells: tuple[tuple[float, float], ...]
 
     def usable_N(self) -> int:
         return min(self.N_max, int(USABLE_FRACTION * self.n_radial_bins))
-
-
-def synthetic_profile(
-    values: list[float] | tuple[float, ...], cone: Cone, xi_max: float
-) -> DecayProfile:
-    vals = tuple(float(v) for v in values)
-    n_bins = max(len(vals), int(math.ceil(len(vals) / USABLE_FRACTION)))
-    return DecayProfile(
-        entries=vals,
-        N_max=len(vals) - 1,
-        cone=cone,
-        xi_max=xi_max,
-        n_radial_bins=n_bins,
-        nyquist=xi_max,
-    )
 
 
 @dataclass(frozen=True)
@@ -539,25 +524,22 @@ _Terms = tuple[tuple[int, float, float], ...]
 
 
 @functools.lru_cache(maxsize=16)
-def _family(tau: float, sigma: float, n_use: int, factorial: bool) -> tuple[_Terms, int]:
+def _family(tau: float, sigma: float, n_use: int, factorial: bool) -> _Terms:
     """One envelope family over the usable window: (order k, growth,
-    scale) per index M = 1, 2, ..., and how many of them the sup fit reads.
+    scale) per index M = 1, 2, ....
 
     The direct family is k = M, ln M_M, M^sigma for M <= n_use.  The
     factorial form is k = floor(M^{1/sigma}), (tau/sigma) ln M!, M for
-    M <= n_use^sigma; its order search also reads the next index, the
-    first whose order reaches n_use when n_use^sigma is not an integer.
-    A scan meets few (tau, sigma, n_use), so each table is built once.
+    M <= floor(n_use^sigma) + 1; the last index is the first whose order
+    reaches n_use when n_use^sigma is not an integer.  A scan meets few
+    (tau, sigma, n_use), so each table is built once.
     """
     if not factorial:
-        terms = tuple((M, log_M(tau, sigma, M), float(M) ** sigma) for M in range(1, n_use + 1))
-        return terms, n_use
-    m_fit = int(float(n_use) ** sigma)
-    terms = tuple(
+        return tuple((M, log_M(tau, sigma, M), float(M) ** sigma) for M in range(1, n_use + 1))
+    return tuple(
         (int(math.floor(M ** (1.0 / sigma) + 1e-12)), log_factorial_form(tau, sigma, M), M)
-        for M in range(1, m_fit + 2)
+        for M in range(1, int(float(n_use) ** sigma) + 2)
     )
-    return terms, m_fit
 
 
 def _order_search(terms: _Terms, log_r: float) -> int:
@@ -570,20 +552,6 @@ def _order_search(terms: _Terms, log_r: float) -> int:
         if v < best_v:
             best_k, best_v = k, v
     return best_k
-
-
-def _sup_excess(profile: DecayProfile, terms: _Terms) -> float:
-    """ln h from the sup of the normalized excess (profile - growth) / scale.
-
-    For data that only satisfies the envelope with h absorbing the whole
-    frequency window, this fit exposes it (unlike least squares, whose
-    free intercept can hide a linear-in-N profile)."""
-    excess = [
-        (profile.entries[k] - growth) / scale
-        for k, growth, scale in terms
-        if profile.entries[k] != _NEG_INF
-    ]
-    return max(excess, default=0.0)
 
 
 def _band_envelope_points(shells: tuple[tuple[float, float], ...]) -> list[tuple[float, float]]:
@@ -626,38 +594,21 @@ def _measured_decay_order(
 
 def _family_verdict(
     profile: DecayProfile, tau: float, sigma: float, n_use: int, factorial: bool = False
-) -> tuple[bool, float | None, float | None, float | None]:
-    """(regular, decay order, required order, sup-fitted ln h) of the
-    profile against one envelope family.
+) -> tuple[bool, float | None, float | None]:
+    """(regular, decay order, required order) of the profile against one
+    envelope family.
 
-    Measured profiles: the shell maxima must steepen across the
-    frequency window at least ORDER_MARGIN orders beyond the family's
-    optimal order at the window edge (a fixed-order polynomial tail
-    cannot); data under the amplitude floor before the edge certifies
-    decay outright.  Synthetic profiles: singular when the sup fit needs
-    an h above H_CAP_FRACTION of the frequency ceiling (an h absorbing
-    the whole window is the failure mode).
+    The shell maxima must steepen across the frequency window at least
+    ORDER_MARGIN orders beyond the family's optimal order at the window
+    edge (a fixed-order polynomial tail cannot); data under the
+    amplitude floor before the edge certifies decay outright.
     """
-    if profile.shells is not None:
-        order, log_edge = _measured_decay_order(profile.shells)
-        if order is None:
-            return True, None, None, None
-        terms, _ = _family(tau, sigma, n_use, factorial)
-        required = float(_order_search(terms, log_edge) + ORDER_MARGIN)
-        return order >= required, order, required, None
-    terms, m_fit = _family(tau, sigma, n_use, factorial)
-    log_h = _sup_excess(profile, terms[:m_fit])
-    return math.exp(log_h) <= H_CAP_FRACTION * profile.xi_max, None, None, log_h
-
-
-def envelope_holds(profile: DecayProfile, tau: float, sigma: float, A: float, h: float) -> bool:
-    """Does profile(N) <= ln A + N^sigma ln h + tau N^sigma ln N hold on
-    the usable range with the given constants?"""
-    la, lh = math.log(A), math.log(h)
-    return all(
-        v == _NEG_INF or v <= log_envelope(N, tau, sigma, la, lh) + 1e-9
-        for N, v in enumerate(profile.entries[: profile.usable_N() + 1])
-    )
+    order, log_edge = _measured_decay_order(profile.shells)
+    if order is None:
+        return True, None, None
+    terms = _family(tau, sigma, n_use, factorial)
+    required = float(_order_search(terms, log_edge) + ORDER_MARGIN)
+    return order >= required, order, required
 
 
 def wf_point_test(
@@ -665,8 +616,7 @@ def wf_point_test(
 ) -> WavefrontVerdict:
     """Classify one (point, direction) against the (tau, sigma) envelope:
     the direct family's verdict, with (A, h) fitted by least squares
-    when it is regular and, on a singular synthetic profile, the h the
-    sup fit needs."""
+    when it is regular."""
     n_use = profile.usable_N()
     if n_use + 1 < MIN_USABLE:
         raise ValueError(f"profile too short: {n_use + 1} usable values")
@@ -677,13 +627,11 @@ def wf_point_test(
     if all(v == _NEG_INF for v in profile.entries[: n_use + 1]):
         return verdict(regular=True, A_hat=0.0, h_hat=1.0)
 
-    regular, order, required, log_h_sup = _family_verdict(profile, tau, sigma, n_use)
+    regular, order, required = _family_verdict(profile, tau, sigma, n_use)
+    A_hat = h_hat = None
     if regular:
-        log_a, log_h = _fit_constants_ls(profile, _family(tau, sigma, n_use, False)[0])
+        log_a, log_h = _fit_constants_ls(profile, _family(tau, sigma, n_use, False))
         A_hat, h_hat = math.exp(log_a), math.exp(log_h)
-    else:  # a singular synthetic profile reports the h its sup fit needs
-        A_hat = None
-        h_hat = None if log_h_sup is None else math.exp(log_h_sup)
     return verdict(
         regular=regular, A_hat=A_hat, h_hat=h_hat, decay_order=order, required_order=required
     )

@@ -486,6 +486,8 @@ def test_wf_scan_ximin_in_dc_band_rejects_the_scan(tmp_path, capsys):
     (["--nmax", "3"], "N_max = 3 leaves fewer than 6 usable values"),
     (["--nmax", "-2"], "N_max = -2 leaves fewer than 6 usable values"),
     (["--tiny"], "transition band under-resolved (< 8 cells)"),
+    # an identically zero cutoff: every verdict would read regular
+    (["--rp=-0.5", "--rs", "0.3"], "r_plateau = -0.5 is negative"),
 ])
 def test_wf_scan_faults_of_every_point_reject_the_scan(tmp_path, capsys, flags, message):
     # exit 1 with one line and no report or CSV, not one error verdict per
@@ -504,6 +506,38 @@ def test_wf_scan_faults_of_every_point_reject_the_scan(tmp_path, capsys, flags, 
                      "--sigma", "2", "--csv", csv] + flags, tmp_path)
     assert code == 1 and rep is None and not os.path.exists(csv)
     assert message in _one_line_error(capsys)
+
+
+def test_parametrix_rejects_a_negative_plateau_radius_before_the_sums(
+    tmp_path, capsys, monkeypatch
+):
+    # the zero cutoff would give residual 0 and a passing audit
+    def no_sums(*args, **kwargs):
+        raise AssertionError("neumann_sums ran on a cutoff with a negative plateau radius")
+
+    monkeypatch.setattr("gevreykit.parametrix.neumann_sums", no_sums)
+    code, rep = run(["parametrix", "--op", "D^2 + sin*D + poly:1", "--N", "4",
+                     "--phi", "0,-0.5,0.3"], tmp_path)
+    assert code == 1 and rep is None
+    assert "r_plateau = -0.5 is negative" in _one_line_error(capsys)
+
+
+def test_wf_scan_zero_plateau_radius_stays_allowed(tmp_path):
+    # phi = 1 at the center alone is still a cutoff: the kink stays singular
+    outdir = os.path.join(tmp_path, "fields")
+    main(["catalog", "--out", outdir])
+    code, rep = run(["wf-scan", "--field", os.path.join(outdir, "kink.gf"), "--points", "0",
+                     "--tau", "1", "--sigma", "2", "--rp", "0", "--rs", "0.3",
+                     "--threads", "1"], tmp_path)
+    assert code == 0
+    verdicts = rep["result"]["verdicts"]
+    assert len(verdicts) == 2 and not any(v["regular"] for v in verdicts)
+
+
+def test_parametrix_zero_plateau_radius_stays_allowed(tmp_path):
+    code, rep = run(["parametrix", "--op", "D^2 + sin*D + poly:1", "--N", "4",
+                     "--phi", "0,0,0.3"], tmp_path)
+    assert code == 0 and rep["result"]["audit_ok"] is True
 
 
 @pytest.mark.parametrize("tau,sigma,named", [

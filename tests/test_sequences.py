@@ -11,7 +11,6 @@ from gevreykit.sequences import (
     DefiningSequence,
     almost_increasing_pair_bound,
     audit_sequence,
-    enumerate_transform,
     log_envelope,
     log_M,
     normalized_excess,
@@ -299,21 +298,3 @@ def test_pair_bound_within_fitted_constant():
                     parts.extend([p[0]] * m)
                 # prod M_{k_i}/k_i! <= C^k M_k/k!
                 assert almost_increasing_pair_bound(seq, parts) <= k * logC + 1e-9
-
-
-def test_enumerate_transform_identity_and_reindex():
-    decay = [(n, -float(n)) for n in range(6)]
-    out = enumerate_transform(decay, 1.0)
-    assert out == [(n, -float(n)) for n in range(6)]
-
-    out2 = dict(enumerate_transform(decay, 2.0))
-    assert out2[9] == -3.0  # image of N=3 under N -> N^2
-    assert out2[16] == -4.0
-    # monotone input stays monotone
-    vals = [v for _, v in sorted(out2.items())]
-    assert all(vals[i] >= vals[i + 1] for i in range(len(vals) - 1))
-
-
-def test_enumerate_transform_errors():
-    with pytest.raises(ValueError):
-        enumerate_transform([], 2.0)

@@ -11,27 +11,28 @@ from hypothesis import strategies as st
 
 from gevreykit.numerics import log_factorial
 from gevreykit.regularity import fit_regularity, measure_derivative_growth
-from gevreykit.sequences import log_M, normalized_excess
+from gevreykit.sequences import log_envelope, log_M
 from gevreykit.wavefront import (
     N_BANDS,
     Cone,
+    DecayProfile,
     FrequencyGrid,
     GridField,
     ScanParams,
     Spectrum,
     WavefrontVerdict,
     _band_envelope_points,
+    _family,
     _family_verdict,
+    _fit_constants_ls,
     _mollifier_transform,
     _measured_decay_order,
     catalog_field,
     default_cutoff_radius,
     directional_decay_profile,
     enumeration_equivalence_detail,
-    envelope_holds,
     make_cutoff,
     read_gridfield,
-    synthetic_profile,
     wf_point_test,
     wf_scan,
     write_gridfield,
@@ -87,6 +88,10 @@ def test_cutoff_resolvability_and_bounds():
         make_cutoff((0.0,), 0.10, 0.11, u)  # band under-resolved
     with pytest.raises(ValueError):
         make_cutoff((0.9,), 0.15, 0.4, u)  # support leaves the grid
+    # r_plateau 0 leaves phi = 1 at the center alone; below 0 nothing is
+    with pytest.raises(ValueError, match="r_plateau = -0.1 is negative"):
+        make_cutoff((0.0,), -0.1, 0.3, u)
+    assert make_cutoff((0.0,), 0.0, 0.3, u).profile.samples.max() == 1.0
     # a center with the wrong number of coordinates once gave a stripe cutoff
     with pytest.raises(ValueError, match="needs 2 coordinates"):
         make_cutoff((0.0,), 0.12, 0.35, catalog_field("step2d"))
@@ -157,8 +162,12 @@ def test_tau_monotonicity_with_same_constants():
     v = wf_point_test(prof, 1, 2)
     assert v.regular
     # the fitted envelope still dominates with the same (A, h) at larger tau
-    assert envelope_holds(prof, 1.0, 2.0, v.A_hat, v.h_hat)
-    assert envelope_holds(prof, 2.0, 2.0, v.A_hat, v.h_hat)
+    la, lh = math.log(v.A_hat), math.log(v.h_hat)
+    for tau in (1.0, 2.0):
+        assert all(
+            e == -math.inf or e <= log_envelope(N, tau, 2.0, la, lh) + 1e-9
+            for N, e in enumerate(prof.entries[: prof.usable_N() + 1])
+        ), tau
     v2 = wf_point_test(prof, 2, 2)
     assert v2.regular
 
@@ -293,31 +302,26 @@ def test_cutoff_fft_runs_on_the_support_window(monkeypatch):
     assert shapes and max(max(s) for s in shapes) <= 128
 
 
-def test_synthetic_profile_rules():
-    # exact envelope accepted with recovered constants
+def _profile_of(values):
+    """A profile with the given entries and no shell data, given the
+    radius bins that make every entry usable."""
+    vals = tuple(float(v) for v in values)
+    return DecayProfile(entries=vals, N_max=len(vals) - 1, cone=CONE1, xi_max=64.0,
+                        n_radial_bins=math.ceil(len(vals) / 0.8), nyquist=64.0,
+                        sup_radius=(64.0,) * len(vals), shells=())
+
+
+def test_least_squares_fit_recovers_an_exact_envelope():
     A, h = 1.3, 0.8
-    vals = [
-        math.log(A) + (N**2) * math.log(h) + ((N**2) * math.log(N) if N > 1 else 0.0)
-        for N in range(31)
-    ]
-    prof = synthetic_profile(vals, CONE1, xi_max=64.0)
-    v = wf_point_test(prof, 1, 2)
-    assert v.regular
-    assert abs(v.A_hat - A) / A <= 0.05
-    assert abs(v.h_hat - h) / h <= 0.05
-    # flat profile rejected for every tested class
-    flat = synthetic_profile([N * math.log(64.0) for N in range(31)], CONE1, 64.0)
-    for tau, sigma in [(1, 2), (0.5, 3), (2, 1.5)]:
-        assert not wf_point_test(flat, tau, sigma).regular
-    # both families agree on both
-    assert enumeration_equivalence_detail(prof, 1, 2) == (True, True, True)
-    assert enumeration_equivalence_detail(flat, 1, 2) == (True, False, False)
+    prof = _profile_of(log_envelope(N, 1, 2, math.log(A), math.log(h)) for N in range(31))
+    log_a, log_h = _fit_constants_ls(prof, _family(1, 2, prof.usable_N(), False))
+    assert math.isclose(math.exp(log_a), A, rel_tol=1e-9)
+    assert math.isclose(math.exp(log_h), h, rel_tol=1e-9)
 
 
 def test_profile_too_short():
-    prof = synthetic_profile([0.0, 1.0, 2.0], CONE1, 64.0)
-    with pytest.raises(ValueError):
-        wf_point_test(prof, 1, 2)
+    with pytest.raises(ValueError, match="profile too short: 3 usable values"):
+        wf_point_test(_profile_of([0.0, 1.0, 2.0]), 1, 2)
 
 
 def test_wf_scan_delta_and_order():
@@ -590,9 +594,9 @@ def test_wf_scan_2d_threads_bit_equal():
 
 
 # Reference verdicts: the direct and the factorial-form tests written out
-# as separate loops (order search, sup fit, and for the factorial form a
-# constants fit and a cover loop), with the thresholds 0.8 / 0.25 / 6 / 1
-# spelled out.  The one family-generic path must reproduce both.
+# as separate loops (order search, and for the factorial form a constants
+# fit and a cover loop), with the thresholds 0.8 / 6 / 1 spelled out.  The
+# one family-generic path must reproduce both.
 
 
 def _ref_family_order(tau, sigma, log_r, n_cap):
@@ -613,16 +617,6 @@ def _ref_enumerated_family_order(tau, sigma, log_r, n_cap):
         if v < best_v:
             best_k, best_v = k, v
     return best_k
-
-
-def _ref_fit_constants_sup(profile, tau, sigma, n_hi):
-    svals = []
-    for N in range(1, max(n_hi, 2)):
-        v = profile.entries[N]
-        if v == -math.inf:
-            continue
-        svals.append(normalized_excess(v, N, tau, sigma))
-    return max(svals) if svals else 0.0
 
 
 def _ref_enumerated_constants(profile, tau, sigma, n_lo, n_hi):
@@ -680,28 +674,19 @@ def _ref_wf_point_test(profile, tau, sigma, point=()):
     )
     if not [v for v in profile.entries[: n_use + 1] if v != -math.inf]:
         return verdict(regular=True, A_hat=0.0, h_hat=1.0)
-    if profile.shells is not None:
-        order, log_edge = _measured_decay_order(profile.shells)
-        if order is None:
-            regular, required = True, None
-        else:
-            required = float(_ref_family_order(tau, sigma, log_edge, n_use) + 1)
-            regular = order >= required
-        log_a, log_h = _ref_fit_constants_ls(profile, tau, sigma, n_use + 1)
-        return verdict(
-            regular=regular,
-            A_hat=math.exp(log_a) if regular else None,
-            h_hat=math.exp(log_h) if regular else None,
-            decay_order=order,
-            required_order=required,
-        )
-    log_h_sup = _ref_fit_constants_sup(profile, tau, sigma, n_use + 1)
-    regular = math.exp(log_h_sup) <= 0.25 * profile.xi_max
+    order, log_edge = _measured_decay_order(profile.shells)
+    if order is None:
+        regular, required = True, None
+    else:
+        required = float(_ref_family_order(tau, sigma, log_edge, n_use) + 1)
+        regular = order >= required
     log_a, log_h = _ref_fit_constants_ls(profile, tau, sigma, n_use + 1)
     return verdict(
         regular=regular,
         A_hat=math.exp(log_a) if regular else None,
-        h_hat=math.exp(log_h) if regular else math.exp(log_h_sup),
+        h_hat=math.exp(log_h) if regular else None,
+        decay_order=order,
+        required_order=required,
     )
 
 
@@ -710,28 +695,24 @@ def _ref_equivalence_detail(profile, tau, sigma):
     n_use = min(profile.N_max, int(0.8 * profile.n_radial_bins))
     if not [v for v in profile.entries[: n_use + 1] if v != -math.inf]:
         return True, direct.regular, True
-    if profile.shells is not None:
-        order, log_edge = _measured_decay_order(profile.shells)
-        if order is None:
-            accept = True
-        else:
-            required = float(_ref_enumerated_family_order(tau, sigma, log_edge, n_use) + 1)
-            accept = order >= required
-        if accept:
-            log_a1, log_h1 = _ref_enumerated_constants(profile, tau, sigma, n_use, n_use + 1)
-            for M in range(1, int(math.floor(float(n_use) ** sigma)) + 1):
-                k = int(math.floor(M ** (1.0 / sigma) + 1e-12))
-                if k > n_use:
-                    break
-                v = profile.entries[k]
-                if v == -math.inf:
-                    continue
-                if v > log_a1 + M * log_h1 + (tau / sigma) * log_factorial(M) + 1e-9:
-                    accept = False
-                    break
+    order, log_edge = _measured_decay_order(profile.shells)
+    if order is None:
+        accept = True
     else:
-        _, log_h1 = _ref_enumerated_constants(profile, tau, sigma, n_use, n_use + 1)
-        accept = math.exp(log_h1) <= 0.25 * profile.xi_max
+        required = float(_ref_enumerated_family_order(tau, sigma, log_edge, n_use) + 1)
+        accept = order >= required
+    if accept:
+        log_a1, log_h1 = _ref_enumerated_constants(profile, tau, sigma, n_use, n_use + 1)
+        for M in range(1, int(math.floor(float(n_use) ** sigma)) + 1):
+            k = int(math.floor(M ** (1.0 / sigma) + 1e-12))
+            if k > n_use:
+                break
+            v = profile.entries[k]
+            if v == -math.inf:
+                continue
+            if v > log_a1 + M * log_h1 + (tau / sigma) * log_factorial(M) + 1e-9:
+                accept = False
+                break
     return direct.regular == accept, direct.regular, accept
 
 
@@ -751,7 +732,7 @@ def _assert_matches_references(prof, tau, sigma):
     assert _outcome(enumeration_equivalence_detail, prof, tau, sigma) == _outcome(
         _ref_equivalence_detail, prof, tau, sigma
     )
-    order, log_edge = _measured_decay_order(prof.shells) if prof.shells else (None, None)
+    order, log_edge = _measured_decay_order(prof.shells)
     if order is not None:  # the factorial form's required order, which the tuple hides
         n_use = prof.usable_N()
         required = _family_verdict(prof, tau, sigma, n_use, factorial=True)[2]
@@ -774,27 +755,3 @@ def test_family_verdicts_match_the_references_on_the_catalog():
     for prof in cases:
         for tau, sigma in TAU_SIGMA:
             _assert_matches_references(prof, tau, sigma)
-
-
-@st.composite
-def _synthetic_cases(draw):
-    """(values, xi_max, tau, sigma): free values, or values jittered about
-    an envelope A h^{N^sigma} M_N, each with -inf entries mixed in."""
-    n = draw(st.integers(5, 20))
-    tau, sigma = draw(st.sampled_from(TAU_SIGMA))
-    hole = st.just(-math.inf)
-    if draw(st.booleans()):
-        values = draw(st.lists(st.one_of(hole, st.floats(-40.0, 160.0)), min_size=n, max_size=n))
-    else:
-        la, lh = draw(st.floats(-5.0, 5.0)), draw(st.floats(-3.0, 5.0))
-        jitter = draw(st.lists(st.one_of(hole, st.floats(-1.0, 1.0)), min_size=n, max_size=n))
-        values = [la + float(N) ** sigma * lh + log_M(tau, sigma, N) + j
-                  for N, j in enumerate(jitter)]
-    return values, draw(st.floats(4.0, 200.0)), tau, sigma
-
-
-@settings(max_examples=1000, deadline=None)
-@given(case=_synthetic_cases())
-def test_family_verdicts_match_the_references_on_synthetic_profiles(case):
-    values, xi_max, tau, sigma = case
-    _assert_matches_references(synthetic_profile(values, CONE1, xi_max), tau, sigma)
