@@ -26,10 +26,12 @@ from .regularity import DerivativeGrowthData, fit_regularity
 from .schemas import schema_id
 from .sequences import DefiningSequence, audit_sequence, check_class
 from .wavefront import (
+    Cone,
     GridField,
     ScanParams,
     catalog_field,
     default_cutoff_radius,
+    make_cutoff,
     read_gridfield,
     wf_scan,
     write_gridfield,
@@ -182,7 +184,7 @@ def _cmd_fit(args, seed: int) -> None:
     if [n for n, _ in rows] != list(range(len(rows))):
         raise ValueError("growth data orders must be exactly 0..n_max, each once")
     entries = tuple(v for _, v in rows)
-    data = DerivativeGrowthData(entries, source="measured-on-grid")
+    data = DerivativeGrowthData(entries)
     grid = _parse_floats(args.sigma_grid, "--sigma-grid")
     fit = fit_regularity(data, list(grid))
     _report(
@@ -282,17 +284,20 @@ def _cmd_parametrix(args, seed: int) -> None:
         residual_identity_check,
         word_count_recurrence,
     )
-    from .wavefront import make_cutoff
 
     # a bad class or order is rejected before the Neumann sums, not by bound_audit after them
     check_class(args.tau, args.sigma)
     check_audit_order(args.beta_max)
+    direction, angle, xi_min = _parse_floats(args.cone, "--cone", 3)
+    try:
+        cone = Cone((direction,), angle, xi_min)
+    except ValueError as exc:
+        raise ValueError(f"--cone {args.cone!r}: {exc}") from None
     P = parse_operator(args.op)
     system = build_reduction_operators(P)
-    direction, _, xi_min = _parse_floats(args.cone, "--cone", 3)
-    xi_lo = max(xi_min, 4.0)
+    xi_lo = max(cone.xi_min, 4.0)
     xis = [float(v) for v in np.geomspace(xi_lo, max(16.0 * xi_lo, 64.0), 33)]
-    if direction < 0:
+    if cone.direction[0] < 0:
         xis = [-v for v in xis]
     x0, rp, rs = _parse_floats(args.phi, "--phi", 3)
     n = args.grid

@@ -79,9 +79,6 @@ class FunctionSpec:
     def jet(self, base: tuple[Number, ...], K: int) -> Jet:
         raise NotImplementedError
 
-    def __call__(self, *xs):
-        return self.eval(*xs)
-
 
 @dataclass(frozen=True)
 class PolySpec(FunctionSpec):

@@ -89,10 +89,6 @@ class Jet:
         return self.coeff((0,) * self.dim)
 
 
-def jet_const(c: Number, dim: int, order: int, base: tuple[Number, ...] = ()) -> Jet:
-    return Jet(dim, order, {} if _is_zero(c) else {(0,) * dim: c}, base)
-
-
 def _check_compatible(a: Jet, b: Jet) -> None:
     if a.dim != b.dim or a.order != b.order:
         raise ValueError("jets must share dimension and truncation order")
@@ -104,12 +100,6 @@ def jet_add(a: Jet, b: Jet) -> Jet:
     for k, v in b.coeffs.items():
         out[k] = out.get(k, 0) + v
     return Jet(a.dim, a.order, out, a.base_point or b.base_point)
-
-
-def jet_scale(c: Number, a: Jet) -> Jet:
-    if _is_zero(c):
-        return jet_const(0, a.dim, a.order, a.base_point)
-    return Jet(a.dim, a.order, {k: c * v for k, v in a.coeffs.items()}, a.base_point)
 
 
 @functools.cache

@@ -422,6 +422,8 @@ def build_reduction_operators(P: DiffOperator) -> ReductionSystem:
     at three probe points and two xi, to 1e-9); degrees -1..-m become
     R_1..R_m via I - R.
     """
+    if P.order < 1:
+        raise ValueError(f"operator order {P.order}: the parametrix needs order >= 1")
     algebra = SymbolAlgebra(P)
     m, d = P.order, P.dim
     PT = transpose(P)
@@ -514,6 +516,7 @@ class GridEvaluator:
         self._phi_rows: dict[MultiIndex, np.ndarray] = {}
         self._jets: dict[int, Jet] = {}
         self._derivs: dict[Factor, np.ndarray] = {}
+        self._pm: dict[tuple, np.ndarray] = {}
 
     def _ensure_order(self, order: int) -> None:
         # audits may differentiate beyond the order anticipated at build
@@ -549,8 +552,13 @@ class GridEvaluator:
         return self.deriv(self.algebra.register(self.phi_spec), beta)
 
     def pm(self, xis: Sequence[tuple]) -> np.ndarray:
-        """P_m at every (xi, x): an (n_xi, n_points) array."""
-        return self.eval_sum(self.algebra.principal_sum(), xis)
+        """P_m at every (xi, x): an (n_xi, n_points) array, evaluated once
+        per xi list (read-only: every sum with a P_m^-k term shares it)."""
+        pm = self._pm.get(tuple(xis))
+        if pm is None:
+            pm = self._pm[tuple(xis)] = self.eval_sum(self.algebra.principal_sum(), xis)
+            pm.flags.writeable = False
+        return pm
 
     def eval_sum(self, S: SymbolSum, xis: Sequence[tuple]) -> np.ndarray:
         """S at every (xi, x): an (n_xi, n_points) array.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multiindex import mi_derivative, mi_of_order
-from .sequences import log_envelope, log_factorial_form, log_M, normalized_excess
+from .sequences import log_envelope, log_M
 
 _NEG_INF = float("-inf")
 # fit_regularity's admissibility margin, as a fraction of the data span
@@ -32,12 +32,10 @@ class DerivativeGrowthData:
     """entries[n] = log of sup over |alpha| = n of sup_K |d^alpha phi|.
 
     Orders form a contiguous range 0..n_max; identically vanishing
-    derivative levels carry -inf.  source is one of
-    'measured-on-grid' | 'synthetic' | 'closed-form'.
+    derivative levels carry -inf.
     """
 
     entries: tuple[float, ...]
-    source: str = "synthetic"
 
     def __post_init__(self) -> None:
         if len(self.entries) == 0:
@@ -56,7 +54,7 @@ def synthetic_growth(
     """Data lying exactly on the (tau, sigma, h, A) envelope."""
     la, lh = math.log(A), math.log(h)
     vals = tuple(log_envelope(n, tau, sigma, la, lh) for n in range(n_max + 1))
-    return DerivativeGrowthData(vals, source="synthetic")
+    return DerivativeGrowthData(vals)
 
 
 def seminorm_log(
@@ -72,58 +70,6 @@ def seminorm_log(
         ns = float(n) ** sigma if n else 0.0
         best = max(best, v - ns * math.log(h) - log_M(tau, sigma, n))
     return best
-
-
-def _h_interval(s_values: list[float]) -> tuple[float, float] | None:
-    """[h_min, inf) from the running normalized excess, or None when the
-    excess is still climbing divergently at the data horizon.
-
-    A sequence increasing toward a finite limit has increments decaying
-    faster than 1/n (summable); the empty verdict requires the trailing
-    increments to decay with log-log slope > -1.
-    """
-    finite = [(n + 1, s) for n, s in enumerate(s_values) if s != _NEG_INF]
-    if not finite:
-        return (0.0, float("inf"))
-    ns = [n for n, _ in finite]
-    ss = [s for _, s in finite]
-    arg = max(range(len(ss)), key=lambda i: ss[i])
-    climbing = False
-    if arg >= len(ss) - 2 and len(ss) >= 7:
-        dn = [(ns[i + 1], ss[i + 1] - ss[i]) for i in range(len(ss) - 6, len(ss) - 1)]
-        if all(d > 0 for _, d in dn):
-            xs = np.log([n for n, _ in dn])
-            ys = np.log([d for _, d in dn])
-            slope = float(np.polyfit(xs, ys, 1)[0])
-            climbing = slope > -1.0
-    if climbing:
-        return None
-    h_min = math.exp(ss[arg]) if ss[arg] != _NEG_INF else 0.0
-    return (h_min, float("inf"))
-
-
-def seminorm_equivalence_gap(
-    data: DerivativeGrowthData, tau: float, sigma: float
-) -> tuple[tuple[float, float] | None, tuple[float, float] | None]:
-    """h-intervals certifying finiteness of the two seminorm forms.
-
-    The first form measures against h^{n^sigma} M_n, the second against
-    h^{n^sigma} [n^sigma]!^{tau/sigma}; the intervals agree up to the
-    comparison constant between M_n and the floored factorial power.
-    """
-    s1, s2 = [], []
-    for n, v in enumerate(data.entries):
-        if n == 0:
-            continue
-        if v == _NEG_INF:
-            s1.append(_NEG_INF)
-            s2.append(_NEG_INF)
-            continue
-        ns = float(n) ** sigma
-        s1.append(normalized_excess(v, n, tau, sigma))
-        fl = math.floor(ns)
-        s2.append((v - log_factorial_form(tau, sigma, fl)) / ns)
-    return _h_interval(s1), _h_interval(s2)
 
 
 @dataclass(frozen=True)
@@ -242,4 +188,4 @@ def measure_derivative_growth(
         if n > 0 and sup < 100.0 * noise:
             break
         entries.append(math.log(sup) if sup > 0 else _NEG_INF)
-    return DerivativeGrowthData(tuple(entries), source="measured-on-grid")
+    return DerivativeGrowthData(tuple(entries))

@@ -104,14 +104,6 @@ class SequenceAuditReport:
     fitted_Cq_m2prime_argmax: list[tuple[int, int]]
     stirling_ratio_log_residuals: list[tuple[int, float]] = field(default_factory=list)
 
-    @property
-    def fitted_Cq_m2prime(self) -> list[tuple[int, float]]:
-        """(q, C_q) with overflow saturating to inf; see the log twin."""
-        out = []
-        for q, lc in self.fitted_log_Cq_m2prime:
-            out.append((q, math.exp(lc) if lc < 700 else float("inf")))
-        return out
-
     def to_dict(self) -> dict:
         return {
             "tau": self.tau,
@@ -263,20 +255,4 @@ def audit_sequence(seq: DefiningSequence, p_max: int) -> SequenceAuditReport:
         fitted_Cq_m2prime_argmax=cq_arg,
         stirling_ratio_log_residuals=residuals,
     )
-
-
-def almost_increasing_pair_bound(
-    seq: DefiningSequence, parts: list[int] | tuple[int, ...]
-) -> float:
-    """ln of [prod_i M_{k_i}/k_i!] / [M_k/k!] with k = sum(parts).
-
-    The ratio is at most C^k for the constant fitted by audit_sequence.
-    """
-    if len(parts) == 0:
-        raise ValueError("parts must be nonempty")
-    if any(k < 1 for k in parts):
-        raise ValueError("parts must be positive")
-    k = sum(parts)
-    num = sum(seq.log_M_over_factorial(ki) for ki in parts)
-    return num - seq.log_M_over_factorial(k)
 

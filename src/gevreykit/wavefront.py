@@ -10,8 +10,8 @@ transform) once per cutoff, and a DecayProfile per spectrum and cone.
 Each step does only the work its data needs: a cutoff is convolved on
 the window of its support, not on the whole grid, and the sup over N
 reads only the staircase of bins that no bin of larger or equal |xi|
-and clearly larger amplitude dominates, which leaves every entry and
-its radius exactly as the sup over all bins gives them (_STAIR_MARGIN).
+and clearly larger amplitude dominates, which leaves every entry
+exactly as the sup over all bins gives it (_STAIR_MARGIN).
 
 On a bounded frequency window the raw envelope inequality is always
 satisfiable by inflating the constants, so the measured-field verdict
@@ -25,9 +25,9 @@ member would exhibit there; measured data must beat it by one order,
 which every fixed-order tail (flat, jump, kink) fails.
 
 One order test serves two envelope families, each a list of (order k,
-growth, scale) per index M: the direct family (k = M, ln M_M, M^sigma)
-and the factorial form (k = floor(M^{1/sigma}), (tau/sigma) ln M!, M)
-that ``enumeration_equivalence_detail`` checks against it.  The
+growth) per index M: the direct family (k = M, ln M_M) and the
+factorial form (k = floor(M^{1/sigma}), (tau/sigma) ln M!) that
+``enumeration_equivalence_detail`` checks against it.  The
 thresholds are the fixed module constants below; nothing sets them per
 call.
 """
@@ -287,6 +287,8 @@ class Cone:
 
     def __post_init__(self) -> None:
         norm = math.sqrt(sum(c * c for c in self.direction))
+        if norm == 0:
+            raise ValueError("direction must be nonzero")
         if abs(norm - 1.0) > 1e-12:
             object.__setattr__(
                 self, "direction", tuple(c / norm for c in self.direction)
@@ -308,18 +310,15 @@ class Cone:
 class DecayProfile:
     """entries[N] = log sup over cone bins of |xi|^N |(phi u)^(xi)|.
 
-    sup_radius[N] records the |xi| where the sup is attained; shells hold
-    the per-radius log max of the transform below half Nyquist, whose
-    decay order the verdict reads.
+    shells hold the per-radius log max of the transform below half
+    Nyquist, whose decay order the verdict reads.
     """
 
     entries: tuple[float, ...]
     N_max: int
     cone: Cone
-    xi_max: float
     n_radial_bins: int
     nyquist: float
-    sup_radius: tuple[float, ...]
     shells: tuple[tuple[float, float], ...]
 
     def usable_N(self) -> int:
@@ -397,9 +396,8 @@ class Spectrum:
 # monotone and rounding is monotone, so fl(N ln r') >= fl(N ln r) for
 # r' >= r; adding the log-amplitudes, the exact sums differ by at least
 # the margin, far more than the 2^-52 S that rounding both sums can close.
-# So at every N a dropped bin lies strictly below another bin and is never
-# the first argmax: entries and sup_radius are those of the sup over all
-# bins, bit for bit.
+# So at every N a dropped bin lies strictly below another bin: the
+# entries are those of the sup over all bins, bit for bit.
 _STAIR_MARGIN = 1e-9
 
 
@@ -434,10 +432,8 @@ def directional_decay_profile(spectrum: Spectrum, cone: Cone, N_max: int) -> Dec
             entries=(_NEG_INF,) * (N_max + 1),
             N_max=N_max,
             cone=cone,
-            xi_max=float(bins.mag.max()),
             n_radial_bins=bins.n_ridx,
             nyquist=freq.nyquist,
-            sup_radius=(0.0,) * (N_max + 1),
             shells=(),
         )
 
@@ -458,15 +454,12 @@ def directional_decay_profile(spectrum: Spectrum, cone: Cone, N_max: int) -> Dec
     bound = N_max * float(np.abs(bins.log_mag).max()) + float(np.abs(g).max())
     cand = _staircase(bins, keep, loga, _STAIR_MARGIN * max(1.0, bound))
     vals = np.arange(N_max + 1, dtype=float)[:, None] * bins.log_mag[cand] + loga[cand]
-    k = np.argmax(vals, axis=1)
     return DecayProfile(
-        entries=tuple(vals[np.arange(N_max + 1), k].tolist()),
+        entries=tuple(vals.max(axis=1).tolist()),
         N_max=N_max,
         cone=cone,
-        xi_max=float(mag.max()),
         n_radial_bins=len(shell_list),
         nyquist=freq.nyquist,
-        sup_radius=tuple(bins.mag[cand][k].tolist()),
         shells=shell_list,
     )
 
@@ -497,17 +490,17 @@ class WavefrontVerdict:
         return out | {"point": list(self.point), "direction": list(self.direction)}
 
 
-def _fit_constants_ls(profile: DecayProfile, terms: _Terms) -> tuple[float, float]:
+def _fit_constants_ls(profile: DecayProfile, terms: _Terms, sigma: float) -> tuple[float, float]:
     """(ln A, ln h) by least squares on {1, N^sigma}, with ln A lifted so
     the fitted envelope covers every usable entry (exact on data lying
     exactly on an envelope).  terms is the direct family over the usable
-    window, read for ln M_N and N^sigma at N >= 1; N = 0 has both 0."""
+    window, read for ln M_N at N >= 1; N = 0 has ln M_0 = 0."""
     ns_list, ys = [], []
-    for N, (_, growth, scale) in enumerate(((0, 0.0, 0.0),) + terms):
+    for N, (_, growth) in enumerate(((0, 0.0),) + terms):
         v = profile.entries[N]
         if v == _NEG_INF:
             continue
-        ns_list.append(scale)
+        ns_list.append(float(N) ** sigma)
         ys.append(v - growth)
     if len(ys) < 2:
         val = ys[0] if ys else 0.0
@@ -519,25 +512,25 @@ def _fit_constants_ls(profile: DecayProfile, terms: _Terms) -> tuple[float, floa
     return float(coef[0]) + max(0.0, lift), float(coef[1])
 
 
-# (order k, growth, scale) per index M = 1, 2, ... of an envelope family
-_Terms = tuple[tuple[int, float, float], ...]
+# (order k, growth) per index M = 1, 2, ... of an envelope family
+_Terms = tuple[tuple[int, float], ...]
 
 
 @functools.lru_cache(maxsize=16)
 def _family(tau: float, sigma: float, n_use: int, factorial: bool) -> _Terms:
-    """One envelope family over the usable window: (order k, growth,
-    scale) per index M = 1, 2, ....
+    """One envelope family over the usable window: (order k, growth) per
+    index M = 1, 2, ....
 
-    The direct family is k = M, ln M_M, M^sigma for M <= n_use.  The
-    factorial form is k = floor(M^{1/sigma}), (tau/sigma) ln M!, M for
+    The direct family is k = M, ln M_M for M <= n_use.  The factorial
+    form is k = floor(M^{1/sigma}), (tau/sigma) ln M! for
     M <= floor(n_use^sigma) + 1; the last index is the first whose order
     reaches n_use when n_use^sigma is not an integer.  A scan meets few
     (tau, sigma, n_use), so each table is built once.
     """
     if not factorial:
-        return tuple((M, log_M(tau, sigma, M), float(M) ** sigma) for M in range(1, n_use + 1))
+        return tuple((M, log_M(tau, sigma, M)) for M in range(1, n_use + 1))
     return tuple(
-        (int(math.floor(M ** (1.0 / sigma) + 1e-12)), log_factorial_form(tau, sigma, M), M)
+        (int(math.floor(M ** (1.0 / sigma) + 1e-12)), log_factorial_form(tau, sigma, M))
         for M in range(1, int(float(n_use) ** sigma) + 2)
     )
 
@@ -547,7 +540,7 @@ def _order_search(terms: _Terms, log_r: float) -> int:
     the order k of the term minimizing growth - k log_r (0 if none is
     negative)."""
     best_k, best_v = 0, 0.0
-    for k, growth, _ in terms:
+    for k, growth in terms:
         v = growth - k * log_r
         if v < best_v:
             best_k, best_v = k, v
@@ -630,7 +623,7 @@ def wf_point_test(
     regular, order, required = _family_verdict(profile, tau, sigma, n_use)
     A_hat = h_hat = None
     if regular:
-        log_a, log_h = _fit_constants_ls(profile, _family(tau, sigma, n_use, False))
+        log_a, log_h = _fit_constants_ls(profile, _family(tau, sigma, n_use, False), sigma)
         A_hat, h_hat = math.exp(log_a), math.exp(log_h)
     return verdict(
         regular=regular, A_hat=A_hat, h_hat=h_hat, decay_order=order, required_order=required

@@ -302,6 +302,12 @@ def test_non_finite_numbers_exit_1(tmp_path, capsys):
         "phi": (small + ["--phi", "nan,0.1,0.4"], "--phi"),
         "cone": (small + ["--cone", "1,0.4,nan"], "--cone"),
         "cone2": (small + ["--cone", "1,0.4"], "--cone"),
+        # cones that were read as some other cone: the sign alone, xi_min raised to 4
+        "cone_angle": (small + ["--cone", "1,5,6"], "--cone '1,5,6': half_angle must lie in"),
+        "cone_flat": (small + ["--cone", "1,0,6"], "--cone '1,0,6': half_angle must lie in"),
+        "cone_dir": (small + ["--cone=0,-3,-7"], "--cone '0,-3,-7': direction must be nonzero"),
+        "cone_xi": (small + ["--cone", "1,0.4,0"], "--cone '1,0.4,0': xi_min must be positive"),
+        "cone_xi_neg": (small + ["--cone=-1,0.4,-2"], "--cone '-1,0.4,-2': xi_min must be"),
         "tau": (small + ["--tau", "nan"], "--tau"),
         "at": (["fdb", "--f", "sin", "--g", "sin", "--alpha", "1", "--at", "nan"], "--at"),
         "sigma_inf": (["seq-audit", "--tau", "1", "--sigma", "inf"], "finite"),
@@ -325,6 +331,8 @@ def test_bad_literals_in_specs_and_operators_exit_1(tmp_path, capsys):
         "zero_den": (["parametrix", "--op", "D^2 + poly:1/0"] + small, "'1/0'"),
         "neg_power": (["parametrix", "--op", "D^-1"] + small, "'D^-1'"),
         "neg_power_coeff": (["parametrix", "--op", "D^2 + sin*D^-2"] + small, "D^-2"),
+        "order_0": (["parametrix", "--op", "poly:1"] + small, "operator order 0: the parametrix"),
+        "order_0_D": (["parametrix", "--op", "D^0"] + small, "operator order 0: the parametrix"),
         "neg_expo": (["fdb", "--f", "poly:0,0,1", "--g", "mvpoly:-1,2:3", "--alpha", "1,0",
                       "--at", "2,3", "--check-jet"], "'-1,2'"),
         "fdb_nan": (["fdb", "--f", "compose(exp,poly:0,nan)", "--g", "sin", "--alpha", "1",

@@ -24,7 +24,7 @@ from gevreykit.funcspec import (
     SinSpec,
     SumSpec,
 )
-from gevreykit.jets import Jet, jet_add, jet_compose, jet_of, jet_partial, jet_scale
+from gevreykit.jets import Jet, jet_add, jet_compose, jet_of, jet_partial
 from gevreykit.multiindex import enumerate_decompositions, mi_add, mi_factorial, mi_of_order
 from gevreykit.parametrix import (
     LEIBNIZ_WORDS,
@@ -873,6 +873,10 @@ def test_eval_sum_rows_match_single_xi_calls():
     assert batched.shape == (len(xis), len(ev.points))
     for i, xi in enumerate(xis):
         assert np.array_equal(batched[i], ev.eval_sum(coeff, [xi])[0])
+    # P_m is evaluated once per xi list, read-only, and equals a direct evaluation
+    pm = ev.pm(xis)
+    assert ev.pm(list(xis)) is pm and not pm.flags.writeable
+    assert pm.tobytes() == ev.eval_sum(alg.principal_sum(), xis).tobytes()
     # a(x) xi^2 P_m^-1 against the scalar principal-symbol route
     sid = alg.register(CosSpec())
     term = {(((sid, (0,)),), (2,), 1, None): 1.0 + 0.0j}
@@ -1007,7 +1011,8 @@ def _reference_inv_pm_jet_check(P, alpha, x, xi):
         mono = 1.0
         for e, v in zip(a, xi):
             mono *= v**e
-        pm_jet = jet_add(pm_jet, jet_scale(mono, jet_of(c, x, n)))
+        scaled = {k: mono * v for k, v in jet_of(c, x, n).coeffs.items()}
+        pm_jet = jet_add(pm_jet, Jet(P.dim, n, scaled, x))
     inv_jet = jet_compose(RecipPowSpec(1).jet((pm_jet.value,), n), pm_jet)
     return (-1j) ** n * complex(jet_partial(inv_jet, alpha))
 

@@ -12,7 +12,6 @@ from gevreykit.regularity import (
     DerivativeGrowthData,
     fit_regularity,
     measure_derivative_growth,
-    seminorm_equivalence_gap,
     seminorm_log,
     synthetic_growth,
 )
@@ -27,9 +26,7 @@ def gaussian_growth(n_max=24):
         j = jet_of(gauss, (float(x),), n_max)
         for n in range(n_max + 1):
             sups[n] = max(sups[n], abs(complex(jet_partial(j, (n,)))))
-    return DerivativeGrowthData(
-        tuple(math.log(s) for s in sups), source="closed-form"
-    )
+    return DerivativeGrowthData(tuple(math.log(s) for s in sups))
 
 
 def test_seminorm_examples():
@@ -50,25 +47,6 @@ def test_seminorm_monotone_in_h_and_tau():
     s1 = seminorm_log(g, 1, 2, 1)
     assert seminorm_log(g, 1, 2, 2) <= s1
     assert seminorm_log(g, 2, 2, 1) <= s1
-
-
-def test_equivalence_gap_cases():
-    data = synthetic_growth(1, 2, 1, 1, 24)
-    g1, g2 = seminorm_equivalence_gap(data, 1, 2)
-    assert g1 is not None and g2 is not None
-    assert g1[0] == pytest.approx(1.0, rel=1e-9)
-    # the two forms differ by the sequence-comparison constant only
-    assert 0.1 < g2[0] / g1[0] < 10.0
-
-    # n!^n growth defeats every h at sigma = 1.5
-    vals = tuple(n * math.lgamma(n + 1) for n in range(30))
-    e1, e2 = seminorm_equivalence_gap(DerivativeGrowthData(vals), 1, 1.5)
-    assert e1 is None and e2 is None
-
-    # zero function: all of (0, inf) on both sides
-    z = DerivativeGrowthData((NEG_INF,) * 12)
-    z1, z2 = seminorm_equivalence_gap(z, 1, 2)
-    assert z1 == (0.0, float("inf")) and z2 == (0.0, float("inf"))
 
 
 def test_fit_round_trip():
@@ -130,7 +108,6 @@ def test_measure_derivative_growth_polynomial():
     data = measure_derivative_growth(xs**3, spacing=xs[1] - xs[0], n_max=6)
     assert data.n_max >= 3
     assert math.isclose(math.exp(data.entries[3]), 6.0, rel_tol=1e-6)
-    assert data.source == "measured-on-grid"
 
 
 def test_measure_derivative_growth_2d():
