@@ -12,11 +12,10 @@ variable-coefficient operators, verifying their growth bounds.
 
 __version__ = "0.1.0"
 
-from .numerics import log_factorial, multinomial, stirling_log_residual
+from .numerics import log_factorial, multinomial
 
 __all__ = [
     "log_factorial",
     "multinomial",
-    "stirling_log_residual",
     "__version__",
 ]

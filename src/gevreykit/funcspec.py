@@ -10,7 +10,8 @@ so such jets hold float arrays and never numpy object arrays.
 
 Grammar accepted by :func:`parse_spec` (d = 1 unless noted):
 
-    poly:c0,c1,...          polynomial with the given coefficients
+    poly:c0,c1,...          polynomial with the given coefficients, the
+                            univariate mvpoly
     exp | sin | cos | recip
     compose(A,B)  sum(A,B)  prod(A,B)
     mvpoly:e1,..,ed:c;...   d >= 2 monomial:coefficient pairs
@@ -29,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .jets import Jet, Number, _is_zero, jet_add, jet_compose, jet_mul
-from .multiindex import MultiIndex, mi_order
+from .multiindex import MultiIndex
 
 __all__ = [
     "FunctionSpec",
@@ -81,43 +82,9 @@ class FunctionSpec:
 
 
 @dataclass(frozen=True)
-class PolySpec(FunctionSpec):
-    """Univariate polynomial sum coeffs[i] * x^i."""
-
-    coeffs: tuple[Number, ...]
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-    def eval(self, x):
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-    def derivative(self, i: int = 0) -> "PolySpec":
-        if i != 0:
-            raise ValueError("univariate spec has only coordinate 0")
-        d = tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1)
-        return PolySpec(d if d else (0,))
-
-    def jet(self, base: tuple[Number, ...], K: int) -> Jet:
-        (b,) = base
-        grid = _on_grid(base)
-        coeffs: dict[MultiIndex, Number] = {}
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for j in range(min(i, K) + 1):
-                scaled = _float_on_grid(c * math.comb(i, j), grid)
-                coeffs[(j,)] = coeffs.get((j,), 0) + scaled * b ** (i - j)
-        return Jet(1, K, coeffs, base)
-
-
-@dataclass(frozen=True)
 class MVPolySpec(FunctionSpec):
-    """Multivariate polynomial: monomial exponent tuple -> coefficient."""
+    """Polynomial in `dimension` variables: (exponent tuple, coefficient)
+    pairs, which `from_dict` sorts by exponent, dropping zero coefficients."""
 
     dimension: int
     terms: tuple[tuple[MultiIndex, Number], ...]
@@ -149,36 +116,46 @@ class MVPolySpec(FunctionSpec):
                 continue
             down = tuple(e - 1 if j == i else e for j, e in enumerate(expo))
             new[down] = new.get(down, 0) + c * expo[i]
-        return MVPolySpec.from_dict(self.dimension, new or {(0,) * self.dimension: 0})
+        return MVPolySpec.from_dict(self.dimension, new)
 
     def jet(self, base: tuple[Number, ...], K: int) -> Jet:
+        # each shifted monomial prod (b_i + h_i)^{e_i} is expanded one axis
+        # at a time into (beta, |beta|, value) with distinct betas; the
+        # steps (j, binom(e, j), b^(e - j)) of an (axis, e) are built once.
+        # "0 +" turns a -0.0 (or a complex one's parts) into 0.0, as a sum
+        # into a fresh key does
         grid = _on_grid(base)
+        zero = (0,) * self.dimension
+        steps: dict[tuple[int, int], list[tuple[int, int, Number]]] = {}
         coeffs: dict[MultiIndex, Number] = {}
-
-        def expand(expo: MultiIndex, c: Number) -> None:
-            # shifted monomial prod (b_i + h_i)^{e_i}
-            partial: dict[MultiIndex, Number] = {(0,) * self.dimension: c}
+        for expo, c in self.terms:
+            partial = [(zero, 0, c)]
             for axis, e in enumerate(expo):
                 if e == 0:
                     continue
-                nxt: dict[MultiIndex, Number] = {}
-                b = base[axis]
-                for beta, v in partial.items():
-                    for j in range(e + 1):
-                        if mi_order(beta) + j > K:
+                step = steps.get((axis, e))
+                if step is None:
+                    b = base[axis]
+                    step = steps[axis, e] = [
+                        (j, math.comb(e, j), b ** (e - j)) for j in range(min(e, K) + 1)
+                    ]
+                nxt = []
+                for beta, order, v in partial:
+                    for j, binom, power in step:
+                        if order + j > K:
                             break
-                        up = tuple(
-                            x + j if a == axis else x for a, x in enumerate(beta)
-                        )
-                        scaled = _float_on_grid(v * math.comb(e, j), grid)
-                        nxt[up] = nxt.get(up, 0) + scaled * b ** (e - j)
+                        up = beta[:axis] + (j,) + beta[axis + 1 :]
+                        scaled = _float_on_grid(v * binom, grid)
+                        nxt.append((up, order + j, 0 + scaled * power))
                 partial = nxt
-            for beta, v in partial.items():
+            for beta, _, v in partial:
                 coeffs[beta] = coeffs.get(beta, 0) + _float_on_grid(v, grid)
-
-        for expo, c in self.terms:
-            expand(expo, c)
         return Jet(self.dimension, K, coeffs, base)
+
+
+def PolySpec(coeffs: tuple[Number, ...]) -> MVPolySpec:
+    """The univariate polynomial sum coeffs[i] * x^i (the ``poly:`` form)."""
+    return MVPolySpec.from_dict(1, {(i,): c for i, c in enumerate(coeffs)})
 
 
 @dataclass(frozen=True)
@@ -340,7 +317,8 @@ class ComposeSpec(FunctionSpec):
         if _on_grid(base) and not isinstance(v, np.ndarray):
             # a constant inner spec: spread its value over the grid, so the
             # outer jet takes its float route and not its exact one
-            v = np.full(np.broadcast_shapes(*map(np.shape, base)), float(v))
+            shape = np.broadcast_shapes(*map(np.shape, base))
+            v = np.full(shape, v if isinstance(v, complex) else float(v))
         f = self.outer.jet((v,), K)
         return jet_compose(f, g)
 

@@ -21,6 +21,8 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator
 
+from .numerics import multinomial
+
 MultiIndex = tuple[int, ...]
 
 
@@ -216,11 +218,7 @@ def composition_multinomial_sum(n: int) -> int:
         nonlocal total
         if k == 0:
             if remaining == 0:
-                m = sum(mults)
-                term = math.factorial(m)
-                for mk in mults:
-                    term //= math.factorial(mk)
-                total += term
+                total += multinomial(mults)
             return
         for mk in range(remaining // k + 1):
             mults.append(mk)

@@ -14,8 +14,7 @@ import itertools
 import math
 
 
-# ln(n!) by exact summation of ln k, cached cumulatively.  Stirling is a
-# cross-check only (stirling_log_residual), never the stored value.
+# ln(n!) by exact summation of ln k, cached cumulatively.
 _LOG_FACT_CACHE: list[float] = [0.0, 0.0]
 
 
@@ -45,13 +44,3 @@ def multinomial(a: list[int] | tuple[int, ...]) -> int:
         out //= math.factorial(x)
     return out
 
-
-def stirling_log_residual(n: int) -> float:
-    """ln n! minus the Stirling main term n ln n - n + ln(2 pi n)/2.
-
-    The residual r satisfies 0 < r < 1/(12 n) for every n >= 1.
-    """
-    if n < 1:
-        raise ValueError("stirling_log_residual requires n >= 1")
-    main = n * math.log(n) - n + 0.5 * math.log(2.0 * math.pi * n)
-    return log_factorial(n) - main

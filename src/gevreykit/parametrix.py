@@ -37,7 +37,6 @@ from .faadibruno import fdb_derivative
 from .funcspec import (
     FunctionSpec,
     MVPolySpec,
-    PolySpec,
     ProdSpec,
     RecipPowSpec,
     SumSpec,
@@ -67,56 +66,31 @@ MAX_AUDIT_ORDER = 6
 
 
 def _const_spec(c, dim: int) -> FunctionSpec:
-    if dim == 1:
-        return PolySpec((c,))
     return MVPolySpec.from_dict(dim, {(0,) * dim: c})
 
 
-def _is_zero_spec(spec: FunctionSpec) -> bool:
-    if isinstance(spec, PolySpec):
-        return all(c == 0 for c in spec.coeffs)
-    if isinstance(spec, MVPolySpec):
-        return all(c == 0 for _, c in spec.terms)
-    if isinstance(spec, SumSpec):
-        return _is_zero_spec(spec.left) and _is_zero_spec(spec.right)
-    if isinstance(spec, ProdSpec):
-        return _is_zero_spec(spec.left) or _is_zero_spec(spec.right)
-    return False
-
-
 def _axis_degrees(spec: FunctionSpec, dim: int) -> tuple[int, ...] | None:
-    """Per-axis polynomial degrees, or None when not polynomial.
+    """Per-axis polynomial degrees, (-1,) * dim for a structurally zero
+    spec (a product with a zero factor included), None when not polynomial.
 
     d^beta(spec) vanishes identically when beta_i exceeds the axis-i
     degree; used to prune structurally zero factors from the term ring.
     """
-    if _is_zero_spec(spec):
-        return (-1,) * dim
-    if isinstance(spec, PolySpec):
-        deg = max(i for i, c in enumerate(spec.coeffs) if c != 0)
-        return (deg,)
+    zero = (-1,) * dim
     if isinstance(spec, MVPolySpec):
-        degs = [0] * dim
-        for expo, c in spec.terms:
-            if c != 0:
-                for i, e in enumerate(expo):
-                    degs[i] = max(degs[i], e)
-        return tuple(degs)
+        expos = [expo for expo, c in spec.terms if c != 0]
+        return tuple(max(e[i] for e in expos) for i in range(dim)) if expos else zero
+    if not isinstance(spec, (SumSpec, ProdSpec)):
+        return None
+    a = _axis_degrees(spec.left, dim)
+    b = _axis_degrees(spec.right, dim)
+    if isinstance(spec, ProdSpec) and zero in (a, b):
+        return zero
+    if a is None or b is None:
+        return None
     if isinstance(spec, SumSpec):
-        a = _axis_degrees(spec.left, dim)
-        b = _axis_degrees(spec.right, dim)
-        if a is None or b is None:
-            return None
         return tuple(max(x, y) for x, y in zip(a, b))
-    if isinstance(spec, ProdSpec):
-        a = _axis_degrees(spec.left, dim)
-        b = _axis_degrees(spec.right, dim)
-        if a is None or b is None:
-            return None
-        if a == (-1,) * dim or b == (-1,) * dim:
-            return (-1,) * dim
-        return tuple(x + y for x, y in zip(a, b))
-    return None
+    return tuple(x + y for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -128,8 +102,8 @@ class DiffOperator:
     coeffs: dict[MultiIndex, FunctionSpec] = field(hash=False)
 
     def __post_init__(self) -> None:
-        if self.dim not in (1, 2):
-            raise ValueError("operators support d = 1 or 2")
+        if not 1 <= self.dim <= MAX_DIM:
+            raise ValueError(f"operators support d = 1 to {MAX_DIM}")
         if self.order > MAX_ORDER_M:
             raise ValueError(f"operator order limited to {MAX_ORDER_M}")
         if not any(mi_order(a) == self.order for a in self.coeffs):
@@ -144,21 +118,42 @@ class DiffOperator:
         return {a: c for a, c in self.coeffs.items() if mi_order(a) == self.order}
 
 
+def _split_terms(text: str) -> list[str]:
+    """The text split at each "+" that is not a sign: a "+" inside
+    parentheses or after ",", ":" or a mantissa's e/E signs a number."""
+    terms, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "+" and depth == 0:
+            before = text[start:i].rstrip()
+            if not (before.endswith((",", ":")) or re.search(r"[0-9.][eE]$", before)):
+                terms.append(text[start:i])
+                start = i + 1
+    return terms + [text[start:]]
+
+
+def _d_power(d: str, term: str) -> int:
+    """k of a term's D or D^k factor."""
+    match = re.fullmatch(r"D(?:\^ *(-?\d+))?", d.strip())
+    if match is None:
+        raise ValueError(f"malformed derivative power in term {term!r}")
+    return int(match[1] or 1)
+
+
 def parse_operator(text: str) -> DiffOperator:
     """CLI grammar: terms like 'SPEC*D^2 + SPEC*D + SPEC' (d = 1)."""
     coeffs: dict[MultiIndex, FunctionSpec] = {}
-    # a "+" after a mantissa's e/E is an exponent sign, not a term separator
-    for raw in re.split(r"(?<![0-9.][eE])\+", text):
+    for raw in _split_terms(text):
         part = raw.strip()
         if not part:
             continue
         if "*D" in part:
             spec_s, _, dpart = part.rpartition("*")
-            k = 1 if dpart.strip() == "D" else int(dpart.strip()[2:])
+            k = _d_power(dpart, part)
             spec = parse_spec(spec_s)
         elif part.startswith("D"):
-            k = 1 if part == "D" else int(part[2:])
-            spec = PolySpec((1,))
+            k = _d_power(part, part)
+            spec = _const_spec(1, 1)
         else:
             k = 0
             spec = parse_spec(part)
@@ -212,7 +207,7 @@ def transpose(P: DiffOperator) -> DiffOperator:
             for axis, k in enumerate(diff):
                 for _ in range(k):
                     spec = spec.derivative(axis)
-            if _is_zero_spec(spec):
+            if _axis_degrees(spec, P.dim) == (-1,) * P.dim:
                 continue
             term = ProdSpec(_const_spec(scale, P.dim), spec)
             out[beta] = SumSpec(out[beta], term) if beta in out else term

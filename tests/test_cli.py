@@ -331,6 +331,10 @@ def test_bad_literals_in_specs_and_operators_exit_1(tmp_path, capsys):
         "zero_den": (["parametrix", "--op", "D^2 + poly:1/0"] + small, "'1/0'"),
         "neg_power": (["parametrix", "--op", "D^-1"] + small, "'D^-1'"),
         "neg_power_coeff": (["parametrix", "--op", "D^2 + sin*D^-2"] + small, "D^-2"),
+        "no_caret": (["parametrix", "--op", "poly:1*D3"] + small,
+                     "malformed derivative power in term 'poly:1*D3'"),
+        "no_power": (["parametrix", "--op", "D^ + poly:1"] + small,
+                     "malformed derivative power in term 'D^'"),
         "order_0": (["parametrix", "--op", "poly:1"] + small, "operator order 0: the parametrix"),
         "order_0_D": (["parametrix", "--op", "D^0"] + small, "operator order 0: the parametrix"),
         "neg_expo": (["fdb", "--f", "poly:0,0,1", "--g", "mvpoly:-1,2:3", "--alpha", "1,0",

@@ -4,8 +4,16 @@ from gevreykit import numerics
 from gevreykit.numerics import (
     log_factorial,
     multinomial,
-    stirling_log_residual,
 )
+
+
+def stirling_log_residual(n: int) -> float:
+    """ln n! minus the Stirling main term n ln n - n + ln(2 pi n)/2.
+
+    The residual r satisfies 0 < r < 1/(12 n) for every n >= 1.
+    """
+    main = n * math.log(n) - n + 0.5 * math.log(2.0 * math.pi * n)
+    return log_factorial(n) - main
 
 
 def test_log_factorial_examples():

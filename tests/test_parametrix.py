@@ -915,7 +915,18 @@ def test_parse_operator_grammar():
     assert P2.order == 1
     # a "+" inside a coefficient's exponent does not split terms
     P3 = parse_operator("D^2 + poly:1e+5")
-    assert P3.order == 2 and P3.coeffs[(0,)].coeffs == (1e5,)
+    assert P3.order == 2 and P3.coeffs[(0,)].terms == (((0,), 1e5),)
+
+
+@pytest.mark.parametrize("signed, plain", [
+    ("D^2 + poly:1,+2", "D^2 + poly:1,2"),
+    ("D^2 + sum(poly:+1,sin)*D", "D^2 + sum(poly:1,sin)*D"),
+    ("D^2 + poly:+1e+5 + poly:-1,+2", "D^2 + poly:1e5 + poly:-1,2"),
+])
+def test_parse_operator_reads_a_sign_as_the_spec_grammar_does(signed, plain):
+    # a "+" after "," or ":", or inside parentheses, signs a number, as
+    # in `gevrey fdb --f poly:+1,2`; only a "+" between terms splits
+    assert parse_operator(signed) == parse_operator(plain)
 
 
 def test_theorem_propagation_smoke():
