@@ -9,6 +9,7 @@ Exit status: 0 success, 1 validation failure, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -26,6 +27,7 @@ from .regularity import DerivativeGrowthData, fit_regularity
 from .schemas import schema_id
 from .sequences import DefiningSequence, audit_sequence, check_class
 from .wavefront import (
+    MIN_GRID_SAMPLES,
     Cone,
     GridField,
     ScanParams,
@@ -41,7 +43,7 @@ from .wavefront import (
 TOL_IDENTITY = 1e-8
 
 
-class _CliError(Exception):
+class _CliError(ValueError):
     pass
 
 
@@ -74,8 +76,12 @@ def _report(command: str, params: dict, result: dict, seed: int, out: str | None
 
 def _parse_floats(text: str, flag: str, count: int = 0) -> tuple[float, ...]:
     """Comma-separated finite numbers; exactly `count` of them if count > 0."""
-    vals = tuple(float(t) for t in text.split(","))
-    if not all(map(math.isfinite, vals)) or count and len(vals) != count:
+    try:
+        vals = tuple(float(t) for t in text.split(","))
+        ok = all(map(math.isfinite, vals)) and (not count or len(vals) == count)
+    except ValueError:
+        ok = False
+    if not ok:
         raise ValueError(f"{flag} needs {count or 'only'} finite numbers, got {text!r}")
     return vals
 
@@ -85,57 +91,54 @@ def finite(text: str) -> float:
     return _parse_floats(text, "", 1)[0]
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split(","))
+def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} needs comma-separated integers, got {text!r}") from None
 
 
-def _cmd_seq_audit(args, seed: int) -> None:
-    seq = DefiningSequence(args.tau, args.sigma)
-    rep = audit_sequence(seq, args.pmax)
-    _report(
-        "seq-audit",
-        {"tau": args.tau, "sigma": args.sigma, "pmax": args.pmax},
-        rep.to_dict(),
-        seed,
-        args.out,
-    )
+def _echo(args, *names: str) -> dict:
+    """The named flags as parsed, for a report's parameters."""
+    return {name: getattr(args, name) for name in names}
 
 
-def _cmd_decomp(args, seed: int) -> None:
-    alpha = _parse_ints(args.alpha)
+# Each command returns (parameters, result) for its report, or None when
+# it wrote its own output; main writes the report.
+
+
+def _cmd_seq_audit(args) -> tuple[dict, dict]:
+    rep = audit_sequence(DefiningSequence(args.tau, args.sigma), args.pmax)
+    return _echo(args, "tau", "sigma", "pmax"), rep.to_dict()
+
+
+def _cmd_decomp(args) -> tuple[dict, dict] | None:
+    alpha = _parse_ints(args.alpha, "--alpha")
+    params = {"alpha": list(alpha), "census": bool(args.census)}
     if args.census:
         count, bound, ok = decomposition_census(alpha)
-        result = {"alpha": list(alpha), "count": count, "bound": bound, "ok": ok}
-        decs = None
-    else:
-        decs = [
-            {
-                "parts": [list(p) for p in d.parts],
-                "multiplicities": list(d.multiplicities),
-            }
-            for d in enumerate_decompositions(alpha)
-        ]
-        result = {"alpha": list(alpha), "decompositions": decs}
-    if args.out is None and decs is not None:
+        return params, {"alpha": list(alpha), "count": count, "bound": bound, "ok": ok}
+    decs = [
+        {
+            "parts": [list(p) for p in d.parts],
+            "multiplicities": list(d.multiplicities),
+        }
+        for d in enumerate_decompositions(alpha)
+    ]
+    if args.out is None:
         # streamed form: one JSON object per decomposition
         for d in decs:
             sys.stdout.write(json.dumps(d, sort_keys=True) + "\n")
-        return
-    _report(
-        "decomp",
-        {"alpha": list(alpha), "census": bool(args.census)},
-        result,
-        seed,
-        args.out,
-    )
+        return None
+    return params, {"alpha": list(alpha), "decompositions": decs}
 
 
-def _cmd_fdb(args, seed: int) -> None:
+def _cmd_fdb(args) -> tuple[dict, dict]:
     from .faadibruno import fdb_derivative
 
     f = parse_spec(args.f)
     g = parse_spec(args.g)
-    alpha = _parse_ints(args.alpha)
+    alpha = _parse_ints(args.alpha, "--alpha")
     at = _parse_floats(args.at, "--at")
     value = fdb_derivative(f, g, alpha, at)
     result: dict = {"value": float(value)}
@@ -144,34 +147,17 @@ def _cmd_fdb(args, seed: int) -> None:
         result["jet_value"] = float(oracle)
         denom = max(abs(float(oracle)), 1.0)
         result["jet_agrees"] = abs(float(value) - float(oracle)) / denom <= 1e-9
-    _report(
-        "fdb",
-        {"f": args.f, "g": args.g, "alpha": list(alpha), "at": list(at),
-         "check_jet": bool(args.check_jet)},
-        result,
-        seed,
-        args.out,
-    )
+    params = {"f": args.f, "g": args.g, "alpha": list(alpha), "at": list(at),
+              "check_jet": bool(args.check_jet)}
+    return params, result
 
 
-def _cmd_lemma23(args, seed: int) -> None:
-    seq = DefiningSequence(args.tau, args.sigma)
-    fit = lemma23_constant_search(seq, args.kmax)
-    _report(
-        "lemma23",
-        {"tau": args.tau, "sigma": args.sigma, "kmax": args.kmax},
-        {
-            "C": fit.C,
-            "k_max": fit.k_max,
-            "witness_k": fit.witness_k,
-            "witness_parts": list(fit.witness_parts),
-        },
-        seed,
-        args.out,
-    )
+def _cmd_lemma23(args) -> tuple[dict, dict]:
+    fit = lemma23_constant_search(DefiningSequence(args.tau, args.sigma), args.kmax)
+    return _echo(args, "tau", "sigma", "kmax"), dataclasses.asdict(fit)
 
 
-def _cmd_fit(args, seed: int) -> None:
+def _cmd_fit(args) -> tuple[dict, dict]:
     rows: list[tuple[int, float]] = []
     with open(args.data) as fh:
         for line in fh:
@@ -183,25 +169,10 @@ def _cmd_fit(args, seed: int) -> None:
     rows.sort()
     if [n for n, _ in rows] != list(range(len(rows))):
         raise ValueError("growth data orders must be exactly 0..n_max, each once")
-    entries = tuple(v for _, v in rows)
-    data = DerivativeGrowthData(entries)
+    data = DerivativeGrowthData(tuple(v for _, v in rows))
     grid = _parse_floats(args.sigma_grid, "--sigma-grid")
     fit = fit_regularity(data, list(grid))
-    _report(
-        "fit",
-        {"data": args.data, "sigma_grid": list(grid)},
-        {
-            "tau_hat": fit.tau_hat,
-            "sigma_hat": fit.sigma_hat,
-            "h_hat": fit.h_hat,
-            "A_hat": fit.A_hat,
-            "admissible": fit.admissible,
-            "degenerate": fit.degenerate,
-            "residuals": list(fit.residuals),
-        },
-        seed,
-        args.out,
-    )
+    return {"data": args.data, "sigma_grid": list(grid)}, dataclasses.asdict(fit)
 
 
 def _parse_points(text: str, field: GridField) -> list[tuple[float, ...]]:
@@ -225,7 +196,7 @@ def _parse_points(text: str, field: GridField) -> list[tuple[float, ...]]:
     return [_parse_floats(chunk, "--points") for chunk in text.split(";")]
 
 
-def _cmd_wf_scan(args, seed: int) -> None:
+def _cmd_wf_scan(args) -> tuple[dict, dict]:
     if args.threads < 1:
         raise _CliError(f"--threads must be at least 1, got {args.threads}")
     field = read_gridfield(args.field)
@@ -239,10 +210,8 @@ def _cmd_wf_scan(args, seed: int) -> None:
     rp = args.rp if args.rp is not None else 0.4 * rs
     dxi = max(1.0 / (n * s) for n, s in zip(field.sizes, field.spacing))
     xi_min = args.ximin if args.ximin is not None else 5.0 * dxi
-    params = ScanParams(
-        r_plateau=rp, r_support=rs, xi_min=xi_min, N_max=args.nmax
-    )
-    verdicts = wf_scan(field, points, args.dirs, args.tau, args.sigma, params, args.threads)
+    scan = ScanParams(r_plateau=rp, r_support=rs, xi_min=xi_min, N_max=args.nmax)
+    verdicts = wf_scan(field, points, args.dirs, args.tau, args.sigma, scan, args.threads)
     if args.csv:
         # plot-ready decay profiles the scan measured: point; direction; N;
         # log_value, one block per verdict without error
@@ -255,27 +224,14 @@ def _cmd_wf_scan(args, seed: int) -> None:
                 d_s = ",".join(repr(c) for c in verdict.direction)
                 for N, v in enumerate(verdict.profile.entries):
                     fh.write(f"{p_s};{d_s};{N};{v!r}\n")
-    _report(
-        "wf-scan",
-        {
-            "field": args.field,
-            "points": args.points,
-            "dirs": args.dirs,
-            "tau": args.tau,
-            "sigma": args.sigma,
-            "r_plateau": rp,
-            "r_support": rs,
-            "xi_min": xi_min,
-            "N_max": args.nmax,
-        },
-        {"verdicts": [v.to_dict() for v in verdicts]},
-        seed,
-        args.out,
-    )
+    params = _echo(args, "field", "points", "dirs", "tau", "sigma")
+    params |= {"r_plateau": rp, "r_support": rs, "xi_min": xi_min, "N_max": args.nmax}
+    return params, {"verdicts": [v.to_dict() for v in verdicts]}
 
 
-def _cmd_parametrix(args, seed: int) -> None:
+def _cmd_parametrix(args) -> tuple[dict, dict]:
     from .parametrix import (
+        MAX_GRID_POINTS,
         bound_audit,
         build_reduction_operators,
         check_audit_order,
@@ -285,9 +241,12 @@ def _cmd_parametrix(args, seed: int) -> None:
         word_count_recurrence,
     )
 
-    # a bad class or order is rejected before the Neumann sums, not by bound_audit after them
+    # a bad class, order or grid is rejected before the Neumann sums, not by bound_audit after them
     check_class(args.tau, args.sigma)
     check_audit_order(args.beta_max)
+    n = args.grid
+    if not MIN_GRID_SAMPLES <= n <= MAX_GRID_POINTS:
+        raise ValueError(f"--grid {n} lies outside {MIN_GRID_SAMPLES}..{MAX_GRID_POINTS}")
     direction, angle, xi_min = _parse_floats(args.cone, "--cone", 3)
     try:
         cone = Cone((direction,), angle, xi_min)
@@ -300,7 +259,6 @@ def _cmd_parametrix(args, seed: int) -> None:
     if cone.direction[0] < 0:
         xis = [-v for v in xis]
     x0, rp, rs = _parse_floats(args.phi, "--phi", 3)
-    n = args.grid
     spacing = 2.0 / n
     grid = GridField(1, (n,), (-1.0,), (spacing,), np.zeros(n))
     phi = make_cutoff((x0,), rp, rs, grid)
@@ -325,25 +283,10 @@ def _cmd_parametrix(args, seed: int) -> None:
         "leibniz_terms_checked": audit.leibniz_terms_checked,
         "leibniz_violations": audit.leibniz_violations,
     }
-    _report(
-        "parametrix",
-        {
-            "op": args.op,
-            "N": args.N,
-            "cone": args.cone,
-            "phi": args.phi,
-            "grid": args.grid,
-            "tau": args.tau,
-            "sigma": args.sigma,
-            "beta_max": args.beta_max,
-        },
-        result,
-        seed,
-        args.out,
-    )
+    return _echo(args, "op", "N", "cone", "phi", "grid", "tau", "sigma", "beta_max"), result
 
 
-def _cmd_catalog(args, seed: int) -> None:
+def _cmd_catalog(args) -> tuple[dict, dict]:
     os.makedirs(args.out_dir, exist_ok=True)
     files = []
     for name in ("delta", "bump", "step2d", "kink"):
@@ -351,13 +294,7 @@ def _cmd_catalog(args, seed: int) -> None:
         path = os.path.join(args.out_dir, f"{name}.gf")
         write_gridfield(gf, path)
         files.append(f"{name}.gf")
-    _report(
-        "catalog",
-        {"out_dir": args.out_dir},
-        {"files": files},
-        seed,
-        args.report,
-    )
+    return _echo(args, "out_dir"), {"files": files}
 
 
 def build_parser() -> _Parser:
@@ -369,12 +306,10 @@ def build_parser() -> _Parser:
     sa.add_argument("--tau", type=finite, required=True)
     sa.add_argument("--sigma", type=finite, required=True)
     sa.add_argument("--pmax", type=int, default=40)
-    sa.add_argument("--out", default=None)
 
     dc = sub.add_parser("decomp", help="decompositions of a multi-index")
     dc.add_argument("--alpha", required=True, help="a1,..,ad")
     dc.add_argument("--census", action="store_true")
-    dc.add_argument("--out", default=None)
 
     fd = sub.add_parser("fdb", help="derivative of a composition")
     fd.add_argument("--f", required=True)
@@ -382,18 +317,15 @@ def build_parser() -> _Parser:
     fd.add_argument("--alpha", required=True)
     fd.add_argument("--at", required=True)
     fd.add_argument("--check-jet", action="store_true")
-    fd.add_argument("--out", default=None)
 
     lm = sub.add_parser("lemma23", help="fit the splitting constant")
     lm.add_argument("--tau", type=finite, required=True)
     lm.add_argument("--sigma", type=finite, required=True)
     lm.add_argument("--kmax", type=int, default=12)
-    lm.add_argument("--out", default=None)
 
     ft = sub.add_parser("fit", help="fit regularity parameters from growth data")
     ft.add_argument("--data", required=True, help="csv rows n,log_sup_abs_derivative")
     ft.add_argument("--sigma-grid", default="1.5,2,2.5,3")
-    ft.add_argument("--out", default=None)
 
     wf = sub.add_parser("wf-scan", help="wave-front scan of a grid field")
     wf.add_argument("--field", required=True)
@@ -407,7 +339,6 @@ def build_parser() -> _Parser:
     wf.add_argument("--nmax", type=int, default=40)
     wf.add_argument("--csv", default=None, help="also write decay profiles as CSV")
     wf.add_argument("--threads", type=int, default=1, help="worker pool size")
-    wf.add_argument("--out", default=None)
 
     pm = sub.add_parser("parametrix", help="build and audit Neumann sums")
     pm.add_argument("--op", required=True, help="e.g. 'D^2 + sin*D + poly:1'")
@@ -418,11 +349,15 @@ def build_parser() -> _Parser:
     pm.add_argument("--tau", type=finite, default=1.0)
     pm.add_argument("--sigma", type=finite, default=2.0)
     pm.add_argument("--beta-max", type=int, default=4)
-    pm.add_argument("--out", default=None)
+
+    # every command above writes its report to --out, or to stdout without it;
+    # catalog's --out is its field directory and its report goes to --report
+    for command in sub.choices.values():
+        command.add_argument("--out", default=None)
 
     ct = sub.add_parser("catalog", help="emit the built-in test fields")
     ct.add_argument("--out", dest="out_dir", required=True)
-    ct.add_argument("--report", default=None)
+    ct.add_argument("--report", dest="out", metavar="REPORT", default=None)
     return p
 
 
@@ -450,11 +385,10 @@ def main(argv: list[str] | None = None) -> int:
         # overflow and invalid values surface as NaN/Infinity, which the
         # report writer refuses with one line; numpy's warnings would add more
         with np.errstate(all="ignore"):
-            _DISPATCH[args.command](args, args.seed)
+            report = _DISPATCH[args.command](args)
+            if report is not None:
+                _report(args.command, *report, args.seed, args.out)
         return 0
-    except _CliError as exc:
-        sys.stderr.write(f"gevrey: {exc}\n")
-        return 1
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"gevrey: {exc}\n")
         return 1

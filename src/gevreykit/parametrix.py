@@ -161,6 +161,8 @@ def parse_operator(text: str) -> DiffOperator:
             raise ValueError(f"derivative power must be non-negative, got {part!r}")
         key = (k,)
         coeffs[key] = SumSpec(coeffs[key], spec) if key in coeffs else spec
+    if not coeffs:
+        raise ValueError(f"operator {text!r} has no term")
     order = max(mi_order(a) for a in coeffs)
     return DiffOperator(order, 1, coeffs)
 

@@ -72,6 +72,14 @@ def seminorm_log(
     return best
 
 
+def _exp_of_fit(name: str, log_value: float) -> float:
+    """exp of a fitted log constant; a ValueError naming it when it leaves float range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise ValueError(f"fitted {name} = exp({log_value!r}) exceeds float range") from None
+
+
 @dataclass(frozen=True)
 class RegularityFit:
     tau_hat: float
@@ -105,7 +113,7 @@ def fit_regularity(
                 tau_hat=0.0,
                 sigma_hat=float(sigma_grid[0]),
                 h_hat=1.0,
-                A_hat=math.exp(a) if a != _NEG_INF else 0.0,
+                A_hat=_exp_of_fit("A_hat", a) if a != _NEG_INF else 0.0,
                 residuals=(),
                 admissible=True,
                 degenerate=True,
@@ -139,8 +147,8 @@ def fit_regularity(
     return RegularityFit(
         tau_hat=float(coef[2]),
         sigma_hat=sigma_hat,
-        h_hat=math.exp(float(coef[1])),
-        A_hat=math.exp(float(coef[0])),
+        h_hat=_exp_of_fit("h_hat", float(coef[1])),
+        A_hat=_exp_of_fit("A_hat", float(coef[0])),
         residuals=tuple(float(r) for r in resid),
         admissible=admissible,
         degenerate=False,

@@ -50,6 +50,7 @@ MIN_USABLE = 6  # fewest usable profile values a verdict needs
 N_BANDS = 6  # log-uniform radius bands of the shells' upper envelope
 ORDER_MARGIN = 1  # orders by which measured decay must beat the family's
 _WINDOW_MARGIN = 2  # cells beyond r_support on each side of a cutoff's window
+MIN_GRID_SAMPLES = 16  # fewest samples per axis of a GridField
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +70,8 @@ class GridField:
     def __post_init__(self) -> None:
         if self.dim not in (1, 2):
             raise ValueError("GridField supports d = 1 or 2")
-        if len(self.sizes) != self.dim or any(n < 16 for n in self.sizes):
-            raise ValueError("sizes must give >= 16 samples per axis")
+        if len(self.sizes) != self.dim or any(n < MIN_GRID_SAMPLES for n in self.sizes):
+            raise ValueError(f"sizes must give >= {MIN_GRID_SAMPLES} samples per axis")
         if any(s <= 0 for s in self.spacing):
             raise ValueError("spacing must be positive")
         self.samples = np.asarray(self.samples).reshape(self.sizes)

@@ -13,8 +13,15 @@ from hypothesis import strategies as st
 import gevreykit
 from gevreykit import parametrix
 from gevreykit.cli import TOL_IDENTITY, _parser, main
-from gevreykit.schemas import validate_report
-from gevreykit.wavefront import GridField, ScanParams, read_gridfield, wf_scan, write_gridfield
+from gevreykit.schemas import schema_id, validate_report
+from gevreykit.wavefront import (
+    GridField,
+    ScanParams,
+    catalog_field,
+    read_gridfield,
+    wf_scan,
+    write_gridfield,
+)
 
 
 def run(args, tmp_path, name="out.json"):
@@ -226,6 +233,51 @@ def test_report_schemas_cover_every_command_and_reject_bad_reports(tmp_path):
         validate_report(dict(rep, schema=schema_id("wf-scan"), result={"verdicts": {}}))
 
 
+_ENVELOPE_RUNS = {
+    "seq-audit": ["--tau", "1", "--sigma", "2", "--pmax", "20"],
+    "decomp": ["--alpha", "2,1"],
+    "fdb": ["--f", "sin", "--g", "exp", "--alpha", "2", "--at", "0.5"],
+    "lemma23": ["--tau", "1", "--sigma", "2", "--kmax", "6"],
+    "fit": ["--data", "{dir}/growth.csv"],
+    "wf-scan": ["--field", "{dir}/delta.gf", "--points", "0.0", "--dirs", "2", "--tau", "1",
+                "--sigma", "2", "--rp", "0.15", "--rs", "0.35"],
+    "parametrix": ["--op", "D^2", "--N", "2", "--grid", "64", "--beta-max", "1"],
+    "catalog": ["--out", "{dir}/fields"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENVELOPE_RUNS))
+def test_every_report_names_its_command_and_echoes_the_seed(name, tmp_path):
+    write_gridfield(catalog_field("delta"), os.path.join(tmp_path, "delta.gf"))
+    with open(os.path.join(tmp_path, "growth.csv"), "w") as fh:
+        fh.writelines(f"{n},{n * n * math.log(n) if n > 1 else 0.0}\n" for n in range(25))
+    argv = [a.format(dir=tmp_path) for a in _ENVELOPE_RUNS[name]]
+    out = os.path.join(tmp_path, "report.json")
+    flag = "--report" if name == "catalog" else "--out"
+    assert main(["--seed", "7", name, *argv, flag, out]) == 0
+    with open(out) as fh:
+        rep = json.load(fh)
+    assert rep["schema"] == schema_id(name)
+    assert rep["config"]["command"] == name and rep["config"]["seed"] == 7
+    validate_report(rep)
+
+
+def test_decomp_without_out_streams_json_lines_and_no_report(capsys):
+    assert main(["--seed", "7", "decomp", "--alpha", "2,1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    assert all(set(json.loads(ln)) == {"parts", "multiplicities"} for ln in lines)
+
+
+def test_catalog_without_report_prints_its_report(tmp_path, capsys):
+    outdir = os.path.join(tmp_path, "fields")
+    assert main(["--seed", "7", "catalog", "--out", outdir]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["schema"] == schema_id("catalog") and rep["config"]["seed"] == 7
+    assert sorted(rep["result"]["files"]) == sorted(os.listdir(outdir))
+    validate_report(rep)
+
+
 def test_wf_scan_command(tmp_path):
     outdir = os.path.join(tmp_path, "fields")
     main(["catalog", "--out", outdir])
@@ -321,6 +373,28 @@ def test_non_finite_numbers_exit_1(tmp_path, capsys):
         assert needle in err and len(err.splitlines()) == 1, (name, err)
 
 
+@pytest.mark.parametrize("args, needle", [
+    (["decomp", "--alpha", ""], "--alpha needs comma-separated integers, got ''"),
+    (["decomp", "--alpha", "1,,2"], "--alpha needs comma-separated integers, got '1,,2'"),
+    (["decomp", "--alpha", "a", "--census"], "--alpha needs comma-separated integers, got 'a'"),
+    (["fdb", "--f", "sin", "--g", "sin", "--alpha", "1.5", "--at", "0"],
+     "--alpha needs comma-separated integers, got '1.5'"),
+    (["fdb", "--f", "sin", "--g", "sin", "--alpha", "1", "--at", ""],
+     "--at needs only finite numbers, got ''"),
+    (["fdb", "--f", "sin", "--g", "sin", "--alpha", "1", "--at", "x"],
+     "--at needs only finite numbers, got 'x'"),
+    (["wf-scan", "--field", "{dir}/delta.gf", "--points", "", "--tau", "1", "--sigma", "2"],
+     "--points needs only finite numbers, got ''"),
+    (["parametrix", "--op", "D^2", "--phi", "0,a,0.4"], "--phi needs 3 finite numbers"),
+], ids=["alpha_empty", "alpha_gap", "alpha_word", "fdb_alpha", "at_empty", "at_word",
+        "points_empty", "phi_word"])
+def test_list_flags_name_themselves_on_a_malformed_token(args, needle, tmp_path, capsys):
+    write_gridfield(catalog_field("delta"), os.path.join(tmp_path, "delta.gf"))
+    code, rep = run([a.format(dir=tmp_path) for a in args], tmp_path)
+    assert code == 1 and rep is None
+    assert needle in _one_line_error(capsys)
+
+
 def test_bad_literals_in_specs_and_operators_exit_1(tmp_path, capsys):
     # each bad token is named on one stderr line; no report is written
     small = ["--N", "3", "--grid", "64", "--beta-max", "1"]
@@ -337,6 +411,8 @@ def test_bad_literals_in_specs_and_operators_exit_1(tmp_path, capsys):
                      "malformed derivative power in term 'D^'"),
         "order_0": (["parametrix", "--op", "poly:1"] + small, "operator order 0: the parametrix"),
         "order_0_D": (["parametrix", "--op", "D^0"] + small, "operator order 0: the parametrix"),
+        "no_term": (["parametrix", "--op", "+"] + small, "operator '+' has no term"),
+        "blank": (["parametrix", "--op", " "] + small, "operator ' ' has no term"),
         "neg_expo": (["fdb", "--f", "poly:0,0,1", "--g", "mvpoly:-1,2:3", "--alpha", "1,0",
                       "--at", "2,3", "--check-jet"], "'-1,2'"),
         "fdb_nan": (["fdb", "--f", "compose(exp,poly:0,nan)", "--g", "sin", "--alpha", "1",
@@ -621,6 +697,19 @@ def test_parametrix_rejects_beta_max_outside_0_to_6_before_the_sums(
     assert f"beta_max = {beta_max} lies outside 0..6" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("grid", ["0", "-16", "3", "15", "1025", "2000"])
+def test_parametrix_rejects_a_grid_outside_16_to_1024_before_the_sums(
+    tmp_path, capsys, monkeypatch, grid
+):
+    def no_sums(*args, **kwargs):
+        raise AssertionError("neumann_sums ran before --grid was checked")
+
+    monkeypatch.setattr("gevreykit.parametrix.neumann_sums", no_sums)
+    code, rep = run(["parametrix", "--op", "D^2 + sin*D + poly:1", f"--grid={grid}"], tmp_path)
+    assert code == 1 and rep is None
+    assert f"--grid {grid} lies outside 16..1024" in _one_line_error(capsys)
+
+
 def test_decomp_rejects_a_negative_entry(tmp_path, capsys):
     for census in (["--census"], []):
         code, rep = run(["decomp", "--alpha=-1,3"] + census, tmp_path)
@@ -665,6 +754,19 @@ def test_out_of_range_results_exit_1(tmp_path, capsys):
                      "--grid", "64", "--beta-max", "1"], tmp_path, "pm.json")
     assert code == 1 and rep is None
     assert "report holds NaN or Infinity" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("values, log_a", [
+    ([1.0, 2.0, 6.5, 30, 170, 1200, 9000, 80000, 800000], "exp(82758."),
+    ([800], "exp(800.0)"),
+], ids=["least_squares", "degenerate"])
+def test_fit_names_the_constant_that_leaves_float_range(tmp_path, capsys, values, log_a):
+    csv = os.path.join(tmp_path, "big.csv")
+    with open(csv, "w") as fh:
+        fh.writelines(f"{n},{v}\n" for n, v in enumerate(values))
+    code, rep = run(["fit", "--data", csv, "--sigma-grid", "1.5,2"], tmp_path)
+    assert code == 1 and rep is None
+    assert f"fitted A_hat = {log_a}" in _one_line_error(capsys)
 
 
 def test_overflow_prints_one_line_in_a_fresh_process(tmp_path):

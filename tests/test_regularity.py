@@ -90,6 +90,13 @@ def test_fit_errors():
         fit_regularity(synthetic_growth(1, 2, 1, 1, 24), [0.9])
 
 
+def test_fit_names_h_hat_when_it_leaves_float_range():
+    # ln h = 1000 on exact data; tests/test_cli.py covers A_hat through `gevrey fit`
+    entries = tuple(1000.0 * n * n for n in range(9))
+    with pytest.raises(ValueError, match=r"^fitted h_hat = exp\(.*\) exceeds float range$"):
+        fit_regularity(DerivativeGrowthData(entries), [1.5, 2])
+
+
 def test_nesting_in_tau():
     # data admissible at (tau1, sigma) stays admissible at tau2 > tau1
     data = synthetic_growth(1, 2, 1, 1, 24)
