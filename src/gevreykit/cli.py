@@ -160,12 +160,15 @@ def _cmd_lemma23(args) -> tuple[dict, dict]:
 def _cmd_fit(args) -> tuple[dict, dict]:
     rows: list[tuple[int, float]] = []
     with open(args.data) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("n,"):
                 continue
-            n_s, v_s = line.split(",")
-            rows.append((int(n_s), float(v_s)))
+            try:
+                n_s, v_s = line.split(",")
+                rows.append((int(n_s), float(v_s)))
+            except ValueError:
+                raise ValueError(f"{args.data} line {lineno}: row {line!r} is not n,value") from None
     rows.sort()
     if [n for n, _ in rows] != list(range(len(rows))):
         raise ValueError("growth data orders must be exactly 0..n_max, each once")
@@ -241,7 +244,7 @@ def _cmd_parametrix(args) -> tuple[dict, dict]:
         word_count_recurrence,
     )
 
-    # a bad class, order or grid is rejected before the Neumann sums, not by bound_audit after them
+    # a bad class, order, grid or cutoff fails before the Neumann sums, not in bound_audit
     check_class(args.tau, args.sigma)
     check_audit_order(args.beta_max)
     n = args.grid
@@ -252,16 +255,17 @@ def _cmd_parametrix(args) -> tuple[dict, dict]:
         cone = Cone((direction,), angle, xi_min)
     except ValueError as exc:
         raise ValueError(f"--cone {args.cone!r}: {exc}") from None
+    x0, rp, rs = _parse_floats(args.phi, "--phi", 3)
+    try:
+        phi = make_cutoff(x0, rp, rs, GridField(1, (n,), (-1.0,), (2.0 / n,), np.zeros(n)))
+    except ValueError as exc:
+        raise ValueError(f"--phi {args.phi!r} on --grid {n}: {exc}") from None
     P = parse_operator(args.op)
     system = build_reduction_operators(P)
     xi_lo = max(cone.xi_min, 4.0)
     xis = [float(v) for v in np.geomspace(xi_lo, max(16.0 * xi_lo, 64.0), 33)]
     if cone.direction[0] < 0:
         xis = [-v for v in xis]
-    x0, rp, rs = _parse_floats(args.phi, "--phi", 3)
-    spacing = 2.0 / n
-    grid = GridField(1, (n,), (-1.0,), (spacing,), np.zeros(n))
-    phi = make_cutoff((x0,), rp, rs, grid)
     sums = neumann_sums(system, phi, args.N, xi_samples=xis)
     residual = residual_identity_check(sums)
     audit = bound_audit(sums, beta_max=args.beta_max, tau=args.tau, sigma=args.sigma)

@@ -17,13 +17,16 @@ Grammar accepted by :func:`parse_spec` (d = 1 unless noted):
     mvpoly:e1,..,ed:c;...   d >= 2 monomial:coefficient pairs
 
 Coefficients are ints, fractions p/q or finite floats and exponents are
-non-negative ints; anything else raises ValueError naming the token.
+non-negative ints; anything else raises ValueError naming the token, or
+the literal for an empty one.  A pair's body is cut at the comma outside
+parentheses that a spec name follows.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -372,8 +375,10 @@ class ProdSpec(FunctionSpec):
         return jet_mul(self.left.jet(base, K), self.right.jet(base, K))
 
 
-def _parse_number(tok: str) -> Number:
+def _parse_number(tok: str, literal: str) -> Number:
     tok = tok.strip()
+    if not tok:
+        raise ValueError(f"empty number in {literal!r}")
     try:
         return int(tok)
     except ValueError:
@@ -389,58 +394,50 @@ def _parse_number(tok: str) -> Number:
     return value
 
 
-def _split_two(body: str) -> tuple[FunctionSpec, FunctionSpec]:
-    # poly:/mvpoly: literals contain commas, so try each top-level comma
-    # until both sides parse; the parsed pair is returned, so no side is
-    # parsed twice
-    depth = 0
-    candidates = []
-    for i, ch in enumerate(body):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            candidates.append(i)
-    for i in candidates:
-        try:
-            return parse_spec(body[:i]), parse_spec(body[i + 1 :])
-        except ValueError:
-            continue
-    raise ValueError(f"cannot split {body!r} into two specs")
+def _split_at(text: str, marks: re.Pattern) -> list[str]:
+    """text cut at each delimiter outside parentheses; `marks` matches "(",
+    ")" and each delimiter that the start of the next item follows."""
+    pieces, depth, start = [], 0, 0
+    for m in marks.finditer(text):
+        depth += (m[0] == "(") - (m[0] == ")")
+        if depth == 0 and m[0] not in "()":
+            pieces.append(text[start : m.start()])
+            start = m.end()
+    return pieces + [text[start:]]
+
+
+_ATOMS = {"exp": ExpSpec, "sin": SinSpec, "cos": CosSpec, "recip": RecipPowSpec}
+_PAIRS = {"compose": ComposeSpec, "sum": SumSpec, "prod": ProdSpec}
+# a pair is cut at the "," that a spec name follows: no number of a literal begins with one
+_SPEC_NAMES = [*_ATOMS, "poly:", "mvpoly:", *(name + r"\(" for name in _PAIRS)]
+_PAIR_MARKS = re.compile(r"[()]|,(?=\s*(?:%s))" % "|".join(_SPEC_NAMES))
 
 
 def parse_spec(text: str) -> FunctionSpec:
     """Parse the CLI spec grammar into a FunctionSpec."""
     s = text.strip()
-    if s == "exp":
-        return ExpSpec()
-    if s == "sin":
-        return SinSpec()
-    if s == "cos":
-        return CosSpec()
-    if s == "recip":
-        return RecipPowSpec(1)
+    if s in _ATOMS:
+        return _ATOMS[s]()
     if s.startswith("poly:"):
-        coeffs = tuple(_parse_number(t) for t in s[len("poly:"):].split(","))
-        return PolySpec(coeffs)
+        return PolySpec(tuple(_parse_number(t, s) for t in s[len("poly:"):].split(",")))
     if s.startswith("mvpoly:"):
         terms: dict[MultiIndex, Number] = {}
         dim = None
         for pair in s[len("mvpoly:"):].split(";"):
             expo_s, _, coeff_s = pair.rpartition(":")
-            expo = tuple(int(t) for t in expo_s.split(","))
-            if min(expo) < 0:
-                raise ValueError(f"exponents must be non-negative, got {expo_s!r}")
+            expo = tuple(_parse_number(t, s) for t in expo_s.split(","))
+            if not all(isinstance(e, int) and e >= 0 for e in expo):
+                raise ValueError(f"exponents must be non-negative integers, got {expo_s!r}")
             if dim is None:
                 dim = len(expo)
             elif len(expo) != dim:
                 raise ValueError("inconsistent monomial dimensions")
-            terms[expo] = terms.get(expo, 0) + _parse_number(coeff_s)
-        if dim is None:
-            raise ValueError("mvpoly needs at least one monomial")
+            terms[expo] = terms.get(expo, 0) + _parse_number(coeff_s, s)
         return MVPolySpec.from_dict(dim, terms)
-    for name, cls in (("compose", ComposeSpec), ("sum", SumSpec), ("prod", ProdSpec)):
+    for name, cls in _PAIRS.items():
         if s.startswith(name + "(") and s.endswith(")"):
-            return cls(*_split_two(s[len(name) + 1 : -1]))
+            pieces = _split_at(s[len(name) + 1 : -1], _PAIR_MARKS)
+            if len(pieces) != 2:
+                raise ValueError(f"cannot split {s!r} into two specs")
+            return cls(*map(parse_spec, pieces))
     raise ValueError(f"unrecognized function spec: {text!r}")

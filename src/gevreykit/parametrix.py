@@ -40,6 +40,7 @@ from .funcspec import (
     ProdSpec,
     RecipPowSpec,
     SumSpec,
+    _split_at,
     parse_spec,
 )
 from .jets import Jet, jet_chain_partial, jet_of, jet_partial
@@ -54,7 +55,7 @@ from .multiindex import (
     mi_sub,
 )
 from .sequences import check_class, normalized_excess
-from .wavefront import Cone, Cutoff, GridField
+from .wavefront import Cone, GridField
 
 # desk-scale budgets: beyond these the word count A*C^N is impractical
 MAX_ORDER_M = 3
@@ -118,18 +119,9 @@ class DiffOperator:
         return {a: c for a, c in self.coeffs.items() if mi_order(a) == self.order}
 
 
-def _split_terms(text: str) -> list[str]:
-    """The text split at each "+" that is not a sign: a "+" inside
-    parentheses or after ",", ":" or a mantissa's e/E signs a number."""
-    terms, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        depth += (ch == "(") - (ch == ")")
-        if ch == "+" and depth == 0:
-            before = text[start:i].rstrip()
-            if not (before.endswith((",", ":")) or re.search(r"[0-9.][eE]$", before)):
-                terms.append(text[start:i])
-                start = i + 1
-    return terms + [text[start:]]
+# a "+" outside parentheses splits terms unless a digit or "." follows it,
+# which makes it a number's sign; no term begins with either
+_TERM_MARKS = re.compile(r"[()]|\+(?![\d.])")
 
 
 def _d_power(d: str, term: str) -> int:
@@ -143,7 +135,7 @@ def _d_power(d: str, term: str) -> int:
 def parse_operator(text: str) -> DiffOperator:
     """CLI grammar: terms like 'SPEC*D^2 + SPEC*D + SPEC' (d = 1)."""
     coeffs: dict[MultiIndex, FunctionSpec] = {}
-    for raw in _split_terms(text):
+    for raw in _split_at(text, _TERM_MARKS):
         part = raw.strip()
         if not part:
             continue
@@ -482,10 +474,10 @@ class GridEvaluator:
 
     Each registry spec has one jet over the whole point set, with one
     float coefficient value per point, and derivative rows are read
-    from it.  phi is either a registry spec read the same way or the
-    samples of a cutoff on the grid of the points (row-major): d^beta phi
-    is then the centered difference (np.gradient) of its predecessor,
-    taken on first use and kept.
+    from it.  phi is either a registry spec read the same way or a
+    cutoff sampled on the grid of the points (row-major): d^beta phi is
+    then the centered difference (np.gradient) of its predecessor, taken
+    on first use and kept.
     """
 
     def __init__(
@@ -493,8 +485,7 @@ class GridEvaluator:
         algebra: SymbolAlgebra,
         points: np.ndarray,
         k_max: int,
-        phi_spec: FunctionSpec | None = None,
-        phi_samples: GridField | None = None,
+        phi: FunctionSpec | GridField | None = None,
     ):
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
@@ -504,12 +495,11 @@ class GridEvaluator:
         self.algebra = algebra
         self.points = pts
         self.k_max = k_max
-        self.phi_spec = phi_spec
-        self.phi_samples = phi_samples
+        self.phi = phi
         # d^beta phi on the sample grid, and the same flattened to complex rows
         self._phi_grid: dict[MultiIndex, np.ndarray] = {}
-        if phi_samples is not None:
-            self._phi_grid[algebra.zero_mi()] = phi_samples.samples.astype(float)
+        if isinstance(phi, GridField):
+            self._phi_grid[algebra.zero_mi()] = phi.samples.astype(float)
         self._phi_rows: dict[MultiIndex, np.ndarray] = {}
         self._jets: dict[int, Jet] = {}
         self._derivs: dict[Factor, np.ndarray] = {}
@@ -536,17 +526,17 @@ class GridEvaluator:
         return self._derivs[key]
 
     def phi_deriv(self, beta: MultiIndex) -> np.ndarray:
-        if self.phi_samples is not None:
+        if isinstance(self.phi, GridField):
             if beta not in self._phi_rows:
-                spacing = self.phi_samples.spacing
+                spacing = self.phi.spacing
                 grid = mi_derivative(
                     self._phi_grid, beta, lambda a, t: np.gradient(a, spacing[t], axis=t)
                 )
                 self._phi_rows[beta] = grid.reshape(-1).astype(complex)
             return self._phi_rows[beta]
-        if self.phi_spec is None:
+        if self.phi is None:
             raise ValueError("no phi attached to this evaluator")
-        return self.deriv(self.algebra.register(self.phi_spec), beta)
+        return self.deriv(self.algebra.register(self.phi), beta)
 
     def pm(self, xis: Sequence[tuple]) -> np.ndarray:
         """P_m at every (xi, x): an (n_xi, n_points) array, evaluated once
@@ -724,7 +714,7 @@ def _apply_reduction(
 
 def neumann_sums(
     system: ReductionSystem,
-    phi,
+    phi: FunctionSpec | GridField,
     N: int,
     x_grid: np.ndarray | None = None,
     xi_samples: Sequence[tuple | float] = (),
@@ -752,16 +742,13 @@ def neumann_sums(
     if not xi_list:
         raise ValueError("need at least one xi sample")
 
-    if isinstance(phi, Cutoff):
-        g = phi.profile
-        pts = np.column_stack([axis.reshape(-1) for axis in g.meshgrid()])
-        evaluator = GridEvaluator(alg, pts, k_max=N + m + 2, phi_samples=g)
-    elif isinstance(phi, FunctionSpec):
-        if x_grid is None:
-            raise ValueError("x_grid required for closed-form phi")
-        evaluator = GridEvaluator(alg, x_grid, k_max=N + m + 2, phi_spec=phi)
-    else:
-        raise TypeError("phi must be a Cutoff or a FunctionSpec")
+    if isinstance(phi, GridField):
+        x_grid = np.column_stack([axis.reshape(-1) for axis in phi.meshgrid()])
+    elif not isinstance(phi, FunctionSpec):
+        raise TypeError("phi must be a GridField or a FunctionSpec")
+    elif x_grid is None:
+        raise ValueError("x_grid required for closed-form phi")
+    evaluator = GridEvaluator(alg, x_grid, k_max=N + m + 2, phi=phi)
 
     # characteristic guard
     pm_min = np.min(np.abs(evaluator.pm(xi_list)), axis=1)

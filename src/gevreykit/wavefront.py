@@ -173,14 +173,6 @@ def default_cutoff_radius(tau: float, sigma: float) -> float:
             return total
 
 
-@dataclass
-class Cutoff:
-    center: tuple[float, ...]
-    r_plateau: float
-    r_support: float
-    profile: GridField
-
-
 def _distances(grid: GridField, x0: tuple[float, ...], window: tuple[slice, ...]) -> np.ndarray:
     """|x - x0| on the samples of a window of the grid, bit-equal to the
     same samples of the full grid's distances."""
@@ -225,10 +217,11 @@ def make_cutoff(
     r_plateau: float,
     r_support: float,
     grid: GridField,
-) -> Cutoff:
-    """phi = chi * psi: indicator of the mid ball mollified to the
-    transition band.  0 <= phi <= 1, phi = 1 inside r_plateau, 0 outside
-    r_support (enforced exactly against convolution ripple).
+) -> GridField:
+    """phi = chi * psi sampled on the grid: indicator of the mid ball
+    mollified to the transition band.  0 <= phi <= 1, phi = 1 inside
+    r_plateau, 0 outside r_support (enforced exactly against convolution
+    ripple).
 
     phi vanishes beyond r_mid + r_psi = r_support, so the convolution runs
     on the window of samples within r_support of x0 (plus _WINDOW_MARGIN
@@ -270,7 +263,7 @@ def make_cutoff(
     local[dist <= r_plateau] = 1.0
     phi = np.zeros(grid.sizes)
     phi[window] = local
-    return Cutoff(x0, r_plateau, r_support, grid.like(phi))
+    return grid.like(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +367,12 @@ class FrequencyGrid:
             for cone in cones
         }
 
-    def spectrum(self, phi: Cutoff) -> Spectrum:
+    def spectrum(self, phi: GridField) -> Spectrum:
         """|(phi u)^|: the DFT of phi*u normalized by the cell volume."""
-        u, pg = self.field, phi.profile
-        if pg.sizes != u.sizes or pg.spacing != u.spacing or pg.origin != u.origin:
-            raise ValueError("cutoff profile grid does not match the field grid")
-        amp = np.abs(np.fft.fftn(pg.samples * u.samples) * u.cell_volume)
+        u = self.field
+        if phi.sizes != u.sizes or phi.spacing != u.spacing or phi.origin != u.origin:
+            raise ValueError("cutoff grid does not match the field grid")
+        amp = np.abs(np.fft.fftn(phi.samples * u.samples) * u.cell_volume)
         return Spectrum(self, amp)
 
 

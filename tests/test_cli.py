@@ -710,6 +710,59 @@ def test_parametrix_rejects_a_grid_outside_16_to_1024_before_the_sums(
     assert f"--grid {grid} lies outside 16..1024" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--grid", "16"],
+     "--phi '0,0.15,0.4' on --grid 16: transition band under-resolved (< 8 cells)"),
+    (["--phi", "0.9,0.1,0.3"],
+     "--phi '0.9,0.1,0.3' on --grid 256: cutoff support leaves the grid"),
+])
+def test_parametrix_names_phi_and_grid_for_a_cutoff_fault_before_the_sums(
+    tmp_path, capsys, monkeypatch, flags, message
+):
+    def no_sums(*args, **kwargs):
+        raise AssertionError("neumann_sums ran before the cutoff was checked")
+
+    monkeypatch.setattr("gevreykit.parametrix.neumann_sums", no_sums)
+    code, rep = run(["parametrix", "--op", "D^2 + sin*D + poly:1", "--N", "3",
+                     "--beta-max", "1"] + flags, tmp_path)
+    assert code == 1 and rep is None
+    assert f"gevrey: {message}\n" == _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("row", ["1", "1,2,3", "a,1", "1,x"])
+def test_fit_names_the_file_line_and_row_of_a_malformed_row(tmp_path, capsys, row):
+    csv = os.path.join(tmp_path, "rows.csv")
+    with open(csv, "w") as fh:
+        fh.write(f"n,log_sup_abs_derivative\n0,1.0\n{row}\n2,3.0\n")
+    code, rep = run(["fit", "--data", csv], tmp_path)
+    assert code == 1 and rep is None
+    assert f"gevrey: {csv} line 3: row {row!r} is not n,value\n" == _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("pair", ["compose", "sum", "prod"])
+@pytest.mark.parametrize("literal, message", [
+    ("poly:1,1/0", "zero denominator in '1/0'"),
+    ("poly:1,nan", "number must be finite, got 'nan'"),
+    ("poly:1,1e999", "number must be finite, got '1e999'"),
+    ("mvpoly:1,0:2;0,-1:3", "exponents must be non-negative integers, got '0,-1'"),
+])
+def test_a_bad_token_inside_a_pair_spec_is_named(tmp_path, capsys, pair, literal, message):
+    # the literal's own fault, not a failure to find the pair's comma
+    for spec in (f"{pair}(sin,{literal})", f"{pair}({literal},sin)"):
+        code, rep = run(["fdb", "--f", spec, "--g", "sin", "--alpha", "1", "--at", "0.5"],
+                        tmp_path)
+        assert code == 1 and rep is None
+        assert f"gevrey: {message}\n" == _one_line_error(capsys), spec
+
+
+@pytest.mark.parametrize("literal", ["poly:", "poly:1,,2", "poly:1, ,2", "mvpoly:", "mvpoly:2",
+                                     "mvpoly:1,:2", "mvpoly:1:", "mvpoly:1:1;"])
+def test_an_empty_number_names_its_literal(tmp_path, capsys, literal):
+    code, rep = run(["fdb", "--f", literal, "--g", "sin", "--alpha", "1", "--at", "0.5"], tmp_path)
+    assert code == 1 and rep is None
+    assert f"gevrey: empty number in {literal!r}\n" == _one_line_error(capsys)
+
+
 def test_decomp_rejects_a_negative_entry(tmp_path, capsys):
     for census in (["--census"], []):
         code, rep = run(["decomp", "--alpha=-1,3"] + census, tmp_path)

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -7,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gevreykit import funcspec, jets
+from gevreykit import funcspec, jets, parametrix
 from gevreykit.funcspec import (
     ComposeSpec,
     CosSpec,
     ExpSpec,
     MVPolySpec,
     PolySpec,
+    ProdSpec,
     RecipPowSpec,
     SinSpec,
     SumSpec,
@@ -156,9 +158,9 @@ def test_parse_spec_grammar():
 
 
 def test_parse_spec_parses_each_side_once(monkeypatch):
-    # sum(poly:1,2,X): the first top-level comma fails on its right side,
-    # the second one splits; each nesting level costs four parse_spec calls
-    # and no side is parsed again, so the count grows linearly in the depth
+    # sum(poly:1,2,X): only the second top-level comma has a spec name after
+    # it, so the body is cut there; each nesting level costs two parse_spec
+    # calls, one per side, and no side is parsed again
     depth = 16
     text = "poly:1,2"
     expected = PolySpec((1, 2))
@@ -175,7 +177,7 @@ def test_parse_spec_parses_each_side_once(monkeypatch):
 
     monkeypatch.setattr(funcspec, "parse_spec", counting)
     assert funcspec.parse_spec(text) == expected
-    assert calls == 4 * depth + 1
+    assert calls == 2 * depth + 1
 
 
 # grammar fragments, bad number literals included, for the fuzz test below
@@ -222,6 +224,90 @@ def test_grammars_parse_or_raise_value_error(text):
             parse(text)
         except ValueError:
             pass
+
+
+def _reference_split_two(body):
+    # the former pair rule: try each top-level comma until both sides parse
+    depth, candidates = 0, []
+    for i, ch in enumerate(body):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "," and depth == 0:
+            candidates.append(i)
+    for i in candidates:
+        try:
+            return _reference_parse_spec(body[:i]), _reference_parse_spec(body[i + 1 :])
+        except ValueError:
+            continue
+    raise ValueError(f"cannot split {body!r} into two specs")
+
+
+def _reference_parse_spec(text):
+    s = text.strip()
+    for name, cls in (("compose", ComposeSpec), ("sum", SumSpec), ("prod", ProdSpec)):
+        if s.startswith(name + "(") and s.endswith(")"):
+            return cls(*_reference_split_two(s[len(name) + 1 : -1]))
+    return parse_spec(s)  # an atom or a literal: no split
+
+
+def _reference_split_terms(text):
+    # the former term rule: a "+" inside parentheses or after ",", ":" or a
+    # mantissa's e/E signs a number; the mantissa digit is any decimal
+    # digit, as float reads it
+    terms, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "+" and depth == 0:
+            before = text[start:i].rstrip()
+            if not (before.endswith((",", ":")) or re.search(r"[\d.][eE]$", before)):
+                terms.append(text[start:i])
+                start = i + 1
+    return terms + [text[start:]]
+
+
+def _reference_parse_operator(text):
+    with mock.patch.object(parametrix, "_split_at", lambda t, _: _reference_split_terms(t)), \
+            mock.patch.object(parametrix, "parse_spec", _reference_parse_spec):
+        return parametrix.parse_operator(text)
+
+
+def _parsed(parse, text):
+    try:
+        return repr(parse(text))  # repr tells 1 from 1.0
+    except ValueError:
+        return ValueError
+
+
+# texts that both grammars accept, signed and spaced numbers included, so
+# that the comparison below also meets trees and not only rejections
+_ACCEPTED_LEAVES = [
+    "exp", "sin", "cos", "recip", "poly:1,2", "poly:0.5,-1/3", "mvpoly:2:1", "poly:1e+5",
+    "poly:2.5E-3", "poly:+1,+2.5", "poly: +1 , .5e+3", "mvpoly:+2:+1/2", "poly:1.e+2,+.5",
+]
+_accepted_tree = st.recursive(
+    st.sampled_from(_ACCEPTED_LEAVES),
+    lambda kids: st.builds(
+        "{}({}{}{})".format, st.sampled_from(["compose", "sum", "prod"]), kids,
+        st.sampled_from([",", ", ", " ,\t"]), kids,
+    ),
+    max_leaves=6,
+)
+_accepted_operator = st.lists(
+    st.tuples(_accepted_tree, st.integers(0, 3)).map(
+        lambda t: f"{t[0]}*D^{t[1]}" if t[1] else t[0]
+    ),
+    min_size=1,
+    max_size=3,
+).flatmap(lambda terms: st.sampled_from([" + ", "+", " +\t", "+ +"]).map(lambda s: s.join(terms)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.one_of(_grammar_text, _accepted_tree, _accepted_operator))
+def test_split_rules_agree_with_the_try_every_split_reference(text):
+    # cutting at each "," that a spec name follows, and at each "+" that no
+    # digit or "." follows, accepts and rejects what the former rules did,
+    # with equal trees
+    assert _parsed(parse_spec, text) == _parsed(_reference_parse_spec, text)
+    assert _parsed(parse_operator, text) == _parsed(_reference_parse_operator, text)
 
 
 def _zero(v):

@@ -729,12 +729,12 @@ _PHI_CUTOFFS = {
 @given(data=st.data())
 def test_phi_differences_on_demand_match_the_eager_table(dim, data):
     # asked for in any order, each d^beta phi is bit-equal to its own chain
-    g = _PHI_CUTOFFS[dim].profile
+    g = _PHI_CUTOFFS[dim]
     n_max = 6 if g.dim == 1 else 4
     want = _eager_phi_table(g, n_max)
     pts = np.column_stack([axis.reshape(-1) for axis in g.meshgrid()])
     P = op_d() if g.dim == 1 else DiffOperator(1, 2, {(1, 0): MVPolySpec.from_dict(2, {(0, 0): 1})})
-    ev = GridEvaluator(SymbolAlgebra(P), pts, k_max=2, phi_samples=g)
+    ev = GridEvaluator(SymbolAlgebra(P), pts, k_max=2, phi=g)
     for beta in data.draw(st.permutations(list(want))):
         got = ev.phi_deriv(beta)
         assert got.dtype == complex and got.tobytes() == want[beta].tobytes(), beta
@@ -763,7 +763,7 @@ def test_growing_k_max_matches_an_evaluator_built_at_it():
     assert ev.k_max == 4
     grown = bound_audit(sums, beta_max=6, tau=1.0, sigma=2.0)
     assert ev.k_max > 4
-    fresh = GridEvaluator(system.algebra, ev.points, k_max=ev.k_max, phi_samples=phi.profile)
+    fresh = GridEvaluator(system.algebra, ev.points, k_max=ev.k_max, phi=phi)
     direct = bound_audit(dataclasses.replace(sums, evaluator=fresh), beta_max=6, tau=1.0, sigma=2.0)
     assert fresh.k_max == ev.k_max
     assert grown.coefficient_fits == direct.coefficient_fits
@@ -924,8 +924,8 @@ def test_parse_operator_grammar():
     ("D^2 + poly:+1e+5 + poly:-1,+2", "D^2 + poly:1e5 + poly:-1,2"),
 ])
 def test_parse_operator_reads_a_sign_as_the_spec_grammar_does(signed, plain):
-    # a "+" after "," or ":", or inside parentheses, signs a number, as
-    # in `gevrey fdb --f poly:+1,2`; only a "+" between terms splits
+    # a "+" that a digit or "." follows, or one inside parentheses, signs a
+    # number, as in `gevrey fdb --f poly:+1,2`; only a "+" between terms splits
     assert parse_operator(signed) == parse_operator(plain)
 
 

@@ -72,7 +72,7 @@ def test_gridfield_validation():
 def test_cutoff_invariants():
     u = catalog_field("bump")
     phi = make_cutoff((0.0,), 0.15, 0.4, u)
-    vals = phi.profile.samples
+    vals = phi.samples
     x = u.axis_coords(0)
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
     assert np.all(vals[np.abs(x) <= 0.15] == 1.0)
@@ -91,7 +91,7 @@ def test_cutoff_resolvability_and_bounds():
     # r_plateau 0 leaves phi = 1 at the center alone; below 0 nothing is
     with pytest.raises(ValueError, match="r_plateau = -0.1 is negative"):
         make_cutoff((0.0,), -0.1, 0.3, u)
-    assert make_cutoff((0.0,), 0.0, 0.3, u).profile.samples.max() == 1.0
+    assert make_cutoff((0.0,), 0.0, 0.3, u).samples.max() == 1.0
     # a center with the wrong number of coordinates once gave a stripe cutoff
     with pytest.raises(ValueError, match="needs 2 coordinates"):
         make_cutoff((0.0,), 0.12, 0.35, catalog_field("step2d"))
@@ -103,7 +103,7 @@ def test_cutoff_growth_admissible_for_requested_class():
     u = catalog_field("bump")
     phi = make_cutoff((0.0,), 0.15, 0.4, u)
     data = measure_derivative_growth(
-        phi.profile.samples, u.spacing[0], n_max=8
+        phi.samples, u.spacing[0], n_max=8
     )
     assert data.n_max >= 8
     fit = fit_regularity(data, [1.5, 2.0, 2.5, 3.0])
@@ -208,11 +208,10 @@ def test_half_support_cutoff_invariance():
     # Theorem-3.1-style consistency: verdicts survive support halving
     for name, expect in [("delta", False), ("bump", True)]:
         u = catalog_field(name)
-        big = make_cutoff((0.0,), 0.15, 0.4, u)
-        small = make_cutoff((0.0,), 0.08, 0.2, u)
-        for phi in (big, small):
+        for r_plateau, r_support in [(0.15, 0.4), (0.08, 0.2)]:
+            phi = make_cutoff((0.0,), r_plateau, r_support, u)
             prof = directional_decay_profile(FrequencyGrid(u, [CONE1]).spectrum(phi), CONE1, 40)
-            assert wf_point_test(prof, 1, 2).regular == expect, (name, phi.r_support)
+            assert wf_point_test(prof, 1, 2).regular == expect, (name, r_support)
 
 
 def _cutoff_reference(x0, r_plateau, r_support, grid):
@@ -257,7 +256,7 @@ def test_cutoffs_sharing_one_mollifier_equal_the_reference_across_threads():
     alone = []
     for job in jobs:
         _mollifier_transform.cache_clear()
-        alone.append(make_cutoff(*job).profile.samples)
+        alone.append(make_cutoff(*job).samples)
     _mollifier_transform.cache_clear()
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -267,7 +266,7 @@ def test_cutoffs_sharing_one_mollifier_equal_the_reference_across_threads():
     finally:
         sys.setswitchinterval(switch)
     for job, phi, ref in zip(jobs, got, alone):
-        assert np.array_equal(phi.profile.samples, ref), job[0]
+        assert np.array_equal(phi.samples, ref), job[0]
     assert _mollifier_transform.cache_info().currsize == 2  # one per grid and band
 
 
@@ -281,7 +280,7 @@ def test_windowed_cutoff_matches_the_full_grid_reference():
     for u, rp, rs, pts in cases:
         mesh = u.meshgrid()
         for pt in pts:
-            phi = make_cutoff(pt, rp, rs, u).profile.samples
+            phi = make_cutoff(pt, rp, rs, u).samples
             dist = np.sqrt(sum((m - c) ** 2 for m, c in zip(mesh, pt)))
             assert np.abs(phi - _cutoff_reference(pt, rp, rs, u)).max() <= 1e-13, pt
             assert (phi[dist <= rp] == 1.0).all() and (phi[dist >= rs] == 0.0).all(), pt
