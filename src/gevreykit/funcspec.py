@@ -2,9 +2,9 @@
 and their sums, products and compositions.
 
 Every spec knows its dimension, evaluates at points or numpy arrays,
-differentiates within the catalog (the catalog is closed under
-derivative and product, which the symbol algebra relies on), and
-produces its truncated Taylor jet at any admissible base point.  On
+and produces its truncated Taylor jet at any admissible base point; a
+jet is the only way the kit differentiates a spec (the symbol algebra
+reads d^beta of a coefficient off its jet).  On
 numpy arrays of base points, exact coefficients are rounded to floats,
 so such jets hold float arrays and never numpy object arrays.
 
@@ -68,16 +68,13 @@ def _float_on_grid(x: Number, grid: bool) -> Number:
 
 
 class FunctionSpec:
-    """Base class; subclasses implement dim, eval, derivative and jet."""
+    """Base class; subclasses implement dim, eval and jet."""
 
     @property
     def dim(self) -> int:
         raise NotImplementedError
 
     def eval(self, *xs):
-        raise NotImplementedError
-
-    def derivative(self, i: int = 0) -> "FunctionSpec":
         raise NotImplementedError
 
     def jet(self, base: tuple[Number, ...], K: int) -> Jet:
@@ -111,15 +108,6 @@ class MVPolySpec(FunctionSpec):
                     term = term * x
             out = out + term
         return out
-
-    def derivative(self, i: int = 0) -> "MVPolySpec":
-        new: dict[MultiIndex, Number] = {}
-        for expo, c in self.terms:
-            if expo[i] == 0:
-                continue
-            down = tuple(e - 1 if j == i else e for j, e in enumerate(expo))
-            new[down] = new.get(down, 0) + c * expo[i]
-        return MVPolySpec.from_dict(self.dimension, new)
 
     def jet(self, base: tuple[Number, ...], K: int) -> Jet:
         # each shifted monomial prod (b_i + h_i)^{e_i} is expanded one axis
@@ -169,9 +157,6 @@ class ExpSpec(FunctionSpec):
 
     def eval(self, x):
         return _elementary("exp", x)
-
-    def derivative(self, i: int = 0) -> "ExpSpec":
-        return ExpSpec()
 
     def jet(self, base: tuple[Number, ...], K: int) -> Jet:
         (b,) = base
@@ -225,9 +210,6 @@ class SinSpec(FunctionSpec):
     def eval(self, x):
         return _elementary("sin", x)
 
-    def derivative(self, i: int = 0) -> "FunctionSpec":
-        return CosSpec()
-
     def jet(self, base: tuple[Number, ...], K: int) -> Jet:
         return _trig_jet(base, K, 0)
 
@@ -240,9 +222,6 @@ class CosSpec(FunctionSpec):
 
     def eval(self, x):
         return _elementary("cos", x)
-
-    def derivative(self, i: int = 0) -> "FunctionSpec":
-        return ProdSpec(PolySpec((-1,)), SinSpec())
 
     def jet(self, base: tuple[Number, ...], K: int) -> Jet:
         return _trig_jet(base, K, 1)
@@ -270,9 +249,6 @@ class RecipPowSpec(FunctionSpec):
         if isinstance(x, (int, Fraction)):
             return Fraction(1) / Fraction(x) ** self.power
         return 1.0 / x**self.power
-
-    def derivative(self, i: int = 0) -> "FunctionSpec":
-        return ProdSpec(PolySpec((-self.power,)), RecipPowSpec(self.power + 1))
 
     def jet(self, base: tuple[Number, ...], K: int) -> Jet:
         (b,) = base
@@ -308,12 +284,6 @@ class ComposeSpec(FunctionSpec):
     def eval(self, *xs):
         return self.outer.eval(self.inner.eval(*xs))
 
-    def derivative(self, i: int = 0) -> "FunctionSpec":
-        return ProdSpec(
-            ComposeSpec(self.outer.derivative(0), self.inner),
-            self.inner.derivative(i),
-        )
-
     def jet(self, base: tuple[Number, ...], K: int) -> Jet:
         g = self.inner.jet(base, K)
         v = g.value
@@ -342,9 +312,6 @@ class SumSpec(FunctionSpec):
     def eval(self, *xs):
         return self.left.eval(*xs) + self.right.eval(*xs)
 
-    def derivative(self, i: int = 0) -> "FunctionSpec":
-        return SumSpec(self.left.derivative(i), self.right.derivative(i))
-
     def jet(self, base: tuple[Number, ...], K: int) -> Jet:
         return jet_add(self.left.jet(base, K), self.right.jet(base, K))
 
@@ -364,12 +331,6 @@ class ProdSpec(FunctionSpec):
 
     def eval(self, *xs):
         return self.left.eval(*xs) * self.right.eval(*xs)
-
-    def derivative(self, i: int = 0) -> "FunctionSpec":
-        return SumSpec(
-            ProdSpec(self.left.derivative(i), self.right),
-            ProdSpec(self.left, self.right.derivative(i)),
-        )
 
     def jet(self, base: tuple[Number, ...], K: int) -> Jet:
         return jet_mul(self.left.jet(base, K), self.right.jet(base, K))

@@ -75,7 +75,8 @@ def _axis_degrees(spec: FunctionSpec, dim: int) -> tuple[int, ...] | None:
     spec (a product with a zero factor included), None when not polynomial.
 
     d^beta(spec) vanishes identically when beta_i exceeds the axis-i
-    degree; used to prune structurally zero factors from the term ring.
+    degree; used to prune structurally zero factors from the term ring
+    and structurally zero coefficients from an operator.
     """
     zero = (-1,) * dim
     if isinstance(spec, MVPolySpec):
@@ -107,13 +108,15 @@ class DiffOperator:
             raise ValueError(f"operators support d = 1 to {MAX_DIM}")
         if self.order > MAX_ORDER_M:
             raise ValueError(f"operator order limited to {MAX_ORDER_M}")
-        if not any(mi_order(a) == self.order for a in self.coeffs):
-            raise ValueError("no coefficient at the stated order")
         for a, c in self.coeffs.items():
             if len(a) != self.dim:
                 raise ValueError("coefficient index dimension mismatch")
             if c.dim != self.dim:
                 raise ValueError("coefficient spec dimension mismatch")
+        # a structurally zero coefficient (poly:0, prod(poly:0,sin)) is no term
+        zero = (-1,) * self.dim
+        if all(_axis_degrees(c, self.dim) == zero for c in self.principal().values()):
+            raise ValueError("no coefficient at the stated order")
 
     def principal(self) -> dict[MultiIndex, FunctionSpec]:
         return {a: c for a, c in self.coeffs.items() if mi_order(a) == self.order}
@@ -186,29 +189,6 @@ def principal_symbol(P: DiffOperator, x: tuple | float, xi: tuple | float) -> co
 
 
 # ---------------------------------------------------------------------------
-# transpose
-
-
-def transpose(P: DiffOperator) -> DiffOperator:
-    """Formal transpose: b_beta = sum_{alpha >= beta} (-1)^{|alpha|}
-    binom(alpha, beta) (-i)^{|alpha - beta|} d^{alpha-beta} a_alpha."""
-    out: dict[MultiIndex, FunctionSpec] = {}
-    for alpha, a_spec in P.coeffs.items():
-        for beta in mi_range(alpha):
-            diff = mi_sub(alpha, beta)
-            scale = (-1) ** mi_order(alpha) * mi_binomial(alpha, beta) * (-1j) ** mi_order(diff)
-            spec = a_spec
-            for axis, k in enumerate(diff):
-                for _ in range(k):
-                    spec = spec.derivative(axis)
-            if _axis_degrees(spec, P.dim) == (-1,) * P.dim:
-                continue
-            term = ProdSpec(_const_spec(scale, P.dim), spec)
-            out[beta] = SumSpec(out[beta], term) if beta in out else term
-    return DiffOperator(P.order, P.dim, out)
-
-
-# ---------------------------------------------------------------------------
 # the symbol term ring
 
 Factor = tuple[int, MultiIndex]  # (registry id, derivative multi-index)
@@ -253,8 +233,9 @@ class _Table(dict):
 
 
 class SymbolAlgebra:
-    """Term ring over a fixed operator: registry of coefficient specs,
-    differentiation, products with reduction-operator coefficients.
+    """Term ring over a fixed operator: registry of coefficient specs (P's
+    own coefficients, and phi when it is a catalog spec), differentiation,
+    products with reduction-operator coefficients.
 
     Every key's factor tuple is sorted: keys are built by `_term_key` or
     read from the tables below, which hold sorted tuples only.  The
@@ -405,8 +386,16 @@ class ReductionSystem:
 
 
 def build_reduction_operators(P: DiffOperator) -> ReductionSystem:
-    """Expand the conjugated transpose and collect by xi-homogeneity.
+    """Expand the conjugated transpose in the ring, from P's own
+    coefficients, and collect by xi-homogeneity:
 
+        e^{ix.xi} P^T(w e^{-ix.xi} / P_m)
+            = sum_alpha (-1)^{|alpha|} (D - xi)^alpha (a_alpha w / P_m)
+            = sum (-1)^{|beta|} binom(alpha, beta) binom(beta, gamma)
+                  xi^{alpha-beta} D^{beta-gamma}(a_alpha / P_m) D^gamma w,
+
+    over gamma <= beta <= alpha; a term is homogeneous of degree
+    -(m - |alpha - beta|).  A structurally zero a_alpha adds nothing.
     The degree-0 part must be exactly the identity (checked numerically
     at three probe points and two xi, to 1e-9); degrees -1..-m become
     R_1..R_m via I - R.
@@ -415,27 +404,23 @@ def build_reduction_operators(P: DiffOperator) -> ReductionSystem:
         raise ValueError(f"operator order {P.order}: the parametrix needs order >= 1")
     algebra = SymbolAlgebra(P)
     m, d = P.order, P.dim
-    PT = transpose(P)
     zero = algebra.zero_mi()
-    # D^gamma (1/P_m) for every |gamma| <= m
-    inv_pm = algebra.d_op({_term_key([], zero, 1, None): 1.0 + 0.0j}, m)
 
     collected: dict[tuple[int, MultiIndex], SymbolSum] = {}
-    for alpha, b_spec in PT.coeffs.items():
-        b_id = algebra.register(b_spec)
+    for alpha, a_spec in P.coeffs.items():
+        if _axis_degrees(a_spec, d) == (-1,) * d:
+            continue
+        # D^delta (a_alpha / P_m) for every |delta| <= |alpha|
+        a_over_pm = {_term_key([(algebra.register(a_spec), zero)], zero, 1, None): 1.0 + 0.0j}
+        table = algebra.d_op(a_over_pm, mi_order(alpha))
         for beta in mi_range(alpha):
             amb = mi_sub(alpha, beta)
             j = m - mi_order(amb)
             for gamma in mi_range(beta):
-                base = (
-                    mi_binomial(alpha, beta)
-                    * mi_binomial(beta, gamma)
-                    * (-1) ** mi_order(amb)
-                )
-                acc = collected.setdefault((j, mi_sub(beta, gamma)), {})
-                for (f, g, k, p), s in inv_pm[gamma].items():
-                    nf = list(f) + [(b_id, zero)]
-                    _sum_add(acc, _term_key(nf, mi_add(g, amb), k, p), s * base)
+                base = (-1) ** mi_order(beta) * mi_binomial(alpha, beta) * mi_binomial(beta, gamma)
+                acc = collected.setdefault((j, gamma), {})
+                for (f, g, k, p), s in table[mi_sub(beta, gamma)].items():
+                    _sum_add(acc, (f, mi_add(g, amb), k, p), s * base)
 
     # degree bookkeeping is exact by construction; assert it anyway
     for (j, _), S in collected.items():

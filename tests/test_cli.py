@@ -413,6 +413,10 @@ def test_bad_literals_in_specs_and_operators_exit_1(tmp_path, capsys):
         "order_0_D": (["parametrix", "--op", "D^0"] + small, "operator order 0: the parametrix"),
         "no_term": (["parametrix", "--op", "+"] + small, "operator '+' has no term"),
         "blank": (["parametrix", "--op", " "] + small, "operator ' ' has no term"),
+        "zero_principal": (["parametrix", "--op", "poly:0*D^2 + D"] + small,
+                           "no coefficient at the stated order"),
+        "zero_principal_prod": (["parametrix", "--op", "prod(poly:0,sin)*D^2 + D + poly:1"] + small,
+                                "no coefficient at the stated order"),
         "neg_expo": (["fdb", "--f", "poly:0,0,1", "--g", "mvpoly:-1,2:3", "--alpha", "1,0",
                       "--at", "2,3", "--check-jet"], "'-1,2'"),
         "fdb_nan": (["fdb", "--f", "compose(exp,poly:0,nan)", "--g", "sin", "--alpha", "1",

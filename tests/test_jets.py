@@ -126,27 +126,6 @@ def test_recip_jet_exact_and_pole():
         jet_of(RecipPowSpec(1), (0,), 2)
 
 
-def test_spec_derivatives_close_catalog():
-    # derivative specs evaluate to the jet's first-order coefficient
-    specs = [
-        parse_spec("poly:1,2,3"),
-        parse_spec("exp"),
-        parse_spec("sin"),
-        parse_spec("cos"),
-        parse_spec("compose(exp,poly:0,0,1)"),
-        parse_spec("prod(sin,cos)"),
-        parse_spec("sum(poly:0,1,recip)"),
-    ]
-    for spec in specs:
-        d = spec.derivative(0)
-        for x in (0.4, 1.2):
-            j = jet_of(spec, (x,), 1)
-            assert math.isclose(
-                complex(d.eval(x)).real, complex(jet_partial(j, (1,))).real,
-                rel_tol=1e-12, abs_tol=1e-14,
-            )
-
-
 def test_parse_spec_grammar():
     assert parse_spec("poly:1/2,0,1").eval(Fraction(2)) == Fraction(9, 2)
     assert parse_spec("mvpoly:1,1:1;2,0:1/2").eval(2, 3) == 8

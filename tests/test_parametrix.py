@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import importlib.util
 import math
@@ -41,9 +42,9 @@ from gevreykit.parametrix import (
     inv_pm_derivative_jet_check,
     neumann_sums,
     parse_operator,
+    principal_spec,
     principal_symbol,
     residual_identity_check,
-    transpose,
     word_count_recurrence,
     word_weight,
 )
@@ -129,48 +130,65 @@ def test_ellipticity_examples():
     assert r3.char_hit is not None
 
 
-def test_transpose_examples():
-    pt = transpose(op_d())
-    assert pt.coeffs[(1,)].eval(0.3) == -1
-    # multiplication operator is self-transpose
-    mult = DiffOperator(0, 1, {(0,): PolySpec((0, 0, 1))})
-    ptm = transpose(mult)
-    assert ptm.coeffs[(0,)].eval(0.5) == pytest.approx(0.25)
-    # P = x D: b1 = -x, b0 = i
-    pxd = transpose(DiffOperator(1, 1, {(1,): PolySpec((0, 1))}))
-    assert pxd.coeffs[(1,)].eval(2.0) == -2
-    assert pxd.coeffs[(0,)].eval(2.0) == 1j
+def _conjugated_transpose_by_jets(P, w, x, xi):
+    """e^{ix.xi} sum_alpha (-1)^{|alpha|} (-i)^{|alpha|} d^alpha(a_alpha w
+    (1/P_m) e^{-ix.xi}) at x, read off the jet of each product: the
+    definition of I - R, with no symbol ring."""
+    d = P.dim
+    phase = MVPolySpec.from_dict(d, {tuple(int(i == t) for i in range(d)): -1j * xi[t]
+                                     for t in range(d)})
+    tail = ProdSpec(w, ProdSpec(ComposeSpec(RecipPowSpec(1), principal_spec(P, xi)),
+                                ComposeSpec(ExpSpec(), phase)))
+    total = 0.0
+    for alpha, a in P.coeffs.items():
+        n = sum(alpha)
+        d_alpha = complex(jet_partial(jet_of(ProdSpec(a, tail), x, n), alpha))
+        total += (-1) ** n * (-1j) ** n * d_alpha
+    return cmath.exp(1j * sum(u * v for u, v in zip(x, xi))) * total
 
 
-def test_transpose_adjoint_identity_by_quadrature():
-    # int (Pu) v = int u (P^T v) with polynomial u, v vanishing at the ends
-    P = DiffOperator(
-        2, 1, {(2,): PolySpec((1, 0, 1)), (1,): PolySpec((0, 1)), (0,): PolySpec((2,))}
-    )
-    PT = transpose(P)
-    nodes, weights = np.polynomial.legendre.leggauss(40)
+# the catalog operators, m = 1..3 and variable principal parts among them,
+# and a 2-D operator with a mixed and a lower-order term: (operator, w)
+_DEFINITION_CASES = {
+    **{make.__name__: (make(), ComposeSpec(SinSpec(), PolySpec((0.3, 1.2, -0.5))))
+       for make in CATALOG_OPS + [op_d3]},
+    "m3_readme": (parse_operator("D^3 + compose(sin,poly:1/2,1)*D^2 + exp*D + poly:2"),
+                  SumSpec(ExpSpec(), PolySpec((0, 1, 0, -2)))),
+    "2d_mixed": (
+        DiffOperator(2, 2, {
+            (2, 0): MVPolySpec.from_dict(2, {(0, 0): 2, (1, 0): 1}),
+            (0, 2): ComposeSpec(ExpSpec(), MVPolySpec.from_dict(2, {(0, 1): 1})),
+            (1, 1): MVPolySpec.from_dict(2, {(0, 0): 1}),
+            (0, 1): ComposeSpec(SinSpec(), MVPolySpec.from_dict(2, {(1, 0): 1})),
+            (0, 0): MVPolySpec.from_dict(2, {(1, 1): 3}),
+        }),
+        ComposeSpec(CosSpec(), MVPolySpec.from_dict(2, {(0, 0): 0.2, (1, 0): 1, (1, 1): -0.7})),
+    ),
+}
 
-    def apply(op, spec):
-        out = None
-        for a, c in op.coeffs.items():
-            term = spec
-            for _ in range(a[0]):
-                term = term.derivative(0)
-            scaled = (-1j) ** a[0]
-            vals = np.array([complex(c.eval(float(t))) * scaled * complex(term.eval(float(t))) for t in nodes])
-            out = vals if out is None else out + vals
-        return out
 
-    # u, v vanish to third order at the interval ends
-    u = PolySpec((0, 0, 0, 1, 0, -1))  # x^3 (1 - x^2)
-    v = PolySpec((1, 0, -3, 0, 3, 0, -1))  # (1 - x^2)^3
-    pu = apply(P, u)
-    ptv = apply(PT, v)
-    uv = np.array([complex(u.eval(float(t))) for t in nodes])
-    vv = np.array([complex(v.eval(float(t))) for t in nodes])
-    lhs = np.sum(weights * pu * vv)
-    rhs = np.sum(weights * uv * ptv)
-    assert abs(lhs - rhs) <= 1e-10
+@pytest.mark.parametrize("name", sorted(_DEFINITION_CASES))
+def test_reduction_operators_match_the_conjugated_transpose_by_jets(name):
+    # w - sum_{j, gamma} c_{gamma,j} D^gamma w against the definition
+    P, w = _DEFINITION_CASES[name]
+    system = build_reduction_operators(P)
+    if P.dim == 1:
+        xs, xis = [(0.15,), (-0.4,)], [(3.0,), (-7.5,)]
+    else:
+        xs, xis = [(0.15, -0.3), (-0.4, 0.25)], [(3.0, 1.0), (-2.0, 7.5)]
+    ev = GridEvaluator(system.algebra, np.array(xs), k_max=P.order + 1)
+    cells = [
+        (gamma, ev.eval_sum(c, xis)) for op in system.operators for gamma, c in op.action.items()
+    ]
+    for i, x in enumerate(xs):
+        w_jet = jet_of(w, x, P.order)
+        for k, xi in enumerate(xis):
+            reduced = complex(w_jet.value) - sum(
+                vals[k, i] * (-1j) ** sum(gamma) * complex(jet_partial(w_jet, gamma))
+                for gamma, vals in cells
+            )
+            want = _conjugated_transpose_by_jets(P, w, x, xi)
+            assert abs(reduced - want) <= 1e-12 * abs(want), (x, xi)
 
 
 def test_inv_pm_examples_and_jet_check():
@@ -203,7 +221,8 @@ def test_reduction_operators_examples():
     ((key, scale),) = list(act[(1,)].items())
     factors, gamma, kpow, phi = key
     assert gamma == (0,) and kpow == 1 and phi is None
-    assert scale == -1  # times b_1 = -1 gives +1/xi
+    assert factors == ((sys1.algebra.principal_ids[(1,)], (0,)),)
+    assert scale == 1  # times a_1 = 1 gives +1/xi
 
     # P = D + a(x): c_{0,1} = -a/xi
     sys2 = build_reduction_operators(op_d_plus_x())
@@ -215,6 +234,65 @@ def test_reduction_operators_examples():
     assert [op.j for op in sys3.operators] == [1, 2]
     assert set(sys3.operators[0].action.keys()) == {(1,)}
     assert set(sys3.operators[1].action.keys()) == {(2,)}
+
+
+@pytest.mark.parametrize("text", ["poly:0*D^2 + D", "prod(poly:0,sin)*D^2 + D + poly:1"])
+def test_a_structurally_zero_principal_part_is_rejected(text):
+    with pytest.raises(ValueError, match="no coefficient at the stated order"):
+        parse_operator(text)
+
+
+def test_a_structurally_zero_lower_order_coefficient_adds_no_term():
+    with_zero = build_reduction_operators(parse_operator("D^2 + poly:0*D + poly:1"))
+    without = build_reduction_operators(parse_operator("D^2 + poly:1"))
+    assert [(op.j, op.action) for op in with_zero.operators] == [
+        (op.j, op.action) for op in without.operators
+    ]
+
+
+def test_registry_holds_p_coefficients_with_exact_jets():
+    # a polynomial operator's reduction coefficients read only its own
+    # coefficients, whose jets at a rational point are exact
+    P = parse_operator("poly:1/2,0,1*D^2 + poly:0,1*D + poly:1/3")
+    registry = build_reduction_operators(P).algebra.registry
+    assert [id(spec) for spec in registry] == [id(c) for c in P.coeffs.values()]
+    for spec in registry:
+        jet = jet_of(spec, (Fraction(1, 3),), 6)
+        assert all(type(v) in (int, Fraction) for v in jet.coeffs.values()), spec
+
+
+_EXACT_IDENTITY_CASES = {
+    "readme_N8": ("D^2 + sin*D + poly:1", 8),
+    "readme_N12": ("D^2 + sin*D + poly:1", 12),
+    "m3_readme_N10": ("D^3 + compose(sin,poly:1/2,1)*D^2 + exp*D + poly:2", 10),
+    "sum_principal_N10": ("sum(poly:2,sin)*D", 10),
+    "2d_mixed_N4": (_DEFINITION_CASES["2d_mixed"][0], 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_IDENTITY_CASES))
+def test_neumann_identity_holds_exactly_in_the_ring(name):
+    # w_N - R w_N + e_N merges to phi's unit term and nothing else: every
+    # scale is a Gaussian integer, so the telescoping cancels exactly
+    op, N = _EXACT_IDENTITY_CASES[name]
+    P = parse_operator(op) if isinstance(op, str) else op
+    system = build_reduction_operators(P)
+    if P.dim == 1:
+        phi, grid, xis = PHI, X_GRID[::64], [8.0]
+    else:
+        phi = MVPolySpec.from_dict(2, {(0, 0): 1, (2, 0): -1, (0, 2): -1})
+        grid, xis = np.array([(0.1, -0.2), (0.3, 0.25)]), [(6.0, 2.0)]
+    sums = neumann_sums(system, phi, N=N, x_grid=grid, xi_samples=xis)
+    m = P.order
+
+    def apply(S, j):
+        return _apply_reduction(system, system.operators[j - 1], S)
+
+    e_sum = _merge(apply(_merge(sums.layers[max(0, N - m - j + 1):]), j) for j in range(1, m + 1))
+    r_of_w = _merge(apply(sums.w_sum, j) for j in range(1, m + 1))
+    zero = system.algebra.zero_mi()
+    total = _merge([sums.w_sum, {k: -v for k, v in r_of_w.items()}, e_sum])
+    assert total == {((), zero, 0, zero): 1 + 0j}
 
 
 def test_reduction_homogeneity_symbolic():
