@@ -278,7 +278,6 @@ def _cmd_parametrix(args) -> tuple[dict, dict]:
         "word_count_matches_recurrence": len(sums.w_words) == expected,
         "K1": sums.K1,
         "K2": sums.K2,
-        "identity_residual_probe": system.identity_residual,
         "audit_ok": audit.ok(),
         "coefficient_fits": [
             [j, list(alpha), A, h] for (j, alpha), (A, h) in audit.coefficient_fits.items()

@@ -46,6 +46,7 @@ from .funcspec import (
 from .jets import Jet, jet_chain_partial, jet_of, jet_partial
 from .multiindex import (
     MultiIndex,
+    check_entries,
     mi_add,
     mi_binomial,
     mi_derivative,
@@ -113,9 +114,15 @@ class DiffOperator:
                 raise ValueError("coefficient index dimension mismatch")
             if c.dim != self.dim:
                 raise ValueError("coefficient spec dimension mismatch")
-        # a structurally zero coefficient (poly:0, prod(poly:0,sin)) is no term
+            check_entries(a)
+            if mi_order(a) > self.order:
+                raise ValueError(f"coefficient index {a} exceeds the operator order {self.order}")
+        # a structurally zero coefficient (poly:0, prod(poly:0,sin)) is no
+        # term: it is dropped here, so every reader of coeffs sees terms only
         zero = (-1,) * self.dim
-        if all(_axis_degrees(c, self.dim) == zero for c in self.principal().values()):
+        terms = {a: c for a, c in self.coeffs.items() if _axis_degrees(c, self.dim) != zero}
+        object.__setattr__(self, "coeffs", terms)
+        if not self.principal():
             raise ValueError("no coefficient at the stated order")
 
     def principal(self) -> dict[MultiIndex, FunctionSpec]:
@@ -382,7 +389,6 @@ class ReductionOperator:
 class ReductionSystem:
     algebra: SymbolAlgebra
     operators: list[ReductionOperator]
-    identity_residual: float
 
 
 def build_reduction_operators(P: DiffOperator) -> ReductionSystem:
@@ -395,21 +401,19 @@ def build_reduction_operators(P: DiffOperator) -> ReductionSystem:
                   xi^{alpha-beta} D^{beta-gamma}(a_alpha / P_m) D^gamma w,
 
     over gamma <= beta <= alpha; a term is homogeneous of degree
-    -(m - |alpha - beta|).  A structurally zero a_alpha adds nothing.
-    The degree-0 part must be exactly the identity (checked numerically
-    at three probe points and two xi, to 1e-9); degrees -1..-m become
-    R_1..R_m via I - R.
+    -(m - |alpha - beta|).  The degree-0 part must be the identity
+    P_m / P_m, one term a_alpha xi^alpha P_m^-1 per principal coefficient
+    with scale 1, and is checked exactly in the ring; degrees -1..-m
+    become R_1..R_m via I - R.
     """
     if P.order < 1:
         raise ValueError(f"operator order {P.order}: the parametrix needs order >= 1")
     algebra = SymbolAlgebra(P)
-    m, d = P.order, P.dim
+    m = P.order
     zero = algebra.zero_mi()
 
     collected: dict[tuple[int, MultiIndex], SymbolSum] = {}
     for alpha, a_spec in P.coeffs.items():
-        if _axis_degrees(a_spec, d) == (-1,) * d:
-            continue
         # D^delta (a_alpha / P_m) for every |delta| <= |alpha|
         a_over_pm = {_term_key([(algebra.register(a_spec), zero)], zero, 1, None): 1.0 + 0.0j}
         table = algebra.d_op(a_over_pm, mi_order(alpha))
@@ -428,17 +432,10 @@ def build_reduction_operators(P: DiffOperator) -> ReductionSystem:
             if algebra.degree(key) != -j:
                 raise AssertionError("homogeneity bookkeeping failed")
 
-    # the degree-0 cell must be the identity
-    probe_points = [tuple(0.17 + 0.23 * i + 0.11 * ax for ax in range(d)) for i in range(3)]
-    probe_xi = [tuple(3.0 + 1.5 * i for _ in range(d)) for i in range(2)]
-    ident = collected.get((0, zero), {})
-    ev = GridEvaluator(algebra, np.array(probe_points, dtype=float), k_max=m + 1)
-    resid = float(np.max(np.abs(ev.eval_sum(ident, probe_xi) - 1.0)))
-    if resid > 1e-9:
-        raise ValueError(f"degree-0 part differs from the identity by {resid:.2e}")
-    for (j, a), S in collected.items():
-        if j == 0 and a != zero and S:
-            raise AssertionError("degree-0 cell carries a differential part")
+    # the degree-0 cells must be exactly P_m * P_m^-1, term by term
+    identity = {(f, g, 1, p): s for (f, g, _, p), s in algebra.principal_sum().items()}
+    if {cell: S for cell, S in collected.items() if cell[0] == 0} != {(0, zero): identity}:
+        raise AssertionError("degree-0 part is not the identity P_m / P_m")
 
     ops = []
     for j in range(1, m + 1):
@@ -447,7 +444,7 @@ def build_reduction_operators(P: DiffOperator) -> ReductionSystem:
             if jj == j and S:
                 action[a] = {k: -v for k, v in S.items()}
         ops.append(ReductionOperator(j=j, action=action))
-    return ReductionSystem(algebra=algebra, operators=ops, identity_residual=resid)
+    return ReductionSystem(algebra=algebra, operators=ops)
 
 
 # ---------------------------------------------------------------------------

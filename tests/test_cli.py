@@ -455,6 +455,14 @@ def test_fraction_coefficients_on_the_grid_exit_0(tmp_path):
         assert code == 0 and rep["result"]["audit_ok"] is True, name
 
 
+def test_a_principal_zero_off_the_grid_builds_and_reports(tmp_path):
+    # P_m = (x - 0.17) xi^2 vanishes on no point of the 64-grid; the
+    # reduction build evaluates nothing, so no point of its own trips it
+    code, rep = run(["parametrix", "--op", "poly:-0.17,1*D^2", "--N", "3", "--grid", "64",
+                     "--beta-max", "1"], tmp_path)
+    assert code == 0 and rep["result"]["residual_ok"] is True
+
+
 def test_wf_scan_rejects_points_off_the_field_dimension(tmp_path, capsys):
     outdir = os.path.join(tmp_path, "fields")
     main(["catalog", "--out", outdir])

@@ -33,6 +33,7 @@ from gevreykit.parametrix import (
     GridEvaluator,
     SymbolAlgebra,
     _apply_reduction,
+    _axis_degrees,
     _merge,
     bound_audit,
     build_reduction_operators,
@@ -248,6 +249,43 @@ def test_a_structurally_zero_lower_order_coefficient_adds_no_term():
     assert [(op.j, op.action) for op in with_zero.operators] == [
         (op.j, op.action) for op in without.operators
     ]
+
+
+def test_a_structurally_zero_principal_coefficient_is_no_term():
+    # beside a non-zero one: P holds one principal term, and so does P_m
+    P = DiffOperator(2, 2, {
+        (2, 0): MVPolySpec.from_dict(2, {(0, 0): 0}),
+        (0, 2): MVPolySpec.from_dict(2, {(1, 0): 1, (0, 0): 2}),
+        (1, 0): MVPolySpec.from_dict(2, {(0, 1): 0}),
+        (0, 0): MVPolySpec.from_dict(2, {(1, 1): 1}),
+    })
+    assert list(P.coeffs) == [(0, 2), (0, 0)]
+    algebra = build_reduction_operators(P).algebra
+    assert len(algebra.principal_sum()) == 1
+    assert [id(spec) for spec in algebra.registry] == [id(c) for c in P.coeffs.values()]
+
+
+@pytest.mark.parametrize("order,coeffs,index", [
+    (1, {(-1,): PolySpec((0, 1)), (1,): PolySpec((1,))}, "(-1,)"),
+    (2, {(3,): PolySpec((1,)), (2,): PolySpec((1,))}, "(3,)"),
+])
+def test_an_index_negative_or_above_the_order_is_rejected(order, coeffs, index):
+    with pytest.raises(ValueError) as exc:
+        DiffOperator(order, 1, coeffs)
+    assert index in str(exc.value) and "\n" not in str(exc.value)
+
+
+def test_the_degree_0_cell_is_checked_by_its_terms(monkeypatch):
+    # a principal coefficient registered afresh by the build makes the
+    # degree-0 cell equal to 1 at every point, but not the term P_m / P_m
+    def register_afresh(self, spec):
+        self.registry.append(spec)
+        self.registry_degrees.append(_axis_degrees(spec, self.dim))
+        return len(self.registry) - 1
+
+    monkeypatch.setattr(SymbolAlgebra, "register", register_afresh)
+    with pytest.raises(AssertionError, match="degree-0"):
+        build_reduction_operators(parse_operator("D^2 + sin*D + poly:1"))
 
 
 def test_registry_holds_p_coefficients_with_exact_jets():
