@@ -136,7 +136,7 @@ _TERM_MARKS = re.compile(r"[()]|\+(?![\d.])")
 
 def _d_power(d: str, term: str) -> int:
     """k of a term's D or D^k factor."""
-    match = re.fullmatch(r"D(?:\^ *(-?\d+))?", d.strip())
+    match = re.fullmatch(r"D(?:\^ *(\d+))?", d.strip())
     if match is None:
         raise ValueError(f"malformed derivative power in term {term!r}")
     return int(match[1] or 1)
@@ -159,8 +159,6 @@ def parse_operator(text: str) -> DiffOperator:
         else:
             k = 0
             spec = parse_spec(part)
-        if k < 0:
-            raise ValueError(f"derivative power must be non-negative, got {part!r}")
         key = (k,)
         coeffs[key] = SumSpec(coeffs[key], spec) if key in coeffs else spec
     if not coeffs:
@@ -459,7 +457,9 @@ class GridEvaluator:
     from it.  phi is either a registry spec read the same way or a
     cutoff sampled on the grid of the points (row-major): d^beta phi is
     then the centered difference (np.gradient) of its predecessor, taken
-    on first use and kept.
+    on first use and kept.  P_m and each power P_m^k that a sum divides
+    by are evaluated once per xi list and shared read-only by every sum
+    evaluated at that list.
     """
 
     def __init__(
@@ -486,6 +486,7 @@ class GridEvaluator:
         self._jets: dict[int, Jet] = {}
         self._derivs: dict[Factor, np.ndarray] = {}
         self._pm: dict[tuple, np.ndarray] = {}
+        self._pm_powers: dict[tuple[tuple, int], np.ndarray] = {}
 
     def _ensure_order(self, order: int) -> None:
         # audits may differentiate beyond the order anticipated at build
@@ -529,6 +530,20 @@ class GridEvaluator:
             pm.flags.writeable = False
         return pm
 
+    def _pm_power(self, xis: tuple, k: int) -> np.ndarray:
+        """P_m^k (k >= 1) at every (xi, x), computed once per (xi list, k)
+        and read-only.  k = 1 is P_m itself: pm**1 differs from pm only in
+        the sign of a complex zero, which a quotient does not read.  For
+        k >= 2 the table keeps pm**k, which repeated products need not
+        equal bit for bit."""
+        if k == 1:
+            return self.pm(xis)
+        power = self._pm_powers.get((xis, k))
+        if power is None:
+            power = self._pm_powers[xis, k] = self.pm(xis) ** k
+            power.flags.writeable = False
+        return power
+
     def eval_sum(self, S: SymbolSum, xis: Sequence[tuple]) -> np.ndarray:
         """S at every (xi, x): an (n_xi, n_points) array.
 
@@ -544,12 +559,18 @@ class GridEvaluator:
             if phi is not None:
                 vec = vec * self.phi_deriv(phi)
             groups[gamma, kpow] = groups.get((gamma, kpow), 0.0) + vec
+        xis = tuple(xis)
         out = np.zeros((len(xis), len(self.points)), dtype=complex)
-        pm = self.pm(xis) if any(kpow for _, kpow in groups) else None
+        # one buffer holds every group's part: fresh (n_xi, n_points) arrays
+        # per group sit just above malloc's mmap threshold, so their page
+        # faults, and the run's time, would depend on unrelated allocations
+        part = np.empty_like(out)
         for (gamma, kpow), vec in groups.items():
             mono = np.array([_xi_monomial(gamma, xi) for xi in xis])
-            part = vec * mono[:, None]
-            out += part / pm**kpow if kpow else part
+            np.multiply(vec, mono[:, None], out=part)
+            if kpow:
+                part /= self._pm_power(xis, kpow)
+            out += part
         return out
 
 

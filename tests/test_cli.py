@@ -403,8 +403,10 @@ def test_bad_literals_in_specs_and_operators_exit_1(tmp_path, capsys):
         "inf": (["parametrix", "--op", "D^2 + poly:1,inf"] + small, "'inf'"),
         "huge": (["parametrix", "--op", "D^2 + sin*D + poly:1e999"] + small, "'1e999'"),
         "zero_den": (["parametrix", "--op", "D^2 + poly:1/0"] + small, "'1/0'"),
-        "neg_power": (["parametrix", "--op", "D^-1"] + small, "'D^-1'"),
-        "neg_power_coeff": (["parametrix", "--op", "D^2 + sin*D^-2"] + small, "D^-2"),
+        "neg_power": (["parametrix", "--op", "D^-1"] + small,
+                      "malformed derivative power in term 'D^-1'"),
+        "neg_power_coeff": (["parametrix", "--op", "D^2 + sin*D^-2"] + small,
+                            "malformed derivative power in term 'sin*D^-2'"),
         "no_caret": (["parametrix", "--op", "poly:1*D3"] + small,
                      "malformed derivative power in term 'poly:1*D3'"),
         "no_power": (["parametrix", "--op", "D^ + poly:1"] + small,

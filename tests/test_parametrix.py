@@ -1004,6 +1004,82 @@ def test_eval_sum_rows_match_single_xi_calls():
             assert abs(vals[i, j] - want) <= 1e-14 * abs(want)
 
 
+def _reference_eval_sum(ev, S, xis):
+    # eval_sum's arithmetic with P_m^k computed afresh for every group
+    groups = {}
+    for (factors, gamma, kpow, phi), scale in S.items():
+        vec = np.full(len(ev.points), scale, dtype=complex)
+        for sid, beta in factors:
+            vec = vec * ev.deriv(sid, beta)
+        if phi is not None:
+            vec = vec * ev.phi_deriv(phi)
+        groups[gamma, kpow] = groups.get((gamma, kpow), 0.0) + vec
+    out = np.zeros((len(xis), len(ev.points)), dtype=complex)
+    pm = ev.eval_sum(ev.algebra.principal_sum(), xis)
+    for (gamma, kpow), vec in groups.items():
+        part = vec * np.array([math.prod(c**e for c, e in zip(xi, gamma)) for xi in xis])[:, None]
+        out += part / pm**kpow if kpow else part
+    return out
+
+
+# the benchmark's two audits: operator, N and the highest power of P_m^-1
+_POWER_TABLE_OPS = {
+    "a_sin_N7": ("D^2 + sin*D + poly:1.25", 7, 6),
+    "b_variable_N4": ("poly:2.5*D^2 + sin*D^2 + cos*D + poly:0.75", 4, 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_POWER_TABLE_OPS))
+def test_pm_power_table_leaves_every_sum_bit_equal(name):
+    # one long-lived evaluator meets the CLI's 33-xi list, the audit's
+    # 4-xi homogeneity list and single-xi lists in interleaved order; each
+    # sum must equal a fresh evaluator's and the per-group reference's
+    text, N, top = _POWER_TABLE_OPS[name]
+    phi = _PHI_CUTOFFS["1d"]
+    system = build_reduction_operators(parse_operator(text))
+    xis = [(float(v),) for v in np.geomspace(6.0, 96.0, 33)]
+    sums = neumann_sums(system, phi, N=N, xi_samples=xis)
+    r_of_w = _merge(_apply_reduction(system, op, sums.w_sum) for op in system.operators)
+    coeffs = [c for op in system.operators for c in op.action.values()]
+    sums_to_check = coeffs + sums.layers + [sums.w_sum, r_of_w]
+    hom = [xis[0]] + [(lam * xis[0][0],) for lam in (2.0, 4.0, 8.0)]
+    xi_lists = [xis, [(6.0,)], hom, [(-24.5,)], [(8.0,)]]
+
+    def new_ev():
+        return GridEvaluator(system.algebra, sums.evaluator.points, k_max=N + 4, phi=phi)
+
+    ev = new_ev()
+    for S in sums_to_check:
+        for lst in xi_lists:
+            got = ev.eval_sum(S, lst).tobytes()
+            assert got == new_ev().eval_sum(S, lst).tobytes()
+            assert got == _reference_eval_sum(new_ev(), S, lst).tobytes()
+    table = dict(ev._pm_powers)
+    assert {k for _, k in table} == set(range(2, top + 1))
+    assert {xs for xs, _ in table} == {tuple(lst) for lst in xi_lists}
+    assert not any(power.flags.writeable for power in table.values())
+    # equal xi lists in new list objects hit the table: nothing is rebuilt
+    for S in sums_to_check[::3]:
+        for lst in xi_lists:
+            ev.eval_sum(S, [tuple(xi) for xi in lst])
+    assert ev._pm_powers.keys() == table.keys()
+    assert all(ev._pm_powers[key] is power for key, power in table.items())
+    # P_m^1 is P_m itself, which pm**1 equals bit for bit on these lists
+    for lst in xi_lists:
+        pm = ev.pm(lst)
+        assert (pm**1).tobytes() == pm.tobytes()
+
+
+def test_a_quotient_by_pm_reads_no_sign_of_zero_that_pm_power_1_drops():
+    # pm**1 turns every complex zero into +0+0j; dividing by either gives
+    # the same bits
+    specials = [0.0, -0.0, 1.0, -2.5, 1e-310, np.inf, -np.inf, np.nan]
+    zs = np.array([complex(a, b) for a in specials for b in specials])
+    num, den = np.repeat(zs, len(zs)), np.tile(zs, len(zs))
+    with np.errstate(all="ignore"):
+        assert (num / den).tobytes() == (num / den**1).tobytes()
+
+
 def test_neumann_and_bound_audit_in_two_dimensions():
     one = MVPolySpec.from_dict(2, {(0, 0): 1})
     P = DiffOperator(2, 2, {
