@@ -279,8 +279,9 @@ def _cmd_parametrix(args) -> tuple[dict, dict]:
         "K1": sums.K1,
         "K2": sums.K2,
         "audit_ok": audit.ok(),
-        "coefficient_fits": [
-            [j, list(alpha), A, h] for (j, alpha), (A, h) in audit.coefficient_fits.items()
+        "coefficient_log_fits": [
+            [j, list(alpha), log_a, log_h]
+            for (j, alpha), (log_a, log_h) in audit.coefficient_log_fits.items()
         ],
         "homogeneity_max_error": audit.homogeneity_max_error,
         "leibniz_terms_checked": audit.leibniz_terms_checked,

@@ -26,7 +26,7 @@ oracle (``jet_chain_partial``) read g's and f's jets through ``jet_of``,
 whose memo builds each jet once for both; they differ only in how they
 combine the jets.
 
-The quantitative side fits the decomposition-splitting constant
+The quantitative side fits ln of the decomposition-splitting constant
 (``lemma23_constant_search``) and assembles certified sup bounds for
 compositions and reciprocals from seminorm inputs.
 """
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .jets import _EXACT_TYPES, _numerators, check_chain_dims, jet_of, jet_partial
@@ -143,20 +143,21 @@ def lemma23_ratio(
 
 @dataclass(frozen=True)
 class Lemma23Fit:
-    """Minimal C over the scanned range, with the arg-max witness."""
+    """ln of the minimal C over the scanned range, with the arg-max witness."""
 
-    C: float
+    log_C: float
     k_max: int
     witness_k: int
     witness_parts: tuple[int, ...]
 
 
 def lemma23_constant_search(seq: DefiningSequence, k_max: int) -> Lemma23Fit:
-    """Minimal C >= 1 with ratio <= C^{k^sigma} over all partitions, k <= k_max.
+    """ln of the minimal C >= 1 with ratio <= C^{k^sigma} over all
+    partitions, k <= k_max.
 
     Exhaustive over integer partitions; for each partition the number of
     parts is the j of the inequality.  The j = k all-ones case forces
-    ratio exactly 1, hence C >= 1.
+    ratio exactly 1, hence ln C >= 0.
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
@@ -177,7 +178,7 @@ def lemma23_constant_search(seq: DefiningSequence, k_max: int) -> Lemma23Fit:
                 best = expo
                 witness_k, witness_parts = k, parts
     return Lemma23Fit(
-        C=math.exp(best), k_max=k_max, witness_k=witness_k, witness_parts=witness_parts
+        log_C=best, k_max=k_max, witness_k=witness_k, witness_parts=witness_parts
     )
 
 
@@ -187,7 +188,8 @@ _LEMMA23_KMAX_DEFAULT = 12
 
 @functools.cache
 def _lemma23_constant(seq: DefiningSequence) -> float:
-    return lemma23_constant_search(seq, _LEMMA23_KMAX_DEFAULT).C
+    """ln C of the default search, per (tau, sigma)."""
+    return lemma23_constant_search(seq, _LEMMA23_KMAX_DEFAULT).log_C
 
 
 @dataclass(frozen=True)
@@ -235,12 +237,12 @@ def superposition_bound_components(
         raise ValueError("superposition bound requires |alpha| >= 1")
     tau, sigma = inp.tau, inp.sigma
     c1 = max(inp.h, inp.h_prime, 1.0)
-    c_l = _lemma23_constant(inp._seq())
+    log_c_l = _lemma23_constant(inp._seq())
     ns = float(n) ** sigma
     return {
         "amplitude": (n + 1) * math.log(inp.A),
         "scale": 2.0 * ns * math.log(c1),
-        "splitting": ns * math.log(c_l),
+        "splitting": ns * log_c_l,
         "growth": log_M(tau, sigma, n),
         "msum": (n - 1) * math.log(2.0),
     }
@@ -269,14 +271,9 @@ def reciprocal_bound_components(
     log_outer_amp = max(
         -seq.log_M_over_factorial(m) - (m + 1) * math.log(min_abs) for m in range(n + 1)
     )
-    eff = CompositionBoundInput(
-        tau=inp.tau,
-        sigma=inp.sigma,
-        h=inp.h,
-        h_prime=1.0,
-        A=max(inp.A, math.exp(log_outer_amp)),
-    )
-    parts = superposition_bound_components(eff, alpha)
+    parts = superposition_bound_components(replace(inp, h_prime=1.0), alpha)
+    # the outer amplitude replaces A where larger, compared in logs
+    parts["amplitude"] = (n + 1) * max(math.log(inp.A), log_outer_amp)
     parts["reciprocal_amplitude"] = log_outer_amp
     return parts
 

@@ -822,20 +822,20 @@ def residual_identity_check(sums: NeumannSums) -> float:
 def _fit_seminorm_envelope(
     values: dict[int, float], tau: float, sigma: float
 ) -> tuple[float, float]:
-    """Minimal (A, h) with values[n] <= A h^{n^sigma} n^{tau n^sigma};
-    values are logs keyed by order n."""
+    """(ln A, ln h) of the minimal (A, h) with
+    values[n] <= A h^{n^sigma} n^{tau n^sigma}; values are logs keyed by order n."""
     log_a = values.get(0, max(values.values()))
     log_h = 0.0
     for n, v in values.items():
         if n == 0:
             continue
         log_h = max(log_h, normalized_excess(v - log_a, n, tau, sigma))
-    return math.exp(log_a), math.exp(log_h)
+    return log_a, log_h
 
 
 @dataclass
 class BoundAuditReport:
-    coefficient_fits: dict[tuple[int, MultiIndex], tuple[float, float]]
+    coefficient_log_fits: dict[tuple[int, MultiIndex], tuple[float, float]]
     homogeneity_max_error: float
     leibniz_terms_checked: int
     leibniz_violations: int
@@ -862,9 +862,9 @@ def bound_audit(
 
     Coefficient side: sup_x |D^beta c_{alpha,j}| * |xi|^j fitted against
     A h^{|beta|^sigma} |beta|^{tau |beta|^sigma}, plus exact homogeneity
-    at scaled xi.  The fits are measurements: each is the least (A, h)
-    covering its own data, so it cannot fail.  Leibniz side: for the
-    first LEIBNIZ_WORDS e-words w and |beta| <= min(beta_max,
+    at scaled xi.  The fits are measurements: each is (ln A, ln h) of the
+    least (A, h) covering its own data, so it cannot fail.  Leibniz side:
+    for the first LEIBNIZ_WORDS e-words w and |beta| <= min(beta_max,
     LEIBNIZ_ORDER), every term of the expanded d^beta (R_w phi)
     differentiates phi at most weight(w) + |beta| times and is
     homogeneous of degree -weight(w) in xi.  `ok()` rests on the
@@ -892,7 +892,7 @@ def bound_audit(
                 logs[n] = math.log(v)
         return logs
 
-    coeff_fits: dict[tuple[int, MultiIndex], tuple[float, float]] = {}
+    coeff_log_fits: dict[tuple[int, MultiIndex], tuple[float, float]] = {}
     hom_err = 0.0
     lams = (2.0, 4.0, 8.0)
     xi0 = xi_list[0]
@@ -902,7 +902,7 @@ def bound_audit(
             logs = sup_logs(coeff, op.j)
             if not logs:
                 continue
-            coeff_fits[(op.j, a_prime)] = _fit_seminorm_envelope(logs, tau, sigma)
+            coeff_log_fits[(op.j, a_prime)] = _fit_seminorm_envelope(logs, tau, sigma)
             # homogeneity at scaled xi
             base, *scaled = np.abs(ev.eval_sum(coeff, hom_xis))
             for lam, row in zip(lams, scaled):
@@ -925,7 +925,7 @@ def bound_audit(
             )
 
     return BoundAuditReport(
-        coefficient_fits=coeff_fits,
+        coefficient_log_fits=coeff_log_fits,
         homogeneity_max_error=hom_err,
         leibniz_terms_checked=len(leibniz_ok),
         leibniz_violations=leibniz_ok.count(False),

@@ -72,20 +72,13 @@ def seminorm_log(
     return best
 
 
-def _exp_of_fit(name: str, log_value: float) -> float:
-    """exp of a fitted log constant; a ValueError naming it when it leaves float range."""
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        raise ValueError(f"fitted {name} = exp({log_value!r}) exceeds float range") from None
-
-
 @dataclass(frozen=True)
 class RegularityFit:
     tau_hat: float
     sigma_hat: float
-    h_hat: float
-    A_hat: float
+    log_h_hat: float
+    # None for the zero function (all data -inf): JSON has no form for ln 0
+    log_A_hat: float | None
     residuals: tuple[float, ...]
     admissible: bool
     degenerate: bool = False
@@ -99,7 +92,8 @@ def fit_regularity(
 
     The n^sigma ln n coefficient (tau) is constrained nonnegative; with a
     single bound constraint the clamp-and-refit step is the exact KKT
-    solution.  Returns the grid sigma minimizing the residual norm.
+    solution.  Returns the grid sigma minimizing the residual norm, with
+    A and h as their logs.
     Admissible means the data never exceeds the fitted envelope by more
     than FIT_MARGIN times the data span.
     """
@@ -108,12 +102,11 @@ def fit_regularity(
     finite = [(n, v) for n, v in enumerate(data.entries) if v != _NEG_INF]
     if len(finite) < 4:
         if all(n == 0 for n, _ in finite) or not finite:
-            a = finite[0][1] if finite else _NEG_INF
             return RegularityFit(
                 tau_hat=0.0,
                 sigma_hat=float(sigma_grid[0]),
-                h_hat=1.0,
-                A_hat=_exp_of_fit("A_hat", a) if a != _NEG_INF else 0.0,
+                log_h_hat=0.0,
+                log_A_hat=finite[0][1] if finite else None,
                 residuals=(),
                 admissible=True,
                 degenerate=True,
@@ -147,8 +140,8 @@ def fit_regularity(
     return RegularityFit(
         tau_hat=float(coef[2]),
         sigma_hat=sigma_hat,
-        h_hat=_exp_of_fit("h_hat", float(coef[1])),
-        A_hat=_exp_of_fit("A_hat", float(coef[0])),
+        log_h_hat=float(coef[1]),
+        log_A_hat=float(coef[0]),
         residuals=tuple(float(r) for r in resid),
         admissible=admissible,
         degenerate=False,

@@ -1,12 +1,12 @@
 """JSON schemas for CLI reports.
 
-Every report carries {"schema": "<id>/v1", "config": RunConfig,
+Every report carries {"schema": "<id>/v<SCHEMA_VERSION>", "config": RunConfig,
 "result": ...}; bumping a schema id is an explicit versioning act.
 """
 
 from __future__ import annotations
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _CONFIG = {
     "type": "object",
@@ -22,11 +22,11 @@ _CONFIG = {
 # command -> the keys its result must carry
 _RESULT_KEYS: dict[str, tuple[str, ...]] = {
     "seq-audit": ("m1_ok", "ratio_bound_ok", "almost_increasing_from",
-                  "fitted_C_m2bar", "fitted_Cq_m2prime"),
+                  "fitted_log_C_m2bar", "fitted_log_Cq_m2prime"),
     "decomp": ("alpha",),
     "fdb": ("value",),
-    "lemma23": ("C", "witness_k"),
-    "fit": ("tau_hat", "sigma_hat", "h_hat", "A_hat", "admissible"),
+    "lemma23": ("log_C", "witness_k"),
+    "fit": ("tau_hat", "sigma_hat", "log_h_hat", "log_A_hat", "admissible"),
     "wf-scan": ("verdicts",),
     "parametrix": ("max_residual", "word_count_w", "word_count_e", "audit_ok",
                    "residual_ok", "word_count_matches_recurrence"),

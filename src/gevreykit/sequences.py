@@ -7,7 +7,7 @@ inequalities whose constants are not pinned down in closed form:
     M_{p+q} <= C^{p^sigma + q^sigma} M_p' M_q'   (primed index tau 2^{sigma-1})
     M_{p+q} <= C_q^{p^sigma} M_p                 (one constant per shift q)
 
-``audit_sequence`` checks everything checkable and fits the minimal
+``audit_sequence`` checks everything checkable and fits ln of the minimal
 constants over the scanned range, reporting arg-max witnesses so callers
 can see whether the fit has stabilized.
 """
@@ -97,9 +97,8 @@ class SequenceAuditReport:
     ratio_bound_ok: bool
     m3prime_partial_sums: list[tuple[int, float]]
     almost_increasing_from: int
-    fitted_C_m2bar: float
+    fitted_log_C_m2bar: float
     fitted_C_m2bar_argmax: tuple[int, int]
-    # C_q grows like exp(q^sigma log q): kept in the log domain
     fitted_log_Cq_m2prime: list[tuple[int, float]]
     fitted_Cq_m2prime_argmax: list[tuple[int, int]]
     stirling_ratio_log_residuals: list[tuple[int, float]] = field(default_factory=list)
@@ -113,12 +112,8 @@ class SequenceAuditReport:
             "ratio_bound_ok": self.ratio_bound_ok,
             "m3prime_partial_sums": [[p, s] for p, s in self.m3prime_partial_sums],
             "almost_increasing_from": self.almost_increasing_from,
-            "fitted_C_m2bar": self.fitted_C_m2bar,
+            "fitted_log_C_m2bar": self.fitted_log_C_m2bar,
             "fitted_C_m2bar_argmax": list(self.fitted_C_m2bar_argmax),
-            "fitted_Cq_m2prime": [
-                [q, math.exp(lc) if lc < 700 else None]
-                for q, lc in self.fitted_log_Cq_m2prime
-            ],
             "fitted_log_Cq_m2prime": [
                 [q, lc] for q, lc in self.fitted_log_Cq_m2prime
             ],
@@ -153,8 +148,8 @@ def audit_sequence(seq: DefiningSequence, p_max: int) -> SequenceAuditReport:
     Checks log-convexity (M.1) and the ratio bound
     M_{p-1}/M_p <= (2p)^{-tau (p-1)^{sigma-1}}, accumulates the partial
     sums of sum M_{p-1}/M_p, locates the index from which
-    (M_p/p!)^{1/p} is nondecreasing, fits the minimal constants of the
-    two splitting inequalities, and compares [p^sigma]!^{tau/sigma}
+    (M_p/p!)^{1/p} is nondecreasing, fits ln of the minimal constants of
+    the two splitting inequalities, and compares [p^sigma]!^{tau/sigma}
     against its Stirling-predicted equivalent of M_p for p <= 64 with
     [p^sigma] <= 64^3.
 
@@ -194,14 +189,14 @@ def audit_sequence(seq: DefiningSequence, p_max: int) -> SequenceAuditReport:
             almost_from = i + 2  # a index i corresponds to p = i+1
     ai_from = almost_from
 
-    # (M.2)-bar: minimal C with M_{p+q} <= C^{p^s+q^s} M'_p M'_q, primed tau,
-    # over p <= q <= p_max - p. Logs and powers stay Python scalars (np.power
-    # may differ by an ulp); numpy only subtracts, divides and takes argmax.
-    # One row per p keeps the loop's (p, q) first maximum: the row's first
-    # argmax, and a strict > across rows.
-    primed = DefiningSequence(tau * 2.0 ** (sigma - 1.0), sigma)
+    # (M.2)-bar: ln of the minimal C with M_{p+q} <= C^{p^s+q^s} M'_p M'_q,
+    # primed tau, over p <= q <= p_max - p. Logs and powers stay Python
+    # scalars (np.power may differ by an ulp); numpy only subtracts, divides
+    # and takes argmax. One row per p keeps the loop's (p, q) first maximum:
+    # the row's first argmax, and a strict > across rows.
+    tau_primed = tau * 2.0 ** (sigma - 1.0)
     LM = np.array(logM)
-    LMp = np.array([primed.log_M(p) for p in range(p_max + 1)])
+    LMp = np.array([log_M(tau_primed, sigma, p) for p in range(p_max + 1)])
     PS = np.array([float(p) ** sigma for p in range(p_max + 1)])
     best = float("-inf")
     best_pq = (1, 1)
@@ -219,13 +214,13 @@ def audit_sequence(seq: DefiningSequence, p_max: int) -> SequenceAuditReport:
                 best = val
                 best_pq = (p, q0 + i)
 
-        # (M.2)'-bar: per q, minimal C_q with M_{p+q} <= C_q^{p^sigma} M_p, p >= 1
+        # (M.2)'-bar: per q, ln of the minimal C_q with
+        # M_{p+q} <= C_q^{p^sigma} M_p, p >= 1
         for q in range(0, min(Q_MAX, p_max - 1) + 1):
             last = p_max - q
             i, best_q = _first_max((LM[1 + q:p_max + 1] - LM[1:last + 1]) / PS[1:last + 1])
             cq_list.append((q, max(best_q, 0.0)))
             cq_arg.append((q, i + 1))
-    fitted_C_m2bar = math.exp(max(best, 0.0))
 
     residuals: list[tuple[int, float]] = []
     for p in range(1, min(p_max, _STIRLING_P_CAP) + 1):
@@ -249,7 +244,7 @@ def audit_sequence(seq: DefiningSequence, p_max: int) -> SequenceAuditReport:
         ratio_bound_ok=ratio_bound_ok,
         m3prime_partial_sums=partial_sums,
         almost_increasing_from=ai_from,
-        fitted_C_m2bar=fitted_C_m2bar,
+        fitted_log_C_m2bar=max(best, 0.0),
         fitted_C_m2bar_argmax=best_pq,
         fitted_log_Cq_m2prime=cq_list,
         fitted_Cq_m2prime_argmax=cq_arg,

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import gevreykit
 from gevreykit import parametrix
 from gevreykit.cli import TOL_IDENTITY, _parser, main
-from gevreykit.schemas import schema_id, validate_report
+from gevreykit.schemas import _RESULT_KEYS, schema_id, validate_report
 from gevreykit.wavefront import (
     GridField,
     ScanParams,
@@ -64,7 +64,7 @@ def test_decomp_command(tmp_path):
 def test_lemma23_command(tmp_path):
     code, rep = run(["lemma23", "--tau", "1", "--sigma", "2", "--kmax", "10"], tmp_path)
     assert code == 0
-    assert rep["result"]["C"] >= 1.0
+    assert rep["result"]["log_C"] >= 0.0
     validate_report(rep)
 
 
@@ -136,10 +136,10 @@ def test_parametrix_command(tmp_path):
     assert r["residual_ok"] and r["max_residual"] <= 1e-8
     assert r["word_count_matches_recurrence"]
     assert r["audit_ok"]
-    # one [j, alpha, A, h] per audited reduction coefficient
-    assert r["coefficient_fits"]
-    for j, alpha, A, h in r["coefficient_fits"]:
-        assert 1 <= j <= 2 and len(alpha) == 1 and A > 0 and h >= 1
+    # one [j, alpha, ln A, ln h] per audited reduction coefficient
+    assert r["coefficient_log_fits"]
+    for j, alpha, log_a, log_h in r["coefficient_log_fits"]:
+        assert 1 <= j <= 2 and len(alpha) == 1 and math.isfinite(log_a) and log_h >= 0
     validate_report(rep)
 
 
@@ -796,6 +796,17 @@ def test_readme_cli_examples_parse():
         _parser().parse_args(argv)
 
 
+def test_readme_names_every_required_report_key():
+    # README's CLI section has one `- `command`: ...` line listing its keys
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        section = fh.read().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    lines = {ln.split("`")[1]: ln for ln in section.splitlines() if ln.startswith("- `")}
+    for command, keys in _RESULT_KEYS.items():
+        missing = [key for key in keys if f"`{key}`" not in lines.get(command, "")]
+        assert not missing, (command, missing)
+
+
 def test_seq_audit_at_a_large_sigma_exits_0(tmp_path):
     # the Stirling comparison stops at [p^sigma] = 64^3 instead of caching 64^10 entries
     code, rep = run(["seq-audit", "--tau", "1", "--sigma", "10", "--pmax", "64"], tmp_path)
@@ -810,13 +821,7 @@ def test_signed_exponent_coefficient_exits_0(tmp_path):
 
 
 def test_out_of_range_results_exit_1(tmp_path, capsys):
-    # exp(710) overflows a double; a NaN residual is not JSON: exit 1, no report
-    csv = os.path.join(tmp_path, "big.csv")
-    with open(csv, "w") as fh:
-        fh.write("0,710.0\n")
-    code, rep = run(["fit", "--data", csv], tmp_path, "fit.json")
-    assert code == 1 and rep is None
-    assert "range" in _one_line_error(capsys)
+    # a NaN residual is not JSON: exit 1, no report
     code, rep = run(["parametrix", "--op", "D^2 + compose(exp,poly:0,900)*D", "--N", "2",
                      "--grid", "64", "--beta-max", "1"], tmp_path, "pm.json")
     assert code == 1 and rep is None
@@ -824,16 +829,48 @@ def test_out_of_range_results_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("values, log_a", [
-    ([1.0, 2.0, 6.5, 30, 170, 1200, 9000, 80000, 800000], "exp(82758."),
-    ([800], "exp(800.0)"),
-], ids=["least_squares", "degenerate"])
-def test_fit_names_the_constant_that_leaves_float_range(tmp_path, capsys, values, log_a):
+    ([1.0, 2.0, 6.5, 30, 170, 1200, 9000, 80000, 800000], pytest.approx(82758.888, abs=1e-3)),
+    ([800], 800.0),
+    ([710], 710.0),
+], ids=["least_squares", "degenerate", "degenerate_710"])
+def test_fit_reports_a_constant_past_float_range_as_its_log(tmp_path, values, log_a):
+    # exp(log_A_hat) would overflow a double; its log is what the report carries
     csv = os.path.join(tmp_path, "big.csv")
     with open(csv, "w") as fh:
         fh.writelines(f"{n},{v}\n" for n, v in enumerate(values))
     code, rep = run(["fit", "--data", csv, "--sigma-grid", "1.5,2"], tmp_path)
+    assert code == 0
+    assert rep["result"]["log_A_hat"] == log_a
+    validate_report(rep)
+
+
+def test_fit_reports_the_zero_function_with_a_null_log_a(tmp_path):
+    # ln 0 has no JSON form: the one null a fitted log takes
+    csv = os.path.join(tmp_path, "zero.csv")
+    with open(csv, "w") as fh:
+        fh.writelines(f"{n},-inf\n" for n in range(9))
+    code, rep = run(["fit", "--data", csv], tmp_path)
+    assert code == 0
+    assert rep["result"]["log_A_hat"] is None and rep["result"]["log_h_hat"] == 0.0
+    validate_report(rep)
+
+
+def test_seq_audit_reports_a_constant_past_float_range_as_its_log(tmp_path):
+    # C_m2bar = 2^{tau 2^(sigma-1)} leaves float range at tau 520, sigma 2
+    code, rep = run(["seq-audit", "--tau", "520", "--sigma", "2", "--pmax", "40"], tmp_path)
+    assert code == 0
+    log_c = rep["result"]["fitted_log_C_m2bar"]
+    assert log_c == pytest.approx(520 * 2.0 * math.log(2.0), rel=1e-12)
+    assert "null" not in json.dumps(rep)
+    validate_report(rep)
+
+
+@pytest.mark.parametrize("tau", ["1e306", "1e307", "1e308"])
+def test_seq_audit_overflow_names_no_tau_the_user_never_gave(tmp_path, capsys, tau):
+    # the primed index tau 2^(sigma-1) overflows at 1e308; ln M overflows at all three
+    code, rep = run(["seq-audit", "--tau", tau, "--sigma", "2"], tmp_path)
     assert code == 1 and rep is None
-    assert f"fitted A_hat = {log_a}" in _one_line_error(capsys)
+    assert _one_line_error(capsys) == "gevrey: report holds NaN or Infinity; not written\n"
 
 
 def test_overflow_prints_one_line_in_a_fresh_process(tmp_path):

@@ -882,8 +882,8 @@ def test_growing_k_max_matches_an_evaluator_built_at_it():
     fresh = GridEvaluator(system.algebra, ev.points, k_max=ev.k_max, phi=phi)
     direct = bound_audit(dataclasses.replace(sums, evaluator=fresh), beta_max=6, tau=1.0, sigma=2.0)
     assert fresh.k_max == ev.k_max
-    assert grown.coefficient_fits == direct.coefficient_fits
-    assert len(grown.coefficient_fits) == 2
+    assert grown.coefficient_log_fits == direct.coefficient_log_fits
+    assert len(grown.coefficient_log_fits) == 2
 
 
 _GROWTH_SPECS = {
@@ -964,9 +964,9 @@ def test_bound_audit_sin_operator():
     assert rep.leibniz_violations == 0
     assert rep.leibniz_terms_checked > 0
     # constant-coefficient top part: c_{2,2} has A = h = 1
-    A, h = rep.coefficient_fits[(2, (2,))]
-    assert math.isclose(A, 1.0) and math.isclose(h, 1.0)
-    assert all(A > 0 and h > 0 for A, h in rep.coefficient_fits.values())
+    log_a, log_h = rep.coefficient_log_fits[(2, (2,))]
+    assert abs(log_a) <= 1e-9 and abs(log_h) <= 1e-9
+    assert all(math.isfinite(la) and lh >= 0 for la, lh in rep.coefficient_log_fits.values())
 
 
 def test_bound_audit_homogeneity_scaling():

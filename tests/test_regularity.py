@@ -55,8 +55,8 @@ def test_fit_round_trip():
     assert fit.sigma_hat == 2.0
     assert abs(fit.tau_hat - 1.0) <= 0.1
     assert fit.admissible and not fit.degenerate
-    assert fit.h_hat == pytest.approx(1.0, rel=1e-6)
-    assert fit.A_hat == pytest.approx(1.0, rel=1e-6)
+    assert fit.log_h_hat == pytest.approx(0.0, abs=1e-6)
+    assert fit.log_A_hat == pytest.approx(0.0, abs=1e-6)
 
 
 def test_fit_round_trip_other_parameters():
@@ -64,7 +64,7 @@ def test_fit_round_trip_other_parameters():
     fit = fit_regularity(data, [1.5, 2, 2.5, 3])
     assert fit.sigma_hat == 2.5
     assert abs(fit.tau_hat - 0.5) <= 0.05
-    assert fit.h_hat == pytest.approx(2.0, rel=1e-6)
+    assert fit.log_h_hat == pytest.approx(math.log(2.0), abs=1e-6)
 
 
 def test_fit_gevrey_boundary_data():
@@ -80,7 +80,7 @@ def test_fit_degenerate_constant():
         DerivativeGrowthData((0.5,) + (NEG_INF,) * 10), [1.5, 2]
     )
     assert fit.degenerate and fit.admissible
-    assert fit.A_hat == pytest.approx(math.exp(0.5))
+    assert fit.log_A_hat == 0.5
 
 
 def test_fit_errors():
@@ -90,11 +90,13 @@ def test_fit_errors():
         fit_regularity(synthetic_growth(1, 2, 1, 1, 24), [0.9])
 
 
-def test_fit_names_h_hat_when_it_leaves_float_range():
-    # ln h = 1000 on exact data; tests/test_cli.py covers A_hat through `gevrey fit`
+def test_fit_reports_h_past_float_range_as_its_log():
+    # ln h = 1000 on exact data: h overflows a double, ln h does not;
+    # tests/test_cli.py covers A_hat through `gevrey fit`
     entries = tuple(1000.0 * n * n for n in range(9))
-    with pytest.raises(ValueError, match=r"^fitted h_hat = exp\(.*\) exceeds float range$"):
-        fit_regularity(DerivativeGrowthData(entries), [1.5, 2])
+    fit = fit_regularity(DerivativeGrowthData(entries), [1.5, 2])
+    assert fit.sigma_hat == 2.0
+    assert fit.log_h_hat == pytest.approx(1000.0, rel=1e-9)
 
 
 def test_nesting_in_tau():

@@ -99,7 +99,7 @@ def test_audit_flags_and_fits():
     rep = audit_sequence(DefiningSequence(1, 2), 40)
     assert rep.m1_ok and rep.ratio_bound_ok
     # p=q=1 forces C^2 >= M_2/(M'_1)^2 = 16
-    assert rep.fitted_C_m2bar >= 4.0 - 1e-9
+    assert rep.fitted_log_C_m2bar >= math.log(4.0) - 1e-9
     log_cq = dict(rep.fitted_log_Cq_m2prime)
     assert math.isclose(math.exp(log_cq[1]), 16.0, rel_tol=1e-9)
     # nondecreasing in q (checked on the logs, which never overflow)
@@ -137,7 +137,7 @@ def _splitting_fits_oracle(seq, p_max, q_max=10):
         cq_list.append([q, max(best_q, 0.0)])
         cq_arg.append([q, arg_p])
     return {
-        "fitted_C_m2bar": math.exp(max(best, 0.0)),
+        "fitted_log_C_m2bar": max(best, 0.0),
         "fitted_C_m2bar_argmax": list(best_pq),
         "fitted_log_Cq_m2prime": cq_list,
         "fitted_Cq_m2prime_argmax": cq_arg,
@@ -167,7 +167,7 @@ def test_splitting_fits_skip_nan_like_the_double_loop():
     # ln M_p overflows to inf here, so inf - inf rows hold NaN, which a
     # strict > never picks: the fit is inf at witness (1, 1) in both
     _assert_fits_match_oracle(5e307, 2.0, 10)
-    assert audit_sequence(DefiningSequence(5e307, 2.0), 10).fitted_C_m2bar == math.inf
+    assert audit_sequence(DefiningSequence(5e307, 2.0), 10).fitted_log_C_m2bar == math.inf
 
 
 def test_m2prime_tie_at_q0_keeps_the_first_witness():
@@ -188,7 +188,7 @@ def _lemma23_oracle(seq, k_max):
             expo = lemma23_ratio(seq, len(parts), parts) / float(k) ** seq.sigma
             if expo > best:
                 best, witness = expo, (k, tuple(parts))
-    return math.exp(best), witness
+    return best, witness
 
 
 def test_lemma23_search_equals_the_ratio_oracle():
@@ -196,8 +196,8 @@ def test_lemma23_search_equals_the_ratio_oracle():
         seq = DefiningSequence(tau, sigma)
         for k_max in (2, 3, 12, 20):
             fit = lemma23_constant_search(seq, k_max)
-            C, (k, parts) = _lemma23_oracle(seq, k_max)
-            assert (fit.C, fit.witness_k, fit.witness_parts) == (C, k, parts), (tau, sigma)
+            log_c, (k, parts) = _lemma23_oracle(seq, k_max)
+            assert (fit.log_C, fit.witness_k, fit.witness_parts) == (log_c, k, parts), (tau, sigma)
 
 
 def test_lemma23_tie_keeps_the_first_partition():
@@ -290,7 +290,7 @@ def test_pair_bound_examples():
 def test_pair_bound_within_fitted_constant():
     for tau, sigma in [(0.5, 1.5), (1.0, 2.0), (2.0, 3.0)]:
         seq = DefiningSequence(tau, sigma)
-        logC = math.log(audit_sequence(seq, 40).fitted_C_m2bar)
+        logC = audit_sequence(seq, 40).fitted_log_C_m2bar
         for k in range(2, 11):
             for parts in integer_partitions(k):
                 # prod M_{k_i}/k_i! <= C^k M_k/k!
