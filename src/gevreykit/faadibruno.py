@@ -6,25 +6,39 @@ decompositions,
     alpha! * sum_pi f^(m)(g) * prod_k (1/m_k!) ((1/p_k!) d^{p_k} g)^{m_k},
 
 and is validated elsewhere against the independent jet-composition
-oracle.  The sum's index part (each decomposition's m, parts and
-reciprocal factorials) depends on alpha alone, so it is enumerated once
-per alpha into a cached plan; the order limits admit 135 alphas, which
-bounds the cache.  The plan lists each distinct (part, multiplicity)
-once, so a call builds each f^(m)(g) and each power ((1/p!) d^p g)^mult
-once, however many decompositions share it, and still sums the
-decompositions in the enumerator's order.
+oracle.  The sum's index part depends on alpha alone, so it is
+enumerated once per alpha into a cached plan; the order limits admit 135
+alphas, which bounds the cache.  The plan lists each distinct (part p,
+multiplicity mult) once as a piece, with p! and its constants 1/p! and
+1/mult! (each 1/mult! built once per multiplicity), both as Fractions
+and as their float copies, and per decomposition its m and its pieces.
+So a call builds each f^(m)(g) and each piece's power once, however
+many decompositions share it, and still sums the decompositions in the
+enumerator's order.
 
-When every outer derivative and every piece power is an int or a
-Fraction, the sum is taken on integer numerators: 1/mult! is folded into
-its piece (the piece fixes mult), the outer values and the pieces are
-scaled to integer numerators over their least common denominators, each
-term with fewer pieces than the longest is padded with powers of the
-pieces' denominator, and one Fraction is built at the end, equal to the
-Fraction the term-by-term loop gives.  Float, complex and mixed input
-keeps that loop, so its sums stay bit-identical.  This sum and the jet
-oracle (``jet_chain_partial``) read g's and f's jets through ``jet_of``,
-whose memo builds each jet once for both; they differ only in how they
-combine the jets.
+Each call takes one of three routes, by the types of the outer
+derivatives and of g's Taylor coefficients c = (1/p!) d^p g:
+
+- all ints and Fractions: the piece is c itself, so its power is
+  c^mult, and the sum is taken on integer numerators: 1/mult! is folded
+  into its piece (the piece fixes mult), the outer values and the
+  pieces are scaled to integer numerators over their least common
+  denominators, each term with fewer pieces than the longest is padded
+  with powers of the pieces' denominator, and one Fraction is built at
+  the end, equal to the Fraction the term-by-term loop gives;
+- float and complex outer values on plain numbers: the term-by-term
+  loop multiplies by the constants' float copies, and an exact piece
+  enters as the float of its power.  Python multiplies a float x by a
+  Fraction q as x * float(q) and a complex one as complex(q) * x, so
+  every sum keeps the bits the Fractions give, without their dispatch
+  (float(Fraction(1, m!)) is not 1.0 / m! at m = 23, 26 and 29);
+- any other mix, an exact outer value among them: the same loop on the
+  Fraction constants.
+
+This sum and the jet oracle (``jet_chain_partial``) read g's and f's
+jets through ``jet_of``, whose memo builds each jet once for both; they
+differ only in how they combine the jets.  Both, like the enumerator,
+read alpha as a tuple of ints (``operator.index`` per entry).
 
 The quantitative side fits ln of the decomposition-splitting constant
 (``lemma23_constant_search``) and assembles certified sup bounds for
@@ -35,8 +49,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .jets import _EXACT_TYPES, _numerators, check_chain_dims, jet_of, jet_partial
 from .multiindex import (
@@ -51,6 +67,8 @@ from .sequences import DefiningSequence, log_M
 
 # enforced order limits: decomposition counts explode beyond these
 _MAX_ORDER = {1: 8, 2: 8, 3: 6}
+_INEXACT_TYPES = frozenset((float, complex))
+_PLAIN_TYPES = _EXACT_TYPES | _INEXACT_TYPES
 
 
 def fdb_derivative(f, g, alpha: MultiIndex, at: tuple) -> complex | float | Fraction:
@@ -58,6 +76,7 @@ def fdb_derivative(f, g, alpha: MultiIndex, at: tuple) -> complex | float | Frac
 
     f is univariate; g maps R^d -> R with d = len(alpha) = len(at) <= 3.
     """
+    alpha = tuple(map(operator.index, alpha))
     if not isinstance(at, tuple):
         at = (at,)
     check_chain_dims(f, g, alpha, at)
@@ -74,55 +93,80 @@ def fdb_derivative(f, g, alpha: MultiIndex, at: tuple) -> complex | float | Frac
     if n == 0:
         return f_jet.value
 
-    pieces, terms = _fdb_plan(alpha)
-    # one outer derivative per m and one power per (part, mult), each built as
-    # the per-decomposition loop built it, so float sums stay bit-identical
+    plan = _fdb_plan(alpha)
+    # one outer derivative per m and one power per piece, however many
+    # decompositions share them
     outer = [jet_partial(f_jet, (m,)) for m in range(n + 1)]
-    powers = [(inv_pf * jet_partial(g_jet, part)) ** mult for part, inv_pf, mult in pieces]
-    if {*map(type, outer[1:]), *map(type, powers)} <= _EXACT_TYPES:
-        return _exact_sum(outer[1:], powers, pieces, terms, mi_factorial(alpha))
+    coeffs = [g_jet.coeff(part) for part in plan.parts]
+    outer_kinds, coeff_kinds = set(map(type, outer[1:])), set(map(type, coeffs))
+    if outer_kinds | coeff_kinds <= _EXACT_TYPES:
+        # the piece (1/p!) d^p g is g's coefficient c itself
+        powers = [c**mult for c, mult in zip(coeffs, plan.mults)]
+        return _exact_sum(outer[1:], powers, plan, mi_factorial(alpha))
+    # on float and complex outer values the float copies give the Fractions'
+    # bits (module docstring); an exact piece's power enters as its float
+    floats = outer_kinds <= _INEXACT_TYPES and coeff_kinds <= _PLAIN_TYPES
+    inv_pf, inv_mf = plan.floats if floats else plan.fractions
+    powers = [
+        float(c**mult) if floats and type(c) in _EXACT_TYPES else (ip * (pf * c)) ** mult
+        for ip, pf, c, mult in zip(inv_pf, plan.factorials, coeffs, plan.mults)
+    ]
     total = 0
-    for m, factors in terms:
+    for m, pieces in plan.terms:
         term = outer[m]
-        for inv_mf, i in factors:
-            term = term * inv_mf * powers[i]
+        for i in pieces:
+            term = term * inv_mf[i] * powers[i]
         total = total + term
     return mi_factorial(alpha) * total
 
 
-def _exact_sum(outer: list, powers: list, pieces: tuple, terms: tuple, scale: int) -> Fraction:
+def _exact_sum(outer: list, powers: list, plan: _Plan, scale: int) -> Fraction:
     """scale * the decomposition sum on integer numerators; outer[m - 1] is
-    the m-th outer derivative and every value is an int or a Fraction."""
+    the m-th outer derivative, powers[i] piece i's power c^mult, and every
+    value is an int or a Fraction."""
     da, a = _numerators(outer)
     # 1/mult! folded into its piece, which fixes mult
-    folded = [Fraction(p, math.factorial(mult)) for p, (_, _, mult) in zip(powers, pieces)]
-    dp, b = _numerators(folded)
-    width = max(len(factors) for _, factors in terms)
+    _, inv_mf = plan.fractions
+    dp, b = _numerators([p * inv for p, inv in zip(powers, inv_mf)])
+    width = max(len(pieces) for _, pieces in plan.terms)
     pad = [dp**k for k in range(width + 1)]
     total = 0
-    for m, factors in terms:
-        term = a[m - 1] * pad[width - len(factors)]
-        for _, i in factors:
+    for m, pieces in plan.terms:
+        term = a[m - 1] * pad[width - len(pieces)]
+        for i in pieces:
             term *= b[i]
         total += term
     return Fraction(scale * total, da * pad[width])
 
 
+class _Plan(NamedTuple):
+    """The decomposition sum's index part for one alpha.  A piece is one
+    distinct (part p, multiplicity mult) of the decompositions."""
+
+    parts: tuple[MultiIndex, ...]
+    mults: tuple[int, ...]
+    factorials: tuple[int, ...]  # p! per piece
+    fractions: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]  # 1/p! and 1/mult!, per piece
+    floats: tuple[tuple[float, ...], tuple[float, ...]]  # the same as floats
+    terms: tuple[tuple[int, tuple[int, ...]], ...]  # (m, piece indices) per decomposition
+
+
 @functools.cache
-def _fdb_plan(alpha: MultiIndex) -> tuple:
-    """The decomposition sum's index part: the distinct pieces (p, 1/p!, mult)
-    and, per decomposition of alpha in the enumerator's order, its m and one
-    (1/mult!, piece index) per part."""
+def _fdb_plan(alpha: MultiIndex) -> _Plan:
+    """alpha's plan, its decompositions in the enumerator's order."""
     index: dict[tuple[MultiIndex, int], int] = {}
     terms = []
     for dec in enumerate_decompositions(alpha):
-        factors = []
-        for part, mult in zip(dec.parts, dec.multiplicities):
-            i = index.setdefault((part, mult), len(index))
-            factors.append((Fraction(1, math.factorial(mult)), i))
-        terms.append((dec.total_multiplicity, tuple(factors)))
-    pieces = tuple((part, Fraction(1, mi_factorial(part)), mult) for part, mult in index)
-    return pieces, tuple(terms)
+        pieces = tuple(
+            index.setdefault(piece, len(index)) for piece in zip(dec.parts, dec.multiplicities)
+        )
+        terms.append((dec.total_multiplicity, pieces))
+    parts, mults = zip(*index)
+    factorials = tuple(map(mi_factorial, parts))
+    inv_m = {m: Fraction(1, math.factorial(m)) for m in set(mults)}
+    fractions = (tuple(Fraction(1, pf) for pf in factorials), tuple(inv_m[m] for m in mults))
+    floats = tuple(tuple(map(float, consts)) for consts in fractions)
+    return _Plan(parts, mults, factorials, fractions, floats, tuple(terms))
 
 
 def lemma23_ratio(

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -210,6 +211,7 @@ def jet_chain_partial(f, g, alpha: MultiIndex, at: tuple[Number, ...]) -> Number
     """d^alpha (f o g)(at) by the jet route: g's jet at `at`, f's jet at
     g's value, `jet_compose` and `jet_partial`.  The oracle the
     decomposition-sum chain rule is checked against."""
+    alpha = tuple(map(operator.index, alpha))
     check_chain_dims(f, g, alpha, at)
     n = mi_order(alpha)
     g_jet = jet_of(g, at, n)

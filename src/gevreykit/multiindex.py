@@ -7,6 +7,15 @@ multiplicities m_k.  For d = 1 the decompositions of (n) are exactly the
 integer partitions of n, which ``integer_partitions`` lists directly as
 flat part tuples, in the enumerator's order.
 
+``enumerate_decompositions`` walks the candidate parts in decreasing
+lexicographic order and tests whether a part fits inline: it subtracts
+the part from the remaining budget as a tuple and takes it, with
+multiplicities 1, 2, ..., until the difference has a negative entry.
+``Decomposition`` checks its four invariants in one pass over the parts.
+The enumerator and the census read alpha as a tuple of ints
+(``operator.index`` per entry), so a list or numpy integers give the
+same answer and a float entry raises TypeError.
+
 ``decomposition_census`` counts decompositions without listing them: a
 generating-function recurrence over the box below alpha, independent of
 ``enumerate_decompositions``, so each checks the other; it counts each
@@ -16,6 +25,7 @@ alpha once and answers repeats from a cache.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -116,18 +126,27 @@ class Decomposition:
     target: MultiIndex
 
     def __post_init__(self) -> None:
-        if len(self.parts) != len(self.multiplicities):
+        parts, mults, target = self.parts, self.multiplicities, self.target
+        if len(parts) != len(mults):
             raise ValueError("parts and multiplicities must have equal length")
-        if any(m < 1 for m in self.multiplicities):
+        # one pass over the parts; the messages keep the checks' order
+        positive = increasing = True
+        total = [0] * len(target)
+        prev = None
+        for p, m in zip(parts, mults):
+            if m < 1:
+                positive = False
+            if prev is not None and prev >= p:
+                increasing = False
+            prev = p
+            for i in range(len(total)):
+                total[i] += m * p[i]
+        if not positive:
             raise ValueError("multiplicities must be positive")
-        if any(self.parts[i] >= self.parts[i + 1] for i in range(len(self.parts) - 1)):
+        if not increasing:
             raise ValueError("parts must be strictly increasing lexicographically")
-        total = tuple(
-            sum(m * p[i] for p, m in zip(self.parts, self.multiplicities))
-            for i in range(len(self.target))
-        )
-        if total != self.target:
-            raise ValueError(f"decomposition sums to {total}, not {self.target}")
+        if tuple(total) != target:
+            raise ValueError(f"decomposition sums to {tuple(total)}, not {target}")
 
     @property
     def total_multiplicity(self) -> int:
@@ -139,44 +158,41 @@ def enumerate_decompositions(alpha: MultiIndex) -> Iterator[Decomposition]:
     """Stream every decomposition of alpha exactly once.
 
     Recursive descent over candidate parts in decreasing lexicographic
-    order with remaining-budget pruning; each emitted decomposition has
-    its parts sorted increasingly, and the overall emission order is
-    deterministic.
+    order; each candidate is subtracted from the remaining budget as a
+    tuple, and a run of multiplicities ends at the first difference with
+    a negative entry.  Each emitted decomposition has its parts sorted
+    increasingly, and the overall emission order is deterministic.
     """
+    alpha = tuple(map(operator.index, alpha))
     check_entries(alpha)
     if mi_order(alpha) < 1:
         raise ValueError("enumerate_decompositions requires |alpha| >= 1")
-    candidates = sorted(
-        (p for p in mi_range(alpha) if mi_order(p) > 0), reverse=True
-    )
+    # the box below alpha in increasing lexicographic order, zero first
+    candidates = list(itertools.product(*(range(a + 1) for a in alpha)))[:0:-1]
+    sub = operator.sub
 
     def descend(
-        remaining: MultiIndex, start: int, acc: list[tuple[MultiIndex, int]]
+        remaining: MultiIndex, start: int, parts: list[MultiIndex], mults: list[int]
     ) -> Iterator[Decomposition]:
-        if mi_order(remaining) == 0:
-            chosen = list(reversed(acc))
+        if not any(remaining):
             yield Decomposition(
-                parts=tuple(p for p, _ in chosen),
-                multiplicities=tuple(m for _, m in chosen),
-                target=alpha,
+                parts=tuple(parts[::-1]), multiplicities=tuple(mults[::-1]), target=alpha
             )
             return
         for idx in range(start, len(candidates)):
             part = candidates[idx]
-            if not mi_leq(part, remaining):
-                continue
+            left = tuple(map(sub, remaining, part))
             mult = 1
-            left = mi_sub(remaining, part)
-            while True:
-                acc.append((part, mult))
-                yield from descend(left, idx + 1, acc)
-                acc.pop()
-                if not mi_leq(part, left):
-                    break
-                left = mi_sub(left, part)
+            while min(left) >= 0:
+                parts.append(part)
+                mults.append(mult)
+                yield from descend(left, idx + 1, parts, mults)
+                parts.pop()
+                mults.pop()
+                left = tuple(map(sub, left, part))
                 mult += 1
 
-    yield from descend(alpha, 0, [])
+    yield from descend(alpha, 0, [], [])
 
 
 def integer_partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -236,10 +252,11 @@ def decomposition_census(alpha: MultiIndex) -> tuple[int, int, bool]:
     1/(1 - x^p), built up one part p at a time over the cells of the box
     below alpha; it never calls the enumerator.
     """
+    alpha = tuple(map(operator.index, alpha))
     check_entries(alpha)
     if mi_order(alpha) < 1:
         raise ValueError("decomposition_census requires |alpha| >= 1")
-    return _census(tuple(map(operator.index, alpha)))
+    return _census(alpha)
 
 
 @functools.lru_cache(maxsize=1024)

@@ -30,9 +30,16 @@ from gevreykit.funcspec import (
     RecipPowSpec,
     SinSpec,
     SumSpec,
+    parse_spec,
 )
 from gevreykit.jets import jet_compose, jet_of, jet_partial
-from gevreykit.multiindex import enumerate_decompositions, mi_factorial, mi_of_order, mi_order
+from gevreykit.multiindex import (
+    decomposition_census,
+    enumerate_decompositions,
+    mi_factorial,
+    mi_of_order,
+    mi_order,
+)
 from gevreykit.sequences import DefiningSequence
 
 
@@ -69,6 +76,58 @@ def test_rejected_alphas_leave_no_plan():
         with pytest.raises(ValueError):
             fdb_derivative(f, spec, alpha, at)
     assert _fdb_plan.cache_info().currsize == before
+
+
+def test_every_admitted_alpha_plans_one_term_per_decomposition():
+    alphas = [a for d, top in _MAX_ORDER.items() for n in range(1, top + 1)
+              for a in mi_of_order(d, n)]
+    assert len(alphas) == 135
+    for alpha in alphas:
+        assert len(_fdb_plan(alpha).terms) == decomposition_census(alpha)[0], alpha
+
+
+def test_float_sums_multiply_by_float_constants():
+    # a float times a Fraction calls Fraction.__float__ once; the plan's float
+    # copies give the same bits without it
+    f, g = SinSpec(), parse_spec("mvpoly:1,0,1:0.5;0,2,1:-0.25;1,1,0:0.75")
+    alpha, at = (2, 2, 2), (0.3, -0.2, 0.5)
+    want = fdb_derivative(f, g, alpha, at)  # builds the plan and the jets
+    calls = []
+    real = Fraction.__float__
+
+    def spy(self):
+        calls.append(self)
+        return real(self)
+
+    with mock.patch.object(Fraction, "__float__", spy):
+        got = fdb_derivative(f, g, alpha, at)
+    assert calls == []
+    _assert_same_value(got, want)
+    _assert_same_value(got, _term_loop_fdb(f, g, alpha, at))
+
+
+def test_float_sums_with_exact_pieces_keep_their_bits():
+    # at a half-exact base some of g's coefficients stay Fractions while f's
+    # derivatives are floats: each exact piece's power enters as its float
+    g = mv(2, {(0, 2): Fraction(1, 3), (0, 3): Fraction(-5, 7), (1, 0): 0.5, (1, 1): 2})
+    at = (0.3, Fraction(1, 2))
+    for f in (ExpSpec(), SinSpec()):
+        for n in range(1, _MAX_ORDER[2] + 1):
+            for alpha in mi_of_order(2, n):
+                got = fdb_derivative(f, g, alpha, at)
+                _assert_same_value(got, _term_loop_fdb(f, g, alpha, at))
+                _assert_same_value(got, _reference_fdb(f, g, alpha, at))
+
+
+@pytest.mark.parametrize("f, g, alpha, at", [
+    (ExpSpec(), PolySpec((0, np.int64(2), 1)), (4,), (np.int64(1),)),
+    (SinSpec(), PolySpec((0, 1, 0.5)), (3,), (np.float64(0.3),)),
+    (RecipPowSpec(1), mv(2, {(1, 0): np.float64(0.5), (0, 2): 1, (0, 0): 2}), (2, 2),
+     (np.float64(0.1), 0.2)),
+])
+def test_numpy_scalar_sums_keep_the_fraction_constants(f, g, alpha, at):
+    # a numpy scalar times a Fraction follows numpy's rules, not x * float(q)
+    _assert_same_value(fdb_derivative(f, g, alpha, at), _term_loop_fdb(f, g, alpha, at))
 
 
 def test_oracle_equivalence_catalog():
@@ -159,14 +218,16 @@ def _term_loop_fdb(f, g, alpha, at):
     f_jet = f.jet((g_jet.value,), n)
     if n == 0:
         return f_jet.value
-    pieces, terms = _fdb_plan(alpha)
+    plan = _fdb_plan(alpha)
+    inv_pfs, inv_mfs = plan.fractions
     outer = [jet_partial(f_jet, (m,)) for m in range(n + 1)]
-    powers = [(inv_pf * jet_partial(g_jet, part)) ** mult for part, inv_pf, mult in pieces]
+    powers = [(inv_pf * jet_partial(g_jet, part)) ** mult
+              for part, inv_pf, mult in zip(plan.parts, inv_pfs, plan.mults)]
     total = 0
-    for m, factors in terms:
+    for m, pieces in plan.terms:
         term = outer[m]
-        for inv_mf, i in factors:
-            term = term * inv_mf * powers[i]
+        for i in pieces:
+            term = term * inv_mfs[i] * powers[i]
         total = total + term
     return mi_factorial(alpha) * total
 

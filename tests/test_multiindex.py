@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from gevreykit.faadibruno import _MAX_ORDER
@@ -110,12 +111,20 @@ def test_composition_examples():
 
 
 def test_decomposition_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="parts and multiplicities must have equal length"):
+        Decomposition(parts=((1,), (2,)), multiplicities=(1,), target=(3,))
+    with pytest.raises(ValueError, match="multiplicities must be positive"):
         Decomposition(parts=((1,),), multiplicities=(0,), target=(1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="parts must be strictly increasing lexicographically"):
         Decomposition(parts=((2,), (1,)), multiplicities=(1, 1), target=(3,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"decomposition sums to \(2,\), not \(3,\)"):
         Decomposition(parts=((1,),), multiplicities=(2,), target=(3,))
+    # with several faults the checks keep their order
+    with pytest.raises(ValueError, match="multiplicities must be positive"):
+        Decomposition(parts=((2,), (1,), (1,)), multiplicities=(1, 1, 0), target=(5,))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Decomposition(parts=((1, 0), (0, 1)), multiplicities=(1, 1), target=(4, 4))
+    Decomposition(parts=((0, 1), (1, 0)), multiplicities=(2, 1), target=(1, 2))
 
 
 def test_zero_alpha_rejected():
@@ -163,3 +172,27 @@ def test_mi_helpers():
     assert mi_binomial((3, 2), (1, 1)) == 6
     assert mi_binomial((1, 0), (0, 1)) == 0
     assert mi_order((2, 3, 4)) == 9
+
+
+def test_every_chain_rule_entry_reads_alpha_as_a_tuple_of_ints():
+    from gevreykit.faadibruno import fdb_derivative
+    from gevreykit.funcspec import PolySpec, SinSpec
+    from gevreykit.jets import jet_chain_partial
+
+    f, g, at = SinSpec(), PolySpec((0, 1, 1)), (0.5,)
+    answers = []
+    for alpha in [(2,), [2], (np.int64(2),), np.array([2])]:
+        decs = list(enumerate_decompositions(alpha))
+        assert all(type(a) is int for d in decs for a in d.target), alpha
+        answers.append((
+            [(d.parts, d.multiplicities, d.target) for d in decs],
+            decomposition_census(alpha),
+            repr(fdb_derivative(f, g, alpha, at)),
+            repr(jet_chain_partial(f, g, alpha, at)),
+        ))
+    assert all(a == answers[0] for a in answers)
+    assert answers[0][1] == (2, 27, True)
+    for route in (lambda a: list(enumerate_decompositions(a)), decomposition_census,
+                  lambda a: fdb_derivative(f, g, a, at), lambda a: jet_chain_partial(f, g, a, at)):
+        with pytest.raises(TypeError):
+            route((2.0,))
