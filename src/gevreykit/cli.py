@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .faadibruno import lemma23_constant_search
+from .faadibruno import LEMMA23_KMAX_MAX, lemma23_constant_search
 from .funcspec import parse_spec
 from .jets import jet_chain_partial
 from .multiindex import decomposition_census, enumerate_decompositions
@@ -325,7 +325,7 @@ def build_parser() -> _Parser:
     lm = sub.add_parser("lemma23", help="fit the splitting constant")
     lm.add_argument("--tau", type=finite, required=True)
     lm.add_argument("--sigma", type=finite, required=True)
-    lm.add_argument("--kmax", type=int, default=12)
+    lm.add_argument("--kmax", type=int, default=12, help=f"2..{LEMMA23_KMAX_MAX}")
 
     ft = sub.add_parser("fit", help="fit regularity parameters from growth data")
     ft.add_argument("--data", required=True, help="csv rows n,log_sup_abs_derivative")

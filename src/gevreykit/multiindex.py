@@ -4,14 +4,14 @@ A multi-index is a plain tuple of naturals.  A decomposition of alpha is a
 representation alpha = sum_k m_k * p_k into distinct nonzero parts p_k
 (strictly increasing in the lexicographic order) with positive
 multiplicities m_k.  For d = 1 the decompositions of (n) are exactly the
-integer partitions of n, which ``integer_partitions`` lists directly as
-flat part tuples, in the enumerator's order.
+integer partitions of n.
 
 ``enumerate_decompositions`` walks the candidate parts in decreasing
 lexicographic order and tests whether a part fits inline: it subtracts
 the part from the remaining budget as a tuple and takes it, with
 multiplicities 1, 2, ..., until the difference has a negative entry.
-``Decomposition`` checks its four invariants in one pass over the parts.
+``Decomposition`` checks each part's length against the target's, and
+its four invariants, in one pass over the parts.
 The enumerator and the census read alpha as a tuple of ints
 (``operator.index`` per entry), so a list or numpy integers give the
 same answer and a float entry raises TypeError.
@@ -130,16 +130,19 @@ class Decomposition:
         if len(parts) != len(mults):
             raise ValueError("parts and multiplicities must have equal length")
         # one pass over the parts; the messages keep the checks' order
+        width = len(target)
         positive = increasing = True
-        total = [0] * len(target)
+        total = [0] * width
         prev = None
         for p, m in zip(parts, mults):
+            if len(p) != width:
+                raise ValueError(f"parts must have the length of target {target}")
             if m < 1:
                 positive = False
             if prev is not None and prev >= p:
                 increasing = False
             prev = p
-            for i in range(len(total)):
+            for i in range(width):
                 total[i] += m * p[i]
         if not positive:
             raise ValueError("multiplicities must be positive")
@@ -193,31 +196,6 @@ def enumerate_decompositions(alpha: MultiIndex) -> Iterator[Decomposition]:
                 mult += 1
 
     yield from descend(alpha, 0, [], [])
-
-
-def integer_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """Every partition of n as its parts in increasing order, repeats kept.
-
-    The order is ``enumerate_decompositions((n,))``'s: largest part first,
-    and for each part the multiplicities 1, 2, ... before any smaller part.
-    """
-    if n < 1:
-        raise ValueError("integer_partitions requires n >= 1")
-
-    def descend(remaining: int, below: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield tuple(reversed(acc))
-            return
-        depth = len(acc)
-        for part in range(min(below - 1, remaining), 0, -1):
-            left = remaining
-            while left >= part:
-                acc.append(part)
-                left -= part
-                yield from descend(left, part, acc)
-            del acc[depth:]
-
-    yield from descend(n, n + 1, [])
 
 
 def composition_multinomial_sum(n: int) -> int:

@@ -68,6 +68,14 @@ def test_lemma23_command(tmp_path):
     validate_report(rep)
 
 
+def test_lemma23_kmax_above_the_cap_exits_1(tmp_path, capsys):
+    # the search's cost grows as kmax^3; the cap keeps one run near a second
+    for kmax in ("401", "1"):
+        code, rep = run(["lemma23", "--tau", "0.1", "--sigma", "1.1", "--kmax", kmax], tmp_path)
+        assert code == 1 and rep is None
+        assert _one_line_error(capsys) == f"gevrey: k_max must lie in 2..400, got {kmax}\n"
+
+
 def test_fit_command(tmp_path):
     csv = os.path.join(tmp_path, "growth.csv")
     with open(csv, "w") as fh:

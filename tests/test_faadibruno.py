@@ -392,6 +392,25 @@ def test_superposition_alpha_one_structure():
     assert math.isclose(parts["amplitude"], 2 * math.log(2.0))
 
 
+def test_splitting_constant_covers_the_order_of_alpha():
+    # at (0.1, 1.1) C keeps growing past k = 12 (1.674 at k 12, 2.430 at
+    # k 40), so a bound at |alpha| = n needs the constant over k <= n
+    inp = CompositionBoundInput(0.1, 1.1, 1.0, 1.0, 1.0)
+    seq = DefiningSequence(0.1, 1.1)
+    at_12 = lemma23_constant_search(seq, 12).log_C
+    for n in (1, 8, 12, 20, 40):
+        ns = float(n) ** 1.1
+        need = lemma23_constant_search(seq, max(n, 2)).log_C
+        for parts in (
+            superposition_bound_components(inp, (n,)),
+            reciprocal_bound_components(inp, (n,), 1.0),
+        ):
+            assert parts["splitting"] >= ns * need, n
+            if n <= 12:
+                assert parts["splitting"] == ns * at_12, n
+    assert lemma23_constant_search(seq, 40).log_C > at_12 + 0.3
+
+
 DOMINATION_PAIRS = [
     (ExpSpec(), SinSpec()),
     (SinSpec(), PolySpec((0, 0, 1))),

@@ -8,7 +8,6 @@ from gevreykit.multiindex import (
     composition_multinomial_sum,
     decomposition_census,
     enumerate_decompositions,
-    integer_partitions,
     mi_binomial,
     mi_factorial,
     mi_of_order,
@@ -48,28 +47,12 @@ def test_round_trip_and_canonical_order():
             seen.add(key)
 
 
-def test_integer_partitions_follow_the_enumerator_order():
-    # lemma23_constant_search keeps the first of exactly tied ratios, so
-    # the order, not just the set, must be the enumerator's
-    for n in range(1, 21):
-        flat = []
-        for d in enumerate_decompositions((n,)):
-            parts = []
-            for p, mult in zip(d.parts, d.multiplicities):
-                parts.extend([p[0]] * mult)
-            flat.append(tuple(parts))
-        assert list(integer_partitions(n)) == flat, n
-        assert len(flat) == PARTITIONS[n]
-    assert list(integer_partitions(4)) == [(4,), (1, 3), (1, 1, 2), (2, 2), (1, 1, 1, 1)]
-    with pytest.raises(ValueError):
-        list(integer_partitions(0))
-
-
 def test_census_matches_partition_function_d1():
     for n in range(1, 21):
         count, bound, ok = decomposition_census((n,))
         assert count == PARTITIONS[n]
         assert ok
+        assert len(list(enumerate_decompositions((n,)))) == PARTITIONS[n]
 
 
 def test_census_examples():
@@ -119,6 +102,12 @@ def test_decomposition_validation():
         Decomposition(parts=((2,), (1,)), multiplicities=(1, 1), target=(3,))
     with pytest.raises(ValueError, match=r"decomposition sums to \(2,\), not \(3,\)"):
         Decomposition(parts=((1,),), multiplicities=(2,), target=(3,))
+    # a part longer than the target was summed on its first entries and
+    # accepted, a shorter one raised IndexError
+    with pytest.raises(ValueError, match=r"parts must have the length of target \(1,\)"):
+        Decomposition(parts=((1, 5),), multiplicities=(1,), target=(1,))
+    with pytest.raises(ValueError, match=r"parts must have the length of target \(1, 2\)"):
+        Decomposition(parts=((1,),), multiplicities=(1,), target=(1, 2))
     # with several faults the checks keep their order
     with pytest.raises(ValueError, match="multiplicities must be positive"):
         Decomposition(parts=((2,), (1,), (1,)), multiplicities=(1, 1, 0), target=(5,))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from gevreykit import numerics
 from gevreykit.faadibruno import lemma23_constant_search, lemma23_ratio
-from gevreykit.multiindex import enumerate_decompositions, integer_partitions
+from gevreykit.multiindex import enumerate_decompositions
 from gevreykit.sequences import (
     DefiningSequence,
     audit_sequence,
@@ -178,16 +178,23 @@ def test_m2prime_tie_at_q0_keeps_the_first_witness():
         assert rep.fitted_Cq_m2prime_argmax[0] == (0, 1)
 
 
+def _partitions(k):
+    """The partitions of k as flat part tuples, increasing, in the
+    enumerator's order."""
+    for dec in enumerate_decompositions((k,)):
+        parts = []
+        for p, mult in zip(dec.parts, dec.multiplicities):
+            parts.extend([p[0]] * mult)
+        yield tuple(parts)
+
+
 def _lemma23_oracle(seq, k_max):
     best, witness = 0.0, (1, (1,))
     for k in range(1, k_max + 1):
-        for dec in enumerate_decompositions((k,)):
-            parts = []
-            for p, mult in zip(dec.parts, dec.multiplicities):
-                parts.extend([p[0]] * mult)
+        for parts in _partitions(k):
             expo = lemma23_ratio(seq, len(parts), parts) / float(k) ** seq.sigma
             if expo > best:
-                best, witness = expo, (k, tuple(parts))
+                best, witness = expo, (k, parts)
     return best, witness
 
 
@@ -200,14 +207,46 @@ def test_lemma23_search_equals_the_ratio_oracle():
             assert (fit.log_C, fit.witness_k, fit.witness_parts) == (log_c, k, parts), (tau, sigma)
 
 
-def test_lemma23_tie_keeps_the_first_partition():
-    # w[1] = ln(M_1/1!) = 0, so (1, 3) and (1, 1, 2) give bit-equal ratios;
-    # the search's strict > keeps (1, 3), which the enumeration meets first
-    for tau, sigma in [(1, 2), (0.25, 1.25), (0.5, 3)]:
-        seq = DefiningSequence(tau, sigma)
-        assert lemma23_ratio(seq, 3, (1, 1, 2)) == lemma23_ratio(seq, 2, (1, 3))
-    order = list(integer_partitions(4))
-    assert order.index((1, 3)) < order.index((1, 1, 2))
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(deadline=None)
+@given(tau=_log_uniform(0.01, 10.0), sigma_m1=_log_uniform(1e-3, 3.0), k_max=st.integers(2, 16))
+def test_lemma23_search_against_the_walk(tau, sigma_m1, k_max):
+    # sigma - 1 is drawn log-uniform too, so sigma near 1 is sampled well
+    seq = DefiningSequence(tau, 1.0 + sigma_m1)
+    fit = lemma23_constant_search(seq, k_max)
+    log_c, (k, parts) = _lemma23_oracle(seq, k_max)
+    assert fit.witness_k == k
+    assert sum(fit.witness_parts) == k and list(fit.witness_parts) == sorted(fit.witness_parts)
+    assert min(fit.witness_parts) >= 1
+    ratio = lemma23_ratio(seq, len(fit.witness_parts), fit.witness_parts)
+    assert ratio / float(k) ** seq.sigma == fit.log_C
+    if fit.witness_parts == parts:
+        assert fit.log_C == log_c
+    else:
+        # an exact tie between two partitions (w_1 = 0): their sums are
+        # rounded in different orders, so the two ln C may differ in the last bits
+        assert abs(fit.log_C - log_c) <= 2 * math.ulp(log_c)
+
+
+def test_lemma23_tie_keeps_the_fewest_parts():
+    # the search scans k and then the number of parts j upward and keeps
+    # the first strict maximum, so of tied partitions of one k the fewest
+    # parts win.  w[1] = ln(M_1/1!) = 0 makes (3, 3) and (1, 2, 3) tie
+    # exactly at this class; the walk meets (1, 2, 3) first
+    seq = DefiningSequence(0.778401061711685, 1.0045547830955923)
+    assert seq.log_M_over_factorial(1) == 0.0
+    assert lemma23_ratio(seq, 2, (3, 3)) == lemma23_ratio(seq, 3, (1, 2, 3))
+    fit = lemma23_constant_search(seq, 6)
+    assert (fit.witness_k, fit.witness_parts) == (6, (3, 3))
+    log_c, witness = _lemma23_oracle(seq, 6)
+    assert witness == (6, (1, 2, 3)) and fit.log_C == log_c
+    # every k ties at ratio 1 (j = 1 and j = k); with no larger ratio the
+    # first, k = 1, is kept
+    fit = lemma23_constant_search(DefiningSequence(1, 2), 20)
+    assert (fit.log_C, fit.witness_k, fit.witness_parts) == (0.0, 1, (1,))
 
 
 def test_sigma_at_most_one_rejected_at_construction():
@@ -292,6 +331,6 @@ def test_pair_bound_within_fitted_constant():
         seq = DefiningSequence(tau, sigma)
         logC = audit_sequence(seq, 40).fitted_log_C_m2bar
         for k in range(2, 11):
-            for parts in integer_partitions(k):
+            for parts in _partitions(k):
                 # prod M_{k_i}/k_i! <= C^k M_k/k!
                 assert _pair_bound(seq, parts) <= k * logC + 1e-9
