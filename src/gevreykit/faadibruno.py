@@ -62,7 +62,7 @@ from .multiindex import (
     mi_factorial,
     mi_order,
 )
-from .sequences import DefiningSequence, log_M
+from .sequences import DefiningSequence, check_class, log_M
 
 # enforced order limits: decomposition counts explode beyond these
 _MAX_ORDER = {1: 8, 2: 8, 3: 6}
@@ -76,9 +76,7 @@ def fdb_derivative(f, g, alpha: MultiIndex, at: tuple) -> complex | float | Frac
     f is univariate; g maps R^d -> R with d = len(alpha) = len(at) <= 3.
     """
     alpha = tuple(map(operator.index, alpha))
-    if not isinstance(at, tuple):
-        at = (at,)
-    check_chain_dims(f, g, alpha, at)
+    at = check_chain_dims(f, g, alpha, at)
     d = len(alpha)
     if d not in _MAX_ORDER:
         raise ValueError("dimension must be 1, 2 or 3")
@@ -210,9 +208,9 @@ def lemma23_constant_search(seq: DefiningSequence, k_max: int) -> Lemma23Fit:
     k and then j are scanned upward and the best replaced only on a
     strict >, so of exactly tied ratios (w_1 = 0) the fewest parts win,
     e.g. (3, 3) over (1, 2, 3).  The witness is backtracked through the
-    first p that reaches each B[j][k], and log_C is recomputed from it
-    in ``lemma23_ratio``'s summation order, bit for bit.  The j = k
-    all-ones partition has ratio exactly 1, hence ln C >= 0.
+    first p that reaches each B[j][k], and log_C is its ``lemma23_ratio``
+    over witness_k^sigma.  The j = k all-ones partition has ratio exactly
+    1, hence ln C >= 0.
 
     Measured exp(log_C) at k_max 12, 40, 100, 200, 400: (0.1, 1.1)
     1.674, 2.430, 3.120, 3.658, 4.158; (0.05, 1.05) 1.932, 3.397, 5.279,
@@ -242,8 +240,7 @@ def lemma23_constant_search(seq: DefiningSequence, k_max: int) -> Lemma23Fit:
         parts.append(p)
         k -= p
     parts.sort()
-    ratio = w[witness_j] + sum(w[p] for p in parts) - w[witness_k]
-    log_C = ratio / float(witness_k) ** seq.sigma
+    log_C = lemma23_ratio(seq, witness_j, parts) / float(witness_k) ** seq.sigma
     return Lemma23Fit(log_C, k_max, witness_k, tuple(parts))
 
 
@@ -272,11 +269,10 @@ class CompositionBoundInput:
     A: float
 
     def __post_init__(self) -> None:
-        if self.h <= 0 or self.h_prime <= 0 or self.A <= 0:
-            raise ValueError("h, h_prime and A must be positive")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.sigma < 1 or (self.sigma == 1 and self.tau < 1):
+        if not all(0 < v < math.inf for v in (self.h, self.h_prime, self.A)):
+            raise ValueError("h, h_prime and A must be positive and finite")
+        check_class(self.tau, self.sigma)
+        if self.sigma == 1 and self.tau < 1:
             raise ValueError("sigma > 1 required (sigma = 1 only with tau >= 1)")
 
     def _seq(self) -> DefiningSequence:

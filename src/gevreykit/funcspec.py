@@ -159,41 +159,33 @@ class ExpSpec(FunctionSpec):
         return _elementary("exp", x)
 
     def jet(self, base: tuple[Number, ...], K: int) -> Jet:
-        (b,) = base
-        x = float(b) if isinstance(b, Fraction) else b
-        v: Number = 1 if _is_zero(b) else _elementary("exp", x)
-        coeffs = {}
-        fact = 1
-        for k in range(K + 1):
-            if k > 0:
-                fact *= k
-            coeffs[(k,)] = (
-                Fraction(1, fact) if isinstance(v, int) else v / fact
-            )
-        return Jet(1, K, coeffs, base)
+        return _cycle_jet(base, K, lambda x: (_elementary("exp", x),), (1,), 0)
 
 
-# derivative cycle sin -> cos -> -sin -> -cos, exact at base 0
-_SIN_CYCLE = (0, 1, 0, -1)
+def _sin_cycle(x) -> tuple:
+    """sin -> cos -> -sin -> -cos; cos is the same cycle from entry 1."""
+    s, c = _elementary("sin", x), _elementary("cos", x)
+    return (s, c, -s, -c)
 
 
-def _trig_jet(base: tuple[Number, ...], K: int, shift: int) -> Jet:
-    """Jet of sin (shift 0) or cos (shift 1): the k-th derivative is entry
-    (k + shift) % 4 of sin's cycle, with sin and cos evaluated once."""
+_SIN_AT_ZERO = (0, 1, 0, -1)
+
+
+def _cycle_jet(base: tuple[Number, ...], K: int, cycle_at, at_zero: tuple, shift: int) -> Jet:
+    """Jet of a function whose derivatives repeat the cycle cycle_at(x),
+    each function evaluated once: coefficient k is entry k + shift of the
+    cycle, divided by k!.  At base 0 the cycle is the integers `at_zero`,
+    and the jet is exact, without its zero entries."""
     (b,) = base
     exact = _is_zero(b)
-    if exact:
-        cycle = _SIN_CYCLE
-    else:
-        x = float(b) if isinstance(b, Fraction) else b
-        s, c = _elementary("sin", x), _elementary("cos", x)
-        cycle = (s, c, -s, -c)
+    cycle = at_zero if exact else cycle_at(float(b) if isinstance(b, Fraction) else b)
+    n = len(cycle)
     coeffs: dict[MultiIndex, Number] = {}
     fact = 1
     for k in range(K + 1):
         if k > 0:
             fact *= k
-        v = cycle[(k + shift) % 4]
+        v = cycle[(k + shift) % n]
         if not exact:
             coeffs[(k,)] = v / fact
         elif v:
@@ -211,7 +203,7 @@ class SinSpec(FunctionSpec):
         return _elementary("sin", x)
 
     def jet(self, base: tuple[Number, ...], K: int) -> Jet:
-        return _trig_jet(base, K, 0)
+        return _cycle_jet(base, K, _sin_cycle, _SIN_AT_ZERO, 0)
 
 
 @dataclass(frozen=True)
@@ -224,7 +216,7 @@ class CosSpec(FunctionSpec):
         return _elementary("cos", x)
 
     def jet(self, base: tuple[Number, ...], K: int) -> Jet:
-        return _trig_jet(base, K, 1)
+        return _cycle_jet(base, K, _sin_cycle, _SIN_AT_ZERO, 1)
 
 
 @dataclass(frozen=True)

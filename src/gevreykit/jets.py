@@ -195,9 +195,12 @@ def jet_compose(f: Jet, g: Jet) -> Jet:
     return Jet(g.dim, K, out, g.base_point)
 
 
-def check_chain_dims(f, g, alpha: MultiIndex, at: tuple) -> None:
-    """Raise ValueError unless f is univariate and the point, alpha and g
-    have one dimension."""
+def check_chain_dims(f, g, alpha: MultiIndex, at) -> tuple:
+    """The point as a tuple (a scalar is the 1-tuple of itself); raise
+    ValueError unless f is univariate and the point, alpha and g have one
+    dimension."""
+    if not isinstance(at, tuple):
+        at = (at,)
     if f.dim != 1:
         raise ValueError(f"outer function must be univariate, got dimension {f.dim}")
     if not len(at) == len(alpha) == g.dim:
@@ -205,6 +208,7 @@ def check_chain_dims(f, g, alpha: MultiIndex, at: tuple) -> None:
             f"the point, alpha and g must have one dimension; "
             f"got {len(at)}, {len(alpha)} and {g.dim}"
         )
+    return at
 
 
 def jet_chain_partial(f, g, alpha: MultiIndex, at: tuple[Number, ...]) -> Number:
@@ -212,7 +216,7 @@ def jet_chain_partial(f, g, alpha: MultiIndex, at: tuple[Number, ...]) -> Number
     g's value, `jet_compose` and `jet_partial`.  The oracle the
     decomposition-sum chain rule is checked against."""
     alpha = tuple(map(operator.index, alpha))
-    check_chain_dims(f, g, alpha, at)
+    at = check_chain_dims(f, g, alpha, at)
     n = mi_order(alpha)
     g_jet = jet_of(g, at, n)
     f_jet = jet_of(f, (g_jet.value,), n)
@@ -251,14 +255,12 @@ def _memo_key(spec, base: tuple, K: int) -> tuple | None:
     return tuple(key)
 
 
-def jet_of(spec, base: tuple[Number, ...] | Number, K: int):
+def jet_of(spec, base: tuple[Number, ...], K: int):
     """Jet of a FunctionSpec at `base` through order K.
 
     Thin dispatcher, with the memo of the module docstring; the catalog
     of specs lives in gevreykit.funcspec.
     """
-    if not isinstance(base, tuple):
-        base = (base,)
     key = _memo_key(spec, base, K)
     if key is None:
         return spec.jet(base, K)

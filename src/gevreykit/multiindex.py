@@ -82,14 +82,9 @@ def check_entries(alpha: MultiIndex) -> None:
 
 
 def mi_range(bound: MultiIndex) -> Iterator[MultiIndex]:
-    """All multi-indices beta with beta <= bound componentwise."""
-    if len(bound) == 0:
-        yield ()
-        return
-    head, rest = bound[0], bound[1:]
-    for h in range(head + 1):
-        for tail in mi_range(rest):
-            yield (h,) + tail
+    """All multi-indices beta with beta <= bound componentwise, in
+    increasing lexicographic order, zero first."""
+    return itertools.product(*(range(b + 1) for b in bound))
 
 
 def mi_of_order(d: int, n: int) -> Iterator[MultiIndex]:
@@ -170,8 +165,8 @@ def enumerate_decompositions(alpha: MultiIndex) -> Iterator[Decomposition]:
     check_entries(alpha)
     if mi_order(alpha) < 1:
         raise ValueError("enumerate_decompositions requires |alpha| >= 1")
-    # the box below alpha in increasing lexicographic order, zero first
-    candidates = list(itertools.product(*(range(a + 1) for a in alpha)))[:0:-1]
+    # the box below alpha without zero, in decreasing lexicographic order
+    candidates = list(mi_range(alpha))[:0:-1]
     sub = operator.sub
 
     def descend(

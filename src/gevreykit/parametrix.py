@@ -55,6 +55,7 @@ from .multiindex import (
     mi_range,
     mi_sub,
 )
+from .regularity import grid_derivative
 from .sequences import check_class, normalized_excess
 from .wavefront import Cone, GridField
 
@@ -456,10 +457,10 @@ class GridEvaluator:
     float coefficient value per point, and derivative rows are read
     from it.  phi is either a registry spec read the same way or a
     cutoff sampled on the grid of the points (row-major): d^beta phi is
-    then the centered difference (np.gradient) of its predecessor, taken
-    on first use and kept.  P_m and each power P_m^k that a sum divides
-    by are evaluated once per xi list and shared read-only by every sum
-    evaluated at that list.
+    then ``regularity.grid_derivative`` of the samples, taken on first
+    use and kept.  P_m and each power P_m^k that a sum divides by are
+    evaluated once per xi list into one table keyed by (xi list, k), and
+    shared read-only by every sum evaluated at that list.
     """
 
     def __init__(
@@ -485,7 +486,6 @@ class GridEvaluator:
         self._phi_rows: dict[MultiIndex, np.ndarray] = {}
         self._jets: dict[int, Jet] = {}
         self._derivs: dict[Factor, np.ndarray] = {}
-        self._pm: dict[tuple, np.ndarray] = {}
         self._pm_powers: dict[tuple[tuple, int], np.ndarray] = {}
 
     def _ensure_order(self, order: int) -> None:
@@ -511,10 +511,7 @@ class GridEvaluator:
     def phi_deriv(self, beta: MultiIndex) -> np.ndarray:
         if isinstance(self.phi, GridField):
             if beta not in self._phi_rows:
-                spacing = self.phi.spacing
-                grid = mi_derivative(
-                    self._phi_grid, beta, lambda a, t: np.gradient(a, spacing[t], axis=t)
-                )
+                grid = grid_derivative(self._phi_grid, beta, self.phi.spacing)
                 self._phi_rows[beta] = grid.reshape(-1).astype(complex)
             return self._phi_rows[beta]
         if self.phi is None:
@@ -524,11 +521,7 @@ class GridEvaluator:
     def pm(self, xis: Sequence[tuple]) -> np.ndarray:
         """P_m at every (xi, x): an (n_xi, n_points) array, evaluated once
         per xi list (read-only: every sum with a P_m^-k term shares it)."""
-        pm = self._pm.get(tuple(xis))
-        if pm is None:
-            pm = self._pm[tuple(xis)] = self.eval_sum(self.algebra.principal_sum(), xis)
-            pm.flags.writeable = False
-        return pm
+        return self._pm_power(tuple(xis), 1)
 
     def _pm_power(self, xis: tuple, k: int) -> np.ndarray:
         """P_m^k (k >= 1) at every (xi, x), computed once per (xi list, k)
@@ -536,12 +529,14 @@ class GridEvaluator:
         the sign of a complex zero, which a quotient does not read.  For
         k >= 2 the table keeps pm**k, which repeated products need not
         equal bit for bit."""
-        if k == 1:
-            return self.pm(xis)
         power = self._pm_powers.get((xis, k))
         if power is None:
-            power = self._pm_powers[xis, k] = self.pm(xis) ** k
+            if k == 1:
+                power = self.eval_sum(self.algebra.principal_sum(), xis)
+            else:
+                power = self.pm(xis) ** k
             power.flags.writeable = False
+            self._pm_powers[xis, k] = power
         return power
 
     def eval_sum(self, S: SymbolSum, xis: Sequence[tuple]) -> np.ndarray:

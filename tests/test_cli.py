@@ -11,9 +11,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gevreykit
-from gevreykit import parametrix
+from gevreykit import cli, parametrix
 from gevreykit.cli import TOL_IDENTITY, _parser, main
+from gevreykit.multiindex import enumerate_decompositions
 from gevreykit.schemas import _RESULT_KEYS, schema_id, validate_report
+from gevreykit.sequences import SEQ_AUDIT_PMAX_MAX
 from gevreykit.wavefront import (
     GridField,
     ScanParams,
@@ -275,6 +277,54 @@ def test_decomp_without_out_streams_json_lines_and_no_report(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4
     assert all(set(json.loads(ln)) == {"parts", "multiplicities"} for ln in lines)
+
+
+def test_decomp_without_out_writes_each_line_as_it_is_found(capsys, monkeypatch):
+    first = next(enumerate_decompositions((2, 1)))
+
+    def failing_after_one(alpha):
+        yield first
+        raise ValueError("enumeration stopped")
+
+    monkeypatch.setattr(cli, "enumerate_decompositions", failing_after_one)
+    assert main(["decomp", "--alpha", "2,1"]) == 1
+    out = capsys.readouterr()
+    assert [json.loads(ln) for ln in out.out.splitlines()] == [
+        {"parts": [list(p) for p in first.parts], "multiplicities": list(first.multiplicities)}
+    ]
+    assert out.err == "gevrey: enumeration stopped\n"
+
+
+def test_decomp_report_above_the_cap_exits_1_before_enumerating(tmp_path, capsys, monkeypatch):
+    def never(alpha):
+        raise AssertionError("the enumerator ran before the cap was checked")
+
+    monkeypatch.setattr(cli, "enumerate_decompositions", never)
+    code, rep = run(["decomp", "--alpha", "41"], tmp_path)  # 44,583 decompositions
+    assert code == 1 and rep is None
+    err = _one_line_error(capsys)
+    assert "44583 decompositions" in err and "--census" in err
+    # the cap is inclusive: (4,) has 5 decompositions, (5,) has 7
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "DECOMP_OUT_MAX", 5)
+    code, rep = run(["decomp", "--alpha", "4"], tmp_path)
+    assert code == 0 and len(rep["result"]["decompositions"]) == 5
+    monkeypatch.setattr(cli, "enumerate_decompositions", never)
+    code, rep = run(["decomp", "--alpha", "5"], tmp_path, name="five.json")
+    assert code == 1 and rep is None
+    assert "7 decompositions, more than the 5" in _one_line_error(capsys)
+
+
+def test_seq_audit_pmax_outside_its_range_exits_1(tmp_path, capsys):
+    # the audit is O(p_max^2); the cap keeps one run near a second
+    top = SEQ_AUDIT_PMAX_MAX
+    for pmax in (top + 1, 2):
+        code, rep = run(["seq-audit", "--tau", "1", "--sigma", "2", "--pmax", str(pmax)], tmp_path)
+        assert code == 1 and rep is None
+        assert _one_line_error(capsys) == f"gevrey: p_max must lie in 3..{top}, got {pmax}\n"
+    with pytest.raises(SystemExit):
+        _parser().parse_args(["seq-audit", "--help"])
+    assert f"3..{top}" in capsys.readouterr().out
 
 
 def test_catalog_without_report_prints_its_report(tmp_path, capsys):

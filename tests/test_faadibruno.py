@@ -320,6 +320,25 @@ def test_chain_rules_reject_mismatched_dimensions_before_any_jet(f, g, alpha, at
                 route(f, g, alpha, at)
 
 
+@pytest.mark.parametrize("f, g, alpha, at", [
+    ("exp", "poly:0,1,1", (2,), 0.5),
+    ("sin", "poly:1,0,1", (3,), Fraction(1, 3)),
+    ("cos", "sum(exp,poly:0,1)", (1,), 0),
+])
+def test_both_chain_routes_read_a_scalar_point_as_its_1_tuple(f, g, alpha, at):
+    f, g = parse_spec(f), parse_spec(g)
+    for point in (at, float(at)):
+        values = []
+        for route in (fdb_derivative, jets.jet_chain_partial):
+            value = route(f, g, alpha, (point,))
+            _assert_same_value(route(f, g, alpha, point), value)
+            values.append(value)
+        if isinstance(point, float):
+            assert values[0] == pytest.approx(values[1], rel=1e-12)
+        else:
+            assert values[0] == values[1]
+
+
 def test_exponent_identity_of_proof():
     # m^sigma + sum m_k |p_k|^sigma <= 2 |alpha|^sigma per decomposition
     cases = [(1, 10), (2, 7), (3, 5)]
@@ -494,6 +513,14 @@ def test_reciprocal_amplitude_past_float_range_stays_finite():
     assert all(math.isfinite(v) for v in parts.values())
     assert parts["amplitude"] == 9 * parts["reciprocal_amplitude"]
     assert parts["reciprocal_amplitude"] > 710.0  # exp(710) overflows a double
+
+
+@pytest.mark.parametrize("field", ["tau", "sigma", "h", "h_prime", "A"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_composition_bound_input_rejects_a_non_finite_field(field, value):
+    args = {"tau": 1.0, "sigma": 2.0, "h": 1.0, "h_prime": 1.0, "A": 1.0, field: value}
+    with pytest.raises(ValueError):
+        CompositionBoundInput(**args)
 
 
 def test_sigma_one_gevrey_boundary():

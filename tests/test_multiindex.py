@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,28 @@ from gevreykit.multiindex import (
     mi_factorial,
     mi_of_order,
     mi_order,
+    mi_range,
 )
 
 # p(n) for n = 0..20
 PARTITIONS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176,
               231, 297, 385, 490, 627]
+
+
+def _mi_range_recursive(bound):
+    # the recursive definition: the first entry slowest, each tail in turn
+    if not bound:
+        yield ()
+        return
+    for h in range(bound[0] + 1):
+        for tail in _mi_range_recursive(bound[1:]):
+            yield (h,) + tail
+
+
+def test_mi_range_lists_each_box_in_the_recursive_order():
+    for d in range(4):
+        for bound in itertools.product(*(range(b + 1) for b in (3, 2, 2)[:d])):
+            assert list(mi_range(bound)) == list(_mi_range_recursive(bound)), bound
 
 
 def test_enumerate_d1_examples():

@@ -1055,7 +1055,7 @@ def test_pm_power_table_leaves_every_sum_bit_equal(name):
             assert got == new_ev().eval_sum(S, lst).tobytes()
             assert got == _reference_eval_sum(new_ev(), S, lst).tobytes()
     table = dict(ev._pm_powers)
-    assert {k for _, k in table} == set(range(2, top + 1))
+    assert {k for _, k in table} == set(range(1, top + 1))
     assert {xs for xs, _ in table} == {tuple(lst) for lst in xi_lists}
     assert not any(power.flags.writeable for power in table.values())
     # equal xi lists in new list objects hit the table: nothing is rebuilt

@@ -33,7 +33,6 @@ AWAITING_A_CALLER = {
 
 # name -> the test that compares the program against it
 TEST_ORACLES = {
-    "lemma23_ratio": "tests/test_sequences.py::test_lemma23_search_equals_the_ratio_oracle",
     "composition_multinomial_sum": "tests/test_acceptance.py::test_criterion_2_exact_combinatorics",
     "enumeration_equivalence_detail": "tests/test_acceptance.py::test_criterion_7_wavefront_scans",
 }
