@@ -62,7 +62,7 @@ from .multiindex import (
     mi_factorial,
     mi_order,
 )
-from .sequences import DefiningSequence, check_class, log_M
+from .sequences import DefiningSequence, check_class, check_indices, log_M
 
 # enforced order limits: decomposition counts explode beyond these
 _MAX_ORDER = {1: 8, 2: 8, 3: 6}
@@ -222,6 +222,7 @@ def lemma23_constant_search(seq: DefiningSequence, k_max: int) -> Lemma23Fit:
     """
     if not 2 <= k_max <= LEMMA23_KMAX_MAX:
         raise ValueError(f"k_max must lie in 2..{LEMMA23_KMAX_MAX}, got {k_max}")
+    check_indices(seq.sigma, k_max)
     w = [seq.log_M_over_factorial(i) for i in range(k_max + 1)]
     w_parts = w[1:]
     B = [[0.0] + [-math.inf] * k_max] + [[-math.inf] * (k_max + 1) for _ in range(k_max)]

@@ -58,6 +58,25 @@ def check_class(tau: float, sigma: float) -> None:
         raise ValueError(f"sigma = {sigma} names no class: sigma must be at least 1 and finite")
 
 
+def check_indices(sigma: float, n_max: int) -> None:
+    """Reject reading indices 0..n_max when n^sigma leaves float range,
+    naming the first such n; tables are built only after this passes."""
+
+    def overflows(n: int) -> bool:
+        try:
+            float(n) ** sigma
+        except OverflowError:
+            return True
+        return False
+
+    if overflows(n_max):
+        first = next(n for n in range(2, n_max + 1) if overflows(n))
+        raise ValueError(
+            f"sigma = {sigma}: n^sigma leaves float range from n = {first}; "
+            f"this run reads indices up to {n_max}"
+        )
+
+
 def log_envelope(n: int, tau: float, sigma: float, log_a: float, log_h: float) -> float:
     """ln(A h^{n^sigma} M_n) = log_a + n^sigma log_h + ln M_n."""
     ns = float(n) ** sigma if n else 0.0
@@ -111,24 +130,28 @@ class SequenceAuditReport:
     stirling_ratio_log_residuals: list[tuple[int, float]] = field(default_factory=list)
 
 
-# The Stirling comparison sums ln k up to [p^sigma] (log_factorial's cache
-# grows to that length); capping p and [p^sigma] keeps it desk-scale.  The
-# second cap is the [p^sigma] that sigma = 3 reaches, so it cuts only sigma > 3.
-# At that cap the cache holds 262,144 entries: about 10 MB, filled in
-# 0.03-0.05 s in a fresh interpreter (2-vCPU Xeon VM).
+# The Stirling residual is about tau/(12 sigma n) at n = [p^sigma], and
+# the left side grows like (tau/sigma) n ln n, so past some n the residual
+# drowns in the left side's rounding.  At the cap, (1, 3) at p = 64, it is
+# about 910 ulp of the left side; uncapped, p = 64 would give about 12 ulp
+# at sigma = 3.5 and under 1 ulp at sigma = 4.  The second cap is the
+# [p^sigma] that sigma = 3 reaches, so it cuts only sigma > 3.
 _STIRLING_P_CAP = 64
 _STIRLING_N_CAP = _STIRLING_P_CAP**3
 # the (M.2)'-bar constants C_q are fitted for q = 0..Q_MAX
 Q_MAX = 10
-# the audit is O(p_max^2): 0.7-1.2 s at the cap for `gevrey seq-audit`
-# at (0.1, 1.1), (1, 2), (0.05, 1.05) and (1, 3) (2-vCPU Xeon, Python 3.11)
+# the audit is O(p_max^2): `gevrey seq-audit` takes 0.65-1.1 s at the cap,
+# 0.43-0.64 s of it in the audit, at (0.1, 1.1), (1, 2), (0.05, 1.05) and
+# (1, 3) (2-vCPU Xeon, Python 3.11)
 SEQ_AUDIT_PMAX_MAX = 20_000
 
 
 def _first_max(row: np.ndarray) -> tuple[int, float]:
     """(index, value) of row's first maximum; NaN never wins, as in a strict > scan."""
-    row = np.where(np.isnan(row), -np.inf, row)
     i = int(np.argmax(row))
+    if np.isnan(row[i]):  # argmax stops at the first NaN, so only then
+        row = np.where(np.isnan(row), -np.inf, row)
+        i = int(np.argmax(row))
     return i, float(row[i])
 
 
@@ -151,6 +174,7 @@ def audit_sequence(seq: DefiningSequence, p_max: int) -> SequenceAuditReport:
     """
     if not 3 <= p_max <= SEQ_AUDIT_PMAX_MAX:
         raise ValueError(f"p_max must lie in 3..{SEQ_AUDIT_PMAX_MAX}, got {p_max}")
+    check_indices(seq.sigma, p_max + 1)
     tau, sigma = seq.tau, seq.sigma
     logM = [seq.log_M(p) for p in range(p_max + 2)]
 

@@ -323,26 +323,42 @@ class DecayProfile:
 class ConeBins:
     """One cone's DFT bins, listed once per scan: flat indices (row-major),
     |xi|, ln |xi| and radius index per bin; the count of distinct radius
-    indices; the bins sorted by |xi| descending (stable), and for each
-    sorted position the last position of its run of equal |xi|."""
+    indices and the largest |ln |xi||; the bins sorted by |xi| descending
+    (stable), and for each sorted position the last position of its run
+    of equal |xi|; the inner bins (|xi| at most half Nyquist) sorted by
+    radius index (stable), the start of each radius index's run among
+    them, and each inner bin's run number."""
 
     idx: np.ndarray
     mag: np.ndarray
     log_mag: np.ndarray
     ridx: np.ndarray
     n_ridx: int
+    max_abs_log_mag: float
     by_mag: np.ndarray
     run_end: np.ndarray
+    inner: np.ndarray
+    inner_start: np.ndarray
+    inner_run: np.ndarray
 
     @classmethod
-    def select(cls, mask: np.ndarray, mag: np.ndarray, ridx: np.ndarray) -> "ConeBins":
+    def select(
+        cls, mask: np.ndarray, mag: np.ndarray, ridx: np.ndarray, inner_max: float
+    ) -> "ConeBins":
         idx = np.flatnonzero(mask)
         m, r = mag.reshape(-1)[idx], ridx.reshape(-1)[idx]
+        log_m = np.log(m)
         by_mag = np.argsort(-m, kind="stable")
         bounds = np.append(np.flatnonzero(np.diff(m[by_mag], prepend=np.inf)), len(m))
         run_end = np.repeat(bounds[1:] - 1, np.diff(bounds))
         n_ridx = int(np.count_nonzero(np.bincount(r)))  # radius indices are >= 0
-        return cls(idx, m, np.log(m), r, n_ridx, by_mag, run_end)
+        inner = np.flatnonzero(m <= inner_max)
+        inner = inner[np.argsort(r[inner], kind="stable")]
+        new_run = np.diff(r[inner], prepend=-1) != 0
+        return cls(
+            idx, m, log_m, r, n_ridx, float(np.abs(log_m).max(initial=0.0)), by_mag,
+            run_end, inner, np.flatnonzero(new_run), np.cumsum(new_run) - 1,
+        )
 
 
 class FrequencyGrid:
@@ -363,7 +379,9 @@ class FrequencyGrid:
         self.mag = np.sqrt(sum(m**2 for m in mesh))
         self.ridx = np.round(self.mag / self.dxi).astype(int)
         self.bins = {
-            cone: ConeBins.select(cone.contains(mesh, self.mag), self.mag, self.ridx)
+            cone: ConeBins.select(
+                cone.contains(mesh, self.mag), self.mag, self.ridx, 0.5 * self.nyquist
+            )
             for cone in cones
         }
 
@@ -395,10 +413,11 @@ class Spectrum:
 _STAIR_MARGIN = 1e-9
 
 
-def _staircase(bins: ConeBins, keep: np.ndarray, loga: np.ndarray, margin: float) -> np.ndarray:
+def _staircase(bins: ConeBins, floored: np.ndarray, margin: float) -> np.ndarray:
     """Table positions, ascending, of the kept bins whose log-amplitude
-    comes within margin of the largest at every |xi| at least as large."""
-    g = np.where(keep, loga, -np.inf)[bins.by_mag]
+    comes within margin of the largest at every |xi| at least as large;
+    floored holds -inf at the bins under the floor."""
+    g = floored[bins.by_mag]
     level = np.maximum.accumulate(g)[bins.run_end]
     # strict, so that a bin under the floor (g = -inf) never passes
     return np.sort(bins.by_mag[g > level - margin])
@@ -434,19 +453,20 @@ def directional_decay_profile(spectrum: Spectrum, cone: Cone, N_max: int) -> Dec
     keep = amp > amax * 1e-13
     with np.errstate(divide="ignore"):  # a zero amplitude is under the floor
         loga = np.log(amp)
-    mag, ridx, g = bins.mag[keep], bins.ridx[keep], loga[keep]
-
     # shells feed the slope analysis; the outer half of the window is
     # excluded there because sampled-jump transforms deflect (cot vs 1/x)
-    # and smooth tails alias near Nyquist
-    inner = mag <= 0.5 * freq.nyquist
-    r_in, k_in, g_in = mag[inner], ridx[inner], g[inner]
-    order = np.lexsort((-g_in, k_in))  # stable: a tie keeps the first bin
-    first = order[np.diff(k_in[order], prepend=-1) != 0]  # radius indices are >= 0
-    shell_list = tuple(zip(r_in[first].tolist(), g_in[first].tolist()))
+    # and smooth tails alias near Nyquist.  Each radius index's run keeps
+    # its first bin at the run's maximum; a run with no kept bin drops.
+    floored = np.where(keep, loga, -np.inf)
+    g_in = floored[bins.inner]
+    run_max = np.maximum.reduceat(g_in, bins.inner_start)
+    pos = np.where(g_in == run_max[bins.inner_run], np.arange(g_in.size), g_in.size)
+    first = np.minimum.reduceat(pos, bins.inner_start)
+    live = run_max > -np.inf
+    shell_list = tuple(zip(bins.mag[bins.inner[first[live]]].tolist(), run_max[live].tolist()))
 
-    bound = N_max * float(np.abs(bins.log_mag).max()) + float(np.abs(g).max())
-    cand = _staircase(bins, keep, loga, _STAIR_MARGIN * max(1.0, bound))
+    bound = N_max * bins.max_abs_log_mag + float(np.abs(loga[keep]).max())
+    cand = _staircase(bins, floored, _STAIR_MARGIN * max(1.0, bound))
     vals = np.arange(N_max + 1, dtype=float)[:, None] * bins.log_mag[cand] + loga[cand]
     return DecayProfile(
         entries=tuple(vals.max(axis=1).tolist()),

@@ -931,6 +931,18 @@ def test_seq_audit_overflow_names_no_tau_the_user_never_gave(tmp_path, capsys, t
     assert _one_line_error(capsys) == "gevrey: report holds NaN or Infinity; not written\n"
 
 
+def test_index_past_float_range_exits_1_naming_sigma(tmp_path, capsys):
+    # n^200 leaves float range from n = 35: one line, no report
+    for args in (["seq-audit", "--pmax", "40"], ["lemma23", "--kmax", "40"]):
+        code, rep = run(args + ["--tau", "1", "--sigma", "200"], tmp_path)
+        assert code == 1 and rep is None
+        err = _one_line_error(capsys)
+        assert err.startswith("gevrey: sigma = 200.0: ") and "n = 35" in err, err
+    for args in (["seq-audit", "--pmax", "3"], ["lemma23", "--kmax", "12"]):
+        code, rep = run(args + ["--tau", "1", "--sigma", "200"], tmp_path)
+        assert code == 0 and rep is not None
+
+
 def test_overflow_prints_one_line_in_a_fresh_process(tmp_path):
     # pytest captures numpy's RuntimeWarnings; a fresh interpreter shows what a user sees
     src = os.path.dirname(os.path.dirname(gevreykit.__file__))

@@ -1,4 +1,7 @@
+import itertools
 import math
+
+import pytest
 
 from gevreykit import numerics
 from gevreykit.numerics import (
@@ -32,20 +35,36 @@ def test_log_factorial_chain_rule_to_1e4():
         prev = nxt
 
 
-def test_log_factorial_cache_is_the_sequential_sum(monkeypatch):
-    # grown in uneven chunks, the cache must equal one plain left-to-right
-    # sum of ln k, bit for bit: reports print these values
-    cache = [0.0, 0.0]
-    monkeypatch.setattr(numerics, "_LOG_FACT_CACHE", cache)
-    ns = (3, 2, 1000, 999, 70_000, 70_001)
-    for n in ns:
-        assert log_factorial(n) == cache[n]
-    assert len(cache) == max(ns) + 1
-    acc, expect = 0.0, [0.0]
-    for k in range(1, max(ns) + 1):
-        acc += math.log(k)
-        expect.append(acc)
-    assert cache == expect
+def _ulps_off(x: float, ref: float) -> float:
+    return abs(x - ref) / math.ulp(ref)
+
+
+def test_log_factorial_is_within_8_ulp_of_the_exact_sum():
+    # fsum rounds once, so its sum of the rounded ln k is the reference
+    ns = [*range(3001), 70_000, 125_000, 64**3]
+    logs = list(map(math.log, range(2, max(ns) + 1)))
+    ref = {n: math.fsum(logs[: max(n - 1, 0)]) for n in ns}
+    assert all(_ulps_off(log_factorial(n), ref[n]) <= 8 for n in ns)
+    # the running sum of ln k, left to right, misses that bound
+    sums = itertools.accumulate(map(math.log, range(1, max(ns) + 1)), initial=0.0)
+    running = {n: v for n, v in enumerate(sums) if n in ref}
+    assert any(_ulps_off(running[n], ref[n]) > 8 for n in ns)
+
+
+def test_log_factorial_keeps_no_table():
+    log_factorial(64**3)
+    assert not [
+        name for name, value in vars(numerics).items()
+        if not name.startswith("__") and isinstance(value, (list, dict, set))
+    ]
+
+
+def test_log_factorial_rejects_a_negative_or_non_integer_n():
+    with pytest.raises(ValueError):
+        log_factorial(-1)
+    for n in (2.0, 2.5, "3"):
+        with pytest.raises(TypeError):
+            log_factorial(n)
 
 
 def test_multinomial_examples():

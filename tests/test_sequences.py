@@ -1,15 +1,16 @@
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gevreykit import numerics
 from gevreykit.faadibruno import lemma23_constant_search, lemma23_ratio
 from gevreykit.multiindex import enumerate_decompositions
 from gevreykit.sequences import (
     DefiningSequence,
+    _first_max,
     audit_sequence,
     log_envelope,
     log_M,
@@ -172,6 +173,26 @@ def test_splitting_fits_skip_nan_like_the_double_loop():
     assert audit_sequence(DefiningSequence(5e307, 2.0), 10).fitted_log_C_m2bar == math.inf
 
 
+def _first_max_reference(row):
+    row = np.where(np.isnan(row), -np.inf, row)
+    i = int(np.argmax(row))
+    return i, float(row[i])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    row=st.lists(
+        st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.5, 2.0, 7.25]),
+        min_size=1, max_size=12,
+    ),
+)
+@example(row=[math.nan] * 3)
+def test_first_max_skips_nan_like_the_nan_mapping_pass(row):
+    # NaN and +-inf at drawn positions, all-NaN rows among them
+    row = np.array(row)
+    assert _first_max(row) == _first_max_reference(row)
+
+
 def test_m2prime_tie_at_q0_keeps_the_first_witness():
     # M_{p+0}/M_p = 1 for every p: all values tie at 0 and the witness is p = 1
     for tau, sigma in GRID:
@@ -292,13 +313,10 @@ def test_m2bar_exponent_max_at_small_shell():
             assert v <= shell_max[2] + 1e-9, (tau, sigma, s_)
 
 
-def test_stirling_comparison_caps_the_log_factorial_cache(monkeypatch):
-    # [p^sigma] stops at 64^3, the reach of sigma = 3; uncapped, sigma = 3.5
-    # would cache ln k! for k up to 64^3.5, about 2.1 million entries
-    cache = [0.0, 0.0]
-    monkeypatch.setattr(numerics, "_LOG_FACT_CACHE", cache)
+def test_stirling_comparison_stops_at_the_reach_of_sigma_3():
+    # [p^sigma] stops at 64^3, the reach of sigma = 3: past it the residual
+    # sinks toward the rounding of ln [p^sigma]!
     rep = audit_sequence(DefiningSequence(1, 3.5), 64)
-    assert len(cache) <= 64**3 + 1
     assert [p for p, _ in rep.stirling_ratio_log_residuals] == list(range(1, 36))
 
 
