@@ -205,8 +205,6 @@ def _parse_points(text: str, field: GridField) -> list[tuple[float, ...]]:
 
 
 def _cmd_wf_scan(args) -> tuple[dict, dict]:
-    if args.threads < 1:
-        raise _CliError(f"--threads must be at least 1, got {args.threads}")
     field = read_gridfield(args.field)
     points = _parse_points(args.points, field)
     extent = min(
@@ -219,7 +217,7 @@ def _cmd_wf_scan(args) -> tuple[dict, dict]:
     dxi = max(1.0 / (n * s) for n, s in zip(field.sizes, field.spacing))
     xi_min = args.ximin if args.ximin is not None else 5.0 * dxi
     scan = ScanParams(r_plateau=rp, r_support=rs, xi_min=xi_min, N_max=args.nmax)
-    verdicts = wf_scan(field, points, args.dirs, args.tau, args.sigma, scan, args.threads)
+    verdicts = wf_scan(field, points, args.dirs, args.tau, args.sigma, scan)
     if args.csv:
         # plot-ready decay profiles the scan measured: point; direction; N;
         # log_value, one block per verdict without error
@@ -347,7 +345,8 @@ def build_parser() -> _Parser:
     wf.add_argument("--ximin", type=finite, default=None)
     wf.add_argument("--nmax", type=int, default=40)
     wf.add_argument("--csv", default=None, help="also write decay profiles as CSV")
-    wf.add_argument("--threads", type=int, default=1, help="worker pool size")
+    # the scan runs on one thread; the flag is kept for scripts that pass 1
+    wf.add_argument("--threads", type=int, choices=(1,), default=1, help="1 only")
 
     pm = sub.add_parser("parametrix", help="build and audit Neumann sums")
     pm.add_argument("--op", required=True, help="e.g. 'D^2 + sin*D + poly:1'")

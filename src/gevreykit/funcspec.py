@@ -19,12 +19,14 @@ Grammar accepted by :func:`parse_spec` (d = 1 unless noted):
 Coefficients are ints, fractions p/q or finite floats and exponents are
 non-negative ints; anything else raises ValueError naming the token, or
 the literal for an empty one.  A pair's body is cut at the comma outside
-parentheses that a spec name follows.
+parentheses that a spec name follows.  Pairs nest at most MAX_SPEC_DEPTH
+deep.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -359,6 +361,8 @@ def _split_at(text: str, marks: re.Pattern) -> list[str]:
     return pieces + [text[start:]]
 
 
+# parsing, jets and evaluation recurse once per level of pair nesting
+MAX_SPEC_DEPTH = 100
 _ATOMS = {"exp": ExpSpec, "sin": SinSpec, "cos": CosSpec, "recip": RecipPowSpec}
 _PAIRS = {"compose": ComposeSpec, "sum": SumSpec, "prod": ProdSpec}
 # a pair is cut at the "," that a spec name follows: no number of a literal begins with one
@@ -369,6 +373,10 @@ _PAIR_MARKS = re.compile(r"[()]|,(?=\s*(?:%s))" % "|".join(_SPEC_NAMES))
 def parse_spec(text: str) -> FunctionSpec:
     """Parse the CLI spec grammar into a FunctionSpec."""
     s = text.strip()
+    # the count of "(" bounds the depth, so most texts skip the scan
+    if s.count("(") > MAX_SPEC_DEPTH:
+        if max(itertools.accumulate((c == "(") - (c == ")") for c in s)) > MAX_SPEC_DEPTH:
+            raise ValueError(f"spec nests deeper than {MAX_SPEC_DEPTH} levels")
     if s in _ATOMS:
         return _ATOMS[s]()
     if s.startswith("poly:"):

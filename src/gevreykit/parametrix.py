@@ -66,6 +66,10 @@ MAX_DIM = 2
 MAX_GRID_POINTS = 1024
 MAX_TERMS = 200_000
 MAX_AUDIT_ORDER = 6
+MAX_OPERATOR_TERMS = 100  # one power's terms fold into a chain of sums, a level each
+# the deepest derivative a coefficient or phi takes: w_N, e_N, R w_N and phi
+# read at most N, and bound_audit adds at most beta_max to R_j's j <= m
+JET_ORDER = max(MAX_TRUNCATION_N, MAX_ORDER_M + MAX_AUDIT_ORDER)
 
 
 def _const_spec(c, dim: int) -> FunctionSpec:
@@ -144,12 +148,13 @@ def _d_power(d: str, term: str) -> int:
 
 
 def parse_operator(text: str) -> DiffOperator:
-    """CLI grammar: terms like 'SPEC*D^2 + SPEC*D + SPEC' (d = 1)."""
+    """CLI grammar: terms like 'SPEC*D^2 + SPEC*D + SPEC' (d = 1), at most
+    MAX_OPERATOR_TERMS of them."""
+    parts = [t for t in (raw.strip() for raw in _split_at(text, _TERM_MARKS)) if t]
+    if len(parts) > MAX_OPERATOR_TERMS:
+        raise ValueError(f"operator has {len(parts)} terms, more than {MAX_OPERATOR_TERMS}")
     coeffs: dict[MultiIndex, FunctionSpec] = {}
-    for raw in _split_at(text, _TERM_MARKS):
-        part = raw.strip()
-        if not part:
-            continue
+    for part in parts:
         if "*D" in part:
             spec_s, _, dpart = part.rpartition("*")
             k = _d_power(dpart, part)
@@ -454,11 +459,12 @@ class GridEvaluator:
     """Evaluates term sums on a fixed set of x points.
 
     Each registry spec has one jet over the whole point set, with one
-    float coefficient value per point, and derivative rows are read
-    from it.  phi is either a registry spec read the same way or a
-    cutoff sampled on the grid of the points (row-major): d^beta phi is
-    then ``regularity.grid_derivative`` of the samples, taken on first
-    use and kept.  P_m and each power P_m^k that a sum divides by are
+    float coefficient value per point, built once at JET_ORDER (no row
+    depends on the truncation), and derivative rows are read from it.
+    phi is either a registry spec read the same way or a cutoff sampled
+    on the grid of the points (row-major): d^beta phi is then
+    ``regularity.grid_derivative`` of the samples, taken on first use
+    and kept.  P_m and each power P_m^k that a sum divides by are
     evaluated once per xi list into one table keyed by (xi list, k), and
     shared read-only by every sum evaluated at that list.
     """
@@ -467,7 +473,6 @@ class GridEvaluator:
         self,
         algebra: SymbolAlgebra,
         points: np.ndarray,
-        k_max: int,
         phi: FunctionSpec | GridField | None = None,
     ):
         pts = np.asarray(points, dtype=float)
@@ -477,7 +482,6 @@ class GridEvaluator:
             raise ValueError(f"grid limited to {MAX_GRID_POINTS} points")
         self.algebra = algebra
         self.points = pts
-        self.k_max = k_max
         self.phi = phi
         # d^beta phi on the sample grid, and the same flattened to complex rows
         self._phi_grid: dict[MultiIndex, np.ndarray] = {}
@@ -488,21 +492,12 @@ class GridEvaluator:
         self._derivs: dict[Factor, np.ndarray] = {}
         self._pm_powers: dict[tuple[tuple, int], np.ndarray] = {}
 
-    def _ensure_order(self, order: int) -> None:
-        # audits may differentiate beyond the order anticipated at build
-        # time; extend the truncation and rebuild the jets.  The rows stay:
-        # a row read from the shorter jet equals the longer jet's bit for bit
-        if order > self.k_max:
-            self.k_max = order + 4
-            self._jets.clear()
-
     def deriv(self, sid: int, beta: MultiIndex) -> np.ndarray:
         key = (sid, beta)
         if key not in self._derivs:
-            self._ensure_order(mi_order(beta))
             if sid not in self._jets:
                 spec = self.algebra.registry[sid]
-                self._jets[sid] = jet_of(spec, tuple(self.points.T), self.k_max)
+                self._jets[sid] = jet_of(spec, tuple(self.points.T), JET_ORDER)
             # a coefficient that is constant over the points is a scalar
             value = np.asarray(jet_partial(self._jets[sid], beta), dtype=complex)
             self._derivs[key] = np.broadcast_to(value, (len(self.points),)).copy()
@@ -714,8 +709,8 @@ def neumann_sums(
     system: ReductionSystem,
     phi: FunctionSpec | GridField,
     N: int,
+    xi_samples: Sequence[tuple | float],
     x_grid: np.ndarray | None = None,
-    xi_samples: Sequence[tuple | float] = (),
 ) -> NeumannSums:
     """Build w_N and e_N by applying operator words to phi.
 
@@ -728,6 +723,7 @@ def neumann_sums(
 
     phi is a closed-form spec, evaluated on x_grid, or a sampled cutoff,
     evaluated on its own grid; neither is differentiated past order N.
+    The sums are evaluated at each of xi_samples (a float is a 1-D xi).
     """
     alg = system.algebra
     m = alg.m
@@ -746,7 +742,7 @@ def neumann_sums(
         raise TypeError("phi must be a GridField or a FunctionSpec")
     elif x_grid is None:
         raise ValueError("x_grid required for closed-form phi")
-    evaluator = GridEvaluator(alg, x_grid, k_max=N + m + 2, phi=phi)
+    evaluator = GridEvaluator(alg, x_grid, phi=phi)
 
     # characteristic guard
     pm_min = np.min(np.abs(evaluator.pm(xi_list)), axis=1)

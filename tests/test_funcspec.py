@@ -162,7 +162,7 @@ def test_constant_coefficients_give_the_grid_rows_and_compositions_of_before():
     K = 4
     consts = [(1,), (-3,), (Fraction(2, 7),), (2.5,), (1.5j,), (0,)]
     P = DiffOperator(2, 1, {(2,): PolySpec((1,)), (1,): SinSpec()})
-    ev = GridEvaluator(SymbolAlgebra(P), points, k_max=K)
+    ev = GridEvaluator(SymbolAlgebra(P), points)
     for coeffs in consts:
         sid = ev.algebra.register(PolySpec(coeffs))
         for n in range(K + 1):

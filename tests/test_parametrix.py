@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import importlib.util
 import math
 import os
@@ -28,7 +27,11 @@ from gevreykit.funcspec import (
 from gevreykit.jets import Jet, jet_add, jet_compose, jet_of, jet_partial
 from gevreykit.multiindex import enumerate_decompositions, mi_add, mi_factorial, mi_of_order
 from gevreykit.parametrix import (
+    JET_ORDER,
     LEIBNIZ_WORDS,
+    MAX_AUDIT_ORDER,
+    MAX_ORDER_M,
+    MAX_TRUNCATION_N,
     DiffOperator,
     GridEvaluator,
     SymbolAlgebra,
@@ -177,7 +180,7 @@ def test_reduction_operators_match_the_conjugated_transpose_by_jets(name):
         xs, xis = [(0.15,), (-0.4,)], [(3.0,), (-7.5,)]
     else:
         xs, xis = [(0.15, -0.3), (-0.4, 0.25)], [(3.0, 1.0), (-2.0, 7.5)]
-    ev = GridEvaluator(system.algebra, np.array(xs), k_max=P.order + 1)
+    ev = GridEvaluator(system.algebra, np.array(xs))
     cells = [
         (gamma, ev.eval_sum(c, xis)) for op in system.operators for gamma, c in op.action.items()
     ]
@@ -599,7 +602,7 @@ def test_grid_jets_match_per_point_jets(spec):
     assert 0.0 in points
     K = 8
     _assert_float_grid_jet(spec, points, K)
-    ev = GridEvaluator(SymbolAlgebra(op_d()), points, k_max=K)
+    ev = GridEvaluator(SymbolAlgebra(op_d()), points)
     sid = ev.algebra.register(spec)
     for n in range(K + 1):
         want = _per_point_rows(spec, points, (n,), K)
@@ -626,7 +629,7 @@ def test_grid_jets_match_per_point_jets_in_two_dimensions():
     axis = np.linspace(-0.5, 0.5, 5)
     points = np.column_stack([m.reshape(-1) for m in np.meshgrid(axis, axis, indexing="ij")])
     K = 5
-    ev = GridEvaluator(SymbolAlgebra(DiffOperator(1, 2, {(1, 0): one})), points, k_max=K)
+    ev = GridEvaluator(SymbolAlgebra(DiffOperator(1, 2, {(1, 0): one})), points)
     for spec in specs:
         _assert_float_grid_jet(spec, points, K)
         sid = ev.algebra.register(spec)
@@ -637,8 +640,18 @@ def test_grid_jets_match_per_point_jets_in_two_dimensions():
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), beta
 
 
+def test_evaluator_rows_stop_at_the_jet_order():
+    # every jet is built once at JET_ORDER, the deepest order the budgets allow
+    assert JET_ORDER == max(MAX_TRUNCATION_N, MAX_ORDER_M + MAX_AUDIT_ORDER) == 12
+    ev = GridEvaluator(SymbolAlgebra(op_d()), np.linspace(-1.0, 1.0, 9))
+    sid = ev.algebra.register(SinSpec())
+    assert np.allclose(ev.deriv(sid, (JET_ORDER,)), np.sin(ev.points[:, 0]))
+    with pytest.raises(ValueError, match="exceeds truncation order 12"):
+        ev.deriv(sid, (JET_ORDER + 1,))
+
+
 def test_grid_jets_reject_poles_and_base_mismatch():
-    ev = GridEvaluator(SymbolAlgebra(op_d()), np.linspace(-1.0, 1.0, 9), k_max=3)
+    ev = GridEvaluator(SymbolAlgebra(op_d()), np.linspace(-1.0, 1.0, 9))
     sid = ev.algebra.register(ComposeSpec(ExpSpec(), RecipPowSpec(1)))
     with pytest.raises(ZeroDivisionError):
         ev.deriv(sid, (1,))
@@ -850,7 +863,7 @@ def test_phi_differences_on_demand_match_the_eager_table(dim, data):
     want = _eager_phi_table(g, n_max)
     pts = np.column_stack([axis.reshape(-1) for axis in g.meshgrid()])
     P = op_d() if g.dim == 1 else DiffOperator(1, 2, {(1, 0): MVPolySpec.from_dict(2, {(0, 0): 1})})
-    ev = GridEvaluator(SymbolAlgebra(P), pts, k_max=2, phi=g)
+    ev = GridEvaluator(SymbolAlgebra(P), pts, phi=g)
     for beta in data.draw(st.permutations(list(want))):
         got = ev.phi_deriv(beta)
         assert got.dtype == complex and got.tobytes() == want[beta].tobytes(), beta
@@ -866,61 +879,6 @@ def test_sums_and_audit_take_no_phi_difference_above_N(N, beta_max):
     residual_identity_check(sums)
     bound_audit(sums, beta_max=beta_max, tau=1.0, sigma=2.0)
     assert max(map(sum, sums.evaluator._phi_grid)) == N
-
-
-def test_growing_k_max_matches_an_evaluator_built_at_it():
-    # D + sin at N = 1 builds jets through order 4; the audit's D^6 of the
-    # coefficients grows them, and must read what a larger start would
-    P = parse_operator("D + sin")
-    system = build_reduction_operators(P)
-    phi = _PHI_CUTOFFS["1d"]
-    sums = neumann_sums(system, phi, N=1, xi_samples=[6.0, 24.0, 96.0])
-    ev = sums.evaluator
-    assert ev.k_max == 4
-    grown = bound_audit(sums, beta_max=6, tau=1.0, sigma=2.0)
-    assert ev.k_max > 4
-    fresh = GridEvaluator(system.algebra, ev.points, k_max=ev.k_max, phi=phi)
-    direct = bound_audit(dataclasses.replace(sums, evaluator=fresh), beta_max=6, tau=1.0, sigma=2.0)
-    assert fresh.k_max == ev.k_max
-    assert grown.coefficient_log_fits == direct.coefficient_log_fits
-    assert len(grown.coefficient_log_fits) == 2
-
-
-_GROWTH_SPECS = {
-    "sin": SinSpec(),
-    "cos_of_poly": ComposeSpec(CosSpec(), PolySpec((0.5, 1))),
-    "exp_times_sin": ProdSpec(ExpSpec(), SinSpec()),
-    "poly_plus_cos": SumSpec(PolySpec((1, -2, 0, 3)), CosSpec()),
-    "exp_of_x_sin": ComposeSpec(ExpSpec(), ProdSpec(PolySpec((0, 1)), SinSpec())),
-    "sin_of_mvpoly_2d": ComposeSpec(
-        SinSpec(), MVPolySpec.from_dict(2, {(1, 0): 1, (1, 1): 0.5, (0, 2): -1})
-    ),
-}
-
-
-@pytest.mark.parametrize("spec", list(_GROWTH_SPECS.values()), ids=list(_GROWTH_SPECS))
-def test_rows_built_before_the_order_grows_stay_bit_equal_to_a_fresh_evaluators(spec):
-    # growing k_max rebuilds the jets but keeps the rows already read,
-    # which must equal what an evaluator built at the grown order reads
-    if spec.dim == 1:
-        P, pts = op_d(), np.linspace(-0.9, 0.9, 256)
-    else:
-        P = DiffOperator(1, 2, {(1, 0): MVPolySpec.from_dict(2, {(0, 0): 1})})
-        axis = np.linspace(-0.9, 0.9, 16)
-        pts = np.column_stack([m.reshape(-1) for m in np.meshgrid(axis, axis, indexing="ij")])
-    for K in range(1, 9):
-        alg = SymbolAlgebra(P)
-        sid = alg.register(spec)
-        ev = GridEvaluator(alg, pts, k_max=K)
-        early = {beta: ev.deriv(sid, beta) for n in range(K + 1) for beta in mi_of_order(P.dim, n)}
-        top = (K + 1,) + (0,) * (P.dim - 1)
-        grown = ev.deriv(sid, top)
-        assert ev.k_max == K + 5
-        fresh = GridEvaluator(alg, pts, k_max=K + 5)
-        for beta, row in early.items():
-            assert ev.deriv(sid, beta) is row
-            assert row.tobytes() == fresh.deriv(sid, beta).tobytes(), (K, beta)
-        assert grown.tobytes() == fresh.deriv(sid, top).tobytes()
 
 
 def test_budgets_enforced():
@@ -980,7 +938,7 @@ def test_eval_sum_rows_match_single_xi_calls():
     P = DiffOperator(2, 1, {(2,): SumSpec(PolySpec((3,)), SinSpec()), (0,): PolySpec((1,))})
     system = build_reduction_operators(P)
     alg = system.algebra
-    ev = GridEvaluator(alg, X_GRID[::16], k_max=6)
+    ev = GridEvaluator(alg, X_GRID[::16])
     xis = [(v,) for v in XI_SAMPLES[::8]] + [(-5.0,)]
     # a reduction-operator coefficient carrying P_m^-k
     coeff = system.operators[1].action[(0,)]
@@ -1046,7 +1004,7 @@ def test_pm_power_table_leaves_every_sum_bit_equal(name):
     xi_lists = [xis, [(6.0,)], hom, [(-24.5,)], [(8.0,)]]
 
     def new_ev():
-        return GridEvaluator(system.algebra, sums.evaluator.points, k_max=N + 4, phi=phi)
+        return GridEvaluator(system.algebra, sums.evaluator.points, phi=phi)
 
     ev = new_ev()
     for S in sums_to_check:
@@ -1274,7 +1232,7 @@ def test_symbol_ring_reciprocal_table_matches_inv_pm_derivative(name):
     alg = SymbolAlgebra(P)
     n = 6 if P.dim == 1 else 4
     table = alg.d_op({((), alg.zero_mi(), 1, None): 1.0 + 0.0j}, n)
-    ev = GridEvaluator(alg, np.array(xs), k_max=n)
+    ev = GridEvaluator(alg, np.array(xs))
     worst = 0.0
     for gamma, S in table.items():
         vals = ev.eval_sum(S, xis)

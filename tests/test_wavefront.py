@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import os
@@ -13,6 +14,7 @@ from gevreykit.numerics import log_factorial
 from gevreykit.regularity import fit_regularity, measure_derivative_growth
 from gevreykit.sequences import log_envelope, log_M
 from gevreykit.wavefront import (
+    MAX_N_MAX,
     N_BANDS,
     Cone,
     DecayProfile,
@@ -333,9 +335,16 @@ def test_wf_scan_delta_and_order():
     assert [v.point for v in verdicts] == [(0.0,), (0.0,), (0.6,), (0.6,)]
     assert all(not v.regular for v in verdicts[:2])
     assert all(v.regular for v in verdicts[2:])
-    # threads do not change results
-    verdicts2 = wf_scan(u, pts, 2, 1.0, 2.0, params, threads=2)
-    assert [v.to_dict() for v in verdicts2] == [v.to_dict() for v in verdicts]
+
+
+def test_wf_scan_takes_n_max_up_to_its_cap():
+    u = catalog_field("kink")
+    params = ScanParams(r_plateau=0.15, r_support=0.35, xi_min=2.5, N_max=MAX_N_MAX)
+    verdicts = wf_scan(u, [(0.0,)], 2, 1.0, 2.0, params)
+    assert [len(v.profile.entries) for v in verdicts] == [MAX_N_MAX + 1] * 2
+    over = dataclasses.replace(params, N_max=MAX_N_MAX + 1)
+    with pytest.raises(ValueError, match=f"N_max = {MAX_N_MAX + 1} exceeds {MAX_N_MAX}"):
+        wf_scan(u, [(0.0,)], 2, 1.0, 2.0, over)
 
 
 def test_wf_scan_error_aggregation():
@@ -571,16 +580,6 @@ def _drawn_shells(draw):
 @given(shells=_drawn_shells())
 def test_band_envelope_points_match_the_per_band_comprehension(shells):
     assert _band_envelope_points(shells) == _ref_band_points(shells)
-
-
-def test_wf_scan_2d_threads_bit_equal():
-    u = catalog_field("step2d")
-    params = ScanParams(r_plateau=0.12, r_support=0.35, xi_min=2.5, N_max=30)
-    pts = [(0.0, 0.0), (0.0078125, 0.0), (0.62, 0.0), (0.95, 0.0)]
-    one = wf_scan(u, pts, 16, 1.0, 2.0, params, threads=1)
-    two = wf_scan(u, pts, 16, 1.0, 2.0, params, threads=2)
-    assert [(v.to_dict(), v.profile) for v in two] == [(v.to_dict(), v.profile) for v in one]
-    assert sum(v.profile is not None for v in one) == 48
 
 
 # Reference verdicts: the direct and the factorial-form tests written out
