@@ -13,12 +13,13 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
 
 from . import __version__
-from .faadibruno import LEMMA23_KMAX_MAX, lemma23_constant_search
+from .faadibruno import LEMMA23_KMAX_MAX, fdb_derivative, lemma23_constant_search
 from .funcspec import parse_spec
 from .jets import jet_chain_partial
 from .multiindex import decomposition_census, enumerate_decompositions
@@ -50,6 +51,12 @@ class _CliError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value such as -1,0.4,6 or -.5 is a value, not an option: no
+        # option of the parser begins with a minus sign and a digit
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # argparse would exit(2); map to validation failure
         raise _CliError(message)
 
@@ -139,8 +146,6 @@ def _cmd_decomp(args) -> tuple[dict, dict] | None:
 
 
 def _cmd_fdb(args) -> tuple[dict, dict]:
-    from .faadibruno import fdb_derivative
-
     f = parse_spec(args.f)
     g = parse_spec(args.g)
     alpha = _parse_ints(args.alpha, "--alpha")

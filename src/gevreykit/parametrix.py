@@ -268,7 +268,6 @@ class SymbolAlgebra:
     """
 
     def __init__(self, P: DiffOperator):
-        self.P = P
         self.dim = P.dim
         self.m = P.order
         self.registry: list[FunctionSpec] = []
@@ -664,7 +663,8 @@ def enumerate_words(m: int, max_weight: int) -> list[tuple[int, ...]]:
                     nxt.append(w + (j,))
         out.extend(nxt)
         frontier = nxt
-    return sorted(out, key=lambda w: (len(w), w))
+    # each layer extends a lex-sorted layer letter by letter, so it is sorted
+    return out
 
 
 def word_count_recurrence(m: int, v: int) -> int:
@@ -677,8 +677,6 @@ def word_count_recurrence(m: int, v: int) -> int:
 
 @dataclass
 class NeumannSums:
-    N: int
-    m: int
     w_words: list[tuple[int, ...]]
     e_words: list[tuple[int, ...]]
     K1: list[int]
@@ -776,8 +774,6 @@ def neumann_sums(
     K1 = [k for k in range(0, N // m + 1) if m * k <= N - m]
     K2 = [k for k in range(0, N // m + 1) if N - m < m * k <= N]
     return NeumannSums(
-        N=N,
-        m=m,
         w_words=w_words,
         e_words=e_words,
         K1=K1,

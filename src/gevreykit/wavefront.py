@@ -9,9 +9,9 @@ one ConeBins table per cone) is built once per field, a Spectrum (one
 transform) once per cutoff, and a DecayProfile per spectrum and cone.
 Each step does only the work its data needs: a cutoff is convolved on
 the window of its support, not on the whole grid, and the sup over N
-reads only the staircase of bins that no bin of larger or equal |xi|
-and clearly larger amplitude dominates, which leaves every entry
-exactly as the sup over all bins gives it (_STAIR_MARGIN).
+reads only the staircase of bins, the running maxima of the
+log-amplitude in descending ln |xi| order, which leaves every entry
+exactly as the sup over all bins gives it (_staircase).
 
 On a bounded frequency window the raw envelope inequality is always
 satisfiable by inflating the constants, so the measured-field verdict
@@ -182,6 +182,12 @@ def _distances(grid: GridField, x0: tuple[float, ...], window: tuple[slice, ...]
     return np.sqrt(sum(o**2 for o in offsets))
 
 
+def _bump(rho2: np.ndarray) -> np.ndarray:
+    """exp(-1/(1 - rho^2)) inside the unit ball, 0 outside, at rho2 = rho^2."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(rho2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - rho2, 1e-300)), 0.0)
+
+
 @functools.lru_cache(maxsize=8)
 def _mollifier_transform(
     spacing: tuple[float, ...], r_psi: float, fshape: tuple[int, ...]
@@ -194,9 +200,7 @@ def _mollifier_transform(
     half = [int(math.ceil(r_psi / spacing[i])) for i in range(dim)]
     offsets = [np.arange(-h, h + 1) * spacing[i] for i, h in enumerate(half)]
     mesh = np.meshgrid(*offsets, indexing="ij")
-    rho2 = sum(m**2 for m in mesh) / r_psi**2
-    with np.errstate(divide="ignore", over="ignore"):
-        psi = np.where(rho2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - rho2, 1e-300)), 0.0)
+    psi = _bump(sum(m**2 for m in mesh) / r_psi**2)
     psi /= psi.sum() * float(np.prod(spacing))
     psi_hat = np.fft.rfftn(psi, fshape, axes=list(range(dim)))
     psi_hat.flags.writeable = False  # shared by every cutoff of a scan
@@ -233,22 +237,18 @@ def make_cutoff(
     if len(x0) != grid.dim:
         raise ValueError(f"center {x0} of a {grid.dim}-D field needs {grid.dim} coordinates")
     _check_radii(r_plateau, r_support, grid)
-    band = r_support - r_plateau
-    for i, c in enumerate(x0):
-        lo = grid.origin[i]
-        hi = grid.origin[i] + grid.spacing[i] * (grid.sizes[i] - 1)
-        if c - r_support < lo or c + r_support > hi:
-            raise ValueError("cutoff support leaves the grid")
-
-    r_mid = 0.5 * (r_plateau + r_support)
-    r_psi = 0.5 * band
-    # the window's index range per axis, cut to the grid
+    # the support must lie on the grid; the window is its index range per
+    # axis, cut to the grid
     window = []
     for i, c in enumerate(x0):
-        h = grid.spacing[i]
-        mid, reach = round((c - grid.origin[i]) / h), math.ceil(r_support / h) + _WINDOW_MARGIN
+        lo, h = grid.origin[i], grid.spacing[i]
+        if c - r_support < lo or c + r_support > lo + h * (grid.sizes[i] - 1):
+            raise ValueError("cutoff support leaves the grid")
+        mid, reach = round((c - lo) / h), math.ceil(r_support / h) + _WINDOW_MARGIN
         window.append(slice(max(mid - reach, 0), min(mid + reach + 1, grid.sizes[i])))
     window = tuple(window)
+    r_mid = 0.5 * (r_plateau + r_support)
+    r_psi = 0.5 * (r_support - r_plateau)
     dist = _distances(grid, x0, window)
     chi = (dist <= r_mid).astype(float)
 
@@ -310,11 +310,14 @@ class DecayProfile:
     """
 
     entries: tuple[float, ...]
-    N_max: int
     cone: Cone
     n_radial_bins: int
     nyquist: float
     shells: tuple[tuple[float, float], ...]
+
+    @property
+    def N_max(self) -> int:
+        return len(self.entries) - 1
 
     def usable_N(self) -> int:
         return min(self.N_max, int(USABLE_FRACTION * self.n_radial_bins))
@@ -323,20 +326,16 @@ class DecayProfile:
 @dataclass(frozen=True)
 class ConeBins:
     """One cone's DFT bins, listed once per scan: flat indices (row-major),
-    |xi| and ln |xi| per bin; the count of distinct radius indices and
-    the largest |ln |xi||; the bins sorted by |xi| descending (stable),
-    and for each sorted position the last position of its run of equal
-    |xi|; the inner bins (|xi| at most half Nyquist) sorted by radius
-    index (stable), the start of each radius index's run among them, and
-    each inner bin's run number."""
+    |xi| and ln |xi| per bin; the count of distinct radius indices; the
+    bins sorted by ln |xi| descending (stable); the inner bins (|xi| at
+    most half Nyquist) sorted by radius index (stable), the start of each
+    radius index's run among them, and each inner bin's run number."""
 
     idx: np.ndarray
     mag: np.ndarray
     log_mag: np.ndarray
     n_ridx: int
-    max_abs_log_mag: float
     by_mag: np.ndarray
-    run_end: np.ndarray
     inner: np.ndarray
     inner_start: np.ndarray
     inner_run: np.ndarray
@@ -348,16 +347,13 @@ class ConeBins:
         idx = np.flatnonzero(mask)
         m, r = mag.reshape(-1)[idx], ridx.reshape(-1)[idx]
         log_m = np.log(m)
-        by_mag = np.argsort(-m, kind="stable")
-        bounds = np.append(np.flatnonzero(np.diff(m[by_mag], prepend=np.inf)), len(m))
-        run_end = np.repeat(bounds[1:] - 1, np.diff(bounds))
+        by_mag = np.argsort(-log_m, kind="stable")
         n_ridx = int(np.count_nonzero(np.bincount(r)))  # radius indices are >= 0
         inner = np.flatnonzero(m <= inner_max)
         inner = inner[np.argsort(r[inner], kind="stable")]
         new_run = np.diff(r[inner], prepend=-1) != 0
         return cls(
-            idx, m, log_m, n_ridx, float(np.abs(log_m).max(initial=0.0)), by_mag,
-            run_end, inner, np.flatnonzero(new_run), np.cumsum(new_run) - 1,
+            idx, m, log_m, n_ridx, by_mag, inner, np.flatnonzero(new_run), np.cumsum(new_run) - 1
         )
 
 
@@ -402,25 +398,16 @@ class Spectrum:
     amp: np.ndarray
 
 
-# A bin is dropped from the sup over N when a bin of |xi| at least as large
-# has a log-amplitude at least _STAIR_MARGIN * max(1, S) higher, S bounding
-# |N ln|xi| + ln|amp|| over the profile.  This is exact: N >= 0, ln is
-# monotone and rounding is monotone, so fl(N ln r') >= fl(N ln r) for
-# r' >= r; adding the log-amplitudes, the exact sums differ by at least
-# the margin, far more than the 2^-52 S that rounding both sums can close.
-# So at every N a dropped bin lies strictly below another bin: the
-# entries are those of the sup over all bins, bit for bit.
-_STAIR_MARGIN = 1e-9
-
-
-def _staircase(bins: ConeBins, floored: np.ndarray, margin: float) -> np.ndarray:
-    """Table positions, ascending, of the kept bins whose log-amplitude
-    comes within margin of the largest at every |xi| at least as large;
-    floored holds -inf at the bins under the floor."""
+def _staircase(bins: ConeBins, floored: np.ndarray) -> np.ndarray:
+    """Table positions, ascending, of the bins above the floor (floored
+    holds -inf under it) whose log-amplitude is a running maximum in
+    descending ln |xi| order: exactly the bins the sup over N needs."""
+    # A dropped bin has an earlier bin with ln|xi'| >= ln|xi| and a' > a.  For
+    # N >= 0 rounding is monotone: fl(N ln|xi'|) >= fl(N ln|xi|), and then
+    # fl(fl(N ln|xi'|) + a') >= fl(fl(N ln|xi|) + a).  The bin that sets each running
+    # maximum is kept: the kept max is the max over all bins, bit for bit.
     g = floored[bins.by_mag]
-    level = np.maximum.accumulate(g)[bins.run_end]
-    # strict, so that a bin under the floor (g = -inf) never passes
-    return np.sort(bins.by_mag[g > level - margin])
+    return np.sort(bins.by_mag[(g == np.maximum.accumulate(g)) & (g > -np.inf)])
 
 
 def directional_decay_profile(spectrum: Spectrum, cone: Cone, N_max: int) -> DecayProfile:
@@ -430,7 +417,7 @@ def directional_decay_profile(spectrum: Spectrum, cone: Cone, N_max: int) -> Dec
     Frequency bins below the DC leakage band or under the relative floor
     are excluded from the sup; each shell is the first bin attaining the
     largest amplitude of its radius index.  The sup over N is taken over
-    the staircase of bins no larger bin dominates (_STAIR_MARGIN).
+    the staircase of running maxima in ln |xi| order (_staircase).
     """
     freq = spectrum.freq
     bins = freq.bins[cone]
@@ -443,7 +430,6 @@ def directional_decay_profile(spectrum: Spectrum, cone: Cone, N_max: int) -> Dec
     if amax == 0.0:
         return DecayProfile(
             entries=(_NEG_INF,) * (N_max + 1),
-            N_max=N_max,
             cone=cone,
             n_radial_bins=bins.n_ridx,
             nyquist=freq.nyquist,
@@ -465,12 +451,10 @@ def directional_decay_profile(spectrum: Spectrum, cone: Cone, N_max: int) -> Dec
     live = run_max > -np.inf
     shell_list = tuple(zip(bins.mag[bins.inner[first[live]]].tolist(), run_max[live].tolist()))
 
-    bound = N_max * bins.max_abs_log_mag + float(np.abs(loga[keep]).max())
-    cand = _staircase(bins, floored, _STAIR_MARGIN * max(1.0, bound))
+    cand = _staircase(bins, floored)
     vals = np.arange(N_max + 1, dtype=float)[:, None] * bins.log_mag[cand] + loga[cand]
     return DecayProfile(
         entries=tuple(vals.max(axis=1).tolist()),
-        N_max=N_max,
         cone=cone,
         n_radial_bins=len(shell_list),
         nyquist=freq.nyquist,
@@ -770,11 +754,7 @@ def catalog_field(name: str) -> GridField:
     if name == "bump":
         spacing = 2.0 / n
         x = -1.0 + spacing * np.arange(n)
-        r = x / 0.5
-        with np.errstate(divide="ignore", over="ignore"):
-            samples = np.where(
-                np.abs(r) < 1.0, np.exp(-1.0 / np.maximum(1.0 - r**2, 1e-300)), 0.0
-            )
+        samples = _bump((x / 0.5) ** 2)
         return GridField(1, (n,), (-1.0,), (spacing,), samples)
     if name == "step2d":
         m = 256

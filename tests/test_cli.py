@@ -1115,3 +1115,75 @@ def test_wf_scan_on_fuzzed_tiny_field_exits_cleanly(tmp_path, n, spacing, sample
                         "--sigma", "2", "--threads", "1", "--nmax", "10", "--rp",
                         repr(2 * spacing), "--rs", repr(12 * spacing)] + ximin,
                        os.path.join(tmp_path, "wf.json"))
+
+
+# a list value that begins with a minus sign, in its own token: the README's
+# negative half-line, a negative point and a bare "-.5"
+_MINUS_VALUES = [
+    (["parametrix", "--op", "D^2 + sin*D + poly:1", "--N", "3", "--grid", "64",
+      "--beta-max", "1"], "--cone", "-1,0.4,6"),
+    (["fdb", "--f", "exp", "--g", "mvpoly:1,0:1;0,1:2", "--alpha", "1,1"], "--at", "-0.5,0.2"),
+    (["fdb", "--f", "sin", "--g", "poly:0,1", "--alpha", "3"], "--at", "-.5"),
+    (["wf-scan", "--field", "step2d.gf", "--dirs", "4", "--nmax", "10", "--tau", "1",
+      "--sigma", "2"], "--points", "-0.3,0;0.6,0"),
+]
+
+
+@pytest.mark.parametrize("argv,flag,value", _MINUS_VALUES)
+def test_a_value_beginning_with_a_minus_sign_reads_as_its_flag_equals_form(
+    tmp_path, argv, flag, value
+):
+    if "step2d.gf" in argv:
+        field = os.path.join(tmp_path, "step2d.gf")
+        write_gridfield(catalog_field("step2d"), field)
+        argv = [field if a == "step2d.gf" else a for a in argv]
+    outs = [os.path.join(tmp_path, name) for name in ("split.json", "joined.json")]
+    assert main(argv + [flag, value, "--out", outs[0]]) == 0
+    assert main(argv + [f"{flag}={value}", "--out", outs[1]]) == 0
+    with open(outs[0], "rb") as split, open(outs[1], "rb") as joined:
+        assert split.read() == joined.read()
+
+
+# Known defects (ROADMAP): each test states the right answer, which the
+# program does not give yet; strict, so a mend fails here until unmarked
+
+
+def _wf_scan_at_zero(tmp_path, field, tau, sigma):
+    path = os.path.join(tmp_path, "field.gf")
+    write_gridfield(field, path)
+    return run(["wf-scan", "--field", path, "--points", "0", "--dirs", "2",
+                "--tau", str(tau), "--sigma", str(sigma)], tmp_path)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP Direction 5: the cutoff alone misses the "
+                   "order (0.5, 1.5) requires, so the smooth bump reads singular")
+def test_the_bump_is_not_singular_at_a_small_class(tmp_path):
+    code, rep = _wf_scan_at_zero(tmp_path, catalog_field("bump"), 0.5, 1.5)
+    assert code == 0
+    assert not any(v["regular"] is False and v["error"] is None for v in rep["result"]["verdicts"])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP Direction 13: at (1, 2) the required order "
+                   "lies below the cutoff's own, so x|x| reads regular at its kink")
+def test_x_abs_x_is_not_regular_at_zero(tmp_path):
+    kink = catalog_field("kink")
+    x = kink.axis_coords(0)
+    code, rep = _wf_scan_at_zero(tmp_path, kink.like(x * np.abs(x)), 1, 2)
+    assert code == 0
+    assert not any(v["regular"] is True for v in rep["result"]["verdicts"])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP Directions 5, 13 and 9: A_hat overflows "
+                   "at sigma 2.4, and under it the kink passes the order test")
+def test_the_kink_at_sigma_2_4_exits_0_and_is_not_regular(tmp_path):
+    code, rep = _wf_scan_at_zero(tmp_path, catalog_field("kink"), 1, 2.4)
+    assert code == 0
+    assert not any(v["regular"] is True for v in rep["result"]["verdicts"])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP Direction 4: P_m = (x - 0.17) xi^2 vanishes "
+                   "inside phi's support but on no grid point")
+def test_a_principal_coefficient_vanishing_inside_the_support_exits_1(tmp_path):
+    code, _ = run(["parametrix", "--op", "poly:-0.17,1*D^2", "--N", "3", "--grid", "64",
+                   "--beta-max", "1"], tmp_path)
+    assert code == 1

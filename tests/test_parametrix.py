@@ -358,6 +358,15 @@ def test_word_enumeration_and_counts():
     assert [word_count_recurrence(2, v) for v in range(7)] == [1, 1, 2, 3, 5, 8, 13]
 
 
+def test_words_come_in_length_then_lex_order():
+    # the Leibniz audit reads the first LEIBNIZ_WORDS e-words in this order
+    for m in (1, 2, 3):
+        for weight in range(13):
+            words = enumerate_words(m, weight)
+            assert words == sorted(words, key=lambda w: (len(w), w)), (m, weight)
+    assert enumerate_words(2, 3)[:6] == [(), (1,), (2,), (1, 1), (1, 2), (2, 1)]
+
+
 def test_neumann_k_sets_and_word_windows():
     system = build_reduction_operators(op_d2())
     sums = neumann_sums(system, PHI, N=7, x_grid=X_GRID[:64], xi_samples=[8.0])

@@ -308,7 +308,7 @@ def _profile_of(values):
     """A profile with the given entries and no shell data, given the
     radius bins that make every entry usable."""
     vals = tuple(float(v) for v in values)
-    return DecayProfile(entries=vals, N_max=len(vals) - 1, cone=CONE1,
+    return DecayProfile(entries=vals, cone=CONE1,
                         n_radial_bins=math.ceil(len(vals) / 0.8), nyquist=64.0, shells=())
 
 
@@ -528,11 +528,34 @@ def _grid_mag(u):
     return np.sqrt(sum(m**2 for m in _freq_mesh(u)))
 
 
+def _one_ulp_case(equal_mag):
+    """A stair case whose two loudest cone bins are one ulp apart, the
+    rest 1e-3: at equal |xi| the first in table order louder (the other
+    must drop), or else the bin just inside the largest |xi| louder (it
+    wins N = 0 alone)."""
+    u, cone = _STAIR_GRIDS[0], Cone((1.0, 0.0), 0.5, 4.0)
+    mag = _grid_mag(u)
+    inside = np.flatnonzero(cone.contains(_freq_mesh(u), mag))
+    order = inside[np.argsort(-mag.flat[inside], kind="stable")]
+    m = mag.flat[order]
+    if equal_mag:
+        k = np.flatnonzero(m[:-1] == m[1:])[0]
+        loud, quiet = order[k], order[k + 1]
+    else:
+        loud, quiet = order[np.argmax(m < m[0])], order[0]
+    amp = np.full(u.sizes, 1e-3)
+    amp.flat[quiet], amp.flat[loud] = 1.0, np.nextafter(1.0, 2.0)
+    return u, cone, amp, 60
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=_stair_cases())
 # the outer bins lie under the floor, where they would win every large N
 @example(case=(_STAIR_GRIDS[0], Cone((1.0, 0.0), 0.5, 4.0),
                np.where(_grid_mag(_STAIR_GRIDS[0]) >= 6.0, 1e-15, 1.0), 60))
+# one-ulp ties: two bins of equal |xi|, and a bin of slightly smaller |xi|
+@example(case=_one_ulp_case(equal_mag=True))
+@example(case=_one_ulp_case(equal_mag=False))
 def test_staircase_sup_equals_the_per_N_loop(case):
     u, cone, amp, N_max = case
     freq = FrequencyGrid(u, [cone])
