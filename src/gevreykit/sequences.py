@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -140,10 +141,14 @@ _STIRLING_P_CAP = 64
 _STIRLING_N_CAP = _STIRLING_P_CAP**3
 # the (M.2)'-bar constants C_q are fitted for q = 0..Q_MAX
 Q_MAX = 10
-# the audit is O(p_max^2): `gevrey seq-audit` takes 0.65-1.1 s at the cap,
-# 0.43-0.64 s of it in the audit, at (0.1, 1.1), (1, 2), (0.05, 1.05) and
-# (1, 3) (2-vCPU Xeon, Python 3.11)
+# the audit is O(p_max^2): `gevrey seq-audit` takes 0.59-0.89 s at the cap,
+# 0.30-0.41 s of it in the audit, at (0.1, 1.1), (1, 2), (0.05, 1.05) and
+# (1, 3) (2-vCPU Xeon, Python 3.11, min of 5)
 SEQ_AUDIT_PMAX_MAX = 20_000
+# cells per block of the (M.2)-bar scan, 512 kB per buffer: at p_max 2000
+# 2^15 and 2^16 were equally fast, 2^14 and 2^17 10-25% slower, and 2^16
+# still holds 3 rows per block at the cap
+_M2BAR_BLOCK_CELLS = 1 << 16
 
 
 def _first_max(row: np.ndarray) -> tuple[int, float]:
@@ -153,6 +158,54 @@ def _first_max(row: np.ndarray) -> tuple[int, float]:
         row = np.where(np.isnan(row), -np.inf, row)
         i = int(np.argmax(row))
     return i, float(row[i])
+
+
+def _rows(table: np.ndarray, start: int, step: int, rows: int, width: int) -> np.ndarray:
+    """The rows x width view whose row r is table[start + r step:][:width], no copy."""
+    item = table.itemsize
+    return np.ndarray((rows, width), table.dtype, table, start * item, (step * item, item))
+
+
+def _m2bar_fit(LM: np.ndarray, LMp: np.ndarray, PS: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """The (M.2)-bar scan: the first maximum of (LM[p+q] - LMp[p] - LMp[q]) /
+    (PS[p] + PS[q]) over 0 <= p <= q <= p_max - p, (p, q) != (0, 0), in the
+    double loop's order; (-inf, (1, 1)) if nothing beats -inf.
+
+    Row p >= 1 reads LM[2p + j], LMp[p + j] and PS[p + j] for
+    j = 0..p_max - 2p, so a block of rows is three strided views of the
+    tables; past p_max they read -inf, 0 and 1, which makes every ragged
+    tail -inf. Each row's first argmax, then a strict > across rows and
+    blocks in p order, keeps the loop's first (p, q).
+    """
+    p_max = len(PS) - 1
+    pad = p_max  # a block reads below index 2 p_max
+    LMw = np.concatenate((LM[:p_max + 1], np.full(pad, -np.inf)))
+    LMpw = np.concatenate((LMp, np.zeros(pad)))
+    PSw = np.concatenate((PS, np.ones(pad)))
+    num_cells, den_cells = np.empty(_M2BAR_BLOCK_CELLS), np.empty(_M2BAR_BLOCK_CELLS)
+    best, best_pq = -math.inf, (1, 1)
+    i, val = _first_max((LM[1:p_max + 1] - LMp[0] - LMp[1:]) / (PS[0] + PS[1:]))
+    if val > best:  # row 0: q = 1..p_max
+        best, best_pq = val, (0, 1 + i)
+    p, p_end = 1, p_max // 2 + 1
+    while p < p_end:
+        width = p_max + 1 - 2 * p  # row p's length, the block's longest
+        rows = min(_M2BAR_BLOCK_CELLS // width, p_end - p)
+        block = num_cells[:rows * width].reshape(rows, width)
+        den = den_cells[:rows * width].reshape(rows, width)
+        np.subtract(_rows(LMw, 2 * p, 2, rows, width), LMp[p:p + rows, None], out=block)
+        block -= _rows(LMpw, p, 1, rows, width)
+        np.add(PS[p:p + rows, None], _rows(PSw, p, 1, rows, width), out=den)
+        block /= den
+        idx = block.argmax(axis=1)
+        vals = block[np.arange(rows), idx]
+        for r in np.flatnonzero(np.isnan(vals)):  # argmax stopped at a NaN
+            idx[r], vals[r] = _first_max(block[r, :width - 2 * r])
+        k, val = _first_max(vals)
+        if val > best:
+            best, best_pq = val, (p + k, p + k + int(idx[k]))
+        p += rows
+    return best, best_pq
 
 
 def audit_sequence(seq: DefiningSequence, p_max: int) -> SequenceAuditReport:
@@ -166,70 +219,57 @@ def audit_sequence(seq: DefiningSequence, p_max: int) -> SequenceAuditReport:
     against its Stirling-predicted equivalent of M_p for p <= 64 with
     [p^sigma] <= 64^3.
 
-    The (M.2)-bar fit is the one O(p_max^2) step. It runs one numpy row
-    per p, never the full p_max x p_max matrix: at p_max 2000 each
-    temporary of that matrix would take about 16 MB, where a row takes
-    16 kB. Both fits give the floats and first arg-max witnesses of the
-    plain double loop, bit for bit.
+    The (M.2)-bar fit is the one O(p_max^2) step. It runs in blocks of
+    whole rows p of at most 2^16 cells (about 32 rows at p_max 2000, 3 at
+    20000), a few numpy calls per block, into two buffers of 512 kB; the
+    full p_max x p_max matrix would take about 16 MB per temporary at
+    p_max 2000.
+
+    Both fits give the floats and first arg-max witnesses of the
+    plain double loop, bit for bit, and the linear checks those of
+    their scalar loops.
     """
     if not 3 <= p_max <= SEQ_AUDIT_PMAX_MAX:
         raise ValueError(f"p_max must lie in 3..{SEQ_AUDIT_PMAX_MAX}, got {p_max}")
     check_indices(seq.sigma, p_max + 1)
     tau, sigma = seq.tau, seq.sigma
     logM = [seq.log_M(p) for p in range(p_max + 2)]
-
-    m1_ok = all(
-        2.0 * logM[p] <= logM[p - 1] + logM[p + 1] + 1e-12 * max(1.0, abs(logM[p + 1]))
-        for p in range(1, p_max + 1)
-    )
+    ps = range(1, p_max + 1)
 
     ratio_bound_ok = all(
         logM[p - 1] - logM[p]
         <= -tau * float(p - 1) ** (sigma - 1.0) * math.log(2.0 * p) + 1e-12
-        for p in range(1, p_max + 1)
+        for p in ps
     )
 
-    partial_sums: list[tuple[int, float]] = []
-    acc = 0.0
-    for p in range(1, p_max + 1):
-        acc += math.exp(logM[p - 1] - logM[p])
-        partial_sums.append((p, acc))
-
-    # first index from which a_p = (ln M_p - ln p!)/p is nondecreasing
-    a = [seq.log_M_over_factorial(p) / p for p in range(1, p_max + 1)]
-    almost_from = 1
-    for i in range(len(a) - 1):
-        if a[i + 1] < a[i] - 1e-15:
-            almost_from = i + 2  # a index i corresponds to p = i+1
-    ai_from = almost_from
-
-    # (M.2)-bar: ln of the minimal C with M_{p+q} <= C^{p^s+q^s} M'_p M'_q,
-    # primed tau, over p <= q <= p_max - p. Logs and powers stay Python
-    # scalars (np.power may differ by an ulp); numpy only subtracts, divides
-    # and takes argmax. One row per p keeps the loop's (p, q) first maximum:
-    # the row's first argmax, and a strict > across rows.
+    # Logs and powers stay Python scalars (np.power may differ by an ulp);
+    # numpy only adds, subtracts, multiplies, divides, compares and takes
+    # argmax. An overflowed ln M makes inf, and inf - inf NaN: silent, as
+    # in scalar arithmetic.
     tau_primed = tau * 2.0 ** (sigma - 1.0)
     LM = np.array(logM)
     LMp = np.array([log_M(tau_primed, sigma, p) for p in range(p_max + 1)])
     PS = np.array([float(p) ** sigma for p in range(p_max + 1)])
-    best = float("-inf")
-    best_pq = (1, 1)
-    cq_list: list[tuple[int, float]] = []
-    cq_arg: list[tuple[int, int]] = []
-    # an overflowed ln M makes inf - inf: NaN, silent as in scalar arithmetic
-    with np.errstate(invalid="ignore"):
-        for p in range(0, p_max // 2 + 1):
-            q0 = max(p, 1)
-            row = (LM[p + q0:p_max + 1] - LMp[p] - LMp[q0:p_max + 1 - p]) / (
-                PS[p] + PS[q0:p_max + 1 - p]
-            )
-            i, val = _first_max(row)
-            if val > best:
-                best = val
-                best_pq = (p, q0 + i)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m1_ok = bool(np.all(
+            2.0 * LM[1:-1] <= LM[:-2] + LM[2:] + 1e-12 * np.maximum(1.0, np.abs(LM[2:]))
+        ))
+
+        partial_sums = list(zip(ps, accumulate(map(math.exp, (LM[:-2] - LM[1:-1]).tolist()))))
+
+        # first index from which a_p = (ln M_p - ln p!)/p is nondecreasing
+        a = (LM[1:-1] - np.array([log_factorial(p) for p in ps])) / np.arange(1.0, p_max + 1)
+        drops = np.flatnonzero(a[1:] < a[:-1] - 1e-15)
+        ai_from = int(drops[-1]) + 2 if drops.size else 1  # a index i is p = i+1
+
+        # (M.2)-bar: ln of the minimal C with M_{p+q} <= C^{p^s+q^s} M'_p M'_q,
+        # primed tau, over p <= q <= p_max - p
+        best, best_pq = _m2bar_fit(LM, LMp, PS)
 
         # (M.2)'-bar: per q, ln of the minimal C_q with
         # M_{p+q} <= C_q^{p^sigma} M_p, p >= 1
+        cq_list: list[tuple[int, float]] = []
+        cq_arg: list[tuple[int, int]] = []
         for q in range(0, min(Q_MAX, p_max - 1) + 1):
             last = p_max - q
             i, best_q = _first_max((LM[1 + q:p_max + 1] - LM[1:last + 1]) / PS[1:last + 1])

@@ -20,6 +20,10 @@ from gevreykit.sequences import (
 GRID = [(t, s) for t in (0.25, 0.5, 1.0, 2.0) for s in (1.25, 1.5, 2.0, 3.0)]
 
 
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
 def test_eval_examples():
     assert math.isclose(DefiningSequence(1, 2).log_M(2), math.log(16))
     assert DefiningSequence(0.7, 1.6).log_M(1) == 0.0
@@ -173,6 +177,73 @@ def test_splitting_fits_skip_nan_like_the_double_loop():
     assert audit_sequence(DefiningSequence(5e307, 2.0), 10).fitted_log_C_m2bar == math.inf
 
 
+# p_max 700 and 1001 span 3 and 5 blocks of the scan, the last one ragged,
+# with witnesses in different blocks; the overflow classes put NaN rows
+# (5e307) and rows mixing inf, NaN and -inf (1e300 at sigma 3, witness
+# (112, 203)) inside blocks
+@pytest.mark.parametrize("p_max", [700, 1001])
+@pytest.mark.parametrize("tau, sigma", [(1.0, 2.0), (0.25, 1.25), (0.1, 1.1), (5e307, 2.0), (1e300, 3.0)])
+def test_splitting_fits_equal_the_double_loop_across_blocks(tau, sigma, p_max):
+    _assert_fits_match_oracle(tau, sigma, p_max)
+
+
+def _linear_checks_oracle(seq, p_max):
+    """The audit's linear checks as plain scalar loops: the reference its
+    array passes must reproduce bit for bit."""
+    tau, sigma = seq.tau, seq.sigma
+    logM = [seq.log_M(p) for p in range(p_max + 2)]
+    m1_ok = all(
+        2.0 * logM[p] <= logM[p - 1] + logM[p + 1] + 1e-12 * max(1.0, abs(logM[p + 1]))
+        for p in range(1, p_max + 1)
+    )
+    ratio_bound_ok = all(
+        logM[p - 1] - logM[p]
+        <= -tau * float(p - 1) ** (sigma - 1.0) * math.log(2.0 * p) + 1e-12
+        for p in range(1, p_max + 1)
+    )
+    partial_sums = []
+    acc = 0.0
+    for p in range(1, p_max + 1):
+        acc += math.exp(logM[p - 1] - logM[p])
+        partial_sums.append((p, acc))
+    a = [seq.log_M_over_factorial(p) / p for p in range(1, p_max + 1)]
+    almost_from = 1
+    for i in range(len(a) - 1):
+        if a[i + 1] < a[i] - 1e-15:
+            almost_from = i + 2
+    return {
+        "m1_ok": m1_ok,
+        "ratio_bound_ok": ratio_bound_ok,
+        "m3prime_partial_sums": partial_sums,
+        "almost_increasing_from": almost_from,
+    }
+
+
+def _assert_linear_checks_match_oracle(tau, sigma, p_max):
+    seq = DefiningSequence(tau, sigma)
+    got = vars(audit_sequence(seq, p_max))
+    want = _linear_checks_oracle(seq, p_max)
+    # repr compares floats bit for bit, NaN included, and bool against np.bool_
+    assert repr({key: got[key] for key in want}) == repr(want), (tau, sigma, p_max)
+    return got
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    tau=st.one_of(_log_uniform(0.01, 10.0), st.sampled_from([1e300, 5e307])),
+    sigma=st.floats(1.001, 4.0),
+    p_max=st.integers(3, 400),
+)
+def test_linear_checks_equal_the_scalar_loops(tau, sigma, p_max):
+    _assert_linear_checks_match_oracle(tau, sigma, p_max)
+
+
+@pytest.mark.parametrize("tau, sigma, ai_from", [(0.25, 1.25, 19), (0.3, 1.2, 23), (0.1, 1.1, 2000)])
+def test_almost_increasing_from_past_one_equals_the_scalar_loop(tau, sigma, ai_from):
+    got = _assert_linear_checks_match_oracle(tau, sigma, 2000)
+    assert got["almost_increasing_from"] == ai_from
+
+
 def _first_max_reference(row):
     row = np.where(np.isnan(row), -np.inf, row)
     i = int(np.argmax(row))
@@ -228,10 +299,6 @@ def test_lemma23_search_equals_the_ratio_oracle():
             fit = lemma23_constant_search(seq, k_max)
             log_c, (k, parts) = _lemma23_oracle(seq, k_max)
             assert (fit.log_C, fit.witness_k, fit.witness_parts) == (log_c, k, parts), (tau, sigma)
-
-
-def _log_uniform(lo, hi):
-    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
 @settings(deadline=None)
