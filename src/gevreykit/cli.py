@@ -3,6 +3,9 @@
 Commands: seq-audit, decomp, fdb, lemma23, fit, wf-scan, parametrix,
 catalog.  Reports are JSON with sorted keys and embed the full run
 configuration, so identical configurations give byte-identical output.
+A report's text is json.dumps(report, sort_keys=True, indent=2,
+allow_nan=False) and a newline; a report holding NaN or Infinity is not
+written.
 Exit status: 0 success, 1 validation failure, 2 I/O error.
 """
 
@@ -15,6 +18,7 @@ import math
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -42,7 +46,7 @@ from .wavefront import (
 # documented numerical defaults
 TOL_IDENTITY = 1e-8
 # `decomp --out` holds every decomposition and the report text at once: peak
-# RSS 136 MB at --alpha 40 (37,338 decompositions, a 12 MB report), 292 MB at 45
+# RSS 107 MB at --alpha 40 (37,338 decompositions, a 12 MB report), 219 MB at 45
 DECOMP_OUT_MAX = 40_000
 
 
@@ -61,6 +65,71 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+# json's C encoder writes no indentation; with sort_keys it walks a dict in
+# the order json.dumps(sort_keys=True) does, so the first failure is the same
+_compact = json.JSONEncoder(separators=(",", ":"), sort_keys=True, allow_nan=False).encode
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _report_text(obj, level: int = 0) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2, allow_nan=False): the same
+    text, or an exception of the same class, for every acyclic document.
+
+    json's C encoder formats every scalar; this adds only the newlines and
+    the indentation.  A list that is flat (numbers and literals only) or
+    holds only non-empty flat rows is encoded compactly in one call and
+    laid out by str.replace; any other list is written item by item.
+    """
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is float and math.isfinite(obj):  # NaN and Infinity: json's ValueError below
+        return float.__repr__(obj)
+    if obj is None or obj is True or obj is False:
+        return _LITERALS[obj]
+    pad = "\n" + "  " * (level + 1)
+    end = pad[:-2]
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            encode_basestring_ascii(_key_text(k)) + ": " + _report_text(v, level + 1)
+            for k, v in sorted(obj.items())
+        ]
+        return "{" + pad + ("," + pad).join(items) + end + "}"
+    if not isinstance(obj, (list, tuple)):
+        return _compact(obj)  # np.float64 as json writes it; np.int64 raises TypeError
+    if not obj:
+        return "[]"
+    if not isinstance(obj[0], dict):
+        text = _compact(obj)
+        if '"' not in text and "{" not in text:
+            opens = text.count("[")
+            if opens == 1:
+                return "[" + pad + text[1:-1].replace(",", "," + pad) + end + "]"
+            # [[...],...,[...]]: every "[" after the second follows "],", so
+            # no row nests a list and no scalar stands between the rows
+            n = len(obj)
+            if (text.startswith("[[") and opens == n + 1 and text.count("],[") == n - 1
+                    and "[]" not in text):
+                pad2 = pad + "  "
+                body = text[2:-2].replace(",", "," + pad2)
+                body = body.replace("]," + pad2 + "[", pad + "]," + pad + "[" + pad2)
+                return "[" + pad + "[" + pad2 + body + pad + "]" + end + "]"
+    return "[" + pad + ("," + pad).join(_report_text(v, level + 1) for v in obj) + end + "]"
+
+
+def _key_text(key) -> str:
+    """A dict key as json.dumps converts it."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (int, float)) or key is None:  # bool is an int
+        return _compact(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 def _report(command: str, params: dict, result: dict, seed: int, out: str | None) -> None:
     doc = {
         "schema": schema_id(command),
@@ -73,7 +142,7 @@ def _report(command: str, params: dict, result: dict, seed: int, out: str | None
         "result": result,
     }
     try:
-        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        text = _report_text(doc) + "\n"
     except ValueError:  # json's own message names only one float value
         raise ValueError("report holds NaN or Infinity; not written") from None
     if out:

@@ -120,11 +120,21 @@ def fit_regularity(
     span = max(1.0, float(ys.max() - ys.min()))
     tol = FIT_MARGIN * span
 
-    best = None
+    logn = np.where(ns > 1, np.log(np.maximum(ns, 1.0)), 0.0)
+    designs = []
     for sigma in sigma_grid:
         pow_ns = ns**sigma
-        logn = np.where(ns > 1, np.log(np.maximum(ns, 1.0)), 0.0)
         X = np.column_stack([np.ones_like(ns), pow_ns, pow_ns * logn])
+        # LAPACK fails on an overflowed column, and writes its complaint to stdout
+        if not np.isfinite(X).all():
+            raise ValueError(
+                f"sigma = {float(sigma)!r}: n^sigma ln n leaves float range for some n <= "
+                f"n_max = {data.n_max}"
+            )
+        designs.append((sigma, X))
+
+    best = None
+    for sigma, X in designs:
         coef, *_ = np.linalg.lstsq(X, ys, rcond=None)
         if coef[2] < 0.0:
             X2 = X[:, :2]

@@ -141,9 +141,9 @@ _STIRLING_P_CAP = 64
 _STIRLING_N_CAP = _STIRLING_P_CAP**3
 # the (M.2)'-bar constants C_q are fitted for q = 0..Q_MAX
 Q_MAX = 10
-# the audit is O(p_max^2): `gevrey seq-audit` takes 0.59-0.89 s at the cap,
-# 0.30-0.41 s of it in the audit, at (0.1, 1.1), (1, 2), (0.05, 1.05) and
-# (1, 3) (2-vCPU Xeon, Python 3.11, min of 5)
+# the audit is O(p_max^2): `gevrey seq-audit` takes 0.54-0.59 s at the cap,
+# 0.29 s of it in the audit and 0.03 s writing the 1.2 MB report, at
+# (0.1, 1.1), (1, 2), (0.05, 1.05) and (1, 3) (2-vCPU Xeon, Python 3.11, min of 5)
 SEQ_AUDIT_PMAX_MAX = 20_000
 # cells per block of the (M.2)-bar scan, 512 kB per buffer: at p_max 2000
 # 2^15 and 2^16 were equally fast, 2^14 and 2^17 10-25% slower, and 2^16

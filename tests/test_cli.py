@@ -2,12 +2,13 @@ import json
 import math
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import gevreykit
@@ -198,6 +199,84 @@ def test_fdb_check_jet_report_is_byte_identical_to_its_golden_copy(name, tmp_pat
     golden = os.path.join(os.path.dirname(__file__), "data", name)
     with open(out, "rb") as got, open(golden, "rb") as want:
         assert got.read() == want.read()
+
+
+# reports of the other commands, written by json.dumps(indent=2) before the
+# report writer let json's C encoder format numeric rows. Each runs in an
+# empty directory with relative paths, because a report echoes its paths.
+# The report is written under its golden's name, and a --csv beside it
+GOLDEN_COMMAND_REPORTS = {
+    "seq_audit_t1_s2_p200.json": ["seq-audit", "--tau", "1", "--sigma", "2", "--pmax", "200",
+                                  "--out", "seq_audit_t1_s2_p200.json"],
+    "lemma23_t0.1_s1.1_k20.json": ["lemma23", "--tau", "0.1", "--sigma", "1.1", "--kmax", "20",
+                                   "--out", "lemma23_t0.1_s1.1_k20.json"],
+    "fit_growth_small.json": ["fit", "--data", "growth_small.csv",
+                              "--out", "fit_growth_small.json"],
+    "decomp_3_2.json": ["decomp", "--alpha", "3,2", "--out", "decomp_3_2.json"],
+    "wf_scan_kink.json": ["wf-scan", "--field", "fields/kink.gf", "--points", "0;0.5",
+                          "--dirs", "2", "--tau", "1", "--sigma", "2",
+                          "--csv", "wf_scan_kink.csv", "--out", "wf_scan_kink.json"],
+    "catalog.json": ["catalog", "--out", "fields", "--report", "catalog.json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMAND_REPORTS))
+def test_command_report_is_byte_identical_to_its_golden_copy(name, tmp_path, monkeypatch):
+    data = os.path.join(os.path.dirname(__file__), "data")
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(os.path.join(data, "growth_small.csv"), ".")
+    os.mkdir("fields")
+    write_gridfield(catalog_field("kink"), os.path.join("fields", "kink.gf"))
+    argv = GOLDEN_COMMAND_REPORTS[name]
+    assert main(argv) == 0
+    written = [name] + [argv[i + 1] for i, a in enumerate(argv) if a == "--csv"]
+    for path in written:
+        with open(path, "rb") as got, open(os.path.join(data, path), "rb") as want:
+            assert got.read() == want.read(), path
+
+
+_NUMBERS = (st.integers() | st.integers(-10**40, 10**40)
+            | st.floats() | st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]))
+_STRINGS = (st.text(st.sampled_from('"\\[],{}: aé☃\n\x00') | st.characters(), max_size=6)
+            | st.sampled_from(["],[", "[]", '"', "\\"]))
+_SCALARS = st.none() | st.booleans() | _NUMBERS | _STRINGS
+_ROWS = st.lists(st.lists(_NUMBERS | st.none() | st.booleans(), min_size=1, max_size=4), max_size=4)
+
+
+def _containers(kids):
+    items = st.lists(kids, max_size=4)
+    # one key type per dict, so that most dicts sort; a mixed one raises TypeError
+    keys = _STRINGS | st.integers() | st.floats() | st.booleans() | st.none()
+    dicts = st.one_of(*(st.dictionaries(k, kids, max_size=4) for k in (_STRINGS, st.integers())),
+                      st.dictionaries(keys, kids, max_size=3))
+    return items | items.map(tuple) | dicts | _ROWS
+
+
+def _dumps_or_error(text_of, doc):
+    try:
+        return text_of(doc)
+    except (ValueError, TypeError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.recursive(_SCALARS | _ROWS, _containers, max_leaves=24))
+@example([])
+@example([[]])
+@example([[1], []])
+@example([[1, [2]]])
+@example([[[None]], None])
+@example(["],["])
+@example(["a,b"])
+@example([(1, 2.5)])
+@example([np.float64(0.1)])
+@example([np.int64(3)])
+@example({1: 2})
+@example([[float("nan")]])
+@example([0, {"b": float("nan"), "a": np.int64(1)}])  # json fails on "a" first
+def test_report_text_is_json_dumps_with_indent_2(doc):
+    want = _dumps_or_error(lambda d: json.dumps(d, sort_keys=True, indent=2, allow_nan=False), doc)
+    assert _dumps_or_error(cli._report_text, doc) == want
 
 
 def test_parametrix_max_residual_is_the_measured_maximum(tmp_path, monkeypatch):
@@ -944,6 +1023,27 @@ def test_fit_reports_a_constant_past_float_range_as_its_log(tmp_path, values, lo
     assert code == 0
     assert rep["result"]["log_A_hat"] == log_a
     validate_report(rep)
+
+
+@pytest.mark.parametrize("sigma, code", [("285.2", 0), ("285.4", 1), ("286", 1)])
+def test_fit_rejects_a_grid_sigma_whose_design_leaves_float_range(tmp_path, sigma, code):
+    # at n_max 12, 12^sigma ln 12 overflows from sigma 285.4 and 12^sigma from
+    # 285.7; LAPACK writes to fd 1, so only a fresh interpreter shows its lines
+    csv = os.path.join(os.path.dirname(__file__), "data", "growth_small.csv")
+    src = os.path.dirname(os.path.dirname(gevreykit.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gevreykit.cli", "fit", "--data", csv, "--sigma-grid", sigma,
+         "--out", os.path.join(tmp_path, "fit.json")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (code, "")
+    if code:
+        assert proc.stderr.splitlines() == [
+            f"gevrey: sigma = {float(sigma)!r}: n^sigma ln n leaves float range for some "
+            "n <= n_max = 12"
+        ]
+    else:
+        assert proc.stderr == ""
 
 
 def test_fit_reports_the_zero_function_with_a_null_log_a(tmp_path):
