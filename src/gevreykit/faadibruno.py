@@ -216,9 +216,12 @@ def lemma23_constant_search(seq: DefiningSequence, k_max: int) -> Lemma23Fit:
     1.674, 2.430, 3.120, 3.658, 4.158; (0.05, 1.05) 1.932, 3.397, 5.279,
     7.314, 9.955; (0.5, 1.1) 1.072, then 1.078; (0.1, 1.5) 1.088 and
     (0.25, 1.25) 1.099 throughout; 1 at (1, 2), (0.5, 1.5), (1, 1.25)
-    and (1, 1.05).  At tau = 0.1 the per-k maximum peaks near
-    k = e^{1/(sigma-1)}: at k 27 for sigma 1.3, at 132 for sigma 1.2,
-    past 600 for sigma 1.1; at (0.3, 1.2) it peaks at k 14.
+    and (1, 1.05).  At tau = 0.1 the per-k maximum peaks at k 27 for
+    sigma 1.3 and at 132 for sigma 1.2, near k = e^{1/(sigma-1)} (28 and
+    148), but for sigma 1.1 at k 11,128, about half of e^10 = 22,026: a
+    scan of the balanced partitions of every k up to 30,000, where w is
+    concave, found the largest value, exp(log_C) = 5.4160, there (j =
+    1,391 parts).  At (0.3, 1.2) it peaks at k 14.
     """
     if not 2 <= k_max <= LEMMA23_KMAX_MAX:
         raise ValueError(f"k_max must lie in 2..{LEMMA23_KMAX_MAX}, got {k_max}")

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .jets import Jet, Number, _is_zero, jet_add, jet_compose, jet_mul
+from .jets import _EXACT_TYPES, Jet, Number, _is_zero, jet_add, jet_compose, jet_mul
 from .multiindex import MultiIndex
 
 __all__ = [
@@ -116,12 +116,29 @@ class MVPolySpec(FunctionSpec):
         # at a time into (beta, |beta|, value) with distinct betas; the
         # steps (j, binom(e, j), b^(e - j)) of an (axis, e) are built once.
         # "0 +" turns a -0.0 (or a complex one's parts) into 0.0, as a sum
-        # into a fresh key does
+        # into a fresh key does.  At an int/Fraction base with int/Fraction
+        # coefficients the loop runs on integer numerators over one
+        # denominator, lcm(coefficient denominators) * prod_a q_a^E_a (q_a
+        # base a's denominator, E_a the top exponent on axis a): a term's
+        # numerator starts with the q_a^E_a of its absent axes and a step's
+        # power is p^(e - j) q^(E - e + j), binomial included.  A
+        # coefficient is a Fraction where a Fraction coefficient, or a
+        # Fraction coordinate on an axis of positive exponent, entered it.
         grid = _on_grid(base)
         zero = (0,) * self.dimension
+        exact = set(map(type, base)) | {type(c) for _, c in self.terms} <= _EXACT_TYPES
+        if exact:
+            tops = [max((expo[a] for expo, _ in self.terms), default=0) for a in range(self.dimension)]
+            q_tops = [b.denominator**top for b, top in zip(base, tops)]
+            lcd = math.lcm(*(c.denominator for _, c in self.terms))
+            fractional: set[MultiIndex] = set()
         steps: dict[tuple[int, int], list[tuple[int, int, Number]]] = {}
         coeffs: dict[MultiIndex, Number] = {}
         for expo, c in self.terms:
+            if exact:
+                frac = type(c) is Fraction or any(e and type(b) is Fraction for e, b in zip(expo, base))
+                c = c.numerator * (lcd // c.denominator)
+                c *= math.prod(q for e, q in zip(expo, q_tops) if e == 0)
             partial = [(zero, 0, c)]
             for axis, e in enumerate(expo):
                 if e == 0:
@@ -129,9 +146,15 @@ class MVPolySpec(FunctionSpec):
                 step = steps.get((axis, e))
                 if step is None:
                     b = base[axis]
-                    step = steps[axis, e] = [
-                        (j, math.comb(e, j), b ** (e - j)) for j in range(min(e, K) + 1)
-                    ]
+                    if exact:
+                        p, q, top = b.numerator, b.denominator, tops[axis]
+                        step = [
+                            (j, 1, math.comb(e, j) * p ** (e - j) * q ** (top - e + j))
+                            for j in range(min(e, K) + 1)
+                        ]
+                    else:
+                        step = [(j, math.comb(e, j), b ** (e - j)) for j in range(min(e, K) + 1)]
+                    steps[axis, e] = step
                 nxt = []
                 for beta, order, v in partial:
                     for j, binom, power in step:
@@ -143,6 +166,14 @@ class MVPolySpec(FunctionSpec):
                 partial = nxt
             for beta, _, v in partial:
                 coeffs[beta] = coeffs.get(beta, 0) + _float_on_grid(v, grid)
+                if exact and frac:
+                    fractional.add(beta)
+        if exact:
+            den = lcd * math.prod(q_tops)
+            coeffs = {
+                beta: Fraction(n, den) if beta in fractional else n // den
+                for beta, n in coeffs.items()
+            }
         return Jet(self.dimension, K, coeffs, base)
 
 

@@ -13,15 +13,28 @@ numeric tower.  A base coordinate may also be a numpy array of base
 points: the coefficients are then arrays with one value per point, and
 every operation acts on all points at once.
 
-The index work of a product depends only on the jet's shape: ``jet_mul``
-reads the sums ka + kb with |ka| + |kb| <= order from one table per
-(dim, order), built on first use, and multiplies and adds the
-coefficients in the same order as the plain pairwise loop would.
-When one factor's coefficients are all Fractions and the other's all
-ints or Fractions, the product is taken on integer numerators over each
-factor's least common denominator, with one Fraction per output key,
-instead of two gcds per Fraction product and sum; any float, complex or
-array coefficient keeps the plain loop.
+The index work of a product depends only on the jet's shape: the sums
+ka + kb with |ka| + |kb| <= order come from one table per (dim, order),
+built on first use.  The second factor's nonzero terms are grouped by
+budget once per ``jet_mul`` (and once per ``jet_compose``, for g's
+nonconstant part): for each r, the terms with |kb| <= r in their own
+order.  A row ka of the first factor reads only the group of budget
+order - |ka|, so every pair it visits lands, and the coefficients are
+multiplied and added in the same order as the plain pairwise loop would.
+
+Exact products are taken on integer numerators, once per operation:
+- ``jet_mul``: when one factor's coefficients are all Fractions and the
+  other's all ints or Fractions, over each factor's least common
+  denominator, with one Fraction per output key;
+- ``jet_compose``: when g's nonconstant coefficients are all Fractions
+  and f's are ints or Fractions, Horner runs on g's numerators over
+  their common denominator dg, carries the denominator (f's common
+  denominator times dg^steps) and scales each f coefficient in; one
+  Fraction per key is built at the end, and the constant key is f's
+  constant coefficient itself, as the plain loop leaves it.
+Either way each output equals the Fraction the plain loop gives, without
+two gcds per Fraction product and sum.  Any other mix, and every float,
+complex or array coefficient, keeps the plain loop.
 
 ``jet_compose`` starts Horner at f's highest nonzero coefficient, since
 leading zeros only multiply empty jets, and truncates each step: after
@@ -59,7 +72,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .multiindex import MultiIndex, mi_add, mi_factorial, mi_of_order, mi_order
+from .multiindex import MultiIndex, check_entries, mi_add, mi_factorial, mi_of_order, mi_order
 
 Number = int | Fraction | float | complex
 
@@ -113,6 +126,13 @@ def _sum_table(dim: int, order: int) -> dict[MultiIndex, dict[MultiIndex, MultiI
     }
 
 
+def _by_budget(terms: list[tuple[MultiIndex, Number]], order: int) -> list[list]:
+    """For each budget r = 0..order, the terms (k, v) with |k| <= r, in
+    their order."""
+    ranked = [(mi_order(k), k, v) for k, v in terms]
+    return [[(k, v) for n, k, v in ranked if n <= r] for r in range(order + 1)]
+
+
 def _numerators(values: list) -> tuple[int, list[int]]:
     """The least common denominator of int/Fraction values and each value's
     integer numerator over it."""
@@ -125,14 +145,33 @@ _FRACTION_TYPE = frozenset((Fraction,))
 
 
 def _mul_terms(
-    a_coeffs: Mapping[MultiIndex, Number],
-    b_terms: list[tuple[MultiIndex, Number]],
+    a_items: list[tuple[MultiIndex, Number]],
+    b_budget: list[list[tuple[MultiIndex, Number]]],
     sums: dict[MultiIndex, dict[MultiIndex, MultiIndex]],
+    order: int,
 ) -> dict[MultiIndex, Number]:
-    """The product of a's coefficients with b's nonzero terms, kept where
-    ``sums`` holds ka + kb: a's items outer, b's inner, each output key
-    inserted at its first product."""
-    rows = [(sums[ka], va) for ka, va in a_coeffs.items() if ka in sums and not _is_zero(va)]
+    """The product, through `order`, of a's items (each |ka| <= order)
+    with b's nonzero terms grouped by ``_by_budget``: each nonzero a-row
+    reads the b terms that land, those of order <= order - |ka|, so
+    ``sums`` (a table of order >= `order`) always holds ka + kb.  a's
+    items outer, b's inner in b's order, each output key inserted at its
+    first product."""
+    out: dict[MultiIndex, Number] = {}
+    for ka, va in a_items:
+        # _is_zero inline: this runs once per row of every product
+        if type(va) is not np.ndarray and va == 0:
+            continue
+        row = sums[ka]
+        for kb, vb in b_budget[order - sum(ka)]:
+            k = row[kb]
+            out[k] = out.get(k, 0) + va * vb
+    return out
+
+
+def jet_mul(a: Jet, b: Jet) -> Jet:
+    _check_compatible(a, b)
+    rows = [(ka, va) for ka, va in a.coeffs.items() if mi_order(ka) <= a.order and not _is_zero(va)]
+    b_terms = [(kb, vb) for kb, vb in b.coeffs.items() if not _is_zero(vb)]
     a_types = {type(va) for _, va in rows}
     b_types = {type(vb) for _, vb in b_terms}
     # exact branch: every product has a Fraction factor, so each output is a
@@ -143,24 +182,12 @@ def _mul_terms(
     if exact:
         da, a_num = _numerators([va for _, va in rows])
         db, b_num = _numerators([vb for _, vb in b_terms])
-        rows = [(row, na) for (row, _), na in zip(rows, a_num)]
+        rows = [(ka, na) for (ka, _), na in zip(rows, a_num)]
         b_terms = [(kb, nb) for (kb, _), nb in zip(b_terms, b_num)]
-    out: dict[MultiIndex, Number] = {}
-    for row, va in rows:
-        for kb, vb in b_terms:
-            k = row.get(kb)
-            if k is not None:
-                out[k] = out.get(k, 0) + va * vb
+    out = _mul_terms(rows, _by_budget(b_terms, a.order), _sum_table(a.dim, a.order), a.order)
     if exact:
         d = da * db
-        return {k: Fraction(n, d) for k, n in out.items()}
-    return out
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    _check_compatible(a, b)
-    b_terms = [(kb, vb) for kb, vb in b.coeffs.items() if not _is_zero(vb)]
-    out = _mul_terms(a.coeffs, b_terms, _sum_table(a.dim, a.order))
+        out = {k: Fraction(n, d) for k, n in out.items()}
     return Jet(a.dim, a.order, out, a.base_point or b.base_point)
 
 
@@ -183,15 +210,35 @@ def jet_compose(f: Jet, g: Jet) -> Jet:
     ghat = [(k, v) for k, v in g.coeffs.items() if mi_order(k) > 0 and not _is_zero(v)]
     # leading zero coefficients would only multiply empty jets
     top = max((k[0] for k, c in f.coeffs.items() if k[0] <= K and not _is_zero(c)), default=0)
-    c = f.coeff((top,))
+    cs = [f.coeff((j,)) for j in range(top + 1)]
+    sums = _sum_table(g.dim, K)
+    # Fraction ghat under exact f: every product has a Fraction factor, so
+    # Horner runs on integer numerators over one carried denominator
+    exact = {type(v) for _, v in ghat} <= _FRACTION_TYPE and set(map(type, cs)) <= _EXACT_TYPES
+    if exact:
+        dg, g_num = _numerators([v for _, v in ghat])
+        ghat = [(k, n) for (k, _), n in zip(ghat, g_num)]
+        df, cs_num = _numerators(cs)
+    budget = _by_budget(ghat, K)
+    c = cs_num[top] if exact else cs[top]
     out: dict[MultiIndex, Number] = {} if _is_zero(c) else {zero: c}
+    scale = 1  # exact: out's numerators are over df * scale, scale = dg^steps
     for j in range(top - 1, -1, -1):
         # j more factors of ghat follow, each raising the order by at least
-        # 1, so only the orders up to K - j can reach the result
-        out = _mul_terms(out, ghat, _sum_table(g.dim, K - j))
-        c = f.coeff((j,))
-        if not _is_zero(c):
-            out[zero] = out.get(zero, 0) + c
+        # 1, so only the orders up to K - j can reach the result; ghat has
+        # no constant term, so no product lands on the zero key
+        out = _mul_terms(out.items(), budget, sums, K - j)
+        if exact:
+            scale *= dg
+            if cs_num[j]:
+                out[zero] = cs_num[j] * scale
+        elif not _is_zero(cs[j]):
+            out[zero] = 0 + cs[j]
+    if exact:
+        d = df * scale
+        out = {k: Fraction(n, d) for k, n in out.items() if k != zero}
+        if cs[0]:
+            out[zero] = 0 + cs[0]
     return Jet(g.dim, K, out, g.base_point)
 
 
@@ -217,6 +264,7 @@ def jet_chain_partial(f, g, alpha: MultiIndex, at: tuple[Number, ...]) -> Number
     decomposition-sum chain rule is checked against."""
     alpha = tuple(map(operator.index, alpha))
     at = check_chain_dims(f, g, alpha, at)
+    check_entries(alpha)
     n = mi_order(alpha)
     g_jet = jet_of(g, at, n)
     f_jet = jet_of(f, (g_jet.value,), n)

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -318,6 +319,19 @@ def test_chain_rules_reject_mismatched_dimensions_before_any_jet(f, g, alpha, at
         for route in (fdb_derivative, jets.jet_chain_partial):
             with pytest.raises(ValueError, match="one dimension|univariate"):
                 route(f, g, alpha, at)
+
+
+@pytest.mark.parametrize("g, alpha, at", [
+    (PolySpec((0, 1)), (-1,), (0.5,)),
+    (mv(2, {(1, 1): 1}), (-1, 3), (0.5, Fraction(1, 3))),
+])
+def test_chain_rules_reject_a_negative_alpha_entry_before_any_jet(g, alpha, at):
+    stop = AssertionError("a jet was built")
+    with mock.patch.object(faadibruno, "jet_of", side_effect=stop), \
+            mock.patch.object(jets, "jet_of", side_effect=stop):
+        for route in (fdb_derivative, jets.jet_chain_partial):
+            with pytest.raises(ValueError, match=re.escape(f"alpha {alpha} has a negative entry")):
+                route(SinSpec(), g, alpha, at)
 
 
 @pytest.mark.parametrize("f, g, alpha, at", [

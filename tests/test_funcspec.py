@@ -29,7 +29,7 @@ from gevreykit.funcspec import (
     _on_grid,
 )
 from gevreykit.jets import Jet, jet_compose, jet_partial
-from gevreykit.multiindex import mi_order
+from gevreykit.multiindex import mi_of_order, mi_order
 from gevreykit.parametrix import DiffOperator, GridEvaluator, SymbolAlgebra, _axis_degrees
 
 
@@ -126,6 +126,36 @@ def test_the_polynomial_jet_matches_both_earlier_loops_bit_for_bit(case):
             coeffs[i] = c
         assert PolySpec(tuple(coeffs)) == spec
         assert got == _bits(_univariate_loop(coeffs, base, K))
+
+
+_exact = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=6)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 3), K=st.integers(0, 6), data=st.data())
+def test_the_exact_polynomial_jet_is_the_taylor_coefficient_sum(d, K, data):
+    # the Taylor coefficient of sum_t c_t x^e_t at b, by its definition:
+    # sum_t c_t prod_a binom(e_a, beta_a) b_a^(e_a - beta_a); a Fraction
+    # enters with a Fraction c_t or a Fraction b_a on an axis with e_a > 0
+    expo = st.tuples(*[st.integers(0, 4)] * d)
+    spec = MVPolySpec.from_dict(d, data.draw(st.dictionaries(expo, _exact, max_size=4)))
+    base = tuple(data.draw(_exact) for _ in range(d))
+    jet = spec.jet(base, K)
+    for n in range(K + 1):
+        for beta in mi_of_order(d, n):
+            want, fraction = 0, False
+            for e, c in spec.terms:
+                if any(x > y for x, y in zip(beta, e)):
+                    continue
+                want += c * math.prod(math.comb(y, x) * Fraction(b) ** (y - x)
+                                      for x, y, b in zip(beta, e, base))
+                fraction |= type(c) is Fraction or any(
+                    y > 0 and type(b) is Fraction for y, b in zip(e, base))
+            got = jet.coeff(beta)
+            assert got == want and type(got) is (Fraction if fraction else int), (beta, got)
+    assert all(mi_order(beta) <= K for beta in jet.coeffs)
 
 
 def test_a_constant_polynomial_keeps_its_coefficient():
