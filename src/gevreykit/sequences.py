@@ -16,13 +16,14 @@ that is not proved.
 
 ``audit_sequence`` checks what is checkable and reports both constants
 as measurements: ln of the least constants that cover the scanned
-range, with their arg-max witnesses.
+range. The (M.2)-bar one is the scan's maximum, which the proof places
+at every p = q; only the (M.2)'-bar ones name a witness p.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -125,10 +126,9 @@ class SequenceAuditReport:
     m3prime_partial_sums: list[tuple[int, float]]
     almost_increasing_from: int
     fitted_log_C_m2bar: float
-    fitted_C_m2bar_argmax: tuple[int, int]
     fitted_log_Cq_m2prime: list[tuple[int, float]]
     fitted_Cq_m2prime_argmax: list[tuple[int, int]]
-    stirling_ratio_log_residuals: list[tuple[int, float]] = field(default_factory=list)
+    stirling_ratio_log_residuals: list[tuple[int, float]]
 
 
 # The Stirling residual is about tau/(12 sigma n) at n = [p^sigma], and
@@ -141,13 +141,14 @@ _STIRLING_P_CAP = 64
 _STIRLING_N_CAP = _STIRLING_P_CAP**3
 # the (M.2)'-bar constants C_q are fitted for q = 0..Q_MAX
 Q_MAX = 10
-# the audit is O(p_max^2): `gevrey seq-audit` takes 0.54-0.59 s at the cap,
-# 0.29 s of it in the audit and 0.03 s writing the 1.2 MB report, at
+# the audit is O(p_max^2): `gevrey seq-audit` takes 0.39-0.41 s at the cap,
+# 0.21 s of it in the audit and 0.02 s writing the 1.2 MB report, at
 # (0.1, 1.1), (1, 2), (0.05, 1.05) and (1, 3) (2-vCPU Xeon, Python 3.11, min of 5)
 SEQ_AUDIT_PMAX_MAX = 20_000
 # cells per block of the (M.2)-bar scan, 512 kB per buffer: at p_max 2000
-# 2^15 and 2^16 were equally fast, 2^14 and 2^17 10-25% slower, and 2^16
-# still holds 3 rows per block at the cap
+# 2^15 and 2^16 were equally fast, 2^14 and 2^17 10-25% slower.  Every
+# block holds at least one row: the p_max cap keeps row 0, the longest, at
+# 20,001 cells, and a block at the cap holds 3 rows
 _M2BAR_BLOCK_CELLS = 1 << 16
 
 
@@ -166,16 +167,16 @@ def _rows(table: np.ndarray, start: int, step: int, rows: int, width: int) -> np
     return np.ndarray((rows, width), table.dtype, table, start * item, (step * item, item))
 
 
-def _m2bar_fit(LM: np.ndarray, LMp: np.ndarray, PS: np.ndarray) -> tuple[float, tuple[int, int]]:
-    """The (M.2)-bar scan: the first maximum of (LM[p+q] - LMp[p] - LMp[q]) /
-    (PS[p] + PS[q]) over 0 <= p <= q <= p_max - p, (p, q) != (0, 0), in the
-    double loop's order; (-inf, (1, 1)) if nothing beats -inf.
+def _m2bar_fit(LM: np.ndarray, LMp: np.ndarray, PS: np.ndarray) -> float:
+    """The (M.2)-bar scan: the largest (LM[p+q] - LMp[p] - LMp[q]) /
+    (PS[p] + PS[q]) over 0 <= p <= q <= p_max - p, NaN cells skipped;
+    -inf if no cell beats -inf.
 
-    Row p >= 1 reads LM[2p + j], LMp[p + j] and PS[p + j] for
+    Row p reads LM[2p + j], LMp[p + j] and PS[p + j] for
     j = 0..p_max - 2p, so a block of rows is three strided views of the
     tables; past p_max they read -inf, 0 and 1, which makes every ragged
-    tail -inf. Each row's first argmax, then a strict > across rows and
-    blocks in p order, keeps the loop's first (p, q).
+    tail -inf. The (0, 0) cell is 0/0, a NaN, so it drops out with the
+    rest.
     """
     p_max = len(PS) - 1
     pad = p_max  # a block reads below index 2 p_max
@@ -183,11 +184,8 @@ def _m2bar_fit(LM: np.ndarray, LMp: np.ndarray, PS: np.ndarray) -> tuple[float, 
     LMpw = np.concatenate((LMp, np.zeros(pad)))
     PSw = np.concatenate((PS, np.ones(pad)))
     num_cells, den_cells = np.empty(_M2BAR_BLOCK_CELLS), np.empty(_M2BAR_BLOCK_CELLS)
-    best, best_pq = -math.inf, (1, 1)
-    i, val = _first_max((LM[1:p_max + 1] - LMp[0] - LMp[1:]) / (PS[0] + PS[1:]))
-    if val > best:  # row 0: q = 1..p_max
-        best, best_pq = val, (0, 1 + i)
-    p, p_end = 1, p_max // 2 + 1
+    best = -math.inf
+    p, p_end = 0, p_max // 2 + 1
     while p < p_end:
         width = p_max + 1 - 2 * p  # row p's length, the block's longest
         rows = min(_M2BAR_BLOCK_CELLS // width, p_end - p)
@@ -197,15 +195,9 @@ def _m2bar_fit(LM: np.ndarray, LMp: np.ndarray, PS: np.ndarray) -> tuple[float, 
         block -= _rows(LMpw, p, 1, rows, width)
         np.add(PS[p:p + rows, None], _rows(PSw, p, 1, rows, width), out=den)
         block /= den
-        idx = block.argmax(axis=1)
-        vals = block[np.arange(rows), idx]
-        for r in np.flatnonzero(np.isnan(vals)):  # argmax stopped at a NaN
-            idx[r], vals[r] = _first_max(block[r, :width - 2 * r])
-        k, val = _first_max(vals)
-        if val > best:
-            best, best_pq = val, (p + k, p + k + int(idx[k]))
+        best = float(np.fmax.reduce(block, axis=None, initial=best))
         p += rows
-    return best, best_pq
+    return best
 
 
 def audit_sequence(seq: DefiningSequence, p_max: int) -> SequenceAuditReport:
@@ -225,9 +217,9 @@ def audit_sequence(seq: DefiningSequence, p_max: int) -> SequenceAuditReport:
     full p_max x p_max matrix would take about 16 MB per temporary at
     p_max 2000.
 
-    Both fits give the floats and first arg-max witnesses of the
-    plain double loop, bit for bit, and the linear checks those of
-    their scalar loops.
+    Both fits give the floats of the plain double loop, bit for bit, and
+    the (M.2)'-bar fit its first arg-max witnesses; the linear checks
+    give those of their scalar loops.
     """
     if not 3 <= p_max <= SEQ_AUDIT_PMAX_MAX:
         raise ValueError(f"p_max must lie in 3..{SEQ_AUDIT_PMAX_MAX}, got {p_max}")
@@ -244,7 +236,7 @@ def audit_sequence(seq: DefiningSequence, p_max: int) -> SequenceAuditReport:
 
     # Logs and powers stay Python scalars (np.power may differ by an ulp);
     # numpy only adds, subtracts, multiplies, divides, compares and takes
-    # argmax. An overflowed ln M makes inf, and inf - inf NaN: silent, as
+    # maxima. An overflowed ln M makes inf, and inf - inf NaN: silent, as
     # in scalar arithmetic.
     tau_primed = tau * 2.0 ** (sigma - 1.0)
     LM = np.array(logM)
@@ -264,7 +256,7 @@ def audit_sequence(seq: DefiningSequence, p_max: int) -> SequenceAuditReport:
 
         # (M.2)-bar: ln of the minimal C with M_{p+q} <= C^{p^s+q^s} M'_p M'_q,
         # primed tau, over p <= q <= p_max - p
-        best, best_pq = _m2bar_fit(LM, LMp, PS)
+        best = _m2bar_fit(LM, LMp, PS)
 
         # (M.2)'-bar: per q, ln of the minimal C_q with
         # M_{p+q} <= C_q^{p^sigma} M_p, p >= 1
@@ -299,7 +291,6 @@ def audit_sequence(seq: DefiningSequence, p_max: int) -> SequenceAuditReport:
         m3prime_partial_sums=partial_sums,
         almost_increasing_from=ai_from,
         fitted_log_C_m2bar=max(best, 0.0),
-        fitted_C_m2bar_argmax=best_pq,
         fitted_log_Cq_m2prime=cq_list,
         fitted_Cq_m2prime_argmax=cq_arg,
         stirling_ratio_log_residuals=residuals,

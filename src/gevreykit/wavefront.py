@@ -131,16 +131,17 @@ def read_gridfield(path: str) -> GridField:
         origin = tuple(float(t) for t in header[4 : 4 + d])
         spacing = tuple(float(t) for t in header[4 + d : 4 + 2 * d])
         kind = header[4 + 2 * d]
-        tokens = fh.read().split()
+        body = fh.read()
     width = {"real": 1, "complex": 2}.get(kind)
     if width is None:
         raise ValueError(f"unknown sample kind {kind!r}")
+    tokens = body.split()
     if width == 2:
         tokens = [t.split(",") for t in tokens]
         malformed = any(len(t) != 2 for t in tokens)
         tokens = [x for t in tokens for x in t]
-    else:
-        malformed = any("," in t for t in tokens)
+    else:  # a comma is no whitespace, so it sits inside some token
+        malformed = "," in body
     if malformed:
         raise ValueError(f"malformed {kind} sample in {path} (complex samples are re,im)")
     # str items convert through float() itself: the same tokens pass or fail

@@ -1167,6 +1167,19 @@ def test_read_gridfield_names_a_comma_in_a_real_sample(tmp_path):
         read_gridfield(path)
 
 
+@pytest.mark.parametrize("body", [
+    "0.5 " * 8 + "\n" + "0.5 " * 7 + "1,2\n",  # on a later line
+    "0.5 " * 16 + ",\n",  # a token of its own, past the sample count
+    "0.5\n" * 15 + "1,",  # in the last token, with no newline after it
+], ids=["later-line", "own-token", "last-token"])
+def test_read_gridfield_names_a_comma_on_any_line_of_a_real_body(tmp_path, body):
+    path = os.path.join(tmp_path, "t.gf")
+    with open(path, "w") as fh:
+        fh.write("GRIDFIELD 1 1 16 0.0 0.125 real\n" + body)
+    with pytest.raises(ValueError, match=r"malformed real sample in .*t\.gf \(complex samples are re,im\)"):
+        read_gridfield(path)
+
+
 def _assert_clean_exit(args, out):
     if os.path.exists(out):
         os.remove(out)

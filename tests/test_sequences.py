@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -115,13 +116,13 @@ def test_audit_flags_and_fits():
 
 def _splitting_fits_oracle(seq, p_max, q_max=10):
     """Both splitting fits as plain double loops: the reference the audit's
-    numpy rows must reproduce bit for bit, arg-max witnesses included."""
+    numpy rows must reproduce bit for bit, the (M.2)'-bar arg-max
+    witnesses included."""
     tau, sigma = seq.tau, seq.sigma
     logM = [seq.log_M(p) for p in range(p_max + 2)]
     primed = DefiningSequence(tau * 2.0 ** (sigma - 1.0), sigma)
     logM_primed = [primed.log_M(p) for p in range(p_max + 1)]
     best = float("-inf")
-    best_pq = (1, 1)
     for p in range(0, p_max + 1):
         for q in range(p, p_max + 1 - p):
             if p == 0 and q == 0:
@@ -130,7 +131,6 @@ def _splitting_fits_oracle(seq, p_max, q_max=10):
             val = (logM[p + q] - logM_primed[p] - logM_primed[q]) / expo
             if val > best:
                 best = val
-                best_pq = (p, q)
     cq_list, cq_arg = [], []
     for q in range(0, min(q_max, p_max - 1) + 1):
         best_q = float("-inf")
@@ -144,7 +144,6 @@ def _splitting_fits_oracle(seq, p_max, q_max=10):
         cq_arg.append([q, arg_p])
     return {
         "fitted_log_C_m2bar": max(best, 0.0),
-        "fitted_C_m2bar_argmax": list(best_pq),
         "fitted_log_Cq_m2prime": cq_list,
         "fitted_Cq_m2prime_argmax": cq_arg,
     }
@@ -172,19 +171,56 @@ def test_splitting_fits_equal_the_double_loop_at_the_smallest_ranges(p_max):
 
 def test_splitting_fits_skip_nan_like_the_double_loop():
     # ln M_p overflows to inf here, so inf - inf rows hold NaN, which a
-    # strict > never picks: the fit is inf at witness (1, 1) in both
+    # strict > never picks: the fit is inf in both
     _assert_fits_match_oracle(5e307, 2.0, 10)
     assert audit_sequence(DefiningSequence(5e307, 2.0), 10).fitted_log_C_m2bar == math.inf
 
 
-# p_max 700 and 1001 span 3 and 5 blocks of the scan, the last one ragged,
-# with witnesses in different blocks; the overflow classes put NaN rows
-# (5e307) and rows mixing inf, NaN and -inf (1e300 at sigma 3, witness
-# (112, 203)) inside blocks
+# p_max 700 and 1001 span 3 and 5 blocks of the scan, the last one ragged;
+# the overflow classes put NaN rows (5e307) and rows mixing inf, NaN and
+# -inf (1e300 at sigma 3, whose scan first reaches inf at (112, 203))
+# inside blocks
 @pytest.mark.parametrize("p_max", [700, 1001])
 @pytest.mark.parametrize("tau, sigma", [(1.0, 2.0), (0.25, 1.25), (0.1, 1.1), (5e307, 2.0), (1e300, 3.0)])
 def test_splitting_fits_equal_the_double_loop_across_blocks(tau, sigma, p_max):
     _assert_fits_match_oracle(tau, sigma, p_max)
+
+
+# the classes at which ROADMAP Direction 2 measured both closed forms
+CLOSED_FORM_RUNS = [
+    (tau, sigma, p_max)
+    for tau, sigma in [(1.0, 2.0), (0.5, 1.5), (0.25, 1.25), (2.0, 3.0), (1.0, 1.25), (0.3, 2.7), (3.0, 1.1)]
+    for p_max in (3, 200, 2000)
+] + [(1.0, 2.0, 20000)]
+
+
+@functools.lru_cache(maxsize=None)
+def _audit(tau, sigma, p_max):
+    return audit_sequence(DefiningSequence(tau, sigma), p_max)
+
+
+@pytest.mark.parametrize("tau, sigma, p_max", CLOSED_FORM_RUNS)
+def test_m2bar_fit_is_its_closed_form(tau, sigma, p_max):
+    # ln C = tau 2^(sigma-1) ln 2, attained at every p = q (the `sequences`
+    # docstring), from (tau, sigma) alone so that a fault in log_M shows.
+    # A cell's numerator subtracts terms up to tau 2^sigma p^sigma ln(2p),
+    # each a few roundings off, and its denominator is 2 p^sigma: the
+    # allowance is 8 eps times tau 2^(sigma-1) ln(2 p_max), on both sides
+    closed_form = tau * 2.0 ** (sigma - 1) * math.log(2.0)
+    allowance = 8 * 2.0**-52 * tau * 2.0 ** (sigma - 1) * math.log(2.0 * p_max)
+    got = _audit(tau, sigma, p_max).fitted_log_C_m2bar
+    assert abs(got - closed_form) <= allowance, (got, closed_form)
+
+
+@pytest.mark.parametrize("tau, sigma, p_max", CLOSED_FORM_RUNS)
+def test_m2prime_fit_is_the_p1_cell_as_measured(tau, sigma, p_max):
+    """ln C_q is the p = 1 cell, ln M_{1+q} (ln M_1 = 0 and 1^sigma = 1),
+    at witness p = 1. This pins a measured law, not a theorem (ROADMAP
+    Direction 2): a class where it fails is a finding, not a fault."""
+    rep = _audit(tau, sigma, p_max)
+    for q in range(1, min(10, p_max - 1) + 1):
+        assert rep.fitted_log_Cq_m2prime[q] == (q, tau * float(1 + q) ** sigma * math.log(1 + q))
+        assert rep.fitted_Cq_m2prime_argmax[q] == (q, 1)
 
 
 def _linear_checks_oracle(seq, p_max):
