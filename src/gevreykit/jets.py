@@ -268,7 +268,14 @@ def jet_chain_partial(f, g, alpha: MultiIndex, at: tuple[Number, ...]) -> Number
     n = mi_order(alpha)
     g_jet = jet_of(g, at, n)
     f_jet = jet_of(f, (g_jet.value,), n)
-    return jet_partial(jet_compose(f_jet, g_jet), alpha)
+    value = jet_partial(jet_compose(f_jet, g_jet), alpha)
+    # fdb_derivative sums jets whose nonconstant coefficients are exact into
+    # a Fraction, while a jet reads an int for a missing coefficient and int
+    # jets compose to ints; at order 0 both routes return f's value itself
+    if n and type(value) is int:
+        if all(_is_exact(v) for j in (f_jet, g_jet) for k, v in j.coeffs.items() if any(k)):
+            return Fraction(value)
+    return value
 
 
 def jet_partial(j: Jet, alpha: MultiIndex) -> Number:

@@ -294,12 +294,40 @@ class Cone:
         if self.xi_min <= 0:
             raise ValueError("xi_min must be positive")
 
-    def contains(self, xi: list[np.ndarray], mag: np.ndarray) -> np.ndarray:
-        """Mask of the frequencies xi (one array per axis) with |xi| = mag."""
-        dot = sum(x * d for x, d in zip(xi, self.direction))
+    def contains(
+        self,
+        xi: list[np.ndarray],
+        mag: np.ndarray,
+        safe: np.ndarray | None = None,
+        far: np.ndarray | None = None,
+        dot: np.ndarray | None = None,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Mask of the frequencies xi (one array per axis) with |xi| = mag.
+
+        A caller testing many cones on one grid passes the pieces that do
+        not depend on the direction: safe, |xi| with 1 where |xi| = 0, and
+        far, |xi| >= xi_min.  dot (float) and out (bool) are optional
+        buffers of the grid's shape that the test is evaluated into.  xi
+        may be an open mesh.
+
+        The angle test reads (xi . direction) / safe, a meaningless value
+        where |xi| = 0, but far is false there (xi_min > 0).
+        """
+        if safe is None:
+            safe = np.where(mag > 0, mag, 1.0)
+        if far is None:
+            far = mag >= self.xi_min
+        if dot is None:
+            dot = np.empty(np.broadcast_shapes(mag.shape, *(x.shape for x in xi)))
+        np.multiply(xi[0], self.direction[0], out=dot)
+        for x, d in zip(xi[1:], self.direction[1:]):
+            dot += x * d
         with np.errstate(invalid="ignore", divide="ignore"):
-            cosang = np.where(mag > 0, dot / np.where(mag > 0, mag, 1.0), -1.0)
-        return (cosang >= math.cos(self.half_angle) - 1e-12) & (mag >= self.xi_min)
+            np.divide(dot, safe, out=dot)
+        out = np.greater_equal(dot, math.cos(self.half_angle) - 1e-12, out=out)
+        out &= far
+        return out
 
 
 @dataclass
@@ -363,7 +391,17 @@ class FrequencyGrid:
     its radius-bin index round(|xi| / min dxi), the Nyquist value and one
     ConeBins table per cone.  A cone whose xi_min lies inside the DC
     leakage band (below 4 bins) rejects the grid, and with it the whole
-    scan."""
+    scan.
+
+    No array of the grid's size is allocated per cone, nor per cutoff
+    but the amplitudes a spectrum returns: at 256^2 such an array (0.5-1
+    MB) lies above malloc's mmap threshold, so each fresh one has every
+    page faulted in anew.  The cone tables are built from pieces computed
+    once per grid (an open frequency mesh, the safe divisor of the angle
+    test, |xi| >= xi_min per distinct xi_min) through one float and one
+    bool buffer; the spectra go through three work buffers the grid
+    owns, allocated with it (spectrum).
+    """
 
     def __init__(self, u: GridField, cones: list[Cone]) -> None:
         self.field = u
@@ -372,23 +410,65 @@ class FrequencyGrid:
         if any(cone.xi_min < 4.0 * self.dxi for cone in cones):
             raise ValueError("xi_min must clear the DC leakage band (>= 4 bins)")
         freqs = [np.fft.fftfreq(n, d=s) for n, s in zip(u.sizes, u.spacing)]
-        mesh = np.meshgrid(*freqs, indexing="ij")
-        self.mag = np.sqrt(sum(m**2 for m in mesh))
+        # an open mesh broadcasts to the same values as a full one
+        xi = np.meshgrid(*freqs, indexing="ij", sparse=True)
+        self.mag = np.sqrt(sum(x**2 for x in xi))
         self.ridx = np.round(self.mag / self.dxi).astype(int)
+        safe = np.where(self.mag > 0, self.mag, 1.0)
+        far = {x: self.mag >= x for x in {cone.xi_min for cone in cones}}
+        dot, mask = np.empty(u.sizes), np.empty(u.sizes, dtype=bool)
         self.bins = {
             cone: ConeBins.select(
-                cone.contains(mesh, self.mag), self.mag, self.ridx, 0.5 * self.nyquist
+                cone.contains(xi, self.mag, safe, far[cone.xi_min], dot, mask),
+                self.mag,
+                self.ridx,
+                0.5 * self.nyquist,
             )
             for cone in cones
         }
+        # sized for a float cutoff's product with u; another dtype replaces them
+        self._work = self._buffers(np.result_type(float, u.samples))
+
+    def _buffers(self, dtype: np.dtype) -> tuple[np.ndarray, ...]:
+        """(product, row pass, column pass) buffers for a product of dtype."""
+        shape, cdtype = self.field.sizes, np.result_type(dtype, 1j)
+        return np.empty(shape, dtype), np.empty(shape, cdtype), np.empty(shape, cdtype)
 
     def spectrum(self, phi: GridField) -> Spectrum:
-        """|(phi u)^|: the DFT of phi*u normalized by the cell volume."""
+        """|(phi u)^|: the DFT of phi*u normalized by the cell volume,
+        bit for bit np.abs(np.fft.fftn(phi.samples * u.samples) *
+        u.cell_volume).
+
+        phi*u, the transform along the last axis and the transform along
+        axis 0 go into the grid's work buffers, reused by every cutoff.
+        As fftn does, the last axis is transformed first, but only on the
+        rows of phi*u that hold a nonzero or non-finite sample (a cutoff's
+        window: the pruned row-column transform); the other rows of the
+        row pass are set to 0.  The product is tested, not phi, so that
+        0 * inf = NaN keeps its row.  An exact zero may change its sign,
+        which abs removes.  The amplitudes are a fresh array, so a held
+        spectrum never changes.
+        """
         u = self.field
         if phi.sizes != u.sizes or phi.spacing != u.spacing or phi.origin != u.origin:
             raise ValueError("cutoff grid does not match the field grid")
-        amp = np.abs(np.fft.fftn(phi.samples * u.samples) * u.cell_volume)
-        return Spectrum(self, amp)
+        dtype = np.result_type(phi.samples, u.samples)
+        if self._work[0].dtype != dtype:
+            self._work = self._buffers(dtype)
+        prod, rows, out = self._work
+        np.multiply(phi.samples, u.samples, out=prod)
+        if u.dim == 1:
+            np.fft.fft(prod, out=out)
+        else:
+            live = np.any(prod, axis=-1)
+            # starts and ends of the runs of live rows, alternately
+            edges = np.flatnonzero(np.diff(live, prepend=False, append=False))
+            for lo, hi in edges.reshape(-1, 2):
+                np.fft.fft(prod[lo:hi], out=rows[lo:hi])
+            rows[~live] = 0
+            np.fft.fft(rows, axis=0, out=out)
+        out *= u.cell_volume
+        return Spectrum(self, np.abs(out))
 
 
 @dataclass

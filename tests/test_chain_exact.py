@@ -8,8 +8,11 @@ float outer jet meets an exact inner one).  Each item stores the
 ``repr`` of ``fdb_derivative``'s and ``jet_chain_partial``'s values as
 the code before the integer-numerator jet route computed them, so the
 comparison covers every value's type and digits.  The file is written
-once by running this module (``python tests/test_chain_exact.py``); it
-must not be rewritten from code whose values it is meant to check.
+by running this module (``python tests/test_chain_exact.py``); it must
+not be rewritten from code whose values it is meant to check.  It was
+rewritten once since, when the jet route began to return a Fraction for
+every exact result: of all its strings only one ``jet`` value changed,
+``0`` to ``Fraction(0, 1)``, the ``fdb`` value of the same item.
 """
 
 import json

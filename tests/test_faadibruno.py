@@ -353,6 +353,27 @@ def test_both_chain_routes_read_a_scalar_point_as_its_1_tuple(f, g, alpha, at):
             assert values[0] == values[1]
 
 
+@pytest.mark.parametrize("f, g, alpha, at, want", [
+    # the derivative vanishes: the jet's missing coefficient reads as the int 0
+    ("cos", "poly:0,0,1", (1,), Fraction(0), Fraction(0)),
+    ("cos", "poly:0,0,1", (2,), Fraction(0), Fraction(0)),
+    ("cos", "poly:0,0,1", (3,), Fraction(0), Fraction(0)),
+    # int jets compose to ints
+    ("poly:0,0,1", "poly:1,1", (1,), 2, Fraction(6)),
+    ("poly:0,0,1", "poly:1,1", (3,), 2, Fraction(0)),
+    # order 0 is f's value itself on both routes
+    ("poly:0,0,1", "poly:1,1", (0,), 2, 9),
+])
+def test_both_chain_routes_give_one_type_on_exact_input(f, g, alpha, at, want):
+    f, g = parse_spec(f), parse_spec(g)
+    for route in (fdb_derivative, jets.jet_chain_partial):
+        value = route(f, g, alpha, (at,))
+        assert type(value) is type(want) and value == want, route
+    # on float input neither route makes a Fraction
+    for route in (fdb_derivative, jets.jet_chain_partial):
+        assert type(route(f, g, alpha, (float(at),))) is not Fraction, route
+
+
 def test_exponent_identity_of_proof():
     # m^sigma + sum m_k |p_k|^sigma <= 2 |alpha|^sigma per decomposition
     cases = [(1, 10), (2, 7), (3, 5)]

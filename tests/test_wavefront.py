@@ -17,6 +17,7 @@ from gevreykit.wavefront import (
     MAX_N_MAX,
     N_BANDS,
     Cone,
+    ConeBins,
     DecayProfile,
     FrequencyGrid,
     GridField,
@@ -35,6 +36,7 @@ from gevreykit.wavefront import (
     enumeration_equivalence_detail,
     make_cutoff,
     read_gridfield,
+    scan_directions,
     wf_point_test,
     wf_scan,
     write_gridfield,
@@ -418,13 +420,94 @@ def test_singular_directions_contained_in_analytic_scale():
 def test_wf_scan_transforms_each_point_once(monkeypatch):
     # one spectrum per cutoff, shared by the point's 16 directions
     calls = []
-    fftn = np.fft.fftn
-    monkeypatch.setattr(np.fft, "fftn", lambda a, *args, **kw: calls.append(1) or fftn(a, *args, **kw))
+    spectrum = FrequencyGrid.spectrum
+    monkeypatch.setattr(
+        FrequencyGrid, "spectrum", lambda self, phi: calls.append(1) or spectrum(self, phi)
+    )
     u = catalog_field("step2d")
     params = ScanParams(r_plateau=0.12, r_support=0.35, xi_min=2.5, N_max=30)
     verdicts = wf_scan(u, [(0.0, 0.0), (0.62, 0.0), (0.95, 0.0)], 16, 1.0, 2.0, params)
     assert sum(v.error is None for v in verdicts) == 32  # (0.95, 0) leaves the grid
     assert len(calls) == 2
+
+
+def _spectrum_definition(phi, u):
+    with np.errstate(invalid="ignore"):  # 0 * inf is NaN
+        return np.abs(np.fft.fftn(phi.samples * u.samples) * u.cell_volume)
+
+
+def test_spectrum_equals_its_definition_bit_for_bit():
+    step = catalog_field("step2d")
+    x, y = step.axis_coords(0)[:, None], step.axis_coords(1)[None, :]
+    wave = step.like(step.samples * np.exp(1j * (3.0 * x + 5.0 * y)) + 0.25j)
+    spike = (np.abs(x + 0.9) < 0.01) & (np.abs(y - 0.8) < 0.02)  # outside every cutoff below
+    spiked = step.like(np.where(spike, np.inf, step.samples))
+    kink = catalog_field("kink")
+    kink_inf = kink.like(np.where(np.arange(512) == 20, -np.inf, kink.samples))
+
+    def cut(u, *centers, rp=0.12, rs=0.35):
+        return u.like(sum(make_cutoff(c, rp, rs, u).samples for c in centers))
+
+    cases = {
+        name: [cut(catalog_field(name), (x0,), rp=0.15, rs=0.4) for x0 in (0.0, -0.55, 0.59)]
+        for name in ("delta", "bump", "kink")
+    }
+    cases["step2d"] = [
+        cut(step, c) for c in [(0.0, 0.0), (0.3, -0.4), (-0.64, 0.64), (0.64, -0.645), (0.0, 0.6)]
+    ]
+    # nonzero rows in two runs, then a cutoff across their gap that leaves
+    # rows of both runs to be zeroed
+    cases["step2d"] += [cut(step, (-0.6, 0.0), (0.5, 0.1)), cut(step, (0.0, -0.3))]
+    cases["wave"] = [cut(wave, (0.1, 0.2)), cut(wave, (-0.6, 0.0), (0.5, 0.1))]
+    cases["spiked_inf"] = [cut(spiked, (0.0, 0.0)), cut(spiked, (0.5, 0.5))]
+    cases["kink_inf"] = [cut(kink_inf, (0.2,), rp=0.15, rs=0.4)]
+    fields = {"step2d": step, "wave": wave, "spiked_inf": spiked, "kink_inf": kink_inf}
+    for name, phis in cases.items():
+        u = fields.get(name) or catalog_field(name)
+        freq = FrequencyGrid(u, [])
+        # every spectrum of the grid held at once: each keeps its own amplitudes
+        with np.errstate(invalid="ignore"):
+            held = [(phi, freq.spectrum(phi)) for phi in phis]
+        for phi, spectrum in held:
+            want = _spectrum_definition(phi, u)
+            assert spectrum.amp.dtype == want.dtype, name
+            assert spectrum.amp.tobytes() == want.tobytes(), name
+        amps = [s.amp for _, s in held]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(amps) for b in amps[i + 1:])
+        if name.endswith("inf"):  # the NaN row of 0 * inf reached every bin
+            assert all(np.isnan(a).all() for a in amps)
+
+
+_CONE_GRIDS = {
+    1: GridField(1, (50,), (0.0,), (0.05,), np.zeros(50)),
+    2: GridField(2, (40, 72), (0.0, -1.0), (0.05, 0.03), np.zeros((40, 72))),
+}
+
+
+def _contains_definition(cone, xi, mag):
+    dot = sum(x * d for x, d in zip(xi, cone.direction))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cosang = np.where(mag > 0, dot / np.where(mag > 0, mag, 1.0), -1.0)
+    return (cosang >= math.cos(cone.half_angle) - 1e-12) & (mag >= cone.xi_min)
+
+
+@pytest.mark.parametrize("dim,count", [(1, 2), (2, 3), (2, 5), (2, 16), (2, 17), (2, 64)])
+def test_cone_tables_equal_their_definition(dim, count):
+    u = _CONE_GRIDS[dim]
+    mesh, mag = _freq_mesh(u), _grid_mag(u)
+    half = math.pi / 4 if dim == 1 else math.pi / count
+    cones = [Cone(d, half, x) for d in scan_directions(dim, count) for x in (1.9, 2.5, 4.0, 7.3)]
+    freq = FrequencyGrid(u, cones)
+    assert freq.mag.tobytes() == mag.tobytes()
+    for cone in cones:
+        mask = cone.contains(mesh, mag)
+        assert np.array_equal(mask, _contains_definition(cone, mesh, mag))
+        want = ConeBins.select(mask, mag, freq.ridx, 0.5 * freq.nyquist)
+        got = freq.bins[cone]
+        for f in dataclasses.fields(ConeBins):
+            g, w = getattr(got, f.name), getattr(want, f.name)
+            assert np.asarray(g).dtype == np.asarray(w).dtype, (cone, f.name)
+            assert np.array_equal(g, w), (cone, f.name)
 
 
 def _loop_shells(spectrum, cone):
